@@ -1,7 +1,7 @@
-// Forensic quarantine naming, shared by every corruption-tolerant store
-// (result cache, trace store, hiserve job journal): a damaged file or
-// file tail is moved aside under a unique name instead of being deleted,
-// so the specimen survives for triage while the store recovers.
+// Forensic quarantine, shared by every corruption-tolerant store (result
+// cache, trace store): a damaged file is moved aside under a unique name
+// instead of being deleted, so the specimen survives for triage while the
+// store recovers.
 //
 // Uniqueness matters: with several processes sharing a directory, a
 // fixed `<path>.corrupt` destination would let a second quarantine

@@ -4,7 +4,6 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +12,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "diag/quarantine.hpp"
 #include "lab/serialize.hpp"
 
 namespace fs = std::filesystem;
@@ -44,20 +44,6 @@ std::string ResultCache::path_for(const std::string& key) const {
   return (fs::path(dir_) / (key + ".result")).string();
 }
 
-void ResultCache::quarantine(const std::string& path) const {
-  // The destination must be unique per quarantining process AND per
-  // event: with several runners sharing a directory, a fixed
-  // `<path>.corrupt` name would let a second quarantine clobber the first
-  // one's forensic evidence (or race its rename).  pid + a process-local
-  // counter keeps every specimen.
-  static std::atomic<unsigned> counter{0};
-  std::ostringstream dest;
-  dest << path << ".corrupt." << ::getpid() << '.'
-       << counter.fetch_add(1, std::memory_order_relaxed);
-  std::error_code ec;
-  fs::rename(path, dest.str(), ec);  // best-effort
-}
-
 std::optional<CacheEntry> ResultCache::load(const std::string& key) const {
   const std::string path = path_for(key);
   std::ifstream in(path);
@@ -82,7 +68,7 @@ std::optional<CacheEntry> ResultCache::load(const std::string& key) const {
     body += '\n';
     const auto space = line.find(' ');
     if (space == std::string::npos) {  // torn line
-      quarantine(path);
+      diag::quarantine_file(path);
       return std::nullopt;
     }
     const std::string name = line.substr(0, space);
@@ -97,13 +83,13 @@ std::optional<CacheEntry> ResultCache::load(const std::string& key) const {
       fields[name] = value;
   }
   if (!checksum_ok) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   std::string missing;
   entry.result = result_from_fields(fields, &missing);
   if (!missing.empty()) {  // line-aligned truncation or field drift
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   return entry;

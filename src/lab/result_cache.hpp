@@ -58,11 +58,6 @@ class ResultCache {
 
  private:
   [[nodiscard]] std::string path_for(const std::string& key) const;
-  // Moves a failed-validation entry aside to `<path>.corrupt.<pid>.<n>`
-  // (best-effort) so it stops being retried and stays available for
-  // forensics; the unique suffix keeps concurrent quarantines from
-  // overwriting each other.
-  void quarantine(const std::string& path) const;
 
   std::string dir_;
 };

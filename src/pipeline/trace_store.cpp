@@ -4,7 +4,6 @@
 #include <sys/file.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -14,6 +13,7 @@
 #include <thread>
 #include <type_traits>
 
+#include "diag/quarantine.hpp"
 #include "lab/serialize.hpp"
 
 namespace fs = std::filesystem;
@@ -56,17 +56,6 @@ std::string TraceStore::path_for(const std::string& key) const {
   return (fs::path(dir_) / (key + ".trace")).string();
 }
 
-void TraceStore::quarantine(const std::string& path) const {
-  // Unique per process and per event, same rationale as the result cache:
-  // concurrent quarantines must never clobber each other's evidence.
-  static std::atomic<unsigned> counter{0};
-  std::ostringstream dest;
-  dest << path << ".corrupt." << ::getpid() << '.'
-       << counter.fetch_add(1, std::memory_order_relaxed);
-  std::error_code ec;
-  fs::rename(path, dest.str(), ec);  // best-effort
-}
-
 std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
   const std::string path = path_for(key);
   std::ifstream in(path, std::ios::binary);
@@ -84,7 +73,7 @@ std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
   if (!in.read(reinterpret_cast<char*>(&probe), sizeof probe) ||
       !in.read(reinterpret_cast<char*>(&entry_size), sizeof entry_size) ||
       !in.read(reinterpret_cast<char*>(&count), sizeof count)) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   // A foreign endianness or a recompiled TraceEntry size is a format
@@ -101,7 +90,7 @@ std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
       sizeof(std::uint64_t);
   if (ec || count > (1ull << 32) ||
       file_size != fixed + count * sizeof(sim::TraceEntry)) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
 
@@ -109,12 +98,12 @@ std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
   if (count > 0 &&
       !in.read(reinterpret_cast<char*>(trace.data()),
                static_cast<std::streamsize>(count * sizeof(sim::TraceEntry)))) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   std::uint64_t footer = 0;
   if (!in.read(reinterpret_cast<char*>(&footer), sizeof footer)) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   std::uint64_t sum = fnv1a64_step(kFnvBasis, kHeader, kHeaderLen);
@@ -123,7 +112,7 @@ std::optional<sim::Trace> TraceStore::load(const std::string& key) const {
   sum = fnv1a64_step(sum, &count, sizeof count);
   sum = fnv1a64_step(sum, trace.data(), count * sizeof(sim::TraceEntry));
   if (sum != footer) {
-    quarantine(path);
+    diag::quarantine_file(path);
     return std::nullopt;
   }
   return trace;

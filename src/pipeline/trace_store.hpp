@@ -47,7 +47,6 @@ class TraceStore {
 
  private:
   [[nodiscard]] std::string path_for(const std::string& key) const;
-  void quarantine(const std::string& path) const;
 
   std::string dir_;
 };

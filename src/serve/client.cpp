@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "serve/chaos.hpp"
 #include "serve/transport.hpp"
 
 namespace hidisc::serve {
@@ -16,75 +15,29 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Internal control-flow signal: the daemon rejected our ResumePlan
-// (unknown token) and asked for a fresh submit.
-class ResumeRejected : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 [[noreturn]] void throw_daemon_error(const Frame& f) {
   const KvMap kv = kv_parse(f.payload);
   std::string msg = "hiserve daemon: " + kv_get(kv, "message", "error");
-  if (kv_get(kv, "code") == "resubmit") throw ResumeRejected(msg);
   const std::string plans = kv_get(kv, "plans");
   if (!plans.empty()) msg += "\navailable plans: " + plans;
   throw std::runtime_error(msg);
 }
 
-// Next frame of substance: Pings are answered, Pongs absorbed, Error
-// frames thrown.  Frame silence is heartbeated — after heartbeat_ms we
-// Ping, after dead_after_ms of total silence the daemon is declared
-// dead (TransportError, which the reconnect loop owns).
-Frame expect_stream(FaultConn& conn, const ClientOptions& opt) {
-  const int beat = opt.heartbeat_ms > 0 ? opt.heartbeat_ms : 2500;
-  const int dead_after = std::max(opt.dead_after_ms, beat);
-  int silent_ms = 0;
-  auto last_send = Clock::now();
-  const auto ping = [&] {
-    conn.send_frame(Frame{MsgType::Ping, ""});
-    last_send = Clock::now();
-  };
-  for (;;) {
-    // Keep the *outbound* heartbeat going even while the daemon is
-    // streaming: the daemon reaps clients on inbound silence, and a
-    // client that only receives would look dead to it.
-    if (std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                              last_send)
-            .count() >= beat)
-      ping();
-    bool timed_out = false;
-    auto f = conn.recv_frame_for(beat, &timed_out);
-    if (timed_out) {
-      silent_ms += beat;
-      if (silent_ms >= dead_after)
-        throw TransportError("hiserve client: daemon silent for " +
-                             std::to_string(silent_ms) + " ms");
-      ping();
-      continue;
-    }
-    if (!f)
-      throw TransportError("hiserve client: daemon closed the connection");
-    silent_ms = 0;
-    if (f->type == MsgType::Pong) continue;
-    if (f->type == MsgType::Ping) {
-      conn.send_frame(Frame{MsgType::Pong, ""});
-      continue;
-    }
-    if (f->type == MsgType::Error) throw_daemon_error(*f);
-    return std::move(*f);
-  }
+// Next frame from the daemon; Error frames throw, and a closed
+// connection is a TransportError (which the reconnect loop owns).
+Frame expect_frame(Conn& conn) {
+  auto f = conn.recv_frame();
+  if (!f) throw TransportError("hiserve client: daemon closed the connection");
+  if (f->type == MsgType::Error) throw_daemon_error(*f);
+  return std::move(*f);
 }
 
-FaultConn handshake(const ClientOptions& opt, FaultPlan* chaos) {
-  Conn raw = connect_to(opt.endpoint);
-  FaultConn conn = (chaos && chaos->enabled())
-                       ? FaultConn(std::move(raw), chaos->next_schedule())
-                       : FaultConn(std::move(raw));
+Conn handshake(const std::string& endpoint) {
+  Conn conn = connect_to(endpoint);
   conn.send_frame(Frame{MsgType::Hello,
                         kv_encode({{"proto",
                                     std::to_string(kProtocolVersion)}})});
-  const Frame ok = expect_stream(conn, opt);
+  const Frame ok = expect_frame(conn);
   if (ok.type != MsgType::HelloOk)
     throw ProtocolError("hiserve client: expected HelloOk, got " +
                         std::string(msg_type_name(ok.type)));
@@ -97,13 +50,11 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
                                 const lab::ExperimentPlan& plan,
                                 const ClientOptions& opt) {
   const auto start = Clock::now();
-  FaultPlan chaos;
-  if (const auto spec = chaos_spec_from(opt.chaos_net)) chaos.arm(*spec);
-
   ConnectedRun out;
   out.run.cells.resize(plan.cells.size());
-  std::vector<char> got(plan.cells.size(), 0);  // received-set: dedups
-                                                // resume redeliveries
+  // Received-set: a resubmission after a reconnect re-delivers cells the
+  // lost connection already carried.
+  std::vector<char> got(plan.cells.size(), 0);
   std::size_t done = 0;
   bool ever_connected = false;
   bool finished = false;
@@ -111,52 +62,30 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
 
   while (!finished) {
     try {
-      FaultConn conn = handshake(opt, &chaos);
+      Conn conn = handshake(opt.endpoint);
       ever_connected = true;
-
-      // Re-attach by token when we have one; a rejected resume falls
-      // back to a fresh submit (warm cells return from the memo/cache).
-      bool attached = false;
-      if (!out.token.empty()) {
-        conn.send_frame(Frame{MsgType::ResumePlan,
-                              kv_encode({{"token", out.token}})});
-        try {
-          const Frame f = expect_stream(conn, opt);
-          if (f.type != MsgType::ResumeOk)
-            throw ProtocolError("hiserve client: expected ResumeOk, got " +
-                                std::string(msg_type_name(f.type)));
-          attached = true;
-          ++out.resumes;
-        } catch (const ResumeRejected&) {
-          out.token.clear();
-        }
-      }
-      if (!attached) {
-        conn.send_frame(Frame{MsgType::SubmitPlan, kv_encode(req.to_kv())});
-        const Frame accepted = expect_stream(conn, opt);
-        if (accepted.type != MsgType::PlanAccepted)
-          throw ProtocolError("hiserve client: expected PlanAccepted, got " +
-                              std::string(msg_type_name(accepted.type)));
-        const KvMap akv = kv_parse(accepted.payload);
-        const std::size_t cells = kv_get_u64(akv, "cells");
-        if (cells != plan.cells.size())
-          throw std::runtime_error(
-              "hiserve client: daemon materialized " + std::to_string(cells) +
-              " cells for plan '" + req.plan + "' but this client built " +
-              std::to_string(plan.cells.size()) +
-              " — client/daemon plan registries disagree (version skew?)");
-        out.token = kv_get(akv, "token");
-      }
+      conn.send_frame(Frame{MsgType::SubmitPlan, kv_encode(req.to_kv())});
+      const Frame accepted = expect_frame(conn);
+      if (accepted.type != MsgType::PlanAccepted)
+        throw ProtocolError("hiserve client: expected PlanAccepted, got " +
+                            std::string(msg_type_name(accepted.type)));
+      const std::size_t cells = kv_get_u64(kv_parse(accepted.payload), "cells");
+      if (cells != plan.cells.size())
+        throw std::runtime_error(
+            "hiserve client: daemon materialized " + std::to_string(cells) +
+            " cells for plan '" + req.plan + "' but this client built " +
+            std::to_string(plan.cells.size()) +
+            " — client/daemon plan registries disagree (version skew?)");
 
       for (;;) {
-        const Frame f = expect_stream(conn, opt);
+        const Frame f = expect_frame(conn);
         if (f.type == MsgType::CellDone) {
           const KvMap kv = kv_parse(f.payload);
           const std::size_t idx = kv_get_u64(kv, "cell");
           if (idx >= out.run.cells.size())
             throw ProtocolError("hiserve client: cell index " +
                                 std::to_string(idx) + " out of range");
-          if (got[idx]) continue;  // resume redelivery of a cell we have
+          if (got[idx]) continue;
           got[idx] = 1;
           out.run.cells[idx] = cell_result_from_kv(kv);
           // The daemon marks dedup- and memo-served cells cached on the
@@ -172,11 +101,8 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
           continue;
         }
         if (f.type == MsgType::PlanDone) {
-          const KvMap kv = kv_parse(f.payload);
-          out.run.simulated = kv_get_u64(kv, "simulated");
-          out.run.cache_hits = kv_get_u64(kv, "cached");
-          out.run.failed = kv_get_u64(kv, "failed");
-          out.server_wall_ms = kv_get_double(kv, "wall_ms");
+          out.server_wall_ms =
+              kv_get_double(kv_parse(f.payload), "wall_ms");
           finished = true;
           break;
         }
@@ -195,18 +121,6 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
       const int backoff_ms =
           std::min(50 << std::min(attempts - 1, 10), 2000);
       ::usleep(static_cast<useconds_t>(backoff_ms) * 1000);
-    } catch (const ProtocolError&) {
-      // Framing corruption (a chaos-injected bit flip, a garbled
-      // stream): the decoder is poisoned, so the connection is useless —
-      // reconnect like a transport loss.  Semantic protocol breaches
-      // (wrong frame type, bad cell index) reconnect too; if the daemon
-      // truly misbehaves the attempt budget bounds the damage.
-      if (attempts >= opt.max_reconnects) throw;
-      ++attempts;
-      ++out.reconnects;
-      const int backoff_ms =
-          std::min(50 << std::min(attempts - 1, 10), 2000);
-      ::usleep(static_cast<useconds_t>(backoff_ms) * 1000);
     }
   }
   if (done != plan.cells.size())
@@ -217,48 +131,50 @@ ConnectedRun run_plan_connected(const PlanRequest& req,
   out.run.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - start)
           .count();
-  // Aggregate simulator throughput over the cells this plan simulated,
-  // same definition as lab::run_plan.
+  // Plan counts, pipeline node stats and simulator throughput, with the
+  // same definitions as lab::run_plan.  The counts come from the cells,
+  // not from PlanDone: after a resubmission the daemon's last plan saw
+  // only part of this run.  Compile/trace work travels on the wire per
+  // cell (zeroed by the daemon for dedup/memo deliveries, so summing
+  // never double counts).  Totals for compile/trace are unknowable here —
+  // node sharing happens daemon-side — so they mirror the observed work.
+  pipeline::NodeStats& n = out.run.nodes;
   double sim_ms = 0.0;
   std::uint64_t sim_cycles = 0;
   for (const auto& c : out.run.cells) {
-    if (c.from_cache || !c.ok() || c.wall_ms <= 0.0) continue;
-    sim_ms += c.wall_ms;
-    sim_cycles += c.result.cycles;
+    n.compile.rebuilt += c.compile_nodes_rebuilt;
+    n.trace.hits += c.trace_nodes_hit;
+    n.trace.rebuilt += c.trace_nodes_rebuilt;
+    ++n.sim.total;
+    if (!c.ok()) {
+      ++n.sim.failed;
+    } else if (c.from_cache) {
+      ++n.sim.hits;
+    } else {
+      ++n.sim.rebuilt;
+      if (c.wall_ms > 0.0) {
+        sim_ms += c.wall_ms;
+        sim_cycles += c.result.cycles;
+      }
+    }
   }
+  n.compile.total = n.compile.hits + n.compile.rebuilt + n.compile.failed;
+  n.trace.total = n.trace.hits + n.trace.rebuilt + n.trace.failed;
+  out.run.preps = n.compile.rebuilt;
+  out.run.traces = n.trace.rebuilt;
+  out.run.simulated = n.sim.rebuilt;
+  out.run.cache_hits = n.sim.hits;
+  out.run.failed = n.sim.failed;
   if (sim_ms > 0.0)
     out.run.sim_cycles_per_sec =
         static_cast<double>(sim_cycles) * 1000.0 / sim_ms;
-  // Reconstruct pipeline node stats: compile/trace work travels on the
-  // wire per cell (zeroed by the daemon for dedup/memo deliveries, so
-  // summing never double counts); the sim row is derivable locally from
-  // the delivery flags.  Totals for compile/trace are unknowable here —
-  // node sharing happens daemon-side — so they mirror the observed work.
-  {
-    pipeline::NodeStats& n = out.run.nodes;
-    for (const auto& c : out.run.cells) {
-      n.compile.rebuilt += c.compile_nodes_rebuilt;
-      n.trace.hits += c.trace_nodes_hit;
-      n.trace.rebuilt += c.trace_nodes_rebuilt;
-      ++n.sim.total;
-      if (!c.ok()) ++n.sim.failed;
-      else if (c.from_cache) ++n.sim.hits;
-      else ++n.sim.rebuilt;
-    }
-    n.compile.total = n.compile.hits + n.compile.rebuilt + n.compile.failed;
-    n.trace.total = n.trace.hits + n.trace.rebuilt + n.trace.failed;
-    out.run.preps = n.compile.rebuilt;
-    out.run.traces = n.trace.rebuilt;
-  }
   return out;
 }
 
 std::string fetch_service_stats(const std::string& endpoint) {
-  ClientOptions opt;
-  opt.endpoint = endpoint;
-  FaultConn conn = handshake(opt, nullptr);
+  Conn conn = handshake(endpoint);
   conn.send_frame(Frame{MsgType::GetStats, ""});
-  const Frame f = expect_stream(conn, opt);
+  const Frame f = expect_frame(conn);
   if (f.type != MsgType::Stats)
     throw ProtocolError("hiserve client: expected Stats, got " +
                         std::string(msg_type_name(f.type)));

@@ -11,16 +11,14 @@
 // finishes on PlanDone.  A daemon-side Error frame throws; per-cell
 // failures arrive in the error slots like local runs.
 //
-// Connection loss is survivable (PR-9): the daemon issues a plan token
-// with PlanAccepted, and on a transport or framing failure the client
-// reconnects with bounded exponential backoff and re-attaches via
-// ResumePlan.  Redelivered cells are deduplicated by a received-set, an
-// unknown token (daemon finished the plan while we were away, or lost
-// its journal) falls back to a fresh submit — warm cells return from
-// the daemon's memo/cache — and Ping/Pong heartbeats distinguish a slow
-// daemon from a dead one.  Only when the daemon was NEVER reachable does
-// the client give up with ConnectError, which `hilab --connect` maps to
-// its dedicated exit code.
+// Connection loss is survivable by resubmission: on a transport failure
+// the client reconnects with bounded exponential backoff and sends the
+// same SubmitPlan again.  The daemon serves finished cells from its memo
+// or the shared ResultCache and attaches still-running ones through its
+// logical-key dedup, so no finished cell is simulated again; a
+// received-set keeps re-delivered cells from counting twice.  Only when the daemon was
+// NEVER reachable does the client give up with ConnectError, which
+// `hilab --connect` maps to its dedicated exit code.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +45,9 @@ struct ClientOptions {
   std::function<void(const lab::Cell& cell, std::size_t done,
                      std::size_t total, bool from_cache)>
       on_cell;
-  // Client-side deterministic fault injection ("SEED:SPEC", see
-  // serve/chaos.hpp); "" consults HIDISC_CHAOS_NET, unset = off.
-  std::string chaos_net;
-  // Reconnect-resume attempts after a connection failure (0 = fail on
-  // the first loss); backoff is 50ms doubling, capped at 2s.
+  // Reconnect-and-resubmit attempts after a connection failure (0 = fail
+  // on the first loss); backoff is 50ms doubling, capped at 2s.
   int max_reconnects = 8;
-  // Heartbeat cadence: after this much frame silence send a Ping...
-  int heartbeat_ms = 2500;
-  // ...and declare the daemon dead (triggering a reconnect) after this.
-  int dead_after_ms = 15000;
 };
 
 struct ConnectedRun {
@@ -64,8 +55,6 @@ struct ConnectedRun {
   std::size_t dedup = 0;     // cells served by sharing another plan's job
   double server_wall_ms = 0; // daemon-side plan wall clock
   std::size_t reconnects = 0;  // connection losses survived
-  std::size_t resumes = 0;     // successful ResumePlan re-attaches
-  std::string token;           // daemon-issued plan token ("" = none)
 };
 
 // Submits `req` and blocks until the plan completes.  `plan` must be the

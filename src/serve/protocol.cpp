@@ -61,10 +61,6 @@ const char* msg_type_name(MsgType t) noexcept {
     case MsgType::Job: return "Job";
     case MsgType::JobDone: return "JobDone";
     case MsgType::Shutdown: return "Shutdown";
-    case MsgType::Ping: return "Ping";
-    case MsgType::Pong: return "Pong";
-    case MsgType::ResumePlan: return "ResumePlan";
-    case MsgType::ResumeOk: return "ResumeOk";
   }
   return "?";
 }

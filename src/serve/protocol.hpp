@@ -58,12 +58,6 @@ enum class MsgType : std::uint16_t {
   Job = 10,
   JobDone = 11,
   Shutdown = 12,
-  // PR-9 additions (additive; version stays 1 — old peers answer an
-  // unknown type with Error, which both sides already tolerate):
-  Ping = 13,        // either direction: liveness probe / heartbeat
-  Pong = 14,        // answer to Ping
-  ResumePlan = 15,  // client -> daemon: re-attach by plan token
-  ResumeOk = 16,    // daemon -> client: attach accepted, progress snapshot
 };
 
 [[nodiscard]] const char* msg_type_name(MsgType t) noexcept;

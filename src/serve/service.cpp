@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <map>
 #include <set>
@@ -21,8 +20,6 @@
 #include "diag/process.hpp"
 #include "lab/fingerprint.hpp"
 #include "lab/serialize.hpp"
-#include "serve/chaos.hpp"
-#include "serve/journal.hpp"
 #include "serve/transport.hpp"
 #include "serve/worker.hpp"
 
@@ -45,9 +42,9 @@ void on_signal(int sig) {
 }
 
 // One cell-shaped unit of computation, identified by its logical key and
-// subscribed to by (plan, cell) pairs.  Plans — not clients — subscribe:
-// a client death detaches its plans but the subscriptions (and the
-// journal records they feed) survive.
+// subscribed to by (plan, cell) pairs.  A job outlives its subscribers:
+// when a client dies its plans are dropped, but their jobs still run to
+// completion and publish to the memo and the shared cache.
 struct Subscriber {
   std::uint64_t plan = 0;
   std::size_t cell = 0;
@@ -68,13 +65,11 @@ struct Job {
   std::vector<Subscriber> subs;
 };
 
-// Service-level plan state: owned by the daemon, not the client, so it
-// survives a disconnect (client == -1) and can be re-attached by token.
+// One submitted plan, owned by the client that submitted it.
 struct PlanState {
   std::uint64_t id = 0;
-  std::string token;  // resume handle, journaled with the plan
   PlanRequest req;
-  int client = -1;  // attached client id; -1 = detached
+  int client = -1;
   std::size_t cells = 0;
   std::size_t remaining = 0;
   std::size_t simulated = 0;
@@ -82,20 +77,14 @@ struct PlanState {
   std::size_t deduped = 0;
   std::size_t failed = 0;
   std::int64_t start_ms = 0;
-  bool recovered = false;  // re-materialized from the journal
   std::vector<bool> done;
-  // Exact CellDone payload per completed cell, kept for idempotent
-  // redelivery after a ResumePlan (the daemon cannot know which
-  // deliveries the old connection actually carried).
-  std::vector<std::string> payloads;
 };
 
 struct ClientState {
   int id = -1;
-  FaultConn conn;
+  Conn conn;
   bool dead = false;
-  std::int64_t last_ms = 0;  // last inbound activity (frames or Pings)
-  std::set<std::uint64_t> plans;  // attached plan ids
+  std::set<std::uint64_t> plans;  // submitted, unfinished plan ids
 };
 
 struct WorkerProc {
@@ -129,14 +118,6 @@ struct Counters {
   // Per-cell simulation latency (simulated cells only).
   std::uint64_t lat_count = 0;
   double lat_total_ms = 0, lat_min_ms = 0, lat_max_ms = 0;
-  // Crash recovery + reconnect-resume (PR-9).
-  std::uint64_t journal_records_replayed = 0;
-  std::uint64_t journal_bad_bytes = 0;
-  std::uint64_t journal_plans_recovered = 0;
-  std::uint64_t journal_cells_recovered = 0;  // done records honored
-  std::uint64_t resumes = 0;
-  std::uint64_t resume_unknown_token = 0;
-  std::uint64_t clients_dropped_idle = 0;
   std::uint64_t clients_dropped_slow = 0;
 };
 
@@ -167,23 +148,17 @@ class Service {
         .count();
   }
 
-  [[nodiscard]] std::string journal_path() const;
-  [[nodiscard]] std::string make_token(std::uint64_t plan_id) const;
-  void recover_from_journal();
   void spawn_worker(std::size_t slot);
   void worker_died(std::size_t slot);
   void requeue_or_fail(std::uint64_t job_id, const std::string& why);
   void handle_worker_frame(std::size_t slot, const Frame& f);
   void handle_client_frame(ClientState& c, const Frame& f);
   void submit_plan(ClientState& c, const PlanRequest& req);
-  void resume_plan(ClientState& c, const KvMap& kv);
-  void enqueue_cells(std::uint64_t plan_id, const lab::ExperimentPlan& plan,
-                     const std::vector<bool>* recovered_done);
+  void enqueue_cells(std::uint64_t plan_id, const lab::ExperimentPlan& plan);
   void complete_job(Job& job, const lab::CellResult& res);
   void deliver_cell(std::uint64_t plan_id, std::size_t cell,
                     const lab::CellResult& res, bool cached, bool dedup);
   bool queue_to_client(ClientState& c, const Frame& f);
-  void reap_idle_clients();
   void drop_dead_clients();
   void schedule();
   void check_timeouts();
@@ -193,16 +168,13 @@ class Service {
 
   ServeOptions opt_;
   Clock::time_point start_ = Clock::now();
-  FaultListener listener_;
-  FaultPlan fault_plan_;
-  JobJournal journal_;
+  Listener listener_;
   int sig_rd_ = -1, sig_wr_ = -1;
   bool draining_ = false;
 
   std::vector<WorkerProc> workers_;
   std::map<int, ClientState> clients_;
   std::map<std::uint64_t, PlanState> plans_;
-  std::map<std::string, std::uint64_t> plans_by_token_;
   std::map<std::uint64_t, Job> jobs_;
   std::map<std::string, std::uint64_t> jobs_by_key_;  // unique_key -> id
   // Completed-cell memo, keyed by logical cell key: the in-process layer
@@ -215,91 +187,8 @@ class Service {
   std::uint64_t next_job_id_ = 1;
   std::uint64_t next_plan_id_ = 1;
   std::uint64_t assigns_ = 0;
-  std::uint64_t token_salt_ = 0;
   Counters n_;
 };
-
-std::string Service::journal_path() const {
-  if (!opt_.journal) return "";
-  if (!opt_.journal_file.empty()) return opt_.journal_file;
-  if (!opt_.cache_dir.empty()) return opt_.cache_dir + "/journal.hsjl";
-  return "";
-}
-
-std::string Service::make_token(std::uint64_t plan_id) const {
-  // pid + boot-time salt keeps tokens from colliding across daemon
-  // restarts (a stale token must dereference to "unknown", never to a
-  // different plan); plan_id keeps them unique within one daemon.
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%016llx-%llu",
-                static_cast<unsigned long long>(
-                    token_salt_ ^ (plan_id * 0x9E3779B97F4A7C15ull)),
-                static_cast<unsigned long long>(plan_id));
-  return buf;
-}
-
-void Service::recover_from_journal() {
-  const std::string path = journal_path();
-  if (path.empty()) return;
-  JournalReplay rep = JobJournal::replay(path);
-  journal_ = JobJournal(path);
-  if (!journal_.active() && !rep.plans.empty())
-    log("journal %s is locked by another daemon; recovery skipped",
-        path.c_str());
-  if (!journal_.active()) return;
-  n_.journal_records_replayed = rep.records;
-  n_.journal_bad_bytes = rep.bad_bytes;
-  if (!rep.quarantine.empty())
-    log("journal: quarantined %llu damaged tail bytes to %s",
-        static_cast<unsigned long long>(rep.bad_bytes),
-        rep.quarantine.c_str());
-  // The replayed log is consumed: live plans (including the recovered
-  // ones) are re-recorded below, so the journal never grows across
-  // restarts.
-  journal_.truncate_all();
-  for (JournalPlan& jp : rep.plans) {
-    if (jp.complete) continue;
-    lab::ExperimentPlan plan;
-    try {
-      plan = materialize_plan(jp.req);
-    } catch (const std::exception& e) {
-      log("journal: cannot recover plan %s (%s): %s", jp.token.c_str(),
-          jp.req.plan.c_str(), e.what());
-      continue;
-    }
-    if (plan.cells.size() != jp.cells) {
-      log("journal: plan %s (%s) is %zu cells now, was %zu; dropped",
-          jp.token.c_str(), jp.req.plan.c_str(), plan.cells.size(), jp.cells);
-      continue;
-    }
-    const std::uint64_t plan_id = next_plan_id_++;
-    PlanState ps;
-    ps.id = plan_id;
-    ps.token = jp.token;
-    ps.req = jp.req;
-    ps.client = -1;  // detached until a ResumePlan claims the token
-    ps.cells = plan.cells.size();
-    ps.remaining = plan.cells.size();
-    ps.start_ms = now_ms();
-    ps.recovered = true;
-    ps.done.assign(ps.cells, false);
-    ps.payloads.assign(ps.cells, std::string());
-    plans_by_token_[ps.token] = plan_id;
-    plans_.emplace(plan_id, std::move(ps));
-    ++n_.plans_submitted;
-    ++n_.journal_plans_recovered;
-    n_.journal_cells_recovered += jp.done_count();
-    n_.cells_total += plan.cells.size();
-    journal_.record_plan(jp.token, jp.req, plan.cells.size());
-    log("journal: recovered plan %s (%s/%s): %zu cells, %zu already done",
-        jp.token.c_str(), jp.req.plan.c_str(), jp.req.scale.c_str(),
-        plan.cells.size(), jp.done_count());
-    // Every cell is re-enqueued; journal-done cells run as non-refresh
-    // jobs even in a refresh plan, so they come straight back from the
-    // shared ResultCache (zero re-simulation) instead of re-running.
-    enqueue_cells(plan_id, plan, &jp.done);
-  }
-}
 
 void Service::spawn_worker(std::size_t slot) {
   SocketPair sp = make_socketpair();
@@ -388,8 +277,7 @@ void Service::complete_job(Job& job, const lab::CellResult& res) {
   std::set<int> distinct;
   for (const auto& sub : job.subs) {
     const auto pit = plans_.find(sub.plan);
-    if (pit != plans_.end() && pit->second.client >= 0)
-      distinct.insert(pit->second.client);
+    if (pit != plans_.end()) distinct.insert(pit->second.client);
   }
   if (distinct.size() > 1) ++n_.cross_client_shared_jobs;
   if (!res.ok() && res.error_class != "worker") ++n_.cells_failed;
@@ -403,10 +291,6 @@ void Service::complete_job(Job& job, const lab::CellResult& res) {
 bool Service::queue_to_client(ClientState& c, const Frame& f) {
   if (c.dead || !c.conn.valid()) return false;
   c.conn.queue_frame(f);
-  if (!c.conn.valid()) {  // injected drop closed the fd
-    c.dead = true;
-    return false;
-  }
   if (c.conn.queued_bytes() > opt_.client_queue_max) {
     log("client %d dropped: outbound queue over %zu bytes (slow peer)", c.id,
         opt_.client_queue_max);
@@ -441,8 +325,6 @@ void Service::deliver_cell(std::uint64_t plan_id, std::size_t cell,
     kv["n.trace"] = "0";
   }
   ps.done[cell] = true;
-  ps.payloads[cell] = kv_encode(kv);
-  journal_.record_cell(ps.token, cell);
 
   if (!res.ok()) ++ps.failed;
   else if (cached || res.from_cache) ++ps.cached;
@@ -453,8 +335,7 @@ void Service::deliver_cell(std::uint64_t plan_id, std::size_t cell,
   const auto cit = clients_.find(ps.client);
   ClientState* client =
       (cit != clients_.end() && !cit->second.dead) ? &cit->second : nullptr;
-  if (client)
-    queue_to_client(*client, Frame{MsgType::CellDone, ps.payloads[cell]});
+  if (client) queue_to_client(*client, Frame{MsgType::CellDone, kv_encode(kv)});
 
   if (ps.remaining == 0) {
     KvMap done;
@@ -465,40 +346,32 @@ void Service::deliver_cell(std::uint64_t plan_id, std::size_t cell,
     done["failed"] = std::to_string(ps.failed);
     done["wall_ms"] = lab::format_double(
         static_cast<double>(now_ms() - ps.start_ms));
-    if (client)
+    if (client) {
       queue_to_client(*client, Frame{MsgType::PlanDone, kv_encode(done)});
-    journal_.record_done(ps.token);
+      client->plans.erase(plan_id);
+    }
     ++n_.plans_completed;
-    log("plan %llu (%s) done: %zu cells, %zu simulated, %zu cached, %zu "
-        "failed%s",
-        static_cast<unsigned long long>(ps.id), ps.token.c_str(), ps.cells,
-        ps.simulated, ps.cached, ps.failed,
-        ps.client < 0 ? " (detached)" : "");
-    if (client) client->plans.erase(plan_id);
-    plans_by_token_.erase(ps.token);
+    log("plan %llu done: %zu cells, %zu simulated, %zu cached, %zu failed",
+        static_cast<unsigned long long>(ps.id), ps.cells, ps.simulated,
+        ps.cached, ps.failed);
     plans_.erase(pit);
   }
 }
 
 void Service::enqueue_cells(std::uint64_t plan_id,
-                            const lab::ExperimentPlan& plan,
-                            const std::vector<bool>* recovered_done) {
+                            const lab::ExperimentPlan& plan) {
   for (std::size_t i = 0; i < plan.cells.size(); ++i) {
     // `ps` may have been erased by a completing memo-hit delivery below,
     // so look it up fresh each iteration.
     const auto pit = plans_.find(plan_id);
     if (pit == plans_.end()) return;
     const PlanRequest req = pit->second.req;
-    // Journal-done cells of a recovered refresh plan already re-simulated
-    // before the crash; fetching them from the cache IS the recovery.
-    const bool refresh_this =
-        req.refresh && !(recovered_done && (*recovered_done)[i]);
     const std::string base = logical_key(plan.cells[i]);
     // A refresh plan must re-simulate, so its jobs get plan-unique keys;
     // results still land in the shared memo/cache under the base key.
     const std::string unique =
-        refresh_this ? base + "|refresh#" + std::to_string(plan_id) : base;
-    if (!refresh_this) {
+        req.refresh ? base + "|refresh#" + std::to_string(plan_id) : base;
+    if (!req.refresh) {
       const auto hit = completed_.find(base);
       if (hit != completed_.end()) {
         ++n_.mem_hits;
@@ -518,7 +391,6 @@ void Service::enqueue_cells(std::uint64_t plan_id,
     job.unique_key = unique;
     job.spec.job_id = job.id;
     job.spec.plan = req;
-    job.spec.plan.refresh = refresh_this;
     job.spec.cell = i;
     job.subs.push_back(Subscriber{plan_id, i});
     jobs_by_key_[unique] = job.id;
@@ -553,76 +425,24 @@ void Service::submit_plan(ClientState& c, const PlanRequest& req) {
   const std::uint64_t plan_id = next_plan_id_++;
   PlanState ps;
   ps.id = plan_id;
-  ps.token = make_token(plan_id);
   ps.req = req;
   ps.client = c.id;
   ps.cells = plan.cells.size();
   ps.remaining = plan.cells.size();
   ps.start_ms = now_ms();
   ps.done.assign(ps.cells, false);
-  ps.payloads.assign(ps.cells, std::string());
-  const std::string token = ps.token;
-  plans_by_token_[token] = plan_id;
   plans_.emplace(plan_id, std::move(ps));
   c.plans.insert(plan_id);
   ++n_.plans_submitted;
   n_.cells_total += plan.cells.size();
-  journal_.record_plan(token, req, plan.cells.size());
   queue_to_client(
       c, Frame{MsgType::PlanAccepted,
                kv_encode({{"cells", std::to_string(plan.cells.size())},
-                          {"plan_id", std::to_string(plan_id)},
-                          {"token", token}})});
-  log("client %d submitted plan %s/%s: %zu cells%s (token %s)", c.id,
-      req.plan.c_str(), req.scale.c_str(), plan.cells.size(),
-      req.refresh ? " (refresh)" : "", token.c_str());
+                          {"plan_id", std::to_string(plan_id)}})});
+  log("client %d submitted plan %s/%s: %zu cells%s", c.id, req.plan.c_str(),
+      req.scale.c_str(), plan.cells.size(), req.refresh ? " (refresh)" : "");
 
-  enqueue_cells(plan_id, plan, nullptr);
-  schedule();
-}
-
-void Service::resume_plan(ClientState& c, const KvMap& kv) {
-  const std::string token = kv_get(kv, "token", "");
-  const auto tit = plans_by_token_.find(token);
-  if (tit == plans_by_token_.end()) {
-    // Completed while detached, lost to a journal gap, or simply stale:
-    // the client should fall back to a fresh submit — warm cells come
-    // back from the memo/cache, so the fallback is cheap.
-    ++n_.resume_unknown_token;
-    queue_to_client(
-        c, Frame{MsgType::Error,
-                 kv_encode({{"code", "resubmit"},
-                            {"message", "unknown plan token '" + token +
-                                            "'; resubmit the plan"}})});
-    return;
-  }
-  const std::uint64_t plan_id = tit->second;
-  PlanState& ps = plans_.at(plan_id);
-  if (ps.client >= 0 && ps.client != c.id) {
-    const auto old = clients_.find(ps.client);
-    if (old != clients_.end()) old->second.plans.erase(plan_id);
-  }
-  ps.client = c.id;
-  c.plans.insert(plan_id);
-  ++n_.resumes;
-  std::size_t done_cells = 0;
-  for (const bool d : ps.done) done_cells += d ? 1 : 0;
-  log("client %d resumed plan %llu (%s): %zu/%zu cells done", c.id,
-      static_cast<unsigned long long>(plan_id), token.c_str(), done_cells,
-      ps.cells);
-  queue_to_client(
-      c, Frame{MsgType::ResumeOk,
-               kv_encode({{"cells", std::to_string(ps.cells)},
-                          {"done", std::to_string(done_cells)},
-                          {"plan_id", std::to_string(plan_id)},
-                          {"token", token}})});
-  // Redeliver every completed cell verbatim; the client's received-set
-  // makes duplicates harmless, and cells the old connection never
-  // carried arrive here for the first time.
-  for (std::size_t i = 0; i < ps.cells; ++i) {
-    if (!ps.done[i]) continue;
-    if (!queue_to_client(c, Frame{MsgType::CellDone, ps.payloads[i]})) return;
-  }
+  enqueue_cells(plan_id, plan);
   schedule();
 }
 
@@ -639,14 +459,6 @@ void Service::handle_client_frame(ClientState& c, const Frame& f) {
     case MsgType::SubmitPlan:
       submit_plan(c, PlanRequest::from_kv(kv_parse(f.payload)));
       return;
-    case MsgType::ResumePlan:
-      resume_plan(c, kv_parse(f.payload));
-      return;
-    case MsgType::Ping:
-      queue_to_client(c, Frame{MsgType::Pong, ""});
-      return;
-    case MsgType::Pong:
-      return;  // heartbeat answer; last_ms already updated by the read
     case MsgType::GetStats:
       queue_to_client(c, Frame{MsgType::Stats, stats_json()});
       return;
@@ -662,7 +474,6 @@ void Service::handle_client_frame(ClientState& c, const Frame& f) {
 
 void Service::handle_worker_frame(std::size_t slot, const Frame& f) {
   WorkerProc& w = workers_[slot];
-  if (f.type == MsgType::Pong) return;
   if (f.type != MsgType::JobDone) return;
   const KvMap kv = kv_parse(f.payload);
   const std::uint64_t job_id = kv_get_u64(kv, "job");
@@ -755,11 +566,6 @@ std::int64_t Service::next_wakeup() const {
     if (job.state == JobState::Running) consider(job.deadline);
     else consider(job.not_before);
   }
-  if (opt_.client_idle_timeout_s > 0)
-    for (const auto& [id, c] : clients_)
-      if (!c.dead)
-        consider(c.last_ms +
-                 static_cast<std::int64_t>(opt_.client_idle_timeout_s) * 1000);
   return next;
 }
 
@@ -770,9 +576,6 @@ std::string Service::stats_json() const {
   std::size_t connected = 0;
   for (const auto& [id, c] : clients_)
     if (!c.dead) ++connected;
-  std::size_t detached_plans = 0;
-  for (const auto& [id, p] : plans_)
-    if (p.client < 0) ++detached_plans;
 
   std::string out = "{\n";
   const auto num = [&out](const char* k, std::uint64_t v, bool last = false) {
@@ -795,12 +598,10 @@ std::string Service::stats_json() const {
   num("worker_timeouts", n_.worker_timeouts);
   num("clients_connected", connected);
   num("clients_total", n_.clients_total);
-  num("clients_dropped_idle", n_.clients_dropped_idle);
   num("clients_dropped_slow", n_.clients_dropped_slow);
   num("plans_submitted", n_.plans_submitted);
   num("plans_completed", n_.plans_completed);
   num("plans_active", plans_.size());
-  num("plans_detached", detached_plans);
   num("cells_total", n_.cells_total);
   num("jobs_queued", queued);
   num("jobs_running", running);
@@ -815,16 +616,6 @@ std::string Service::stats_json() const {
   num("compile_nodes_rebuilt", n_.compile_nodes_rebuilt);
   num("trace_nodes_hit", n_.trace_nodes_hit);
   num("trace_nodes_rebuilt", n_.trace_nodes_rebuilt);
-  num("journal_records_replayed", n_.journal_records_replayed);
-  num("journal_bad_bytes", n_.journal_bad_bytes);
-  num("journal_plans_recovered", n_.journal_plans_recovered);
-  num("journal_cells_recovered", n_.journal_cells_recovered);
-  num("resumes", n_.resumes);
-  num("resume_unknown_token", n_.resume_unknown_token);
-  num("chaos_conns", fault_plan_.conns());
-  num("chaos_drops_injected", fault_plan_.drops_injected());
-  num("chaos_corruptions_injected", fault_plan_.corruptions_injected());
-  num("chaos_stalls_injected", fault_plan_.stalls_injected());
   out += "  \"cell_latency_ms\": {\"count\": " +
          std::to_string(n_.lat_count) +
          ", \"total\": " + lab::format_double(n_.lat_total_ms) +
@@ -849,49 +640,26 @@ void Service::write_stats_file() {
   out << stats_json();
 }
 
-void Service::reap_idle_clients() {
-  if (opt_.client_idle_timeout_s <= 0) return;
-  const std::int64_t cutoff =
-      now_ms() - static_cast<std::int64_t>(opt_.client_idle_timeout_s) * 1000;
-  for (auto& [id, c] : clients_) {
-    if (c.dead || c.last_ms > cutoff) continue;
-    log("client %d dropped: idle for %d s", id, opt_.client_idle_timeout_s);
-    ++n_.clients_dropped_idle;
-    c.dead = true;
-  }
-}
-
 void Service::drop_dead_clients() {
   for (auto it = clients_.begin(); it != clients_.end();) {
     if (!it->second.dead) {
       ++it;
       continue;
     }
-    // Detach — don't cancel — this client's plans: the jobs keep
-    // running, results keep landing in the memo/journal, and a
-    // reconnecting client re-attaches by token (the space/time
-    // decoupling of the pub-sub model).
-    for (const std::uint64_t plan_id : it->second.plans) {
-      const auto pit = plans_.find(plan_id);
-      if (pit != plans_.end() && pit->second.client == it->first)
-        pit->second.client = -1;
-    }
+    // Drop this client's plans but not their jobs: the work keeps
+    // running and publishing to the memo and the shared cache, so a
+    // reconnecting client's resubmission attaches to the live jobs (or
+    // hits the cache) instead of starting over.
+    for (const std::uint64_t plan_id : it->second.plans)
+      plans_.erase(plan_id);
     log("client %d disconnected%s", it->first,
-        it->second.plans.empty() ? "" : " (plans detached)");
+        it->second.plans.empty() ? "" : " (plans dropped, jobs kept)");
     it = clients_.erase(it);
   }
 }
 
 int Service::run() {
-  if (const auto spec = chaos_spec_from(opt_.chaos_net)) {
-    fault_plan_.arm(*spec);
-    log("chaos: network fault injection armed (seed %llu)",
-        static_cast<unsigned long long>(spec->seed));
-  }
-  listener_ = FaultListener::listen(opt_.endpoint, &fault_plan_);
-  token_salt_ = lab::fnv1a64(opt_.endpoint + "|" +
-                             std::to_string(::getpid()) + "|" +
-                             std::to_string(::time(nullptr)));
+  listener_ = Listener::listen(opt_.endpoint);
 
   int pipefd[2];
   if (::pipe(pipefd) != 0)
@@ -912,8 +680,6 @@ int Service::run() {
   log("listening on %s with %zu workers (cache: %s)", opt_.endpoint.c_str(),
       workers_.size(),
       opt_.cache_dir.empty() ? "disabled" : opt_.cache_dir.c_str());
-  recover_from_journal();
-  schedule();
 
   for (;;) {
     if (draining_ && jobs_.empty()) break;
@@ -968,13 +734,12 @@ int Service::run() {
     }
 
     if (listen_idx != SIZE_MAX && (fds[listen_idx].revents & POLLIN)) {
-      FaultConn conn = listener_.accept();
+      Conn conn = listener_.accept();
       conn.set_nonblocking(true);
       const int id = next_client_id_++;
       ClientState c;
       c.id = id;
       c.conn = std::move(conn);
-      c.last_ms = now_ms();
       clients_.emplace(id, std::move(c));
       ++n_.clients_total;
       log("client %d connected", id);
@@ -1004,7 +769,6 @@ int Service::run() {
       }
       if (!(fds[pidx].revents & (POLLIN | POLLHUP | POLLERR))) continue;
       if (c.dead) continue;
-      c.last_ms = now_ms();
       bool alive = true;
       try {
         alive = c.conn.read_into_decoder();
@@ -1015,7 +779,6 @@ int Service::run() {
       if (!alive) c.dead = true;
     }
 
-    reap_idle_clients();
     drop_dead_clients();
     check_timeouts();
     schedule();

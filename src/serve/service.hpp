@@ -35,17 +35,14 @@
 // in-flight jobs and plans finish, shut workers down, write the stats
 // file, exit 0.
 //
-// Crash recovery (PR-9): every plan submission, per-cell completion,
-// and plan completion is appended to a checksummed job journal beside
-// the cache directory.  On startup the journal is replayed: plans with
-// no `done` record are re-materialized by registry name and re-enqueued
-// under their original token — journal-done cells come back as disk
-// cache hits, so a SIGKILLed daemon's successor finishes only the
-// missing work and a reconnecting client re-attaches with ResumePlan.
-// Clients are heartbeated (Ping/Pong), idle ones reaped, and slow ones
-// bounded by a per-client outbound byte queue; a client death detaches
-// its plans (jobs keep running, results keep journaling) instead of
-// cancelling them.
+// Crash recovery is the shared ResultCache and nothing else: a worker
+// publishes each result to disk before reporting it, so after a daemon
+// SIGKILL a successor on the same cache serves every finished cell as a
+// disk hit, and a client that reconnects and resubmits re-simulates only
+// the cells that never reached the cache.  A client death does not
+// cancel its plans: their jobs keep running and publishing, and a
+// resubmission attaches to them through the logical-key dedup.  Slow
+// clients are bounded by a per-client outbound byte queue.
 #pragma once
 
 #include <cstddef>
@@ -67,19 +64,8 @@ struct ServeOptions {
   // after the Nth job assignment (1-based; 0 = off).  Exercises the
   // crash/retry path deterministically.
   std::uint64_t chaos_kill_at_assign = 0;
-  // Deterministic network fault injection on accepted client
-  // connections: "SEED:SPEC" (see serve/chaos.hpp); "" consults the
-  // HIDISC_CHAOS_NET environment variable, unset = off.
-  std::string chaos_net;
-  // Crash-recovery job journal.  Lives at `journal_file` when set, else
-  // "<cache_dir>/journal.hsjl"; disabled when journal=false or neither
-  // path source is available.
-  bool journal = true;
-  std::string journal_file;
-  // Reap clients silent for this long (no frames, no Pings); 0 disables.
-  int client_idle_timeout_s = 120;
   // Per-client outbound queue bound; a peer that won't drain past this
-  // is dropped as slow (its plans detach, work continues).
+  // is dropped as slow (its plans are dropped, their jobs continue).
   std::size_t client_queue_max = 8u << 20;
 };
 

@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace hidisc::serve {
@@ -88,7 +87,8 @@ void send_all(int fd, const char* data, std::size_t n) {
 
 Conn::~Conn() { close(); }
 
-Conn::Conn(Conn&& o) noexcept : fd_(o.fd_), dec_(std::move(o.dec_)) {
+Conn::Conn(Conn&& o) noexcept
+    : fd_(o.fd_), dec_(std::move(o.dec_)), outq_(std::move(o.outq_)) {
   o.fd_ = -1;
 }
 
@@ -97,6 +97,7 @@ Conn& Conn::operator=(Conn&& o) noexcept {
     close();
     fd_ = o.fd_;
     dec_ = std::move(o.dec_);
+    outq_ = std::move(o.outq_);
     o.fd_ = -1;
   }
   return *this;
@@ -115,22 +116,6 @@ void Conn::send_frame(const Frame& f) {
   send_all(fd_, wire.data(), wire.size());
 }
 
-void Conn::send_raw(const char* data, std::size_t n) {
-  if (fd_ < 0) throw TransportError("hiserve transport: send on closed conn");
-  send_all(fd_, data, n);
-}
-
-long Conn::try_send(const char* data, std::size_t n) {
-  if (fd_ < 0) return -1;
-  for (;;) {
-    const ssize_t w = ::send(fd_, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (w >= 0) return static_cast<long>(w);
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
-    if (errno == EINTR) continue;
-    return -1;
-  }
-}
-
 std::optional<Frame> Conn::recv_frame() {
   for (;;) {
     if (auto f = dec_.next()) return f;
@@ -146,47 +131,6 @@ std::optional<Frame> Conn::recv_frame() {
       (void)::poll(&p, 1, -1);
       continue;
     }
-    if (r == 0) {
-      if (dec_.buffered() > 0)
-        throw TransportError(
-            "hiserve transport: peer closed mid-frame (truncated stream)");
-      return std::nullopt;
-    }
-    throw_errno("recv");
-  }
-}
-
-std::optional<Frame> Conn::recv_frame_for(int timeout_ms, bool* timed_out) {
-  if (timed_out) *timed_out = false;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    if (auto f = dec_.next()) return f;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          deadline - std::chrono::steady_clock::now())
-                          .count();
-    if (left <= 0) {
-      if (timed_out) *timed_out = true;
-      return std::nullopt;
-    }
-    pollfd p{fd_, POLLIN, 0};
-    const int pr = ::poll(&p, 1, static_cast<int>(left));
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll");
-    }
-    if (pr == 0) {
-      if (timed_out) *timed_out = true;
-      return std::nullopt;
-    }
-    char buf[64 * 1024];
-    const ssize_t r = ::recv(fd_, buf, sizeof buf, 0);
-    if (r > 0) {
-      dec_.feed(buf, static_cast<std::size_t>(r));
-      continue;
-    }
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR))
-      continue;
     if (r == 0) {
       if (dec_.buffered() > 0)
         throw TransportError(
@@ -216,6 +160,29 @@ void Conn::set_nonblocking(bool nb) {
   if (flags < 0) throw_errno("fcntl(F_GETFL)");
   const int want = nb ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
   if (fcntl(fd_, F_SETFL, want) < 0) throw_errno("fcntl(F_SETFL)");
+}
+
+bool Conn::flush_queue() {
+  while (!outq_.empty()) {
+    if (fd_ < 0) return false;
+    const ssize_t w =
+        ::send(fd_, outq_.data(), outq_.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w < 0 && errno == EINTR) continue;
+    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+      return true;  // would block; poll will call us back
+    if (w < 0) return false;
+    outq_.erase(0, static_cast<std::size_t>(w));
+  }
+  return true;
+}
+
+void Conn::flush_blocking(int timeout_ms) {
+  const int step = 20;
+  for (int waited = 0; !outq_.empty() && waited <= timeout_ms; waited += step) {
+    if (!flush_queue() || outq_.empty()) return;
+    pollfd p{fd_, POLLOUT, 0};
+    (void)::poll(&p, 1, step);
+  }
 }
 
 // Listener -------------------------------------------------------------------
@@ -276,7 +243,7 @@ Listener Listener::listen(const std::string& endpoint) {
     if (::bind(l.fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
       if (errno != EADDRINUSE) throw_errno("bind " + endpoint);
       // A socket file exists.  Probe it: only a daemon that both accepts
-      // AND answers a Ping within 300ms counts as live — a connect() that
+      // AND answers a Hello within 300ms counts as live — a connect() that
       // succeeds against a dead-but-undrained backlog, or a hung process,
       // must not block a restart after SIGKILL.
       bool live = false;
@@ -284,9 +251,9 @@ Listener Listener::listen(const std::string& endpoint) {
       if (probe >= 0 &&
           ::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
               0) {
-        Frame ping;
-        ping.type = MsgType::Ping;
-        const std::string wire = encode_frame(ping);
+        Frame hello;
+        hello.type = MsgType::Hello;
+        const std::string wire = encode_frame(hello);
         if (::send(probe, wire.data(), wire.size(), MSG_NOSIGNAL) ==
             static_cast<ssize_t>(wire.size())) {
           pollfd p{probe, POLLIN, 0};

@@ -9,9 +9,10 @@
 // Conn wraps a connected fd: framed sends (send_frame appends to the
 // socket atomically from the caller's perspective — short writes and
 // EAGAIN are retried inside), framed blocking receives via an internal
-// FrameDecoder, and non-blocking reads for poll loops (read_into_decoder).
-// Listener wraps a listening fd.  Both close on destruction; both expose
-// the raw fd for poll().
+// FrameDecoder, non-blocking reads for poll loops (read_into_decoder),
+// and the daemon's bounded outbound write queue (queue_frame /
+// flush_queue / queued_bytes).  Listener wraps a listening fd.  Both
+// close on destruction; both expose the raw fd for poll().
 #pragma once
 
 #include <cstddef>
@@ -47,22 +48,9 @@ class Conn {
   // Whole-frame send; throws TransportError when the peer is gone.
   void send_frame(const Frame& f);
 
-  // Raw byte sends, for the chaos wrapper and the daemon's write queue:
-  // send_raw blocks like send_frame (EAGAIN handled via poll); try_send
-  // makes exactly one non-blocking attempt and returns the bytes written
-  // (0 = would block) or -1 when the peer is gone.
-  void send_raw(const char* data, std::size_t n);
-  [[nodiscard]] long try_send(const char* data, std::size_t n);
-
   // Blocking receive of the next frame; nullopt = orderly EOF with no
   // partial frame buffered (a partial frame at EOF is a TransportError).
   [[nodiscard]] std::optional<Frame> recv_frame();
-
-  // recv_frame with a deadline: nullopt with *timed_out=true when no
-  // complete frame arrived within timeout_ms (the partial bytes stay
-  // buffered); otherwise identical to recv_frame.
-  [[nodiscard]] std::optional<Frame> recv_frame_for(int timeout_ms,
-                                                    bool* timed_out);
 
   // Non-blocking drain of readable bytes into the decoder (for poll
   // loops).  Returns false when the peer has hung up (EOF or reset);
@@ -75,9 +63,20 @@ class Conn {
   // (send_frame handles EAGAIN internally either way).
   void set_nonblocking(bool nb);
 
+  // Outbound write queue (daemon side): queue_frame appends the encoded
+  // frame, flush_queue makes one non-blocking drain attempt (false when
+  // the peer is gone), flush_blocking drains with a deadline on exit.
+  void queue_frame(const Frame& f) { outq_ += encode_frame(f); }
+  [[nodiscard]] bool flush_queue();
+  [[nodiscard]] std::size_t queued_bytes() const noexcept {
+    return outq_.size();
+  }
+  void flush_blocking(int timeout_ms);
+
  private:
   int fd_ = -1;
   FrameDecoder dec_;
+  std::string outq_;
 };
 
 class Listener {

@@ -63,10 +63,6 @@ int worker_main(Conn conn, const std::string& cache_dir) {
     for (;;) {
       const auto frame = conn.recv_frame();
       if (!frame || frame->type == MsgType::Shutdown) return 0;
-      if (frame->type == MsgType::Ping) {
-        conn.send_frame(Frame{MsgType::Pong, ""});
-        continue;
-      }
       if (frame->type != MsgType::Job) continue;  // ignore strays
       const JobSpec spec = JobSpec::from_kv(kv_parse(frame->payload));
       const lab::CellResult res = exec.execute(spec);

@@ -1,5 +1,6 @@
 // Failure forensics: the flight recorder, the DeadlockReport classifier,
-// and the typed DeadlockError thrown by the timing machines.
+// the typed DeadlockError thrown by the timing machines, and the shared
+// quarantine routine the on-disk stores move damaged files aside with.
 //
 // The classifier is exercised two ways: pure-unit (hand-built
 // DeadlockReport snapshots, one per root-cause class) and end-to-end
@@ -7,12 +8,17 @@
 // fires, asserting the caught report carries the expected class and
 // evidence).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "diag/deadlock.hpp"
 #include "diag/flight_recorder.hpp"
+#include "diag/quarantine.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
 #include "sim/functional.hpp"
@@ -349,6 +355,29 @@ TEST(FlightRecorderConfig, DepthIsConfigurableThroughMachineConfig) {
   // A >2000-cycle lockstep stall fills any sane ring: the deep recorder
   // must retain its full 128 records.
   EXPECT_EQ(rep.recent.size(), 128u);
+}
+
+// ---- quarantine --------------------------------------------------------------
+
+TEST(DiagQuarantine, PathsAreUniquePerCall) {
+  const std::string a = diag::quarantine_path_for("/tmp/x/entry.result");
+  const std::string b = diag::quarantine_path_for("/tmp/x/entry.result");
+  EXPECT_NE(a, b);
+  EXPECT_NE(a.find("/tmp/x/entry.result.corrupt."), std::string::npos) << a;
+}
+
+TEST(DiagQuarantine, FileMoveKeepsTheSpecimen) {
+  char tmpl[] = "/tmp/hidisc-quarantine-XXXXXX";
+  const std::string dir = ::mkdtemp(tmpl);
+  const std::string victim = dir + "/damaged.bin";
+  std::ofstream(victim, std::ios::binary) << "specimen-bytes";
+  const std::string dest = diag::quarantine_file(victim);
+  ASSERT_FALSE(dest.empty());
+  EXPECT_FALSE(std::filesystem::exists(victim));
+  std::ifstream in(dest, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+            "specimen-bytes");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

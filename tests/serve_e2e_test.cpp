@@ -12,7 +12,10 @@
 //     requested),
 //   * a warm re-submission simulates zero cells,
 //
-// all read from the service stats JSON endpoint over the wire.
+// all read from the service stats JSON endpoint over the wire.  A second
+// scenario SIGKILLs the daemon mid-plan and restarts it on the same
+// cache: the client reconnects and resubmits, and the successor
+// re-simulates only the cells with no result on disk.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <spawn.h>
@@ -24,7 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,8 +35,6 @@
 #include "lab/runner.hpp"
 #include "lab/serialize.hpp"
 #include "serve/client.hpp"
-#include "serve/journal.hpp"
-#include "serve/transport.hpp"
 #include "serve/worker.hpp"
 
 namespace fs = std::filesystem;
@@ -93,8 +93,7 @@ class Daemon {
     return status;
   }
 
-  // Simulated crash: SIGKILL with no drain, reaped immediately — the
-  // scenario the job journal exists for.
+  // Simulated crash: SIGKILL with no drain, reaped immediately.
   void kill9() {
     if (pid_ <= 0) return;
     ::kill(pid_, SIGKILL);
@@ -282,89 +281,17 @@ TEST(ServeE2E, UnknownPlanIsAnErrorFrameNotACrash) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
-// --- chaos hardening (PR-9) ------------------------------------------------
-
-// Client-side deterministic fault injection: a corrupted SubmitPlan (the
-// daemon's decoder poisons and hangs up on us), then a mid-stream
-// connection drop after the plan token was issued.  The client must
-// survive both — reconnect, re-attach by token, deduplicate redelivered
-// cells — and finish with results bit-identical to a local run.
-TEST(ServeE2E, ClientChaosSurvivesCorruptionAndDrop) {
-  TempDir dir;
-  const std::string sock = dir.path + "/s.sock";
-  const serve::PlanRequest req = test_request();
-  const lab::ExperimentPlan plan = serve::materialize_plan(req);
-  lab::RunOptions lopt;
-  lopt.threads = 2;
-  lopt.cache_dir.clear();
-  const lab::PlanRun local = lab::run_plan(plan, lopt);
-  ASSERT_TRUE(local.ok());
-
-  Daemon daemon(sock, dir.path + "/cache");
-  serve::ClientOptions copt;
-  copt.endpoint = sock;
-  copt.chaos_net = "11:corrupt@2,drop@6,split";
-  copt.max_reconnects = 12;
-  const serve::ConnectedRun run = serve::run_plan_connected(req, plan, copt);
-
-  expect_identical_to_local(run.run, local);
-  EXPECT_GE(run.reconnects, 1u);
-  EXPECT_GE(run.resumes, 1u);  // the post-token drop re-attached, not
-                               // re-submitted
-  const int status = daemon.stop();
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-}
-
-// Daemon-side fault injection (--chaos-net): every accepted connection
-// draws a seeded fault schedule, and the process-global budgets
-// guarantee the campaign converges to a clean completion.  The injected
-// faults must be visible in the service stats.
-TEST(ServeE2E, DaemonChaosCampaignConverges) {
-  TempDir dir;
-  const std::string sock = dir.path + "/s.sock";
-  const serve::PlanRequest req = test_request();
-  const lab::ExperimentPlan plan = serve::materialize_plan(req);
-  lab::RunOptions lopt;
-  lopt.threads = 2;
-  lopt.cache_dir.clear();
-  const lab::PlanRun local = lab::run_plan(plan, lopt);
-  ASSERT_TRUE(local.ok());
-
-  Daemon daemon(sock, dir.path + "/cache",
-                {"--chaos-net", "13:drop@7x3,stall@2=5"});
-  serve::ClientOptions copt;
-  copt.endpoint = sock;
-  copt.max_reconnects = 12;
-  const serve::ConnectedRun run = serve::run_plan_connected(req, plan, copt);
-
-  expect_identical_to_local(run.run, local);
-  EXPECT_GE(run.reconnects, 1u);
-
-  const std::string stats = serve::fetch_service_stats(sock);
-  EXPECT_GE(stat(stats, "chaos_conns"), 2u) << stats;
-  EXPECT_GE(stat(stats, "chaos_drops_injected"), 1u) << stats;
-  EXPECT_LE(stat(stats, "chaos_drops_injected"), 3u) << stats;
-  EXPECT_GE(stat(stats, "chaos_stalls_injected"), 1u) << stats;
-  EXPECT_EQ(stat(stats, "jobs_failed"), 0u) << stats;
-  EXPECT_EQ(stat(stats, "cells_failed"), 0u) << stats;
-  const int status = daemon.stop();
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-}
-
-// The tentpole scenario end to end: SIGKILL the daemon mid-plan, start a
-// fresh daemon on the same socket + cache (exercising stale-socket
-// replacement), and let the same client ride through it.  The client
-// must reconnect and re-attach by token; the new daemon must replay the
-// journal, recover the plan, and serve every journaled cell from the
-// shared disk cache instead of re-simulating it; the merged results must
-// be bit-identical to a local run.
-TEST(ServeE2E, KillRestartRecoverResume) {
+// Crash recovery is the shared result cache: SIGKILL the daemon mid-plan,
+// start a fresh daemon on the same socket + cache (exercising stale-socket
+// replacement), and let the same client ride through it.  The client must
+// reconnect and resubmit; the successor must serve every cell whose
+// result reached the disk before the kill from the cache instead of
+// re-simulating it; the merged results must be bit-identical to a local
+// run.
+TEST(ServeE2E, KillRestartResubmit) {
   TempDir dir;
   const std::string sock = dir.path + "/s.sock";
   const std::string cache = dir.path + "/cache";
-  const std::string journal = cache + "/journal.hsjl";
   const serve::PlanRequest req = test_request();
   const lab::ExperimentPlan plan = serve::materialize_plan(req);
   lab::RunOptions lopt;
@@ -389,88 +316,46 @@ TEST(ServeE2E, KillRestartRecoverResume) {
     }
   });
 
-  // Wait until at least 3 cells hit the journal, then SIGKILL.
-  const auto journaled_cells = [&] {
-    std::ifstream in(journal);
+  // Wait until at least 3 results are on disk, then SIGKILL.
+  const auto results_on_disk = [&] {
     std::size_t n = 0;
-    std::string line;
-    while (std::getline(in, line))
-      if (line.find(" cell ") != std::string::npos) ++n;
+    std::error_code ec;
+    for (fs::directory_iterator it(cache, ec), end; !ec && it != end;
+         it.increment(ec))
+      if (it->path().extension() == ".result") ++n;
     return n;
   };
-  for (int waited = 0; journaled_cells() < 3 && waited < 60000; waited += 50)
+  for (int waited = 0; results_on_disk() < 3 && waited < 60000; waited += 50)
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  ASSERT_GE(journaled_cells(), 3u) << "plan never started journaling";
   first.kill9();
+  const std::size_t on_disk = results_on_disk();
+  ASSERT_GE(on_disk, 3u) << "plan never reached the cache";
+  ASSERT_LT(on_disk, plan.cells.size()) << "plan finished before the kill";
 
   // A fresh daemon on the same socket path (stale file, no live
-  // listener -> replaced) and the same cache + journal.
+  // listener -> replaced) and the same cache.
   Daemon second(sock, cache);
   client.join();
   ASSERT_TRUE(error.empty()) << error;
 
   expect_identical_to_local(run.run, local);
+  EXPECT_EQ(run.run.failed, 0u);
   EXPECT_GE(run.reconnects, 1u);
-  EXPECT_GE(run.resumes, 1u);
 
+  // The successor simulated only the cells with no result on disk at
+  // the kill; every result that was on disk came back as a cache hit.
   const std::string stats = serve::fetch_service_stats(sock);
-  EXPECT_EQ(stat(stats, "journal_plans_recovered"), 1u) << stats;
-  const std::uint64_t recovered = stat(stats, "journal_cells_recovered");
-  EXPECT_GE(recovered, 3u) << stats;
-  // Every journaled cell came back as a disk-cache hit (the worker
-  // writes the cache before reporting, so a journaled cell is always
-  // cached): zero warm cells were re-simulated.
-  EXPECT_GE(stat(stats, "disk_cache_hits"), recovered) << stats;
-  EXPECT_EQ(stat(stats, "jobs_done"), plan.cells.size()) << stats;
+  const std::string lat = "\"cell_latency_ms\": {\"count\": ";
+  const auto pos = stats.find(lat);
+  ASSERT_NE(pos, std::string::npos) << stats;
+  const std::uint64_t simulated =
+      std::strtoull(stats.c_str() + pos + lat.size(), nullptr, 10);
+  EXPECT_LE(simulated, plan.cells.size() - on_disk) << stats;
+  EXPECT_GE(stat(stats, "disk_cache_hits"), on_disk) << stats;
   EXPECT_EQ(stat(stats, "jobs_failed"), 0u) << stats;
   EXPECT_EQ(stat(stats, "cells_failed"), 0u) << stats;
-  EXPECT_GE(stat(stats, "resumes"), 1u) << stats;
 
   const int status = second.stop();
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  // The journal records the full recovered trajectory: a re-recorded
-  // plan, its cells, and the final done marker.
-  const serve::JournalReplay replayed = serve::JobJournal::replay(journal);
-  ASSERT_EQ(replayed.plans.size(), 1u);
-  EXPECT_TRUE(replayed.plans[0].complete);
-  EXPECT_EQ(replayed.plans[0].done_count(), plan.cells.size());
-}
-
-// A client that handshakes and then goes silent must not hold resources
-// forever: the daemon reaps it after --client-idle-timeout, while a
-// healthy (heartbeating) client on the same daemon finishes untouched.
-TEST(ServeE2E, SilentClientIsReapedHealthyClientSurvives) {
-  TempDir dir;
-  const std::string sock = dir.path + "/s.sock";
-  Daemon daemon(sock, dir.path + "/cache", {"--client-idle-timeout", "2"});
-
-  // The stuck client: Hello, HelloOk, then nothing — no Pings, no plan.
-  serve::Conn stuck = serve::connect_to(sock);
-  stuck.send_frame(serve::Frame{serve::MsgType::Hello,
-                                serve::kv_encode({{"proto", "1"}})});
-  ASSERT_TRUE(stuck.recv_frame().has_value());  // HelloOk
-
-  // A healthy client with a heartbeat faster than the idle timeout.
-  const serve::PlanRequest req = test_request();
-  const lab::ExperimentPlan plan = serve::materialize_plan(req);
-  serve::ClientOptions copt;
-  copt.endpoint = sock;
-  copt.heartbeat_ms = 500;
-  const serve::ConnectedRun run = serve::run_plan_connected(req, plan, copt);
-  EXPECT_TRUE(run.run.ok());
-  EXPECT_EQ(run.reconnects, 0u);  // the reaper must not touch the living
-
-  // The reaper fires on its own schedule; poll the stats for it.
-  std::uint64_t reaped = 0;
-  for (int waited = 0; waited < 15000; waited += 200) {
-    reaped = stat(serve::fetch_service_stats(sock), "clients_dropped_idle");
-    if (reaped >= 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-  EXPECT_GE(reaped, 1u);
-  const int status = daemon.stop();
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }

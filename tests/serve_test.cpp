@@ -1,6 +1,7 @@
 // Unit tests for the hiserve wire protocol: frame round-trips, the
 // incremental decoder's handling of truncated / corrupt / oversize
-// input, kv payload escaping, CellResult wire completeness, and a
+// input, kv payload escaping, CellResult wire completeness, the
+// daemon's outbound write queue, and a
 // splitmix64-seeded fuzz round-trip (random payloads, random chunk
 // boundaries, random corruptions) reusing the fuzz subsystem's seed
 // derivation so failures replay from a campaign seed.
@@ -13,7 +14,6 @@
 
 #include "fuzz/campaign.hpp"
 #include "lab/serialize.hpp"
-#include "serve/chaos.hpp"
 #include "serve/protocol.hpp"
 #include "serve/transport.hpp"
 #include "serve/worker.hpp"
@@ -317,215 +317,11 @@ TEST(ServeWorker, MaterializePlanUnknownNameThrows) {
   EXPECT_THROW((void)materialize_plan(req), std::out_of_range);
 }
 
-// --- chaos spec parsing ----------------------------------------------------
+// --- transport ---------------------------------------------------------------
 
-TEST(ServeChaos, ParseSpecFull) {
-  const ChaosSpec s =
-      parse_chaos_spec("7:drop@4x2,corrupt@1,split,stall@3=15,window=32");
-  EXPECT_EQ(s.seed, 7u);
-  EXPECT_TRUE(s.drop);
-  EXPECT_EQ(s.drop_at, 4u);
-  EXPECT_EQ(s.drop_budget, 2u);
-  EXPECT_TRUE(s.corrupt);
-  EXPECT_EQ(s.corrupt_at, 1u);
-  EXPECT_EQ(s.corrupt_budget, 1u);
-  EXPECT_TRUE(s.split);
-  EXPECT_TRUE(s.stall);
-  EXPECT_EQ(s.stall_at, 3u);
-  EXPECT_EQ(s.stall_ms, 15);
-  EXPECT_EQ(s.window, 32u);
-}
-
-TEST(ServeChaos, ParseSpecDefaults) {
-  const ChaosSpec s = parse_chaos_spec("42:drop");
-  EXPECT_EQ(s.seed, 42u);
-  EXPECT_TRUE(s.drop);
-  EXPECT_EQ(s.drop_at, 0u);  // derived per connection
-  EXPECT_EQ(s.drop_budget, 1u);
-  EXPECT_FALSE(s.corrupt);
-  EXPECT_FALSE(s.split);
-  EXPECT_FALSE(s.stall);
-  EXPECT_EQ(s.window, 8u);
-}
-
-TEST(ServeChaos, ParseSpecMalformedThrows) {
-  EXPECT_THROW((void)parse_chaos_spec("drop"), std::runtime_error);
-  EXPECT_THROW((void)parse_chaos_spec("x:drop"), std::runtime_error);
-  EXPECT_THROW((void)parse_chaos_spec("1:"), std::runtime_error);
-  EXPECT_THROW((void)parse_chaos_spec("1:bogus"), std::runtime_error);
-  EXPECT_THROW((void)parse_chaos_spec("1:drop@0"), std::runtime_error);
-  EXPECT_THROW((void)parse_chaos_spec("1:dropx0"), std::runtime_error);
-  EXPECT_THROW((void)parse_chaos_spec("1:window"), std::runtime_error);
-}
-
-TEST(ServeChaos, EnvFallback) {
-  ::setenv("HIDISC_CHAOS_NET", "5:drop", 1);
-  const auto from_env = chaos_spec_from("");
-  ASSERT_TRUE(from_env.has_value());
-  EXPECT_EQ(from_env->seed, 5u);
-  EXPECT_TRUE(from_env->drop);
-  // The CLI value wins over the environment.
-  const auto from_cli = chaos_spec_from("6:corrupt");
-  ASSERT_TRUE(from_cli.has_value());
-  EXPECT_EQ(from_cli->seed, 6u);
-  EXPECT_FALSE(from_cli->drop);
-  ::unsetenv("HIDISC_CHAOS_NET");
-  EXPECT_FALSE(chaos_spec_from("").has_value());
-}
-
-// --- fault schedules -------------------------------------------------------
-
-TEST(ServeChaos, SchedulesAreDeterministicFromSeed) {
-  const ChaosSpec spec =
-      parse_chaos_spec("99:drop,corrupt,stall,split,window=16");
-  FaultPlan a(spec), b(spec);
-  std::vector<std::uint64_t> drop_draws;
-  for (int i = 0; i < 8; ++i) {
-    const FaultSchedule sa = a.next_schedule();
-    const FaultSchedule sb = b.next_schedule();
-    EXPECT_EQ(sa.drop_at, sb.drop_at) << "conn " << i;
-    EXPECT_EQ(sa.corrupt_at, sb.corrupt_at) << "conn " << i;
-    EXPECT_EQ(sa.corrupt_pos, sb.corrupt_pos) << "conn " << i;
-    EXPECT_EQ(sa.corrupt_xor, sb.corrupt_xor) << "conn " << i;
-    EXPECT_EQ(sa.split_seed, sb.split_seed) << "conn " << i;
-    EXPECT_EQ(sa.stall_at, sb.stall_at) << "conn " << i;
-    EXPECT_TRUE(sa.split);
-    EXPECT_NE(sa.corrupt_xor, 0);  // a zero xor would be a silent no-op
-    EXPECT_GE(sa.drop_at, 1u);
-    EXPECT_LE(sa.drop_at, 16u);
-    drop_draws.push_back(sa.drop_at);
-  }
-  // Different connection ordinals draw different positions (that is the
-  // point of deriving from (seed, ordinal), not seed alone).
-  const bool all_same = std::all_of(
-      drop_draws.begin(), drop_draws.end(),
-      [&](std::uint64_t d) { return d == drop_draws.front(); });
-  EXPECT_FALSE(all_same);
-}
-
-TEST(ServeChaos, PinnedPositionsOverrideDerivation) {
-  const ChaosSpec spec = parse_chaos_spec("3:drop@9,corrupt@2,stall@5=1");
-  FaultPlan plan(spec);
-  for (int i = 0; i < 4; ++i) {
-    const FaultSchedule s = plan.next_schedule();
-    EXPECT_EQ(s.drop_at, 9u);
-    EXPECT_EQ(s.corrupt_at, 2u);
-    EXPECT_EQ(s.stall_at, 5u);
-  }
-}
-
-TEST(ServeChaos, BudgetsAreProcessGlobal) {
-  FaultPlan p2(parse_chaos_spec("1:dropx2,corrupt"));
-  EXPECT_TRUE(p2.take_drop());
-  EXPECT_TRUE(p2.take_drop());
-  EXPECT_FALSE(p2.take_drop());  // budget of 2 exhausted
-  EXPECT_EQ(p2.drops_injected(), 2u);
-  EXPECT_TRUE(p2.take_corrupt());
-  EXPECT_FALSE(p2.take_corrupt());
-  EXPECT_EQ(p2.corruptions_injected(), 1u);
-  // Once a budget is gone, fresh schedules come back disarmed for it.
-  const FaultSchedule s = p2.next_schedule();
-  EXPECT_EQ(s.drop_at, 0u);
-  EXPECT_EQ(s.corrupt_at, 0u);
-}
-
-TEST(ServeChaos, DefaultPlanAndConnArePassThrough) {
-  FaultPlan plan;
-  EXPECT_FALSE(plan.enabled());
-  const FaultSchedule s = plan.next_schedule();
-  EXPECT_EQ(s.drop_at, 0u);
-  EXPECT_EQ(s.corrupt_at, 0u);
-  EXPECT_FALSE(s.split);
-  EXPECT_EQ(s.stall_at, 0u);
-
-  SocketPair sp = make_socketpair();
-  FaultConn tx(std::move(sp.parent));
-  FaultConn rx(std::move(sp.child));
-  const Frame f = frame(MsgType::CellDone, "cell 1\nkey k\n");
-  tx.send_frame(f);
-  const auto got = rx.recv_frame();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, f);
-}
-
-// --- fault injection over a real socketpair --------------------------------
-
-TEST(ServeChaos, SendSideDropLooksLikePeerLossNeverCorruption) {
-  FaultPlan plan(parse_chaos_spec("9:drop@3"));
-  SocketPair sp = make_socketpair();
-  FaultConn tx(std::move(sp.parent), plan.next_schedule());
-  Conn rx = std::move(sp.child);
-
-  const Frame f1 = frame(MsgType::CellDone, "cell 1\n");
-  const Frame f2 = frame(MsgType::CellDone, "cell 2\n");
-  tx.send_frame(f1);
-  tx.send_frame(f2);
-  EXPECT_THROW(tx.send_frame(frame(MsgType::CellDone, "cell 3\n")),
-               TransportError);
-  EXPECT_FALSE(tx.valid());
-  EXPECT_EQ(plan.drops_injected(), 1u);
-
-  // The receiver sees the pre-drop frames intact, then a *clean* EOF —
-  // an injected drop is indistinguishable from a peer loss, and must
-  // never manifest as framing corruption.
-  EXPECT_EQ(rx.recv_frame(), f1);
-  EXPECT_EQ(rx.recv_frame(), f2);
-  EXPECT_FALSE(rx.recv_frame().has_value());
-}
-
-TEST(ServeChaos, RecvSideDropThrowsAfterTheFrameLands) {
-  FaultPlan plan(parse_chaos_spec("4:drop@2"));
+TEST(ServeTransport, QueueFlushDeliversInOrder) {
   SocketPair sp = make_socketpair();
   Conn tx = std::move(sp.parent);
-  FaultConn rx(std::move(sp.child), plan.next_schedule());
-
-  tx.send_frame(frame(MsgType::JobDone, "job 1\n"));
-  tx.send_frame(frame(MsgType::JobDone, "job 2\n"));
-  const auto first = rx.recv_frame();  // total frames crossed: 1 < 2
-  ASSERT_TRUE(first.has_value());
-  EXPECT_THROW((void)rx.recv_frame(), TransportError);
-  EXPECT_FALSE(rx.valid());
-  EXPECT_EQ(plan.drops_injected(), 1u);
-}
-
-TEST(ServeChaos, SplitDeliversEveryFrameIntact) {
-  FaultPlan plan(parse_chaos_spec("5:split"));
-  SocketPair sp = make_socketpair();
-  FaultConn tx(std::move(sp.parent), plan.next_schedule());
-  Conn rx = std::move(sp.child);
-
-  std::mt19937_64 rng(20260808);
-  std::vector<Frame> sent;
-  for (int i = 0; i < 10; ++i) {
-    Frame f;
-    f.type = MsgType::CellDone;
-    const std::size_t len = (i % 3 == 0) ? 0 : rng() % 600;
-    for (std::size_t b = 0; b < len; ++b)
-      f.payload.push_back(static_cast<char>(rng() % 256));
-    tx.send_frame(f);
-    sent.push_back(std::move(f));
-  }
-  for (const auto& f : sent) EXPECT_EQ(rx.recv_frame(), f);
-}
-
-TEST(ServeChaos, StallDelaysTheScheduledFrame) {
-  FaultPlan plan(parse_chaos_spec("3:stall@1=30"));
-  SocketPair sp = make_socketpair();
-  FaultConn tx(std::move(sp.parent), plan.next_schedule());
-  Conn rx = std::move(sp.child);
-  const auto t0 = std::chrono::steady_clock::now();
-  tx.send_frame(frame(MsgType::Ping, ""));
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-  EXPECT_GE(elapsed, 30);
-  EXPECT_EQ(plan.stalls_injected(), 1u);
-  EXPECT_TRUE(rx.recv_frame().has_value());
-}
-
-TEST(ServeChaos, QueueFlushDeliversInOrder) {
-  SocketPair sp = make_socketpair();
-  FaultConn tx(std::move(sp.parent));
   Conn rx = std::move(sp.child);
   const Frame a = frame(MsgType::CellDone, "cell 0\n");
   const Frame b = frame(MsgType::PlanDone, "cells 1\n");
@@ -537,69 +333,6 @@ TEST(ServeChaos, QueueFlushDeliversInOrder) {
   EXPECT_EQ(tx.queued_bytes(), 0u);
   EXPECT_EQ(rx.recv_frame(), a);
   EXPECT_EQ(rx.recv_frame(), b);
-}
-
-// --- seeded corruption campaign over the wire ------------------------------
-
-// A campaign of seeded single-byte corruptions injected by FaultConn into
-// a live socketpair stream: in every run the receiver must either (a)
-// detect the damage (ProtocolError from the decoder, or TransportError
-// from a partial frame at EOF when the flip landed in the length field),
-// or (b) surface a frame that differs from what was sent (a flip in the
-// unchecksummed type field — FrameDecoder passes unknown types through
-// by design).  What must NEVER happen is a silently clean stream: every
-// frame decoding equal to its original with no error raised.  Frames
-// ahead of the corruption point must round-trip untouched.
-TEST(ServeChaosFuzz, CorruptionCampaignNeverPassesSilently) {
-  constexpr std::uint64_t seed_base = 20260809;
-  constexpr int kRuns = 25;
-  constexpr std::size_t kFrames = 6;
-  for (int run = 0; run < kRuns; ++run) {
-    const std::uint64_t seed = fuzz::derive_seed(seed_base, run);
-    std::mt19937_64 rng(seed);
-    const std::size_t corrupt_at = 1 + rng() % kFrames;
-    FaultPlan plan(parse_chaos_spec(std::to_string(seed) + ":corrupt@" +
-                                    std::to_string(corrupt_at)));
-    SocketPair sp = make_socketpair();
-    FaultConn tx(std::move(sp.parent), plan.next_schedule());
-    Conn rx = std::move(sp.child);
-
-    std::vector<Frame> sent;
-    for (std::size_t i = 0; i < kFrames; ++i) {
-      Frame f;
-      f.type = MsgType::CellDone;
-      const std::size_t len = rng() % 256;
-      for (std::size_t b = 0; b < len; ++b)
-        f.payload.push_back(static_cast<char>(rng() % 256));
-      tx.send_frame(f);
-      sent.push_back(std::move(f));
-    }
-    tx.close();
-    EXPECT_EQ(plan.corruptions_injected(), 1u) << "run " << run;
-
-    bool anomaly = false;
-    std::size_t idx = 0;
-    try {
-      for (;;) {
-        const auto f = rx.recv_frame();
-        if (!f) break;  // EOF
-        if (idx < sent.size() && *f == sent[idx]) {
-          ++idx;
-          continue;
-        }
-        anomaly = true;  // decoded, but not the frame that was sent
-        ++idx;
-      }
-    } catch (const ProtocolError&) {
-      anomaly = true;
-    } catch (const TransportError&) {
-      anomaly = true;
-    }
-    EXPECT_TRUE(anomaly) << "run " << run << " seed " << seed
-                         << ": corrupted stream decoded clean";
-    // Everything ahead of the corrupted frame round-tripped intact.
-    EXPECT_GE(idx + 1, corrupt_at) << "run " << run << " seed " << seed;
-  }
 }
 
 }  // namespace

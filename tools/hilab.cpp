@@ -17,14 +17,14 @@
 // bit-identical to a local run of the same plan:
 //
 //   hilab --connect /tmp/hiserve.sock --plan paper [--refresh]
-//         [--reconnect N] [--chaos-net SEED:SPEC]
-//         [--service-stats FILE|-] [--json ...] [--csv ...]
+//         [--reconnect N] [--service-stats FILE|-] [--json ...] [--csv ...]
 //
 // Guarantees: results are bit-identical for every --threads value (and
 // for --connect against any worker count), and a second invocation
 // against a warm cache simulates zero cells.  A --connect run survives
 // connection loss and daemon restarts: the client reconnects with
-// bounded backoff and re-attaches to its plan by token.
+// bounded backoff and resubmits the plan, and the daemon serves the
+// cells that already finished from its shared result cache.
 //
 // Exit codes: 0 = every cell healthy, 4 = partial failure (some cells
 // failed; healthy cells still exported), 1 = infrastructure error (bad
@@ -79,9 +79,7 @@ int usage(const char* argv0) {
       "  --connect EP      run on a hiserved daemon at EP (socket path or\n"
       "                    tcp:HOST:PORT) instead of in this process\n"
       "  --reconnect N     with --connect: survive up to N connection\n"
-      "                    losses by re-attaching to the plan (default 8)\n"
-      "  --chaos-net SEED:SPEC  with --connect: deterministic client-side\n"
-      "                    network fault injection (see docs/SERVE.md)\n"
+      "                    losses by resubmitting the plan (default 8)\n"
       "  --service-stats F with --connect: fetch the daemon's stats JSON\n"
       "                    after the run and write it to F ('-' = stdout)\n"
       "  --json FILE       export full results as JSON ('-' = stdout)\n"
@@ -209,7 +207,6 @@ int main(int argc, char** argv) {
   int threads = lab::default_threads();
   bool refresh = false, quiet = false, lockstep = false;
   std::uint64_t watchdog = 0;  // 0 = keep each cell's own threshold
-  std::string chaos_net;
   int reconnects = 8;
 
   for (int i = 1; i < argc; ++i) {
@@ -264,7 +261,6 @@ int main(int argc, char** argv) {
         if (reconnects < 0)
           throw std::runtime_error("--reconnect must be >= 0");
       }
-      else if (arg == "--chaos-net") chaos_net = value();
       else if (arg == "--service-stats") stats_path = value();
       else if (arg == "--json") json_path = value();
       else if (arg == "--csv") csv_path = value();
@@ -285,10 +281,6 @@ int main(int argc, char** argv) {
   }
   if (!stats_path.empty() && connect_ep.empty()) {
     std::fprintf(stderr, "hilab: --service-stats needs --connect\n");
-    return 2;
-  }
-  if (!chaos_net.empty() && connect_ep.empty()) {
-    std::fprintf(stderr, "hilab: --chaos-net needs --connect\n");
     return 2;
   }
   if (!overrides.empty() && !connect_ep.empty()) {
@@ -355,16 +347,14 @@ int main(int argc, char** argv) {
       req.refresh = refresh;
       serve::ClientOptions copt;
       copt.endpoint = connect_ep;
-      copt.chaos_net = chaos_net;
       copt.max_reconnects = reconnects;
       if (!quiet) copt.on_cell = progress;
       serve::ConnectedRun cr = serve::run_plan_connected(req, plan, copt);
       run = std::move(cr.run);
       dedup_cells = cr.dedup;
       if (cr.reconnects > 0 && !quiet)
-        std::fprintf(stderr,
-                     "hilab: survived %zu connection losses (%zu resumes)\n",
-                     cr.reconnects, cr.resumes);
+        std::fprintf(stderr, "hilab: survived %zu connection losses\n",
+                     cr.reconnects);
     }
 
     // An export aimed at stdout owns it: keep the human report off the pipe.

@@ -6,16 +6,15 @@
 // and shards the resulting jobs across a pool of forked worker
 // processes sharing one on-disk result cache.  Worker crashes and
 // timeouts are retried with exponential backoff; SIGTERM drains
-// gracefully.  In-flight plans are journaled beside the cache dir and
-// recovered on restart (a SIGKILLed daemon's successor finishes only
-// the missing cells); clients re-attach by plan token.
+// gracefully.  The shared result cache is the only recovery log: a
+// SIGKILLed daemon's successor on the same cache serves every finished
+// cell from disk, so a client's resubmission re-simulates only the
+// cells that never finished.
 //
 //   hiserved --socket /tmp/hiserve.sock [--workers N]
 //            [--cache-dir DIR | --no-cache] [--job-timeout SEC]
 //            [--max-retries N] [--backoff-ms N] [--stats-file FILE]
-//            [--journal FILE | --no-journal] [--chaos-net SEED:SPEC]
-//            [--client-idle-timeout SEC] [--client-queue-max BYTES]
-//            [--quiet]
+//            [--client-queue-max BYTES] [--chaos-kill-assign N] [--quiet]
 //   hiserved --tcp HOST:PORT ...
 //
 // Exit codes: 0 = drained cleanly, 1 = runtime error, 2 = usage.
@@ -43,18 +42,10 @@ int usage(const char* argv0) {
       "  --backoff-ms N       base retry backoff, doubled per attempt "
       "(default 200)\n"
       "  --stats-file FILE    write service stats JSON on exit\n"
-      "  --journal FILE       crash-recovery job journal (default\n"
-      "                       CACHE_DIR/journal.hsjl)\n"
-      "  --no-journal         disable the job journal\n"
-      "  --client-idle-timeout SEC  reap clients silent this long\n"
-      "                       (default 120, 0=off)\n"
       "  --client-queue-max BYTES   drop clients whose outbound queue\n"
       "                       exceeds this (default 8388608)\n"
       "  --chaos-kill-assign N  SIGKILL the worker handling the Nth job\n"
       "                       assignment (test hook for the retry path)\n"
-      "  --chaos-net SEED:SPEC  deterministic network fault injection on\n"
-      "                       client connections (drop[@N][xM], corrupt,\n"
-      "                       split, stall[=MS], window=K)\n"
       "  --quiet              suppress the stderr event log\n",
       argv0);
   return 2;
@@ -92,13 +83,8 @@ int main(int argc, char** argv) {
       else if (arg == "--max-retries") opt.max_retries = int_value(0);
       else if (arg == "--backoff-ms") opt.backoff_ms = int_value(1);
       else if (arg == "--stats-file") opt.stats_file = value();
-      else if (arg == "--journal") opt.journal_file = value();
-      else if (arg == "--no-journal") opt.journal = false;
-      else if (arg == "--client-idle-timeout")
-        opt.client_idle_timeout_s = int_value(0);
       else if (arg == "--client-queue-max")
         opt.client_queue_max = static_cast<std::size_t>(int_value(1));
-      else if (arg == "--chaos-net") opt.chaos_net = value();
       else if (arg == "--chaos-kill-assign")
         opt.chaos_kill_at_assign = static_cast<std::uint64_t>(int_value(1));
       else if (arg == "--quiet") opt.quiet = true;

@@ -29,15 +29,17 @@ repo accumulates an items/sec history across commits:
     python3 tools/perf_gate.py bench/baseline.json perf.json \
         --append-trajectory BENCH_throughput.json --commit "$GITHUB_SHA"
 
-Each entry is {"commit", "benchmarks": {name: {"items_per_second",
-"sim_cycles_per_sec"}}}, plus "label" when --label names the leg (one
-commit can contribute several legs: the machine microbenchmarks, the
-service-mode plan timings, the pipeline cold/warm timings).  The
-throughput benchmarks report simulated cycles as items, so the two rates
-coincide there; both are written so the trajectory stays meaningful if
-items ever change meaning.  The append happens even when the gate then
-fails — a regression is exactly the data point the trajectory exists to
-show.
+Each entry is {"commit", "benchmarks": {name: {"items_per_second"}}},
+plus "label" when --label names the leg (one commit can contribute
+several legs: the machine microbenchmarks, the service-mode plan
+timings, the pipeline cold/warm timings).  An item is whatever the
+benchmark counts — simulated cycles for the BM_* microbenchmarks, plan
+cells for the SVC_*, PIPE_* and FSIM_* legs — so only rates of one
+benchmark name are comparable.  Entries written before this rule also
+carry a "sim_cycles_per_sec" copy of the same number; it is not a cycle
+rate for the cell-counting legs and nothing reads it.  The append
+happens even when the gate then fails — a regression is exactly the
+data point the trajectory exists to show.
 
 Trajectory hygiene: the commit id must be a real git hex id.  In CI
 (when $CI is set) a missing or placeholder commit id is a hard error —
@@ -92,7 +94,7 @@ def append_trajectory(path, commit, current, label=None):
     entry = {
         "commit": commit,
         "benchmarks": {
-            name: {"items_per_second": ips, "sim_cycles_per_sec": ips}
+            name: {"items_per_second": ips}
             for name, ips in sorted(current.items())
         },
     }
