@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "diag/deadlock.hpp"
@@ -95,6 +96,8 @@ struct Pipeline::Exec {
   std::mutex mu;
   std::size_t done = 0;
   std::size_t total = 0;
+  // Sim key -> the first SimNode that probed it; later probers wait on it.
+  std::unordered_map<std::string, SimNode*> first_by_key;
 
   void submit(std::function<void()> task) {
     if (pool)
@@ -103,10 +106,27 @@ struct Pipeline::Exec {
       task();  // inline, depth-first; identical results by construction
   }
 
-  // Caller holds `mu`.
+  // Caller holds `mu`.  Also delivers the outcome to the sims waiting on
+  // this one's key.
   void finish_cell_locked(SimNode* s, bool from_cache) {
     ++done;
     if (*hook) (*hook)(s->index, s->out, done, total, from_cache);
+    s->done = true;
+    for (SimNode* w : s->waiting) share_outcome_locked(s, w);
+    s->waiting.clear();
+  }
+
+  // Caller holds `mu`.  `w` has the same sim key as the finished `first`,
+  // so it gets the same outcome, errors included, and counts as a hit.
+  void share_outcome_locked(const SimNode* first, SimNode* w) {
+    w->out.result = first->out.result;
+    w->out.orig_dynamic_instructions = first->out.orig_dynamic_instructions;
+    w->out.error = first->out.error;
+    w->out.error_class = first->out.error_class;
+    w->out.diagnostic_json = first->out.diagnostic_json;
+    w->out.from_cache = true;
+    ++out->nodes.sim.hits;
+    finish_cell_locked(w, /*from_cache=*/true);
   }
 
   void fail_cell(SimNode* s, std::string msg, std::string cls) {
@@ -156,6 +176,17 @@ struct Pipeline::Exec {
     const Mode mode = s->trace->mode;
     s->out.key = sim_key(comp.image(mode), cell.preset, cell.config);
     s->out.orig_dynamic_instructions = comp.comp.profile.dynamic_instructions;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      const auto [it, first] = first_by_key.try_emplace(s->out.key, s);
+      if (!first) {
+        if (it->second->done)
+          share_outcome_locked(it->second, s);
+        else
+          it->second->waiting.push_back(s);
+        return;
+      }
+    }
     const Stores& st = self->stores_;
     if (st.results && !st.refresh) {
       const auto start = Clock::now();

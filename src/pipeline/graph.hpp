@@ -8,6 +8,8 @@
 //                 produces the functional trace of that exact binary.
 //   SimNode       one per cell; consumes its trace node's output and the
 //                 machine (preset, config) to produce a lab::CellResult.
+//                 Cells with equal sim keys simulate once per run: the
+//                 first to probe runs, later ones wait for its outcome.
 //
 // Artifacts (CompileArtifact / TraceArtifact) are write-once and shared
 // by shared_ptr — across nodes within a run, across runs via the
@@ -109,6 +111,10 @@ struct SimNode {
   const lab::Cell* cell = nullptr;  // points into the submitted cell set
   std::size_t index = 0;            // result slot, = cell position
   lab::CellResult out;
+
+  // Executor state (guarded by the run lock):
+  bool done = false;
+  std::vector<SimNode*> waiting;  // later sims with this node's sim key
 };
 
 // The node set for one submission.  Deques keep node addresses stable so

@@ -1,6 +1,7 @@
 #include "uarch/core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -53,6 +54,9 @@ OoOCore::OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys,
       mem_ports_(cfg.mem_ports) {
   if (cfg.window <= 0 || cfg.issue_width <= 0 || cfg.commit_width <= 0)
     throw std::invalid_argument(cfg.name + ": non-positive core geometry");
+  // The issue walk keeps one bit per ring slot in a 64-bit mask.
+  if (cfg.window > 64)
+    throw std::invalid_argument(cfg.name + ": window larger than 64 entries");
   slots_.resize(pow2_at_least(static_cast<std::size_t>(cfg.window)));
   window_mask_ = slots_.size() - 1;
   input_slots_.resize(
@@ -74,16 +78,7 @@ void OoOCore::reset() {
   completion_events_.clear();
   next_completion_ = kNoEvent;
   for (auto& pend : pending_push_) pend.clear();
-  active_.clear();
-  pinned_.clear();
-  expired_scratch_.clear();
-  oldest_unissued_ = 0;
-  active_rescan_ = 0;
-  for (auto& sl : queue_sleepers_) sl.clear();
-  sleeper_gen_[0] = sleeper_gen_[1] = sleeper_gen_[2] = 0;
-  head_sleep_seq_ = 0;
-  head_sleep_slot_ = 0;
-  sleeping_ = 0;
+  unissued_ = 0;
   stores_by_line_.clear();
   prefetch_fills_.clear();
   stats_ = CoreStats{};
@@ -140,7 +135,7 @@ void OoOCore::prune_prefetch_fills(std::uint64_t now) const {
 std::uint64_t OoOCore::next_event_cycle(std::uint64_t now) const {
   // Issued-but-incomplete entries cover every time-threshold their
   // completion gates: commit of the head, queue writes draining, consumers'
-  // sources_ready, and load/store disambiguation waits.  The completion
+  // source readiness, and load/store disambiguation waits.  The completion
   // heap's pruned top is exactly the earliest of them; the cached copy is
   // only refreshed once it falls due, so between completions this poll
   // never touches the heap.
@@ -207,11 +202,10 @@ void OoOCore::account_idle_cycles(std::uint64_t now, std::uint64_t delta) {
 
   // do_issue: the oldest un-issued op, when ready but waiting on an empty
   // (or not-yet-ready) architectural queue, counts a head stall per cycle.
-  // Read through the maintained cursor — the pin state of the entry is
-  // irrelevant here, the gates are re-derived from the window directly.
-  if (oldest_unissued_ != 0) {
-    const Entry* e = find_by_seq(oldest_unissued_);
-    if (e != nullptr && sources_ready(*e, now) && e->pop_queue != nullptr &&
+  if (const auto pending = unissued_by_age(); pending != 0) {
+    const Entry* e = &window_at(static_cast<std::size_t>(
+        std::countr_zero(pending)));
+    if (source_ready_cycle(*e) <= now && e->pop_queue != nullptr &&
         e->pop_queue->front_ready(now) == nullptr) {
       stats_.head_pop_empty_stalls += delta;
       e->pop_queue->note_empty_stalls(delta);
@@ -254,7 +248,7 @@ OoOCore::StallProbe OoOCore::probe_oldest_stall(std::uint64_t now) const {
 
   // Un-issued head: do_issue's gates, in order.  The head has no older
   // in-window producers, but keep the check for completeness.
-  if (!sources_ready(head, now)) {
+  if (source_ready_cycle(head) > now) {
     p.why = diag::StallWhy::Sources;
     return p;
   }
@@ -348,9 +342,6 @@ OoOCore::Disambiguation OoOCore::check_older_stores(std::uint64_t line,
     const Entry* older = find_by_seq(s);
     if (!completed(*older, now)) {
       d.wait = true;
-      d.until = older->issued
-                    ? older->complete_cycle
-                    : std::max(now + 2, older->pin_until + 1);
       break;
     }
     d.forward = true;  // most recent older overlapping store wins
@@ -359,70 +350,11 @@ OoOCore::Disambiguation OoOCore::check_older_stores(std::uint64_t line,
 }
 
 void OoOCore::do_issue(std::uint64_t now) {
-  const auto until_after = [](const Unissued& a, const Unissued& b) {
-    return a.until > b.until;
-  };
-  const auto seq_before = [](const Unissued& a, const Unissued& b) {
-    return a.seq < b.seq;
-  };
-  // Entries whose pin fell due — and sleepers whose queue saw a push
-  // since they parked — rejoin the active scan in program order.
-  const bool have_expired =
-      !pinned_.empty() && pinned_.front().until <= now;
-  if (have_expired || sleeping_ != 0) {
-    expired_scratch_.clear();
-    while (!pinned_.empty() && pinned_.front().until <= now) {
-      std::pop_heap(pinned_.begin(), pinned_.end(), until_after);
-      expired_scratch_.push_back(pinned_.back());
-      pinned_.pop_back();
-    }
-    if (sleeping_ != 0) {
-      for (int s = 0; s < 3; ++s) {
-        auto& sl = queue_sleepers_[s];
-        const bool head_here = head_sleep_seq_ != 0 && head_sleep_slot_ == s;
-        if (sl.empty() && !head_here) continue;
-        if (queue_from_slot(s)->stats().pushes == sleeper_gen_[s]) continue;
-        sleeping_ -= sl.size();
-        expired_scratch_.insert(expired_scratch_.end(), sl.begin(), sl.end());
-        sl.clear();
-        if (head_here) {
-          expired_scratch_.push_back({head_sleep_seq_, 0});
-          head_sleep_seq_ = 0;
-          --sleeping_;
-        }
-      }
-    }
-    if (!expired_scratch_.empty()) {
-      std::sort(expired_scratch_.begin(), expired_scratch_.end(), seq_before);
-      const auto mid = active_.size();
-      active_.insert(active_.end(), expired_scratch_.begin(),
-                     expired_scratch_.end());
-      std::inplace_merge(active_.begin(),
-                         active_.begin() + static_cast<std::ptrdiff_t>(mid),
-                         active_.end(), seq_before);
-      active_rescan_ = 0;  // the woken entries must be visited this pass
-    }
-  }
-  // A head still asleep is exactly a head whose visit would have charged
-  // an empty-queue stall this cycle: same queue, still no token (its
-  // generation is unchanged), sources still ready (completion times only
-  // move toward the past).  Charge without the walk.
-  if (head_sleep_seq_ != 0) {
-    ++stats_.head_pop_empty_stalls;
-    TimedFifo* fq = queue_from_slot(head_sleep_slot_);
-    fq->note_empty_stall();
-    if (fq == queues_.sdq) ++stats_.lod_stalls;
-  }
-  // Walk-free fast path: when the last pass left every active entry
-  // carrying a justified future pin (and nothing merged or dispatched
-  // since), the walk below is provably a pure rescan of blocked entries
-  // — skip it outright.  Any entry that must be revisited every cycle
-  // (queue/order/width blocks, the charging head) forces rescan at
-  // now + 1; pins force it at their expiry; dispatch resets it to 0.
-  if (active_rescan_ > now) return;
-
-  int issued = 0;
-  std::uint64_t rescan = kNoEvent;
+  std::uint64_t pending = unissued_by_age();
+  if (pending == 0) return;
+  // The oldest unissued entry, fixed for this pass: the one entry whose
+  // wait on an empty queue is charged to the stall counters.
+  const auto head = static_cast<std::size_t>(std::countr_zero(pending));
   // Per-queue pop state for this cycle: pops must drain in program order
   // (an older blocked pop blocks younger ones) and respect the per-cycle
   // queue read bandwidth.
@@ -430,282 +362,65 @@ void OoOCore::do_issue(std::uint64_t now) {
     bool order_blocked = false;
     int pops = 0;
   };
-  PopState ldq_state, sdq_state, scq_state;
-  // Earliest release of each FU pool proven exhausted this pass (0 = not
-  // proven).  Mid-pass acquires only consume units, so once one acquire
-  // fails, every later same-pool acquire this cycle fails too — those
-  // entries pin straight away without re-running their gates.  Sound only
-  // when the skipped visit is side-effect-free: no pop role (per-cycle
-  // read budget) and no store-to-load forwarding possibility (a forward
-  // bypasses the pool and would have issued).
-  std::uint64_t pool_until[6] = {};
-  // Program-order head of the whole unissued population, fixed for this
-  // pass: the one entry whose empty-queue wait is charged to the stall
-  // counters.  It is never queue-pinned (see the advance below), so when
-  // that charge is due the head is in the active list.
-  const std::uint64_t head_seq = oldest_unissued_;
-  // Walk the active entries (ascending seq == program order), compacting
-  // out the ones that issue or get pinned.
-  std::size_t keep = 0;
-  // Pins shorter than this horizon stay in the active list, skipped by a
-  // plain compare on the 16-byte element: the dominant pins are two-cycle
-  // unissued-producer bounds, and a heap round trip (push, expire, sort,
-  // merge) per two cycles costs far more than the compares it saves.
-  // Only waits long enough to amortize the round trip park in the heap.
-  static constexpr std::uint64_t kPinHorizon = 16;
-  const auto pin = [&](Unissued u, Entry& e) {
-    e.pin_until = u.until;
-    if (u.until > now + kPinHorizon) {
-      pinned_.push_back(u);
-      std::push_heap(pinned_.begin(), pinned_.end(), until_after);
-    } else {
-      active_[keep++] = u;
-      rescan = std::min(rescan, u.until);
-    }
-  };
-  std::size_t i = 0;
-  for (; i < active_.size(); ++i) {
-    if (issued >= cfg_.issue_width) break;
-    Unissued u = active_[i];
+  PopState pop_state[3];
+  int issued = 0;
+  for (; pending != 0 && issued < cfg_.issue_width; pending &= pending - 1) {
+    const auto pos = static_cast<std::size_t>(std::countr_zero(pending));
+    Entry& e = window_at(pos);
 
-    // Short-pin fast path: a prior visit proved the entry cannot issue
-    // before u.until; skip on the cursor element alone.
-    if (now < u.until) {
-      active_[keep++] = u;
-      rescan = std::min(rescan, u.until);
-      continue;
-    }
-    Entry& e = *find_by_seq(u.seq);
-
-    // Pool-exhausted short-circuit (see pool_until above).
-    if (const auto fu_until = pool_until[static_cast<std::size_t>(e.so.pool)];
-        fu_until != 0 && e.pop_queue == nullptr && !e.forwarded &&
-        (!e.so.is_load || !cfg_.has_lsu || e.no_conflict)) {
-      u.until = fu_until;
-      pin(u, e);
-      continue;
-    }
-
-    // An order- or bandwidth-blocked pop cannot issue this cycle no
-    // matter what; bail before the source loop (same transient keep the
-    // pop gate below would take).
     PopState* ps = nullptr;
     if (e.pop_queue != nullptr) {
-      ps = e.pop_queue == queues_.ldq   ? &ldq_state
-           : e.pop_queue == queues_.sdq ? &sdq_state
-                                        : &scq_state;
-      if (ps->order_blocked || ps->pops >= cfg_.queue_pops_per_cycle) {
-        if (e.pop_queue->head() == nullptr) {
-          // No token exists at all: nothing to pop until a push, which
-          // bumps the generation and wakes the sleeper.
-          const int s = queue_slot(e.pop_queue);
-          queue_sleepers_[s].push_back({u.seq, 0});
-          sleeper_gen_[s] = e.pop_queue->stats().pushes;
-          ++sleeping_;
-        } else {
-          active_[keep++] = u;
-          rescan = now + 1;
-        }
+      ps = &pop_state[queue_slot(e.pop_queue)];
+      if (ps->order_blocked || ps->pops >= cfg_.queue_pops_per_cycle)
         continue;
-      }
     }
 
-    // Source gate; on a block, pin until the producers' fixed completion
-    // times (an unissued producer issues at now + 1 at the earliest and
-    // every latency is >= 1, hence now + 2).
-    std::uint64_t src_bound = 0;
-    for (const auto seq : e.src_seq) {
-      if (seq == 0) continue;
-      const Entry* prod = find_by_seq(seq);
-      if (prod == nullptr) continue;  // committed: value architectural
-      if (!prod->issued) {
-        // The producer issues no earlier than now + 1 (or its own proven
-        // pin bound) and completes no earlier than its minimum latency
-        // after that: fixed so.latency for ALU ops, 1 for memory ops
-        // (forwarded loads and stores complete next cycle).
-        const std::uint64_t min_lat =
-            (prod->so.is_load || prod->so.is_store || prod->so.is_prefetch)
-                ? 1
-                : static_cast<std::uint64_t>(
-                      std::max<std::int16_t>(1, prod->so.latency));
-        src_bound = std::max(src_bound,
-                             std::max(now + 1, prod->pin_until) + min_lat);
-      } else if (prod->complete_cycle > now) {
-        src_bound = std::max(src_bound, prod->complete_cycle);
-      }
-    }
-    if (src_bound > now) {
-      u.until = src_bound;
-      pin(u, e);
-      continue;
+    // A pop whose sources are not ready leaves younger pops unblocked.
+    if (e.src_ready > now) {
+      if (e.src_ready == kNoEvent) e.src_ready = source_ready_cycle(e);
+      if (e.src_ready > now) continue;
     }
 
-    if (e.pop_queue != nullptr) {
-      const auto* front = e.pop_queue->front_ready(now);
-      if (front == nullptr) {
+    if (ps != nullptr) {
+      if (e.pop_queue->front_ready(now) == nullptr) {
         ps->order_blocked = true;
-        if (u.seq == head_seq) {
+        if (pos == head) {
           ++stats_.head_pop_empty_stalls;
           e.pop_queue->note_empty_stall();
           // Waiting on the SDQ means the access side is blocked on a
           // computation-side value: the paper's loss-of-decoupling event.
           if (e.pop_queue == queues_.sdq) ++stats_.lod_stalls;
-          if (e.pop_queue->head() == nullptr) {
-            // Truly empty: park the head; the per-pass charge at the top
-            // of do_issue replaces this visit's charge until a push.
-            head_sleep_seq_ = u.seq;
-            head_sleep_slot_ = queue_slot(e.pop_queue);
-            sleeper_gen_[head_sleep_slot_] = e.pop_queue->stats().pushes;
-            ++sleeping_;
-          } else {
-            active_[keep++] = u;  // token in flight: recheck every cycle
-            rescan = now + 1;
-          }
-        } else if (const auto* h = e.pop_queue->head();
-                   h != nullptr && h->ready > now) {
-          // Non-head consumer waiting on a token already in flight: no
-          // token readies before the head token (FIFO push order makes
-          // ready times monotone), and a blocked non-head visit's only
-          // side effect — order_blocked — is re-derived by any younger
-          // same-queue consumer from the same not-ready head.
-          u.until = h->ready;
-          pin(u, e);
-        } else {
-          // Truly empty queue: sleep until it sees a push.
-          const int s = queue_slot(e.pop_queue);
-          queue_sleepers_[s].push_back({u.seq, 0});
-          sleeper_gen_[s] = e.pop_queue->stats().pushes;
-          ++sleeping_;
         }
         continue;
       }
+      // The read is spent even if a later gate blocks the entry.
       ++ps->pops;
     }
 
     // Memory disambiguation: a load may not pass an older overlapping
     // store that has not yet written (8-byte granularity; addresses are
     // exact, from the trace).
-    if (e.so.is_load && cfg_.has_lsu && !e.no_conflict) {
+    if (e.so.is_load && cfg_.has_lsu) {
       const auto d = check_older_stores(store_line(e.op.addr), e.seq, now);
-      if (d.wait) {
-        // Safe to pin only for entries with no pop role (real loads never
-        // have one): a popping entry's visit consumes per-cycle queue-read
-        // budget even when it ends blocked, which a skip would not replay.
-        if (e.pop_queue == nullptr) {
-          u.until = d.until;
-          pin(u, e);
-        } else {
-          active_[keep++] = u;
-          rescan = now + 1;
-        }
-        continue;
-      }
+      if (d.wait) continue;
       e.forwarded = d.forward;
     }
 
-    // Fire-and-forget prefetch loads draw from a finite prefetch buffer;
-    // a full buffer frees no slot before its earliest in-flight fill
-    // lands (CMP entries carry no queue roles, so the pin is
-    // side-effect-free).
+    // Fire-and-forget prefetch loads draw from a finite prefetch buffer.
     if (e.so.is_load && cfg_.prefetch_only && !e.so.value_live) {
       prune_prefetch_fills(now);
       if (prefetch_fills_.size() >=
-          static_cast<std::size_t>(cfg_.prefetch_buffer)) {
-        if (e.pop_queue == nullptr && !prefetch_fills_.empty()) {
-          u.until = prefetch_fills_.front();
-          pin(u, e);
-        } else {
-          active_[keep++] = u;
-          rescan = now + 1;
-        }
+          static_cast<std::size_t>(cfg_.prefetch_buffer))
         continue;
-      }
     }
 
-    // Functional unit / memory port availability.  An exhausted pool
-    // frees no unit before its earliest release, and a failed-acquire
-    // visit has no side effects — unless the entry popped a token of
-    // per-cycle queue-read budget above, which a pinned skip would not
-    // replay; those stay active.
+    // Functional unit / memory port availability.
     FuPool* pool = pool_ptr(e.so.pool);
     if (e.forwarded) pool = nullptr;  // store-to-load forward: no cache port
-    if (pool != nullptr && !pool->acquire(now, e.so.busy)) {
-      const auto release = pool->next_release(now);
-      pool_until[static_cast<std::size_t>(e.so.pool)] =
-          release != kNoEvent ? release : now + 1;
-      if (e.pop_queue == nullptr && release != kNoEvent) {
-        u.until = release;
-        pin(u, e);
-      } else {
-        active_[keep++] = u;
-        rescan = now + 1;
-      }
-      continue;
-    }
+    if (pool != nullptr && !pool->acquire(now, e.so.busy)) continue;
 
     issue_one(e, now);
     ++issued;
-  }
-  // Entries past the issue-width cutoff stay queued untouched (and must
-  // be revisited next cycle).
-  if (i < active_.size()) {
-    rescan = now + 1;
-    std::copy(active_.begin() + static_cast<std::ptrdiff_t>(i),
-              active_.end(),
-              active_.begin() + static_cast<std::ptrdiff_t>(keep));
-    keep += active_.size() - i;
-  }
-  active_.resize(keep);
-  active_rescan_ = rescan;
-
-  // Advance the oldest-unissued cursor past entries that issued this
-  // pass.  A new head gets its pin cleared immediately: its
-  // blocked-on-queue wait must charge stall counters every cycle from
-  // now on, which a pinned skip would silently swallow.  (Clearing a
-  // source/FU/store pin on the head too is harmless — its next visit
-  // just re-pins it.)
-  if (oldest_unissued_ != 0 &&
-      find_by_seq(oldest_unissued_)->issued) {
-    auto idx = oldest_unissued_ - base_seq_;
-    while (idx < window_count_ && window_at(idx).issued) ++idx;
-    oldest_unissued_ = idx < window_count_ ? base_seq_ + idx : 0;
-    if (oldest_unissued_ != 0) {
-      // The head is the globally oldest unissued entry, so if active it
-      // is the front element.
-      if (!active_.empty() && active_.front().seq == oldest_unissued_) {
-        active_.front().until = 0;
-        active_rescan_ = 0;
-      } else {
-        bool found = false;
-        for (std::size_t p = 0; p < pinned_.size(); ++p) {
-          if (pinned_[p].seq != oldest_unissued_) continue;
-          Unissued head = pinned_[p];
-          head.until = 0;
-          pinned_[p] = pinned_.back();
-          pinned_.pop_back();
-          std::make_heap(pinned_.begin(), pinned_.end(), until_after);
-          active_.insert(active_.begin(), head);
-          active_rescan_ = 0;
-          found = true;
-          break;
-        }
-        for (int s = 0; s < 3 && !found; ++s) {
-          auto& sl = queue_sleepers_[s];
-          for (std::size_t p = 0; p < sl.size(); ++p) {
-            if (sl[p].seq != oldest_unissued_) continue;
-            sl.erase(sl.begin() + static_cast<std::ptrdiff_t>(p));
-            // Was asleep as a non-head on an empty queue; as the head it
-            // keeps sleeping but gets the per-pass stall charge.  This
-            // matches the reference walk, which starts charging the new
-            // head on the pass after the old head issued.
-            head_sleep_seq_ = oldest_unissued_;
-            head_sleep_slot_ = s;
-            found = true;
-            break;
-          }
-        }
-      }
-    }
   }
 }
 
@@ -761,6 +476,7 @@ void OoOCore::issue_one(Entry& e, std::uint64_t now) {
   }
 
   e.issued = true;
+  unissued_ &= ~(std::uint64_t{1} << (&e - slots_.data()));
   push_heap_value(completion_events_, e.complete_cycle);
   next_completion_ = std::min(next_completion_, e.complete_cycle);
   progress_ = true;
@@ -798,7 +514,8 @@ void OoOCore::do_dispatch(std::uint64_t now) {
     // Every field is written explicitly (no Entry{} reset): the slot is
     // reused ring memory, and a full-struct clear followed by the so/op
     // copies would double-write most of it on the per-instruction path.
-    Entry& e = slots_[(window_head_ + window_count_) & window_mask_];
+    const std::size_t slot = (window_head_ + window_count_) & window_mask_;
+    Entry& e = slots_[slot];
     e.so = so;
     e.op = op;
     e.seq = next_seq_++;
@@ -809,10 +526,7 @@ void OoOCore::do_dispatch(std::uint64_t now) {
     e.pushed = false;
     e.issued = false;
     e.forwarded = false;
-    e.pin_until = 0;
-    e.no_conflict = so.is_load && cfg_.has_lsu &&
-                    (stores_by_line_.empty() ||
-                     !stores_by_line_.contains(store_line(op.addr)));
+    e.src_ready = kNoEvent;
 
     // Register dependences.
     e.src_seq[0] = e.src_seq[1] = 0;
@@ -850,9 +564,7 @@ void OoOCore::do_dispatch(std::uint64_t now) {
       stores_by_line_[store_line(op.addr)].push_back(e.seq);
     if (e.push_queue != nullptr)
       pending_push_[queue_slot(e.push_queue)].push_back(e.seq);
-    active_.push_back({e.seq, 0});
-    active_rescan_ = 0;
-    if (oldest_unissued_ == 0) oldest_unissued_ = e.seq;
+    unissued_ |= std::uint64_t{1} << slot;
     ++window_count_;
     input_pop();
     ++dispatched;
@@ -888,104 +600,29 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
                     std::greater<>{}))
     fail("completion events not a min-heap");
 
-  // Unissued population: active_ (ascending) plus pinned_ must be exactly
-  // the unissued window entries; the oldest-unissued cursor must point at
-  // the first of them.
-  std::vector<std::uint64_t> want_unissued;
+  // Unissued mask: bit s set exactly for the ring slots that hold an
+  // unissued window entry.
+  std::uint64_t want_unissued = 0;
   for (std::size_t i = 0; i < window_count_; ++i)
-    if (!window_at(i).issued) want_unissued.push_back(window_at(i).seq);
-  std::vector<std::uint64_t> got_unissued;
-  for (const auto& u : active_) got_unissued.push_back(u.seq);
-  if (!std::is_sorted(got_unissued.begin(), got_unissued.end()))
-    fail("active list out of program order");
-  for (const auto& u : pinned_) got_unissued.push_back(u.seq);
-  std::size_t want_sleeping = head_sleep_seq_ != 0 ? 1 : 0;
-  for (const auto& sl : queue_sleepers_) {
-    want_sleeping += sl.size();
-    for (const auto& u : sl) got_unissued.push_back(u.seq);
-  }
-  if (head_sleep_seq_ != 0) got_unissued.push_back(head_sleep_seq_);
-  if (want_sleeping != sleeping_) fail("sleeper census mismatch");
-  std::sort(got_unissued.begin(), got_unissued.end());
-  if (want_unissued != got_unissued) fail("unissued population mismatch");
-  if (oldest_unissued_ !=
-      (want_unissued.empty() ? 0 : want_unissued.front()))
-    fail("oldest-unissued cursor mismatch");
-  const auto until_after = [](const Unissued& a, const Unissued& b) {
-    return a.until > b.until;
-  };
-  if (!std::is_heap(pinned_.begin(), pinned_.end(), until_after))
-    fail("pinned entries not a min-heap by until");
+    if (!window_at(i).issued)
+      want_unissued |= std::uint64_t{1} << ((window_head_ + i) & window_mask_);
+  if (want_unissued != unissued_) fail("unissued mask mismatch");
 
-  // Every pin must be justified: the entry provably cannot issue at
-  // until - 1 for one of the reasons do_issue pins on, and the reason
-  // must be one whose skipped visits are side-effect-free for this
-  // entry.  Active entries carry short pins (skipped by compare), the
-  // heap carries long ones; the justification is the same.
-  std::vector<Unissued> all_pins;
-  for (const auto& u : active_)
-    if (u.until > now) all_pins.push_back(u);
-  for (const auto& u : pinned_) {
-    if (u.until <= now) fail("expired pin not merged");
-    all_pins.push_back(u);
-  }
-  for (const auto& u : all_pins) {
-    const Entry& e = *find_by_seq(u.seq);
-    const std::uint64_t at = u.until - 1;
-    const bool src_block = !sources_ready(e, at);
-    const bool queue_block = e.pop_queue != nullptr &&
-                             u.seq != oldest_unissued_ &&
-                             e.pop_queue->front_ready(at) == nullptr &&
-                             !e.pop_queue->empty();
-    if (e.pop_queue != nullptr && !src_block && !queue_block)
-      fail("pinned pop entry without silent justification");
-    const bool dis_block =
-        e.so.is_load && cfg_.has_lsu && e.pop_queue == nullptr &&
-        check_older_stores(store_line(e.op.addr), e.seq, at).wait;
-    const bool pf_block = [&] {
-      if (!e.so.is_load || !cfg_.prefetch_only || e.so.value_live)
-        return false;
-      std::size_t held = 0;
-      for (const auto fill : prefetch_fills_)
-        if (fill > at) ++held;
-      return held >= static_cast<std::size_t>(cfg_.prefetch_buffer);
-    }();
-    const FuPool* pool = pool_ptr(e.so.pool);
-    const bool fu_block = e.pop_queue == nullptr && pool != nullptr &&
-                          pool->exhausted_at(at);
-    if (!src_block && !queue_block && !dis_block && !pf_block && !fu_block)
-      fail("pin unjustified");
-  }
-
-  // Sleepers must be pop entries of the queue they sleep on, and while
-  // the queue's push generation is unchanged it must hold no token at
-  // all (no push happened, pops cannot create tokens).  The sleeping
-  // head must be the program-order head with its sources ready —
-  // completion times only recede, so the readiness its parking visit
-  // proved still holds and the per-pass charge stays exact.
-  for (int s = 0; s < 3; ++s) {
-    const TimedFifo* fq = queue_from_slot(s);
-    const bool head_here = head_sleep_seq_ != 0 && head_sleep_slot_ == s;
-    if (queue_sleepers_[s].empty() && !head_here) continue;
-    if (fq == nullptr) fail("sleeper on an unbound queue");
-    if (fq->stats().pushes == sleeper_gen_[s] && fq->head() != nullptr)
-      fail("sleeper on a queue that holds a token");
-    for (const auto& u : queue_sleepers_[s]) {
-      const Entry* e = find_by_seq(u.seq);
-      if (e == nullptr || e->pop_queue != fq)
-        fail("sleeper is not a pop of its queue");
-      if (u.seq == oldest_unissued_)
-        fail("program-order head parked as a plain sleeper");
+  // Source-ready cycles: once filled in, every in-window producer has
+  // issued and none completes after src_ready.  A future src_ready is a
+  // producer's complete_cycle, and that producer cannot have committed.
+  for (std::size_t i = 0; i < window_count_; ++i) {
+    const Entry& e = window_at(i);
+    if (e.issued || e.src_ready == kNoEvent) continue;
+    std::uint64_t latest = 0;
+    for (std::size_t j = 0; j < i; ++j) {
+      const Entry& p = window_at(j);
+      if (p.seq != e.src_seq[0] && p.seq != e.src_seq[1]) continue;
+      if (!p.issued) fail("source-ready cycle set before a producer issued");
+      latest = std::max(latest, p.complete_cycle);
     }
-  }
-  if (head_sleep_seq_ != 0) {
-    if (head_sleep_seq_ != oldest_unissued_)
-      fail("sleeping head is not the oldest unissued entry");
-    const Entry* e = find_by_seq(head_sleep_seq_);
-    if (e == nullptr ||
-        e->pop_queue != queue_from_slot(head_sleep_slot_))
-      fail("sleeping head is not a pop of its queue");
-    if (!sources_ready(*e, now)) fail("sleeping head with unready sources");
+    if (e.src_ready > now ? latest != e.src_ready : latest > e.src_ready)
+      fail("source-ready cycle mismatch");
   }
 
   // Per-queue pending-push cursors.
@@ -1005,16 +642,6 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
     if (e.so.is_store) want_stores[store_line(e.op.addr)].push_back(e.seq);
   }
   if (want_stores != stores_by_line_) fail("store map mismatch");
-
-  // no_conflict is a lifetime promise: such a load must never have an
-  // older in-window store on its line (so it can never wait or forward).
-  for (std::size_t i = 0; i < window_count_; ++i) {
-    const Entry& e = window_at(i);
-    if (!e.no_conflict || !e.so.is_load) continue;
-    const auto it = want_stores.find(store_line(e.op.addr));
-    if (it != want_stores.end() && it->second.front() < e.seq)
-      fail("no_conflict load has an older same-line store");
-  }
 
   // Memory-op census.
   int want_mem = 0;

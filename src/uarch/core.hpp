@@ -12,15 +12,20 @@
 // Producer-consumer timing between cores flows exclusively through
 // `TimedFifo`s, exactly like the paper's LDQ/SDQ/SCQ.
 //
-// Per-step cost scales with what changed, not with the window size: the
-// core keeps incremental frontiers (a completion-event min-heap, per-queue
-// pending-write cursors, the ordered list of unissued entries, and a
-// per-8-byte-line map of in-window stores) instead of rescanning the whole
-// window each cycle — see docs/MACHINE.md "Hot-path data structures".
-// `debug_check_invariants` recomputes every frontier by brute force and
-// throws on disagreement; the randomized scheduler tests call it each step.
+// Issue is sim-outorder's: every cycle, walk the unissued entries oldest
+// first and check every gate, until `issue_width` ops issued.  The walk
+// reads two pieces of state, both set from facts fixed when a producer
+// issues: a 64-bit mask of the ring slots holding unissued entries (hence
+// `window` <= 64), and each entry's source-ready cycle.  The other stages
+// keep incremental frontiers (a completion-event min-heap, per-queue
+// pending-write cursors and a per-8-byte-line map of in-window stores)
+// instead of rescanning the window — see docs/MACHINE.md "Hot-path data
+// structures".  `debug_check_invariants` recomputes all of this state by
+// brute force and throws on disagreement; the randomized scheduler tests
+// call it each step.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -169,10 +174,11 @@ class OoOCore {
   };
   [[nodiscard]] StallProbe probe_oldest_stall(std::uint64_t now) const;
 
-  // Recomputes every incremental frontier (completion min, unissued list,
-  // per-queue push cursors, store map, mem-op count) by brute-force window
-  // scan and throws std::logic_error on any disagreement.  Test-only: the
-  // randomized invariant tests call it after every tick.
+  // Recomputes every incremental frontier (completion min, unissued mask,
+  // source-ready cycles, per-queue push cursors, store map, mem-op count)
+  // by brute-force window scan and throws std::logic_error on any
+  // disagreement.  Test-only: the randomized invariant tests call it after
+  // every tick.
   void debug_check_invariants(std::uint64_t now) const;
 
   void reset();
@@ -194,17 +200,10 @@ class OoOCore {
     bool pushed = false;  // queue write already performed
     bool issued = false;
     bool forwarded = false;  // load satisfied by an older in-window store
-    // Proven lower bound on this entry's issue cycle, recorded whenever
-    // the scheduler pins it (0 = no proof).  Pin proofs are
-    // time-invariant facts ("no source completes before T", "no unit
-    // frees before R"), so a stale value is still a valid bound.
-    // Consumers sharpen their own source pins with it: a producer that
-    // cannot issue before T cannot complete before T + 1.
-    std::uint64_t pin_until = 0;
-    // Load dispatched with no older in-window store on its line: dispatch
-    // is in-order, so later stores are younger and the disambiguation
-    // walk can never make it wait or forward — skip the probe for life.
-    bool no_conflict = false;
+    // Cycle from which every source operand is available: the latest
+    // in-window producer's complete_cycle, filled in by the issue walk
+    // once every producer has issued (kNoEvent until then).
+    std::uint64_t src_ready = kNoEvent;
     DynOp op;
   };
 
@@ -228,15 +227,28 @@ class OoOCore {
   [[nodiscard]] Entry& window_at(std::size_t i) noexcept {
     return slots_[(window_head_ + i) & window_mask_];
   }
-  [[nodiscard]] bool sources_ready(const Entry& e, std::uint64_t now) const
+  // Bit i set = window position i (0 = oldest) holds an unissued entry.
+  [[nodiscard]] std::uint64_t unissued_by_age() const noexcept {
+    if (window_head_ == 0) return unissued_;
+    const auto n = slots_.size();
+    const auto m =
+        (unissued_ >> window_head_) | (unissued_ << (n - window_head_));
+    return n == 64 ? m : m & ((std::uint64_t{1} << n) - 1);
+  }
+  // The latest in-window producer's complete_cycle, or kNoEvent while one
+  // of them is unissued: `e`'s sources are ready at `now` iff this is
+  // <= now, and it is what the issue walk fills src_ready in with.
+  [[nodiscard]] std::uint64_t source_ready_cycle(const Entry& e) const
       noexcept {
+    std::uint64_t at = 0;
     for (const auto seq : e.src_seq) {
       if (seq == 0) continue;
       const Entry* p = find_by_seq(seq);
       if (p == nullptr) continue;  // producer committed: value architectural
-      if (!completed(*p, now)) return false;
+      if (!p->issued) return kNoEvent;
+      at = std::max(at, p->complete_cycle);
     }
-    return true;
+    return at;
   }
   [[nodiscard]] bool completed(const Entry& e, std::uint64_t now) const
       noexcept {
@@ -263,9 +275,6 @@ class OoOCore {
   struct Disambiguation {
     bool wait = false;
     bool forward = false;
-    // When waiting: earliest cycle the blocking store can have completed
-    // (its fixed complete_cycle, or now + 2 while it is still unissued).
-    std::uint64_t until = 0;
   };
   [[nodiscard]] Disambiguation check_older_stores(std::uint64_t line,
                                                   std::uint64_t seq,
@@ -323,53 +332,8 @@ class OoOCore {
   // Per queue slot: seqs of entries with an unperformed queue write, in
   // program order.  Front = the oldest write do_pushes must drain next.
   std::deque<std::uint64_t> pending_push_[3];
-  // Unissued window entries, split by whether the issue scan must look at
-  // them.  `active_` (ascending seq) is walked every cycle; an entry
-  // proven unable to issue before cycle `until` — an incomplete producer
-  // or blocking store with a fixed completion time, a queue head token
-  // with a future ready time, an exhausted FU pool's earliest release, a
-  // full prefetch buffer's earliest fill — moves to the `pinned_`
-  // min-heap (keyed by `until`) and costs nothing until its pin falls
-  // due, at which point it merges back into `active_` in program order.
-  // Pinning is restricted to visits the full gate walk would end with a
-  // side-effect-free `continue` (see do_issue), so the scan split cannot
-  // change any Result bit.
-  struct Unissued {
-    std::uint64_t seq = 0;
-    std::uint64_t until = 0;
-  };
-  std::vector<Unissued> active_;
-  std::vector<Unissued> pinned_;          // min-heap by until
-  std::vector<Unissued> expired_scratch_; // merge staging, reused
-  // Seq of the oldest unissued window entry (0 = none): the only entry
-  // whose blocked-on-empty-queue wait is charged to the stall counters.
-  // Advanced at the end of each issue pass and on dispatch, so it is
-  // fresh whenever account_idle_cycles / probe_oldest_stall read it.
-  std::uint64_t oldest_unissued_ = 0;
-  // Earliest cycle the active walk can do anything: when every active
-  // entry left the last pass carrying a justified future pin, the walk is
-  // provably a no-op until the earliest pin (or a merge, or a dispatch,
-  // which resets this) — do_issue returns without touching the list.
-  std::uint64_t active_rescan_ = 0;
-  // Empty-queue waiters, parked per consumed queue until the queue sees a
-  // push.  The FIFO's cumulative push count doubles as a generation
-  // stamp: a sleeper slot records the count at sleep time, and any
-  // difference at a later pass means at least one push happened, so the
-  // sleepers rejoin `active_` and re-derive their gates.  Sleeping is
-  // only legal when the queue holds no token at all (in-flight tokens
-  // pin on their ready time instead), and — like pins — only for visits
-  // that would end in a side-effect-free keep.  The one charged visit,
-  // the program-order head's empty-queue stall, sleeps separately
-  // (`head_sleep_seq_`) and is charged O(1) at the top of every pass,
-  // which is exactly the per-cycle charge its visit would have made.
-  std::vector<Unissued> queue_sleepers_[3];
-  std::uint64_t sleeper_gen_[3] = {0, 0, 0};
-  std::uint64_t head_sleep_seq_ = 0;  // 0 = head not sleeping
-  int head_sleep_slot_ = 0;
-  std::size_t sleeping_ = 0;  // total parked entries incl. the head
-  [[nodiscard]] TimedFifo* queue_from_slot(int s) const noexcept {
-    return s == 0 ? queues_.ldq : s == 1 ? queues_.sdq : queues_.scq;
-  }
+  // Bit s set = ring slot s holds an unissued window entry.
+  std::uint64_t unissued_ = 0;
   // 8-byte line -> seqs of in-window stores to it, ascending.  Loads
   // disambiguate against their own line's bucket instead of the window.
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> stores_by_line_;

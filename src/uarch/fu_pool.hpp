@@ -55,16 +55,6 @@ class FuPool {
     return busy_.empty() ? kNoEvent : busy_.front();
   }
 
-  // True when every unit is still claimed at future cycle `t` (>= now).
-  // Read-only — no pruning, since pruning at a future time would free
-  // units still busy for present-time queries.  Invariant-checker use.
-  [[nodiscard]] bool exhausted_at(std::uint64_t t) const noexcept {
-    std::size_t claimed = 0;
-    for (const auto release : busy_)
-      if (release > t) ++claimed;
-    return claimed >= static_cast<std::size_t>(units_);
-  }
-
   void reset() noexcept { busy_.clear(); }
 
  private:

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "compiler/compile.hpp"
 #include "isa/encoding.hpp"
@@ -408,6 +409,64 @@ TEST(PipelineRunner, RefreshBypassesBothStoresButStillWritesThem) {
   // The refreshed entries were re-published: a follow-up warm run hits.
   const auto warm = lab::run_plan(plan, opt);
   EXPECT_EQ(warm.nodes.sim.hits, plan.cells.size());
+}
+
+TEST(PipelineRunner, OneSimulationPerSimKey) {
+  // The test-scale paper plan repeats 8 cells (the Fig. 10 12/120 points
+  // are the Table 1 defaults).  Each distinct sim key simulates once, at
+  // every thread count, with or without a result cache, and the repeats
+  // get the first cell's Result.
+  const auto plan = lab::plan_paper(workloads::Scale::Test);
+  std::vector<lab::CellResult> reference;
+  for (const int threads : {1, 4}) {
+    for (const bool cached : {false, true}) {
+      TempDir dir(cached ? "dedup_cache" : "dedup_none");
+      lab::RunOptions opt;
+      opt.threads = threads;
+      if (cached) opt.cache_dir = dir.path();
+      const auto run = lab::run_plan(plan, opt);
+      const std::string where = std::to_string(threads) + " threads, " +
+                                (cached ? "fresh cache" : "no cache");
+      ASSERT_TRUE(run.ok()) << where;
+      EXPECT_EQ(run.simulated, 68u) << where;
+      EXPECT_EQ(run.cache_hits, plan.cells.size() - 68u) << where;
+      EXPECT_EQ(run.nodes.sim.rebuilt, 68u) << where;
+      EXPECT_EQ(run.nodes.sim.hits, plan.cells.size() - 68u) << where;
+      if (reference.empty()) {
+        reference = run.cells;
+        continue;
+      }
+      for (std::size_t i = 0; i < plan.cells.size(); ++i) {
+        EXPECT_EQ(run.cells[i].key, reference[i].key) << where;
+        EXPECT_TRUE(lab::results_identical(run.cells[i].result,
+                                           reference[i].result))
+            << where << ", cell " << i;
+      }
+    }
+  }
+}
+
+TEST(PipelineRunner, RepeatedSimKeySharesAFailure) {
+  // A window the core rejects makes the simulation throw; the repeat of
+  // that cell waits on the first and gets the same error.
+  lab::ExperimentPlan plan{"dup", "repeated failing cell", {}};
+  machine::MachineConfig bad;
+  bad.superscalar.window = 128;
+  for (int i = 0; i < 2; ++i)
+    plan.cells.push_back(lab::Cell{lab::spec("Pointer", workloads::Scale::Test),
+                                   machine::Preset::Superscalar, bad, {}, ""});
+  lab::RunOptions opt;
+  opt.threads = 2;
+  const auto run = lab::run_plan(plan, opt);
+  EXPECT_EQ(run.failed, 2u);
+  EXPECT_EQ(run.nodes.sim.failed, 1u);
+  EXPECT_EQ(run.nodes.sim.hits, 1u);
+  for (const auto& cell : run.cells) {
+    EXPECT_EQ(cell.error_class, "sim");
+    EXPECT_EQ(cell.error, run.cells[0].error);
+  }
+  EXPECT_NE(run.cells[0].error.find("window"), std::string::npos)
+      << run.cells[0].error;
 }
 
 TEST(PipelineRunner, SessionMemoSharesArtifactsAcrossRuns) {

@@ -243,10 +243,10 @@ TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
 // Incremental-frontier invariants under random stimulus (docs/MACHINE.md,
 // "Hot-path data structures").  After every tick, debug_check_invariants
 // recomputes by brute force what the core maintains incrementally — the
-// completion frontier, the unissued population (active list + pinned heap
-// + queue sleepers), every pin's justification at until-1, the pending-push
-// cursors, the store-disambiguation map and the no_conflict promises — and
-// throws std::logic_error on any disagreement.
+// completion frontier, the unissued-slot mask, every filled-in
+// source-ready cycle, the pending-push cursors and the
+// store-disambiguation map — and throws std::logic_error on any
+// disagreement.
 
 TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   uarch::CoreConfig cfg;
@@ -264,9 +264,10 @@ TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   uarch::OoOCore core(cfg, &memsys_, {});
 
   // Addresses collide on a handful of 8-byte lines so loads meet older
-  // in-window stores: the store map, disambiguation pins, store-to-load
-  // forwarding and the no_conflict fast path all get exercised.  DIVs
-  // keep the single unpipelined unit saturated (pool-exhausted pins).
+  // in-window stores: the store map, disambiguation waits and
+  // store-to-load forwarding all get exercised.  DIVs keep the single
+  // unpipelined unit saturated, and the dependent DIV/MUL chains leave
+  // consumers with source-ready cycles far in the future.
   std::mt19937_64 rng(0xC0FFEEu);
   const auto rand_addr = [&] { return (rng() % 8) * 8 + (rng() % 8) * 4096; };
   int fed = 0;
@@ -317,8 +318,8 @@ TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
 TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
   // A producer core feeding an LDQ that a consumer core pops, with the
   // producer deliberately bursty so the consumer's POPLDQ entries run the
-  // queue dry and park as queue sleepers (woken by push-generation
-  // change), both as the program-order head and behind it.
+  // queue dry and wait on it, both as the oldest unissued entry (charged
+  // a stall each cycle) and behind it, while the window ring wraps.
   uarch::TimedFifo ldq("LDQ", 4);
   uarch::CoreConfig pcfg;
   pcfg.name = "prod";
@@ -377,8 +378,9 @@ TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
     ASSERT_LT(++now, limit) << "pair did not drain";
   }
   EXPECT_EQ(cons.stats().committed, 2u * kTokens);
-  // The dry spells must really have parked the consumer's head on the
-  // empty queue — otherwise this test lost its sleeper coverage.
+  // The dry spells must really have left the consumer's oldest entry
+  // waiting on the empty queue — otherwise this test lost its coverage
+  // of the stall charge.
   EXPECT_GT(cons.stats().head_pop_empty_stalls, 0u);
   EXPECT_TRUE(ldq.empty());
 }
