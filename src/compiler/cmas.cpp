@@ -58,10 +58,9 @@ std::vector<std::int32_t> backward_slice(const isa::Program& prog,
 }
 
 std::vector<CmasGroup> extract_cmas(isa::Program& prog,
-                                    const CacheProfile& profile,
-                                    const sim::Trace& trace,
+                                    const ProfileObserver& profile,
                                     const CmasOptions& opt) {
-  const auto targets = profile.probable_miss_instructions(
+  const auto targets = profile.profile().probable_miss_instructions(
       opt.miss_rate_threshold, opt.min_misses);
 
   // Slice each target, then merge slices that share any instruction
@@ -158,7 +157,7 @@ std::vector<CmasGroup> extract_cmas(isa::Program& prog,
           group_reads.test(prog.code[m].dst.flat()))
         ann.cmas_value_live = true;
     }
-    g.trigger = select_trigger(trace, g.targets, opt.trigger_distance);
+    g.trigger = profile.select_trigger(g.targets);
     if (g.trigger >= 0) {
       auto& ann = prog.code[g.trigger].ann;
       if (!ann.is_trigger) {  // first group wins on trigger conflicts

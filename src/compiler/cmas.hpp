@@ -4,9 +4,9 @@
 // the address-producing instructions the CMP must execute to prefetch that
 // load's data.  Groups sharing instructions are merged (their slices would
 // otherwise race on the CMP).  Each group receives a trigger instruction
-// selected from the profile trace at the configured dynamic distance
-// (512 in the paper); when the trigger is fetched, the machine forks the
-// group's slice onto the CMP.
+// selected from the profiling run's lookback counts at the configured
+// dynamic distance (512 in the paper); when the trigger is fetched, the
+// machine forks the group's slice onto the CMP.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,8 @@ struct CmasGroup {
 struct CmasOptions {
   double miss_rate_threshold = 0.05;
   std::uint64_t min_misses = 64;
+  // Counted by the profiling run (ProfileObserver), which compile() sets
+  // up with this distance.
   int trigger_distance = 512;
 };
 
@@ -37,11 +39,10 @@ struct CmasOptions {
     const isa::Program& prog, std::int32_t target);
 
 // Identifies probable-miss loads from `profile`, builds merged CMAS groups,
-// selects triggers from `trace`, and writes in_cmas/cmas_group/is_trigger/
-// trigger_group annotations into `prog`.
+// selects their triggers from its lookback counts, and writes in_cmas/
+// cmas_group/is_trigger/trigger_group annotations into `prog`.
 std::vector<CmasGroup> extract_cmas(isa::Program& prog,
-                                    const CacheProfile& profile,
-                                    const sim::Trace& trace,
+                                    const ProfileObserver& profile,
                                     const CmasOptions& opt);
 
 }  // namespace hidisc::compiler

@@ -10,19 +10,20 @@ Compilation compile(const isa::Program& prog, const CompileOptions& opt) {
   Compilation out;
   out.original = prog;
 
-  // 1. Profiling run (functional; also validates that the program halts).
-  sim::Functional func(out.original);
-  const sim::Trace trace = func.run_trace(opt.max_steps);
-  out.profile = profile_cache(out.original, trace, opt.profile_mem);
+  // 1. One streamed profiling run (functional; also validates that the
+  // program halts).  Nothing downstream needs the trace itself.
+  const ProfileObserver observer = profile_run(
+      out.original, opt.profile_mem, opt.cmas.trigger_distance, opt.max_steps);
+  out.profile = observer.profile();
 
   // 2. CMAS extraction annotates the original binary in place.
   if (opt.enable_cmas)
-    out.groups = extract_cmas(out.original, out.profile, trace, opt.cmas);
+    out.groups = extract_cmas(out.original, observer, opt.cmas);
 
   // 3. Stream separation of the (now annotated) binary, with the dynamic
   // profile guiding communication-site placement.
   SeparationResult sep =
-      separate_streams(out.original, &trace, opt.flow_sensitive_comm);
+      separate_streams(out.original, &out.profile, opt.flow_sensitive_comm);
   out.separated = std::move(sep.separated);
   out.ldq_partner = std::move(sep.ldq_partner);
   out.sdq_partner = std::move(sep.sdq_partner);

@@ -1,9 +1,10 @@
 // The HiDISC compiler driver (paper §4, Figure 4).
 //
-// Pipeline: functional profiling run -> cache-access profile -> CMAS
-// extraction (annotates the original binary) -> stream separation with
-// communication insertion (produces the decoupled binary).  The returned
-// `Compilation` carries both binaries:
+// Pipeline: streamed functional profiling run -> cache-access profile and
+// trigger lookback counts (profiler.hpp) -> CMAS extraction (annotates the
+// original binary) -> stream separation with communication insertion
+// (produces the decoupled binary).  The returned `Compilation` carries
+// both binaries:
 //
 //   * `original`  — single-stream, CMAS/trigger annotated: input for the
 //     Superscalar and CP+CMP machine configurations;

@@ -1,7 +1,5 @@
 #include "compiler/profiler.hpp"
 
-#include <algorithm>
-
 namespace hidisc::compiler {
 
 std::vector<std::int32_t> CacheProfile::probable_miss_instructions(
@@ -15,48 +13,66 @@ std::vector<std::int32_t> CacheProfile::probable_miss_instructions(
   return out;
 }
 
-CacheProfile profile_cache(const isa::Program& prog, const sim::Trace& trace,
-                           const mem::MemConfig& mem_cfg) {
-  CacheProfile profile;
-  profile.per_instr.resize(prog.code.size());
-  profile.dynamic_instructions = trace.size();
-
-  mem::MemorySystem memsys(mem_cfg);
-  std::uint64_t cycle = 0;  // profiling uses instruction count as time
-  for (const auto& e : trace) {
-    ++cycle;
-    auto& p = profile.per_instr[e.static_idx];
-    ++p.executions;
-    const auto& inst = prog.code[e.static_idx];
-    if (!isa::is_mem(inst.op) || inst.op == isa::Opcode::PREF) continue;
-    ++p.mem_accesses;
-    const auto type = isa::is_store(inst.op) ? mem::AccessType::Write
-                                             : mem::AccessType::Read;
-    const auto res = memsys.access(e.addr, type, cycle, e.static_idx);
-    if (!res.l1_hit) {
-      ++p.l1_misses;
-      ++profile.total_l1_misses;
-    }
-  }
-  return profile;
+ProfileObserver::ProfileObserver(const isa::Program& prog,
+                                 const mem::MemConfig& mem_cfg,
+                                 int trigger_distance)
+    : memsys_(mem_cfg), distance_(trigger_distance) {
+  kind_.reserve(prog.code.size());
+  for (const auto& inst : prog.code)
+    kind_.push_back(isa::is_load(inst.op)    ? Kind::Load
+                    : isa::is_store(inst.op) ? Kind::Store
+                                             : Kind::Other);
+  profile_.per_instr.resize(prog.code.size());
 }
 
-std::int32_t select_trigger(const sim::Trace& trace,
-                            const std::vector<std::int32_t>& targets,
-                            int distance) {
-  if (trace.empty() || targets.empty()) return -1;
-  std::vector<bool> is_target;
-  std::int32_t max_idx = 0;
-  for (const auto t : targets) max_idx = std::max(max_idx, t);
-  is_target.assign(static_cast<std::size_t>(max_idx) + 1, false);
-  for (const auto t : targets) is_target[t] = true;
+void ProfileObserver::observe(std::span<const sim::TraceEntry> chunk) {
+  for (const auto& e : chunk) {
+    // Profiling uses the instruction count as time.
+    const std::uint64_t cycle = ++profile_.dynamic_instructions;
+    auto& p = profile_.per_instr[e.static_idx];
+    ++p.executions;
+    const Kind kind = kind_[e.static_idx];
 
+    // The instruction distance_ back.  The ring fills first (no lookback
+    // yet, and never more entries than the run has), then its oldest slot
+    // is read and reused.
+    std::int32_t earlier = -1;
+    if (distance_ == 0) {
+      earlier = e.static_idx;
+    } else if (distance_ > 0) {
+      if (ring_.size() < static_cast<std::size_t>(distance_)) {
+        ring_.push_back(e.static_idx);
+      } else {
+        earlier = ring_[ring_pos_];
+        ring_[ring_pos_] = e.static_idx;
+        if (++ring_pos_ == ring_.size()) ring_pos_ = 0;
+      }
+    }
+    if (kind == Kind::Other) continue;
+    if (kind == Kind::Load && earlier >= 0)
+      ++lookback_[static_cast<std::uint64_t>(e.static_idx) << 32 |
+                  static_cast<std::uint32_t>(earlier)];
+
+    ++p.mem_accesses;
+    const auto type = kind == Kind::Store ? mem::AccessType::Write
+                                          : mem::AccessType::Read;
+    if (!memsys_.access(e.addr, type, cycle, e.static_idx).l1_hit) {
+      ++p.l1_misses;
+      ++profile_.total_l1_misses;
+    }
+  }
+}
+
+std::int32_t ProfileObserver::select_trigger(
+    const std::vector<std::int32_t>& targets) const {
   std::unordered_map<std::int32_t, std::uint64_t> histogram;
-  const auto d = static_cast<std::size_t>(distance);
-  for (std::size_t pos = d; pos < trace.size(); ++pos) {
-    const auto idx = trace[pos].static_idx;
-    if (static_cast<std::size_t>(idx) < is_target.size() && is_target[idx])
-      ++histogram[trace[pos - d].static_idx];
+  for (const auto& [pair, count] : lookback_) {
+    const auto load = static_cast<std::int32_t>(pair >> 32);
+    for (const auto t : targets)
+      if (t == load) {
+        histogram[static_cast<std::int32_t>(pair & 0xffffffffu)] += count;
+        break;
+      }
   }
   std::int32_t best = -1;
   std::uint64_t best_count = 0;
@@ -67,6 +83,16 @@ std::int32_t select_trigger(const sim::Trace& trace,
     }
   }
   return best;
+}
+
+ProfileObserver profile_run(const isa::Program& prog,
+                            const mem::MemConfig& mem_cfg,
+                            int trigger_distance, std::uint64_t max_steps) {
+  ProfileObserver obs(prog, mem_cfg, trigger_distance);
+  sim::Functional(prog).run_streamed(
+      [&obs](std::span<const sim::TraceEntry> chunk) { obs.observe(chunk); },
+      max_steps);
+  return obs;
 }
 
 }  // namespace hidisc::compiler

@@ -1,15 +1,23 @@
 // Cache-access profiling (paper §4.2: "We use a cache access profile to
 // detect probable cache miss instructions").
 //
-// Replays a functional trace through a fresh memory hierarchy and records,
-// per static load/store, how many L1-D demand misses it caused.  Also
-// provides the dynamic-distance histogram used to place each CMAS group's
-// trigger instruction ~512 dynamic instructions ahead of its miss (paper:
-// "the instruction which is 512 instructions away from the cache miss
-// instruction is defined as a trigger instruction").
+// One streamed functional run (sim::Functional::run_streamed) feeds a
+// ProfileObserver chunk by chunk; no trace is ever materialised.  The
+// observer
+//   * counts executions per static instruction and replays every load and
+//     store through a fresh memory hierarchy, recording per static
+//     instruction how many L1-D demand misses it caused (the CacheProfile);
+//   * keeps a ring of the last `trigger_distance` static indices and
+//     counts, for every dynamic load, which static instruction retired that
+//     many dynamic instructions earlier.  Those sparse (load, earlier)
+//     pair counts place each CMAS group's trigger (paper: "the instruction
+//     which is 512 instructions away from the cache miss instruction is
+//     defined as a trigger instruction").  The targets are known only once
+//     profiling ends, so every load is counted in the same pass.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -43,17 +51,45 @@ struct CacheProfile {
       double min_miss_rate, std::uint64_t min_misses) const;
 };
 
-// Profiles `prog` by replaying `trace` through `mem_cfg` caches.
-[[nodiscard]] CacheProfile profile_cache(const isa::Program& prog,
-                                         const sim::Trace& trace,
-                                         const mem::MemConfig& mem_cfg);
+class ProfileObserver {
+ public:
+  // A negative `trigger_distance` counts no lookbacks (no triggers).
+  ProfileObserver(const isa::Program& prog, const mem::MemConfig& mem_cfg,
+                  int trigger_distance);
 
-// For each dynamic occurrence of any instruction in `targets`, looks
-// `distance` dynamic instructions backwards in `trace` and histograms the
-// static instruction found there; returns the most frequent one (-1 when
-// `targets` never executes beyond `distance`).
-[[nodiscard]] std::int32_t select_trigger(
-    const sim::Trace& trace, const std::vector<std::int32_t>& targets,
-    int distance);
+  // Consumes the next chunk of the profiled run's trace, in run order.
+  void observe(std::span<const sim::TraceEntry> chunk);
+
+  [[nodiscard]] const CacheProfile& profile() const noexcept {
+    return profile_;
+  }
+
+  // Over every dynamic occurrence of the loads in `targets`, the static
+  // instruction that retired `trigger_distance` dynamic instructions
+  // earlier, the most frequent one winning and ties going to the lowest
+  // index; -1 when no target ran that far into the run.
+  [[nodiscard]] std::int32_t select_trigger(
+      const std::vector<std::int32_t>& targets) const;
+
+ private:
+  enum class Kind : std::uint8_t { Other, Load, Store };
+
+  std::vector<Kind> kind_;  // per static instruction; PREF is Other
+  mem::MemorySystem memsys_;
+  CacheProfile profile_;
+  int distance_;
+  std::vector<std::int32_t> ring_;  // the last distance_ static indices
+  std::size_t ring_pos_ = 0;        // once full: the entry distance_ back
+  // (load << 32 | earlier) -> dynamic occurrences of the load with
+  // `earlier` distance_ instructions before it.
+  std::unordered_map<std::uint64_t, std::uint64_t> lookback_;
+};
+
+// Profiles `prog` with one streamed functional run.  Throws sim::ExecError
+// when the program does not halt within `max_steps`.
+[[nodiscard]] ProfileObserver profile_run(
+    const isa::Program& prog, const mem::MemConfig& mem_cfg,
+    int trigger_distance,
+    std::uint64_t max_steps = sim::Functional::kDefaultMaxSteps);
 
 }  // namespace hidisc::compiler

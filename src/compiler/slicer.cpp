@@ -162,7 +162,7 @@ bool reaches_cross_use(const isa::Program& prog,
 }  // namespace
 
 SeparationResult separate_streams(const isa::Program& prog,
-                                  const sim::Trace* profile,
+                                  const CacheProfile* profile,
                                   bool flow_sensitive) {
   check_clean_input(prog);
   SeparationResult out;
@@ -176,10 +176,9 @@ SeparationResult separate_streams(const isa::Program& prog,
 
   // Dynamic execution counts (falling back to 1 per static instruction).
   std::vector<std::uint64_t> dyn(n, 1);
-  if (profile != nullptr) {
-    std::fill(dyn.begin(), dyn.end(), 0);
-    for (const auto& e : *profile) ++dyn[e.static_idx];
-  }
+  if (profile != nullptr)
+    for (std::int32_t i = 0; i < n; ++i)
+      dyn[i] = profile->per_instr[i].executions;
 
   // Per-register facts.  Store-data counts as an AS read (the AP executes
   // the store, so the value must reach the AP).

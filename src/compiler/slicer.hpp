@@ -35,8 +35,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "compiler/profiler.hpp"
 #include "isa/program.hpp"
-#include "sim/functional.hpp"
 
 namespace hidisc::compiler {
 
@@ -65,13 +65,13 @@ struct SeparationResult {
     const isa::Program& prog);
 
 // Full separation: annotate streams, choose communication sites, insert
-// queue instructions.  `profile` (a dynamic trace of `prog`) guides the
-// producer- vs consumer-site decision; without it, static instruction
-// counts are used.  Throws std::invalid_argument if `prog` already
+// queue instructions.  `profile` (a profile of `prog`) guides the
+// producer- vs consumer-site decision through its execution counts;
+// without it, static instruction counts are used.  Throws std::invalid_argument if `prog` already
 // contains queue opcodes or stream annotations (the input must be a
 // conventional sequential binary).
 [[nodiscard]] SeparationResult separate_streams(
-    const isa::Program& prog, const sim::Trace* profile = nullptr,
+    const isa::Program& prog, const CacheProfile* profile = nullptr,
     bool flow_sensitive = true);
 
 }  // namespace hidisc::compiler

@@ -146,22 +146,27 @@ std::string hex128(const Fnv1a& lo, const Fnv1a& hi) {
 
 std::string content_key(const isa::Program& binary, machine::Preset preset,
                         const machine::MachineConfig& cfg) {
-  return content_key_image(isa::save_program(binary), preset, cfg);
+  return content_key(image_key_state(isa::save_program(binary)), preset, cfg);
 }
 
-std::string content_key_image(const std::vector<std::uint8_t>& image,
-                              machine::Preset preset,
-                              const machine::MachineConfig& cfg) {
-  const std::string cfg_desc = describe(cfg);
+ImageKeyState image_key_state(const std::vector<std::uint8_t>& image) {
   // Two independently seeded streams -> 128 bits; collisions across a
   // cache directory of any realistic size are then out of the question.
-  Fnv1a lo, hi(0x9e3779b97f4a7c15ull);
-  for (Fnv1a* h : {&lo, &hi}) {
-    h->update(image.data(), image.size());
+  ImageKeyState st;
+  st.lo.update(image.data(), image.size());
+  st.hi.update(image.data(), image.size());
+  return st;
+}
+
+std::string content_key(const ImageKeyState& image, machine::Preset preset,
+                        const machine::MachineConfig& cfg) {
+  const std::string cfg_desc = describe(cfg);
+  ImageKeyState st = image;
+  for (Fnv1a* h : {&st.lo, &st.hi}) {
     h->update(machine::preset_name(preset));
     h->update(cfg_desc);
   }
-  return hex128(lo, hi);
+  return hex128(st.lo, st.hi);
 }
 
 }  // namespace hidisc::lab

@@ -50,11 +50,21 @@ class Fnv1a {
                                       machine::Preset preset,
                                       const machine::MachineConfig& cfg);
 
-// Same key computed from an already-encoded program image
-// (isa::save_program bytes); the pipeline executor encodes each binary
-// once and keys every downstream node off the same bytes.
-[[nodiscard]] std::string content_key_image(
-    const std::vector<std::uint8_t>& image, machine::Preset preset,
-    const machine::MachineConfig& cfg);
+// The content key's two hash streams after absorbing an encoded binary
+// image (isa::save_program bytes).  The image comes first in the key, so
+// the pipeline hashes each image once and continues from this state for
+// every cell that simulates it.
+struct ImageKeyState {
+  Fnv1a lo, hi{0x9e3779b97f4a7c15ull};
+};
+[[nodiscard]] ImageKeyState image_key_state(
+    const std::vector<std::uint8_t>& image);
+
+// content_key continued from an image's state:
+// content_key(p, preset, cfg) ==
+//     content_key(image_key_state(isa::save_program(p)), preset, cfg).
+[[nodiscard]] std::string content_key(const ImageKeyState& image,
+                                      machine::Preset preset,
+                                      const machine::MachineConfig& cfg);
 
 }  // namespace hidisc::lab

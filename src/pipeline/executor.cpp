@@ -44,6 +44,8 @@ std::shared_ptr<const CompileArtifact> Pipeline::obtain_compile(
     }
     art->orig_image = isa::save_program(art->comp.original);
     art->sep_image = isa::save_program(art->comp.separated);
+    art->orig_key = lab::image_key_state(art->orig_image);
+    art->sep_key = lab::image_key_state(art->sep_image);
   } catch (const std::exception& e) {
     art->error = e.what();
   }
@@ -162,10 +164,6 @@ struct Pipeline::Exec {
                   "prep");
       return;
     }
-    // Trace keys are pure functions of the compile artifact; derive them
-    // before any probe can demand the nodes.
-    for (TraceNode* t : c->traces)
-      t->key = trace_key(art->image(t->mode), c->options.max_steps);
     for (SimNode* s : c->sims)
       submit([this, s] { probe_sim(s); });
   }
@@ -174,7 +172,7 @@ struct Pipeline::Exec {
     const lab::Cell& cell = *s->cell;
     const CompileArtifact& comp = *s->trace->compile->out;
     const Mode mode = s->trace->mode;
-    s->out.key = sim_key(comp.image(mode), cell.preset, cell.config);
+    s->out.key = sim_key(comp.image_key(mode), cell.preset, cell.config);
     s->out.orig_dynamic_instructions = comp.comp.profile.dynamic_instructions;
     {
       std::lock_guard<std::mutex> lock(mu);
@@ -230,6 +228,8 @@ struct Pipeline::Exec {
 
   void run_trace(TraceNode* t) {
     const CompileNode& c = *t->compile;
+    // Only the one dispatching call touches the key (`started` gates it).
+    t->key = trace_key(c.out->image(t->mode), c.options.max_steps);
     bool hit = false;
     const auto start = Clock::now();
     auto art = self->obtain_trace(t->key, c.out->binary(t->mode),

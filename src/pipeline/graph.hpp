@@ -35,6 +35,7 @@
 
 #include "compiler/compile.hpp"
 #include "isa/program.hpp"
+#include "lab/fingerprint.hpp"
 #include "lab/plan.hpp"
 #include "lab/runner.hpp"
 #include "sim/functional.hpp"
@@ -50,11 +51,12 @@ enum class Mode : std::uint8_t { Original, Separated };
 }
 
 // Write-once output of a compile node.  Both binary images are encoded
-// eagerly: encoding is cheap next to compilation, and the images are the
-// bytes every downstream key hashes.
+// and hashed for sim keys eagerly: that is cheap next to compilation and
+// done once, where a plan has several cells per image.
 struct CompileArtifact {
   compiler::Compilation comp;
   std::vector<std::uint8_t> orig_image, sep_image;  // isa::save_program
+  lab::ImageKeyState orig_key, sep_key;  // lab::image_key_state of each
   std::string error;  // non-empty = compile failed (sticky)
 
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
@@ -63,6 +65,9 @@ struct CompileArtifact {
   }
   [[nodiscard]] const std::vector<std::uint8_t>& image(Mode m) const noexcept {
     return m == Mode::Separated ? sep_image : orig_image;
+  }
+  [[nodiscard]] const lab::ImageKeyState& image_key(Mode m) const noexcept {
+    return m == Mode::Separated ? sep_key : orig_key;
   }
 };
 
@@ -96,7 +101,8 @@ struct TraceNode {
   CompileNode* compile = nullptr;
   Mode mode = Mode::Original;
   // pipeline::trace_key — derivable only once the compile artifact (the
-  // binary image) exists; filled by the executor, not the graph builder.
+  // binary image) exists; filled by the executor when it dispatches the
+  // node, so a run whose sims all hit the result cache computes none.
   std::string key;
 
   // Executor state (guarded by the run lock):

@@ -49,12 +49,11 @@ std::string trace_key(const std::vector<std::uint8_t>& binary_image,
                         "max_steps=" + std::to_string(max_steps) + ";");
 }
 
-std::string sim_key(const std::vector<std::uint8_t>& binary_image,
-                    machine::Preset preset,
+std::string sim_key(const lab::ImageKeyState& image, machine::Preset preset,
                     const machine::MachineConfig& cfg) {
   // Deliberately NOT domain-tagged: sim keys are lab::content_key, the
-  // address of on-disk .result entries written since PR 1.
-  return lab::content_key_image(binary_image, preset, cfg);
+  // address of every on-disk .result entry.
+  return lab::content_key(image, preset, cfg);
 }
 
 }  // namespace hidisc::pipeline

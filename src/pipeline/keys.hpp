@@ -10,6 +10,10 @@
 //   sim_key      = H(encoded binary image, preset name, canonical
 //                    MachineConfig)            == lab::content_key
 //
+// The image leads the sim key, so a compile node hashes each of its two
+// images once (lab::image_key_state) and every cell's sim key continues
+// from that state.
+//
 // Consequences, each guarded by tests/pipeline_test.cpp:
 //   * changing kernel text changes the binary image, hence every
 //     downstream trace and sim key;
@@ -30,6 +34,7 @@
 #include <vector>
 
 #include "compiler/compile.hpp"
+#include "lab/fingerprint.hpp"
 #include "lab/plan.hpp"
 #include "machine/config.hpp"
 
@@ -53,9 +58,9 @@ namespace hidisc::pipeline {
     const std::vector<std::uint8_t>& binary_image, std::uint64_t max_steps);
 
 // Key of a sim node; identical to lab::content_key on the decoded
-// program, taking the already-encoded image to avoid re-encoding per
-// consumer.
-[[nodiscard]] std::string sim_key(const std::vector<std::uint8_t>& binary_image,
+// program, continued from the image's hash state so the image is neither
+// re-encoded nor re-hashed per cell.
+[[nodiscard]] std::string sim_key(const lab::ImageKeyState& image,
                                   machine::Preset preset,
                                   const machine::MachineConfig& cfg);
 

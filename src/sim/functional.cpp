@@ -1,15 +1,16 @@
 // Functional simulator driver and reference switch interpreter.
 //
-// run()/run_trace() execute through the threaded-code interpreter
-// (decoded.hpp + interp.cpp); step() below IS the original giant-switch
-// implementation, retained verbatim as the semantic reference oracle.  The
-// two must stay byte-identical: HIDISC_FSIM_REF=1 shadow-replays every
-// run()/run_trace() on a deep-copied snapshot through the reference path
-// and compares traces, register files, queues, and the memory digest
-// (docs/FUNCTIONAL.md).
+// run()/run_trace()/run_streamed() execute through the threaded-code
+// interpreter (decoded.hpp + interp.cpp); step() below IS the original
+// giant-switch implementation, retained verbatim as the semantic reference
+// oracle.  The two must stay byte-identical: HIDISC_FSIM_REF=1
+// shadow-replays every run on a deep-copied snapshot through the reference
+// path and compares traces (per chunk for streamed runs), register files,
+// queues, and the memory digest (docs/FUNCTIONAL.md).
 
 #include "sim/functional.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -74,20 +75,11 @@ void finish_trace(Trace& trace, std::size_t reserved) {
 
 void Functional::run(std::uint64_t max_steps) {
   if (!ref_shadow_enabled()) {
-    exec_threaded<false>(max_steps, nullptr);
+    exec_threaded<false>(max_steps, max_steps, nullptr);
     return;
   }
   Functional ref(*this);
-  bool ok = true;
-  std::string err;
-  try {
-    exec_threaded<false>(max_steps, nullptr);
-  } catch (const ExecError& e) {
-    ok = false;
-    err = e.what();
-  }
-  shadow_compare(ref, max_steps, nullptr, ok, err);
-  if (!ok) throw ExecError(err);
+  shadowed_exec(ref, max_steps, max_steps, nullptr);
 }
 
 Trace Functional::run_trace(std::uint64_t max_steps) {
@@ -95,60 +87,81 @@ Trace Functional::run_trace(std::uint64_t max_steps) {
   const std::size_t reserved = trace_reserve_hint(max_steps, icount_);
   trace.reserve(reserved);
   if (!ref_shadow_enabled()) {
-    exec_threaded<true>(max_steps, &trace);
-    finish_trace(trace, reserved);
-    return trace;
+    exec_threaded<true>(max_steps, max_steps, &trace);
+  } else {
+    Functional ref(*this);
+    shadowed_exec(ref, max_steps, max_steps, &trace);
   }
-  Functional ref(*this);
-  bool ok = true;
-  std::string err;
-  try {
-    exec_threaded<true>(max_steps, &trace);
-  } catch (const ExecError& e) {
-    ok = false;
-    err = e.what();
-  }
-  shadow_compare(ref, max_steps, &trace, ok, err);
-  if (!ok) throw ExecError(err);
   finish_trace(trace, reserved);
   return trace;
 }
 
-void Functional::run_ref(std::uint64_t max_steps) {
+void Functional::run_streamed(const ChunkSink& sink, std::uint64_t max_steps,
+                              std::size_t chunk) {
+  if (chunk == 0)
+    throw std::invalid_argument("run_streamed: chunk must be positive");
+  std::optional<Functional> ref;
+  if (ref_shadow_enabled()) ref.emplace(*this);
+  Trace buf;
+  buf.reserve(chunk);
   while (!halted_) {
-    if (icount_ >= max_steps)
+    // The last chunk stops at max_steps itself, where exec_threaded throws
+    // the budget error; every earlier stop is a pause.
+    const std::uint64_t left = max_steps > icount_ ? max_steps - icount_ : 0;
+    const std::uint64_t stop = icount_ + std::min<std::uint64_t>(left, chunk);
+    buf.clear();
+    if (ref)
+      shadowed_exec(*ref, max_steps, stop, &buf);
+    else
+      exec_threaded<true>(max_steps, stop, &buf);
+    sink(buf);
+  }
+}
+
+void Functional::ref_run(std::uint64_t max_steps, std::uint64_t stop_at,
+                         Trace* out) {
+  TraceEntry e;
+  while (!halted_) {
+    if (icount_ >= stop_at) {
+      if (stop_at < max_steps) return;
       throw ExecError("step budget exceeded (" + std::to_string(max_steps) +
                       ")");
-    step();
+    }
+    if (step(out ? &e : nullptr) && out) out->push_back(e);
   }
+}
+
+void Functional::run_ref(std::uint64_t max_steps) {
+  ref_run(max_steps, max_steps, nullptr);
 }
 
 Trace Functional::run_trace_ref(std::uint64_t max_steps) {
   Trace trace;
   const std::size_t reserved = trace_reserve_hint(max_steps, icount_);
   trace.reserve(reserved);
-  TraceEntry e;
-  while (!halted_) {
-    if (icount_ >= max_steps)
-      throw ExecError("step budget exceeded (" + std::to_string(max_steps) +
-                      ")");
-    if (step(&e)) trace.push_back(e);
-  }
+  ref_run(max_steps, max_steps, &trace);
   finish_trace(trace, reserved);
   return trace;
 }
 
-void Functional::shadow_compare(Functional& ref, std::uint64_t max_steps,
-                                const Trace* got_trace, bool got_ok,
-                                const std::string& got_err) {
+void Functional::shadowed_exec(Functional& ref, std::uint64_t max_steps,
+                               std::uint64_t stop_at, Trace* out) {
+  bool got_ok = true;
+  std::string got_err;
+  try {
+    if (out)
+      exec_threaded<true>(max_steps, stop_at, out);
+    else
+      exec_threaded<false>(max_steps, stop_at, nullptr);
+  } catch (const ExecError& e) {
+    got_ok = false;
+    got_err = e.what();
+  }
   bool want_ok = true;
   std::string want_err;
   Trace want;
   try {
-    if (got_trace)
-      want = ref.run_trace_ref(max_steps);
-    else
-      ref.run_ref(max_steps);
+    ref.ref_run(max_steps, stop_at, out ? &want : nullptr);
   } catch (const ExecError& e) {
     want_ok = false;
     want_err = e.what();
@@ -163,12 +176,12 @@ void Functional::shadow_compare(Functional& ref, std::uint64_t max_steps,
   if (!got_ok && got_err != want_err)
     die("error mismatch: threaded \"" + got_err + "\" vs reference \"" +
         want_err + "\"");
-  if (got_trace) {
-    if (got_trace->size() != want.size())
-      die("trace length " + std::to_string(got_trace->size()) +
-          " vs reference " + std::to_string(want.size()));
+  if (out) {
+    if (out->size() != want.size())
+      die("trace length " + std::to_string(out->size()) + " vs reference " +
+          std::to_string(want.size()));
     for (std::size_t i = 0; i < want.size(); ++i) {
-      const TraceEntry& g = (*got_trace)[i];
+      const TraceEntry& g = (*out)[i];
       const TraceEntry& w = want[i];
       if (g.static_idx != w.static_idx || g.next != w.next ||
           g.addr != w.addr || g.value != w.value)
@@ -186,6 +199,9 @@ void Functional::shadow_compare(Functional& ref, std::uint64_t max_steps,
     die("icount " + std::to_string(icount_) + " vs " +
         std::to_string(ref.icount_));
   if (halted_ != ref.halted_) die("halted flag mismatch");
+  // A pause compares only the cheap state above; the full state (a memory
+  // digest) is compared once, when the run ends.
+  if (got_ok && !halted_) return;
   if (iregs_ != ref.iregs_) die("int register file mismatch");
   for (int i = 0; i < isa::kNumFpRegs; ++i)
     if (std::bit_cast<std::uint64_t>(fregs_[i]) !=
@@ -195,6 +211,7 @@ void Functional::shadow_compare(Functional& ref, std::uint64_t max_steps,
   if (sdq_ != ref.sdq_) die("SDQ contents mismatch");
   if (scq_tokens_ != ref.scq_tokens_) die("SCQ token count mismatch");
   if (mem_.digest() != ref.mem_.digest()) die("memory digest mismatch");
+  if (!got_ok) throw ExecError(got_err);
 }
 
 Functional::QVal Functional::pop_queue(std::deque<QVal>& q,

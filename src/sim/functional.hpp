@@ -11,24 +11,29 @@
 // Two interpreters share this architectural state (docs/FUNCTIONAL.md):
 //
 //  * the threaded-code interpreter (decoded.hpp + interp.cpp) — the fast
-//    path behind run()/run_trace(): pre-decoded DecodedOp table,
-//    computed-goto dispatch, superinstruction fusion, batched trace
-//    emission into a pre-sized buffer;
+//    path behind run()/run_trace()/run_streamed(): pre-decoded DecodedOp
+//    table, computed-goto dispatch, superinstruction fusion, batched trace
+//    emission into a pre-sized buffer (run_trace) or one reused chunk
+//    buffer (run_streamed);
 //  * the reference switch interpreter (step(), run_ref(), run_trace_ref())
 //    — the original giant-switch implementation, kept as the semantic
 //    oracle.  Setting HIDISC_FSIM_REF=1 (mirroring HIDISC_LOCKSTEP) makes
-//    every run()/run_trace() shadow-execute the reference interpreter on a
-//    snapshot and byte-compare traces and final state.
+//    every run()/run_trace()/run_streamed() shadow-execute the reference
+//    interpreter on a snapshot and byte-compare traces (chunk by chunk for
+//    streamed runs) and final state.
 #pragma once
 
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "isa/program.hpp"
@@ -79,6 +84,14 @@ class Functional {
   // committed address space, not resident memory.
   static constexpr std::uint64_t kTraceReserveCap = 1ull << 23;
 
+  // Entries per run_streamed() chunk: one reused 96 KiB buffer, small
+  // enough to stay cache-resident between the interpreter and the sink.
+  static constexpr std::size_t kStreamChunk = 4096;
+
+  // Receives consecutive pieces of a streamed run's trace.  The span is
+  // valid only for the call; the buffer behind it is reused.
+  using ChunkSink = std::function<void(std::span<const TraceEntry>)>;
+
   explicit Functional(const isa::Program& prog);
 
   // Deep copy (memory pages cloned; the decoded table is shared).  Used by
@@ -91,6 +104,15 @@ class Functional {
 
   // Runs until HALT while recording the dynamic trace.
   [[nodiscard]] Trace run_trace(std::uint64_t max_steps = kDefaultMaxSteps);
+
+  // Runs until HALT, handing the dynamic trace to `sink` in order, at most
+  // `chunk` entries per call, without ever holding more than one chunk:
+  // the concatenated chunks are byte-identical to run_trace().  Errors
+  // (budget included) throw the same ExecError at the same instructions()
+  // as run_trace(); the failing chunk's entries are not delivered.
+  void run_streamed(const ChunkSink& sink,
+                    std::uint64_t max_steps = kDefaultMaxSteps,
+                    std::size_t chunk = kStreamChunk);
 
   // Reference-interpreter equivalents of run()/run_trace(): drive the
   // original switch interpreter step by step.  Byte-identical behaviour to
@@ -143,18 +165,25 @@ class Functional {
 
   void ensure_decoded();
 
-  // The threaded-code hot loop (interp.cpp).  Executes until HALT, budget
-  // exhaustion or an ExecError; when kEmit, appends one TraceEntry per
-  // retired instruction to *out.
+  // The threaded-code hot loop (interp.cpp).  Executes until HALT, an
+  // ExecError, or `stop_at` retired instructions (stop_at <= max_steps):
+  // reaching stop_at == max_steps throws the budget error, an earlier
+  // stop_at returns — a pause that the next call resumes from.  When
+  // kEmit, appends one TraceEntry per retired instruction to *out.
   template <bool kEmit>
-  void exec_threaded(std::uint64_t max_steps, Trace* out);
+  void exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
+                     Trace* out);
 
-  // Shadow-compare `*this` (already run) against `ref` (snapshot taken
-  // before running) after replaying the reference interpreter; throws
-  // ExecError on any divergence.
-  void shadow_compare(Functional& ref, std::uint64_t max_steps,
-                      const Trace* got_trace, bool got_ok,
-                      const std::string& got_err);
+  // Reference-interpreter counterpart of exec_threaded's stop semantics.
+  void ref_run(std::uint64_t max_steps, std::uint64_t stop_at, Trace* out);
+
+  // Runs the threaded interpreter to `stop_at` and shadow-compares it with
+  // `ref` (a snapshot at the same point) replayed to the same stop; throws
+  // ExecError on any divergence, else rethrows the run's own ExecError.
+  // A pause compares the trace, pc and icount; the full architectural
+  // state is compared once the run ends (halt or error).
+  void shadowed_exec(Functional& ref, std::uint64_t max_steps,
+                     std::uint64_t stop_at, Trace* out);
 
   const isa::Program& prog_;
   Memory mem_;

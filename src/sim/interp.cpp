@@ -68,7 +68,8 @@ inline std::int64_t cvt_fi(double v) {
 }  // namespace
 
 template <bool kEmit>
-void Functional::exec_threaded(std::uint64_t max_steps, Trace* out) {
+void Functional::exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
+                               Trace* out) {
   if (halted_) return;
   ensure_decoded();
   const DecodedOp* const ops = decoded_->ops.data();
@@ -124,7 +125,7 @@ void Functional::exec_threaded(std::uint64_t max_steps, Trace* out) {
 #define EA() \
   (static_cast<std::uint64_t>(R[op->src1]) + static_cast<std::uint64_t>(op->imm))
 #define FUSE_GUARD(n) \
-  if (HIDISC_UNLIKELY(max_steps - icount < 2)) goto case_lbl_##n
+  if (HIDISC_UNLIKELY(stop_at - icount < 2)) goto case_lbl_##n
 
 #if HIDISC_COMPUTED_GOTO
   // Built per call (not static): GCC documents that address-of-label values
@@ -143,7 +144,7 @@ void Functional::exec_threaded(std::uint64_t max_steps, Trace* out) {
 #define FCASE(n) fuse_lbl_##n:
 #define DISPATCH()                                                        \
   do {                                                                    \
-    if (HIDISC_UNLIKELY(icount >= max_steps)) goto budget_exceeded;       \
+    if (HIDISC_UNLIKELY(icount >= stop_at)) goto stop_reached;            \
     if (HIDISC_UNLIKELY(static_cast<std::uint32_t>(pc) >= ncode))         \
       goto pc_out_of_range;                                               \
     op = ops + static_cast<std::uint32_t>(pc);                            \
@@ -159,7 +160,7 @@ void Functional::exec_threaded(std::uint64_t max_steps, Trace* out) {
 #define DISPATCH() goto dispatch_loop
 
 dispatch_loop:
-  if (HIDISC_UNLIKELY(icount >= max_steps)) goto budget_exceeded;
+  if (HIDISC_UNLIKELY(icount >= stop_at)) goto stop_reached;
   if (HIDISC_UNLIKELY(static_cast<std::uint32_t>(pc) >= ncode))
     goto pc_out_of_range;
   op = ops + static_cast<std::uint32_t>(pc);
@@ -605,8 +606,9 @@ dispatch_loop:
   // Fused superinstructions.  Each executes both components sequentially
   // from their own decoded slots, emitting one trace entry per component.
   // FUSE_GUARD falls back to the unfused first component when fewer than
-  // two steps of budget remain, so budget expiry between the components is
-  // byte-identical to the reference.
+  // two steps remain before stop_at, so budget expiry between the
+  // components is byte-identical to the reference and a streamed chunk
+  // never ends inside a fused pair.
 
   FCASE(AddiAddi) {
     FUSE_GUARD(ADDI);
@@ -780,7 +782,8 @@ dispatch_loop:
   }  // switch
 #endif
 
-budget_exceeded:
+stop_reached:
+  if (stop_at < max_steps) goto done;  // a pause, not the budget
   sync();
   throw ExecError("step budget exceeded (" + std::to_string(max_steps) + ")");
 pc_out_of_range:
@@ -827,7 +830,9 @@ done:
 #undef FUSE_CMP_BR
 }
 
-template void Functional::exec_threaded<false>(std::uint64_t, Trace*);
-template void Functional::exec_threaded<true>(std::uint64_t, Trace*);
+template void Functional::exec_threaded<false>(std::uint64_t, std::uint64_t,
+                                               Trace*);
+template void Functional::exec_threaded<true>(std::uint64_t, std::uint64_t,
+                                              Trace*);
 
 }  // namespace hidisc::sim

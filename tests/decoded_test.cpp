@@ -12,14 +12,18 @@
 //    reference switch interpreters;
 //  * interrupted step budgets: expiry at every point of a fused loop —
 //    including between the two components of a pair — leaves behaviour
-//    identical to the reference, and step() resumes from the partial state.
+//    identical to the reference, and step() resumes from the partial state;
+//  * streamed runs: for every chunk size, the concatenated chunks of
+//    run_streamed() equal run_trace() byte for byte, errors included.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "compiler/compile.hpp"
 #include "fuzz/corpus.hpp"
@@ -389,6 +393,141 @@ TEST(Budget, ExactBudgetCompletesAndEmitsIdenticalTraces) {
   const std::uint64_t exact = count.instructions();
   expect_interpreters_agree(prog, exact);      // completes on the last step
   expect_interpreters_agree(prog, exact - 1);  // throws on both paths
+}
+
+// ---------------------------------------------------------------------------
+// Streamed runs.
+
+constexpr std::size_t kChunkSizes[] = {1, 2, 3, 5, Functional::kStreamChunk};
+
+// Runs `prog` streamed in `chunk`-entry chunks and checks it against
+// run_trace() on a fresh Functional: the concatenated chunks equal its
+// trace byte for byte (or, when the run fails, the reference interpreter's
+// prefix up to the failing chunk), with the same error text at the same
+// instructions() and the same final state.  Returns the error text.
+std::string expect_streamed_matches(
+    const isa::Program& prog, std::size_t chunk,
+    std::uint64_t max_steps = Functional::kDefaultMaxSteps) {
+  SCOPED_TRACE("chunk " + std::to_string(chunk));
+  Functional whole(prog);
+  Trace want;
+  std::string want_err;
+  try {
+    want = whole.run_trace(max_steps);
+  } catch (const ExecError& e) {
+    want_err = e.what();
+  }
+
+  Functional streamed(prog);
+  Trace got;
+  std::vector<std::size_t> sizes;
+  std::string got_err;
+  try {
+    streamed.run_streamed(
+        [&](std::span<const TraceEntry> c) {
+          sizes.push_back(c.size());
+          got.insert(got.end(), c.begin(), c.end());
+        },
+        max_steps, chunk);
+  } catch (const ExecError& e) {
+    got_err = e.what();
+  }
+  EXPECT_EQ(got_err, want_err);
+  EXPECT_EQ(streamed.instructions(), whole.instructions());
+  EXPECT_EQ(streamed.pc(), whole.pc());
+  EXPECT_EQ(streamed.halted(), whole.halted());
+  EXPECT_EQ(streamed.state_digest(), whole.state_digest());
+  // Every chunk but the last is full: a pause never lands early, not even
+  // inside a fused pair.
+  for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
+    EXPECT_EQ(sizes[i], chunk) << "chunk #" << i;
+  if (!sizes.empty()) {
+    EXPECT_GE(sizes.back(), 1u);
+    EXPECT_LE(sizes.back(), chunk);
+  }
+
+  if (want_err.empty()) {
+    EXPECT_EQ(got.size(), want.size());
+    if (got.size() == want.size() && !got.empty())
+      EXPECT_EQ(
+          std::memcmp(got.data(), want.data(), got.size() * sizeof(TraceEntry)),
+          0);
+  } else {
+    // The failing chunk is not delivered; what was delivered is a prefix.
+    EXPECT_LE(got.size(), streamed.instructions());
+    EXPECT_LE(streamed.instructions() - got.size(), chunk);
+    Functional ref(prog);
+    std::size_t diverged = 0;
+    for (const auto& g : got) {
+      TraceEntry e;
+      if (!ref.step(&e) || std::memcmp(&e, &g, sizeof e) != 0) break;
+      ++diverged;
+    }
+    EXPECT_EQ(diverged, got.size()) << "first entry off the reference";
+  }
+  return got_err;
+}
+
+TEST(StreamedRun, CorpusKernelsMatchRunTrace) {
+  const auto corpus = fuzz::load_corpus(HIDISC_CORPUS_DIR);
+  ASSERT_FALSE(corpus.empty());
+  for (const auto& r : corpus) {
+    isa::Program prog;
+    try {
+      prog = isa::assemble(r.source);
+    } catch (const std::exception&) {
+      continue;  // assembly failures are corpus_test's concern
+    }
+    SCOPED_TRACE(r.name);
+    for (const std::size_t chunk : kChunkSizes)
+      expect_streamed_matches(prog, chunk, /*max_steps=*/8'000'000);
+  }
+}
+
+TEST(StreamedRun, PaperWorkloadsMatchRunTrace) {
+  for (const auto& w : workloads::paper_suite(workloads::Scale::Test)) {
+    SCOPED_TRACE(w.name);
+    const auto comp = compiler::compile(w.program);
+    for (const std::size_t chunk : kChunkSizes) {
+      expect_streamed_matches(comp.original, chunk);
+      expect_streamed_matches(comp.separated, chunk);
+    }
+  }
+}
+
+// ops[loop] fuses addi+bne: with an odd chunk size every other pause falls
+// between the pair's two components, where FUSE_GUARD must run the first
+// one unfused and the next chunk resumes at the second.
+const char* kFusedLoop =
+    "  li r1, 0\n"
+    "  li r2, 1000\n"
+    "loop:\n"
+    "  addi r1, r1, 1\n"
+    "  bne r1, r2, loop\n"
+    "  halt\n";
+
+TEST(StreamedRun, ChunkBoundaryInsideAFusedPair) {
+  const auto prog = isa::assemble(kFusedLoop);
+  ASSERT_EQ(decode_program(prog).ops.at(prog.code_index("loop")).kind,
+            kFuseAddiBne);
+  for (const std::size_t chunk : kChunkSizes)
+    EXPECT_EQ(expect_streamed_matches(prog, chunk), "");
+}
+
+TEST(StreamedRun, BudgetExhaustionThrowsAtTheSameInstruction) {
+  const auto prog = isa::assemble(kFusedLoop);
+  for (const std::size_t chunk : kChunkSizes)
+    for (const std::uint64_t budget : {0u, 1u, 7u, 1001u}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      EXPECT_EQ(expect_streamed_matches(prog, chunk, budget),
+                "step budget exceeded (" + std::to_string(budget) + ")");
+    }
+}
+
+TEST(StreamedRun, ZeroChunkIsRejected) {
+  Functional f(isa::assemble(kFusedLoop));
+  EXPECT_THROW(f.run_streamed([](std::span<const TraceEntry>) {}, 100, 0),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -15,6 +15,13 @@ namespace {
 using isa::Opcode;
 using isa::Stream;
 
+// Execution counts of `prog`, profiled the way compile() profiles it.
+compiler::CacheProfile profile_of(const isa::Program& prog) {
+  return compiler::profile_run(prog, mem::MemConfig{},
+                               compiler::CmasOptions{}.trigger_distance)
+      .profile();
+}
+
 // A loop-carried FP accumulator stored once after the loop: the classic
 // case where producer-site communication would push every iteration.
 const char* kAccumulator = R"(
@@ -39,9 +46,8 @@ loop:
 
 TEST(ConsumerSite, AccumulatorUsesOneTransfer) {
   const auto prog = isa::assemble(kAccumulator);
-  sim::Functional f(prog);
-  const auto trace = f.run_trace();
-  const auto sep = compiler::separate_streams(prog, &trace);
+  const auto profile = profile_of(prog);
+  const auto sep = compiler::separate_streams(prog, &profile);
   EXPECT_GE(sep.consumer_site_regs, 1u);
   // The accumulator's defs must NOT carry per-iteration push_sdq flags.
   for (const auto& inst : sep.separated.code)
@@ -59,9 +65,8 @@ TEST(ConsumerSite, AccumulatorUsesOneTransfer) {
 
 TEST(ConsumerSite, DynamicTransfersMatchConsumptions) {
   const auto prog = isa::assemble(kAccumulator);
-  sim::Functional f0(prog);
-  const auto trace = f0.run_trace();
-  const auto sep = compiler::separate_streams(prog, &trace);
+  const auto profile = profile_of(prog);
+  const auto sep = compiler::separate_streams(prog, &profile);
   // Run separated and confirm exactly one SDQ round-trip happened: the
   // machine's queue stats record it.
   sim::Functional fs(sep.separated);
@@ -76,9 +81,8 @@ TEST(ConsumerSite, DynamicTransfersMatchConsumptions) {
 
 TEST(ConsumerSite, EquivalenceStillHolds) {
   const auto prog = isa::assemble(kAccumulator);
-  sim::Functional f0(prog);
-  const auto trace = f0.run_trace();
-  const auto sep = compiler::separate_streams(prog, &trace);
+  const auto profile = profile_of(prog);
+  const auto sep = compiler::separate_streams(prog, &profile);
   sim::Functional f1(prog), f2(sep.separated);
   f1.run();
   f2.run();
@@ -107,9 +111,8 @@ loop:
   halt
 )";
   const auto prog = isa::assemble(src);
-  sim::Functional f0(prog);
-  const auto trace = f0.run_trace();
-  const auto sep = compiler::separate_streams(prog, &trace);
+  const auto profile = profile_of(prog);
+  const auto sep = compiler::separate_streams(prog, &profile);
   sim::Functional f1(prog), f2(sep.separated);
   f1.run();
   f2.run();
