@@ -65,11 +65,11 @@ struct SeparationResult {
     const isa::Program& prog);
 
 // Full separation: annotate streams, choose communication sites, insert
-// queue instructions.  `profile` (a profile of `prog`) guides the
-// producer- vs consumer-site decision through its execution counts;
-// without it, static instruction counts are used.  Throws std::invalid_argument if `prog` already
-// contains queue opcodes or stream annotations (the input must be a
-// conventional sequential binary).
+// queue instructions.  The execution counts of `profile` (a profile of
+// `prog`) guide the producer- vs consumer-site decision; without it,
+// static instruction counts are used.  Throws std::invalid_argument if
+// `prog` already contains queue opcodes or stream annotations (the input
+// must be a conventional sequential binary).
 [[nodiscard]] SeparationResult separate_streams(
     const isa::Program& prog, const CacheProfile* profile = nullptr,
     bool flow_sensitive = true);

@@ -49,6 +49,12 @@ std::string trace_key(const std::vector<std::uint8_t>& binary_image,
                         "max_steps=" + std::to_string(max_steps) + ";");
 }
 
+std::string sim_key(const std::vector<std::uint8_t>& binary_image,
+                    machine::Preset preset,
+                    const machine::MachineConfig& cfg) {
+  return sim_key(lab::image_key_state(binary_image), preset, cfg);
+}
+
 std::string sim_key(const lab::ImageKeyState& image, machine::Preset preset,
                     const machine::MachineConfig& cfg) {
   // Deliberately NOT domain-tagged: sim keys are lab::content_key, the

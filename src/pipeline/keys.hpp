@@ -58,8 +58,13 @@ namespace hidisc::pipeline {
     const std::vector<std::uint8_t>& binary_image, std::uint64_t max_steps);
 
 // Key of a sim node; identical to lab::content_key on the decoded
-// program, continued from the image's hash state so the image is neither
-// re-encoded nor re-hashed per cell.
+// program, taking the already-encoded image to avoid re-encoding per
+// consumer.
+[[nodiscard]] std::string sim_key(const std::vector<std::uint8_t>& binary_image,
+                                  machine::Preset preset,
+                                  const machine::MachineConfig& cfg);
+// The same key continued from the image's hash state, so an image shared
+// by many cells is hashed once.
 [[nodiscard]] std::string sim_key(const lab::ImageKeyState& image,
                                   machine::Preset preset,
                                   const machine::MachineConfig& cfg);

@@ -88,10 +88,8 @@ TEST(PipelineKeys, KernelTextPerturbsEveryDownstreamKey) {
   EXPECT_NE(pipeline::trace_key(img_a, steps),
             pipeline::trace_key(img_b, steps));
   const machine::MachineConfig cfg;
-  EXPECT_NE(pipeline::sim_key(lab::image_key_state(img_a),
-                              machine::Preset::Superscalar, cfg),
-            pipeline::sim_key(lab::image_key_state(img_b),
-                              machine::Preset::Superscalar, cfg));
+  EXPECT_NE(pipeline::sim_key(img_a, machine::Preset::Superscalar, cfg),
+            pipeline::sim_key(img_b, machine::Preset::Superscalar, cfg));
 }
 
 TEST(PipelineKeys, SeparatorModeSelectsADistinctBinary) {
@@ -105,47 +103,43 @@ TEST(PipelineKeys, SeparatorModeSelectsADistinctBinary) {
   EXPECT_NE(pipeline::trace_key(orig, steps),
             pipeline::trace_key(sep, steps));
   const machine::MachineConfig cfg;
-  EXPECT_NE(pipeline::sim_key(lab::image_key_state(orig),
-                              machine::Preset::HiDISC, cfg),
-            pipeline::sim_key(lab::image_key_state(sep),
-                              machine::Preset::HiDISC, cfg));
+  EXPECT_NE(pipeline::sim_key(orig, machine::Preset::HiDISC, cfg),
+            pipeline::sim_key(sep, machine::Preset::HiDISC, cfg));
 }
 
 TEST(PipelineKeys, MachinePresetAndConfigPerturbOnlySimKeys) {
   const auto comp = compile_spec("Pointer");
   const auto img = isa::save_program(comp.original);
-  const auto img_key = lab::image_key_state(img);
   const std::uint64_t steps = compiler::CompileOptions{}.max_steps;
   const std::string tk = pipeline::trace_key(img, steps);
 
   const machine::MachineConfig base;
   const std::string sk =
-      pipeline::sim_key(img_key, machine::Preset::Superscalar, base);
+      pipeline::sim_key(img, machine::Preset::Superscalar, base);
 
   // Preset changes the sim key; the trace key is preset-blind.
-  EXPECT_NE(sk, pipeline::sim_key(img_key, machine::Preset::CPCMP, base));
+  EXPECT_NE(sk, pipeline::sim_key(img, machine::Preset::CPCMP, base));
   EXPECT_EQ(tk, pipeline::trace_key(img, steps));
 
   // Any config field change (dram latency, watchdog) re-keys the sim
   // node only — this is the warm-trace invalidation contract.
   machine::MachineConfig slow = base;
   slow.mem.dram_latency = 200;
-  EXPECT_NE(sk, pipeline::sim_key(img_key, machine::Preset::Superscalar, slow));
+  EXPECT_NE(sk, pipeline::sim_key(img, machine::Preset::Superscalar, slow));
   machine::MachineConfig dog = base;
   dog.watchdog_cycles = 42;
-  EXPECT_NE(sk, pipeline::sim_key(img_key, machine::Preset::Superscalar, dog));
+  EXPECT_NE(sk, pipeline::sim_key(img, machine::Preset::Superscalar, dog));
   EXPECT_EQ(tk, pipeline::trace_key(img, steps));
 }
 
 TEST(PipelineKeys, PrefetcherConfigPerturbsOnlySimKeys) {
   const auto comp = compile_spec("Pointer");
   const auto img = isa::save_program(comp.original);
-  const auto img_key = lab::image_key_state(img);
   const std::uint64_t steps = compiler::CompileOptions{}.max_steps;
   const std::string tk = pipeline::trace_key(img, steps);
   const machine::MachineConfig base;
   const std::string sk =
-      pipeline::sim_key(img_key, machine::Preset::Superscalar, base);
+      pipeline::sim_key(img, machine::Preset::Superscalar, base);
 
   // Enabling a prefetcher, or turning any of its live knobs, re-keys the
   // sim node and nothing upstream (hilab --override '*:prefetch=...'
@@ -153,12 +147,11 @@ TEST(PipelineKeys, PrefetcherConfigPerturbsOnlySimKeys) {
   machine::MachineConfig pf = base;
   pf.mem.prefetch = mem::parse_prefetch_spec("ipstride:deg4");
   const std::string pf_sk =
-      pipeline::sim_key(img_key, machine::Preset::Superscalar, pf);
+      pipeline::sim_key(img, machine::Preset::Superscalar, pf);
   EXPECT_NE(sk, pf_sk);
   machine::MachineConfig dist = pf;
   dist.mem.prefetch.distance = 2;
-  EXPECT_NE(pf_sk,
-            pipeline::sim_key(img_key, machine::Preset::Superscalar, dist));
+  EXPECT_NE(pf_sk, pipeline::sim_key(img, machine::Preset::Superscalar, dist));
   EXPECT_EQ(tk, pipeline::trace_key(img, steps));
   const compiler::CompileOptions opt;
   EXPECT_EQ(pipeline::compile_key(lab::spec("Pointer", workloads::Scale::Test),
@@ -170,7 +163,7 @@ TEST(PipelineKeys, PrefetcherConfigPerturbsOnlySimKeys) {
   // entries.
   machine::MachineConfig idle = base;
   idle.mem.prefetch.degree = 9;
-  EXPECT_EQ(sk, pipeline::sim_key(img_key, machine::Preset::Superscalar, idle));
+  EXPECT_EQ(sk, pipeline::sim_key(img, machine::Preset::Superscalar, idle));
 }
 
 TEST(PipelineKeys, SchedulerKindIsExcludedEverywhere) {
@@ -178,12 +171,11 @@ TEST(PipelineKeys, SchedulerKindIsExcludedEverywhere) {
   // oracle), so the scheduler must not perturb any node key.
   const auto comp = compile_spec("Pointer");
   const auto img = isa::save_program(comp.original);
-  const auto img_key = lab::image_key_state(img);
   machine::MachineConfig ev, lk;
   ev.scheduler = machine::SchedulerKind::EventSkip;
   lk.scheduler = machine::SchedulerKind::Lockstep;
-  EXPECT_EQ(pipeline::sim_key(img_key, machine::Preset::Superscalar, ev),
-            pipeline::sim_key(img_key, machine::Preset::Superscalar, lk));
+  EXPECT_EQ(pipeline::sim_key(img, machine::Preset::Superscalar, ev),
+            pipeline::sim_key(img, machine::Preset::Superscalar, lk));
 }
 
 TEST(PipelineKeys, SimKeyMatchesPreRefactorContentKey) {
@@ -195,8 +187,7 @@ TEST(PipelineKeys, SimKeyMatchesPreRefactorContentKey) {
     const auto& bin = machine::uses_separated_binary(preset)
                           ? comp.separated
                           : comp.original;
-    EXPECT_EQ(pipeline::sim_key(lab::image_key_state(isa::save_program(bin)),
-                                preset, cfg),
+    EXPECT_EQ(pipeline::sim_key(isa::save_program(bin), preset, cfg),
               lab::content_key(bin, preset, cfg))
         << machine::preset_name(preset);
   }
