@@ -5,19 +5,11 @@
 // index, raw operand register indices, the immediate (pre-shifted for LUI),
 // the pre-resolved branch target, and the producer-side queue-push flags
 // from the annotation.  The interpreter in interp.cpp then executes the
-// table with computed-goto dispatch instead of re-inspecting the
-// instruction encoding on every dynamic step (docs/FUNCTIONAL.md).
-//
-// A superinstruction pass additionally fuses the dominant fall-through
-// decode pairs observed in the paper kernels (cmp+branch, load+add address
-// chains, addi+addi induction updates) into single dispatch targets.
-// Fusion only rewrites the *kind* of the first instruction of a pair; the
-// second instruction's slot keeps its own decoded form, so control transfers
-// that land in the middle of a pair (including dynamic JR/JALR targets)
-// execute it unfused with identical semantics.
+// table with computed-goto dispatch, one handler per opcode, instead of
+// re-inspecting the instruction encoding on every dynamic step
+// (docs/FUNCTIONAL.md).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -45,22 +37,11 @@ namespace hidisc::sim {
   X(PUSHSDQ) X(PUSHSDQF) X(POPSDQ) X(POPSDQF)                          \
   X(PUTEOD) X(BEOD) X(GETSCQ) X(PUTSCQ) X(NOP)
 
-// Fused superinstructions: the dominant dynamic fall-through pairs measured
-// across the paper plan's original+separated binaries (frequencies in
-// docs/FUNCTIONAL.md), plus the cmp+branch family.
-#define HIDISC_SIM_FUSED(X)                                            \
-  X(AddiAddi) X(AddiBne) X(FmulFadd) X(AddLd) X(LdAdd) X(MulAdd)       \
-  X(SlliAdd) X(LdAddi) X(LdBge)                                        \
-  X(SltBne) X(SltiBne) X(SltuBne) X(SltBeq) X(SltiBeq)
-
 enum ExecKind : std::uint8_t {
 #define X(n) kExec##n,
   HIDISC_SIM_OPCODES(X)
 #undef X
   kExecInvalid,  // == isa::Opcode::kCount: throwing handler
-#define X(n) kFuse##n,
-  HIDISC_SIM_FUSED(X)
-#undef X
   kNumExecKinds,
 };
 
@@ -78,7 +59,6 @@ inline constexpr std::uint8_t kSinkReg = 32;
 // Producer-side queue pushes from isa::Annotation.
 inline constexpr std::uint8_t kFlagPushLdq = 1;
 inline constexpr std::uint8_t kFlagPushSdq = 2;
-inline constexpr std::uint8_t kFlagPushAny = kFlagPushLdq | kFlagPushSdq;
 
 struct DecodedOp {
   std::int64_t imm = 0;        // immediate; LUI stores imm << 16
@@ -92,27 +72,7 @@ struct DecodedOp {
 };
 static_assert(sizeof(DecodedOp) == 24);
 
-struct DecodeStats {
-  std::array<std::uint32_t, kNumExecKinds> kind_count{};
-  std::uint32_t fused_sites = 0;  // static pair sites rewritten
-
-  [[nodiscard]] std::uint32_t fused(std::uint8_t kind) const {
-    return kind_count[kind];
-  }
-};
-
-struct DecodedProgram {
-  std::vector<DecodedOp> ops;  // 1:1 with Program::code
-  DecodeStats stats;
-};
-
-// Lowers `prog.code` into a DecodedOp table.  `fuse` enables the
-// superinstruction pass (tests disable it to compare against pure
-// single-op dispatch).
-[[nodiscard]] DecodedProgram decode_program(const isa::Program& prog,
-                                            bool fuse = true);
-
-// Human-readable name of an ExecKind ("add", "fuse:addi+bne", ...).
-[[nodiscard]] const char* exec_kind_name(std::uint8_t kind) noexcept;
+// Lowers `prog.code` into a DecodedOp table, 1:1 with Program::code.
+[[nodiscard]] std::vector<DecodedOp> decode_program(const isa::Program& prog);
 
 }  // namespace hidisc::sim

@@ -43,12 +43,8 @@ bool Functional::ref_shadow_enabled() noexcept {
 
 void Functional::ensure_decoded() {
   if (!decoded_)
-    decoded_ = std::make_shared<const DecodedProgram>(decode_program(prog_));
-}
-
-const DecodedProgram& Functional::decoded_program() {
-  ensure_decoded();
-  return *decoded_;
+    decoded_ = std::make_shared<const std::vector<DecodedOp>>(
+        decode_program(prog_));
 }
 
 namespace {

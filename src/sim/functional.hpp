@@ -12,9 +12,9 @@
 //
 //  * the threaded-code interpreter (decoded.hpp + interp.cpp) — the fast
 //    path behind run()/run_trace()/run_streamed(): pre-decoded DecodedOp
-//    table, computed-goto dispatch, superinstruction fusion, batched trace
-//    emission into a pre-sized buffer (run_trace) or one reused chunk
-//    buffer (run_streamed);
+//    table, computed-goto dispatch to one handler per opcode, batched
+//    trace emission into a pre-sized buffer (run_trace) or one reused
+//    chunk buffer (run_streamed);
 //  * the reference switch interpreter (step(), run_ref(), run_trace_ref())
 //    — the original giant-switch implementation, kept as the semantic
 //    oracle.  Setting HIDISC_FSIM_REF=1 (mirroring HIDISC_LOCKSTEP) makes
@@ -41,7 +41,7 @@
 
 namespace hidisc::sim {
 
-struct DecodedProgram;
+struct DecodedOp;
 
 // HISA FP semantics pin the one bit-level freedom IEEE 754 leaves open:
 // an arithmetic result that is NaN always commits as the canonical quiet
@@ -128,10 +128,6 @@ class Functional {
   // whatever state it leaves.
   bool step(TraceEntry* out = nullptr);
 
-  // The lazily built threaded-code table for this program (decode stats,
-  // superinstruction sites).  Exposed for tests and diagnostics.
-  [[nodiscard]] const DecodedProgram& decoded_program();
-
   // True when HIDISC_FSIM_REF is set: run()/run_trace() shadow-execute the
   // reference interpreter and compare.
   [[nodiscard]] static bool ref_shadow_enabled() noexcept;
@@ -195,7 +191,7 @@ class Functional {
   std::int32_t pc_ = 0;
   bool halted_ = false;
   std::uint64_t icount_ = 0;
-  std::shared_ptr<const DecodedProgram> decoded_;
+  std::shared_ptr<const std::vector<DecodedOp>> decoded_;
 };
 
 }  // namespace hidisc::sim

@@ -1,15 +1,14 @@
 // Threaded-code execution engine for the functional simulator.
 //
 // `Functional::exec_threaded` runs the pre-decoded DecodedOp table
-// (decoded.hpp) with computed-goto dispatch on GNU-compatible compilers and
-// a switch fallback elsewhere.  The hot loop keeps both register files in
-// local 33-slot arrays (slot kSinkReg absorbs r0 / no-destination commits,
-// so handlers commit unconditionally), batches trace emission into the
-// caller's pre-sized buffer, and executes fused superinstructions for the
-// dominant decode pairs.  Architectural state is synced back to the
-// Functional members on every exit path, including thrown ExecErrors, so
-// step()-level interleaving and post-mortem state inspection behave exactly
-// like the reference switch interpreter in functional.cpp.
+// (decoded.hpp) with computed-goto dispatch (a GNU extension that GCC and
+// Clang both implement), one handler per opcode.  The hot loop keeps both
+// register files in local 33-slot arrays (slot kSinkReg absorbs r0 /
+// no-destination commits, so handlers commit unconditionally) and batches
+// trace emission into the caller's buffer.  Architectural state is synced
+// back to the Functional members on every exit path, including thrown
+// ExecErrors, so step()-level interleaving and post-mortem state inspection
+// behave exactly like the reference switch interpreter in functional.cpp.
 //
 // Semantics here must stay byte-identical to Functional::step(); the
 // HIDISC_FSIM_REF shadow oracle and the fuzz campaign's dual-interpreter
@@ -24,18 +23,7 @@
 #include "sim/decoded.hpp"
 #include "sim/functional.hpp"
 
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(HIDISC_FORCE_SWITCH_DISPATCH)
-#define HIDISC_COMPUTED_GOTO 1
-#else
-#define HIDISC_COMPUTED_GOTO 0
-#endif
-
-#if defined(__GNUC__) || defined(__clang__)
 #define HIDISC_UNLIKELY(x) __builtin_expect(!!(x), 0)
-#else
-#define HIDISC_UNLIKELY(x) (x)
-#endif
 
 namespace hidisc::sim {
 
@@ -72,7 +60,7 @@ void Functional::exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
                                Trace* out) {
   if (halted_) return;
   ensure_decoded();
-  const DecodedOp* const ops = decoded_->ops.data();
+  const DecodedOp* const ops = decoded_->data();
   const auto ncode = static_cast<std::uint32_t>(prog_.code.size());
 
   // Register-file hot loop: 32 architectural slots plus the sink.
@@ -124,24 +112,17 @@ void Functional::exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
   } while (0)
 #define EA() \
   (static_cast<std::uint64_t>(R[op->src1]) + static_cast<std::uint64_t>(op->imm))
-#define FUSE_GUARD(n) \
-  if (HIDISC_UNLIKELY(stop_at - icount < 2)) goto case_lbl_##n
 
-#if HIDISC_COMPUTED_GOTO
   // Built per call (not static): GCC documents that address-of-label values
   // may differ between clones of a function, so a static table would be
-  // hazardous under IPA cloning.  91 pointer stores per run are noise.
+  // hazardous under IPA cloning.  One pointer store per kind is noise.
   const void* const kLabels[kNumExecKinds] = {
 #define X(n) &&case_lbl_##n,
       HIDISC_SIM_OPCODES(X)
 #undef X
       &&invalid_opcode,
-#define X(n) &&fuse_lbl_##n,
-      HIDISC_SIM_FUSED(X)
-#undef X
   };
 #define CASE(n) case_lbl_##n:
-#define FCASE(n) fuse_lbl_##n:
 #define DISPATCH()                                                        \
   do {                                                                    \
     if (HIDISC_UNLIKELY(icount >= stop_at)) goto stop_reached;            \
@@ -152,22 +133,6 @@ void Functional::exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
   } while (0)
 
   DISPATCH();
-#else
-#define CASE(n) \
-  case kExec##n: \
-  case_lbl_##n:
-#define FCASE(n) case kFuse##n:
-#define DISPATCH() goto dispatch_loop
-
-dispatch_loop:
-  if (HIDISC_UNLIKELY(icount >= stop_at)) goto stop_reached;
-  if (HIDISC_UNLIKELY(static_cast<std::uint32_t>(pc) >= ncode))
-    goto pc_out_of_range;
-  op = ops + static_cast<std::uint32_t>(pc);
-  switch (op->kind) {
-    default:
-      goto invalid_opcode;
-#endif
 
 #define ALU_RR(n, expr)                                             \
   CASE(n) {                                                         \
@@ -603,185 +568,6 @@ dispatch_loop:
     DISPATCH();
   }
 
-  // Fused superinstructions.  Each executes both components sequentially
-  // from their own decoded slots, emitting one trace entry per component.
-  // FUSE_GUARD falls back to the unfused first component when fewer than
-  // two steps remain before stop_at, so budget expiry between the
-  // components is byte-identical to the reference and a streamed chunk
-  // never ends inside a fused pair.
-
-  FCASE(AddiAddi) {
-    FUSE_GUARD(ADDI);
-    const DecodedOp* b = op + 1;
-    const std::int64_t v1 = wrap_add(R[op->src1], op->imm);
-    R[op->dst] = v1;
-    PUSH_INT(op->flags, v1);
-    EMIT(pc, pc + 1, 0, v1);
-    const std::int64_t v2 = wrap_add(R[b->src1], b->imm);
-    R[b->dst] = v2;
-    PUSH_INT(b->flags, v2);
-    EMIT(pc + 1, pc + 2, 0, v2);
-    pc += 2;
-    icount += 2;
-    DISPATCH();
-  }
-  FCASE(AddiBne) {
-    FUSE_GUARD(ADDI);
-    const DecodedOp* b = op + 1;
-    const std::int64_t v1 = wrap_add(R[op->src1], op->imm);
-    R[op->dst] = v1;
-    PUSH_INT(op->flags, v1);
-    EMIT(pc, pc + 1, 0, v1);
-    const std::int32_t nx = (R[b->src1] != R[b->src2]) ? b->target : pc + 2;
-    PUSH_INT(b->flags, 0);
-    EMIT(pc + 1, nx, 0, 0);
-    pc = nx;
-    icount += 2;
-    DISPATCH();
-  }
-  FCASE(FmulFadd) {
-    FUSE_GUARD(FMUL);
-    const DecodedOp* b = op + 1;
-    const double v1 = canon_nan(F[op->src1] * F[op->src2]);
-    F[op->dst] = v1;
-    PUSH_FP(op->flags, v1);
-    EMIT(pc, pc + 1, 0, std::bit_cast<std::int64_t>(v1));
-    const double v2 = canon_nan(F[b->src1] + F[b->src2]);
-    F[b->dst] = v2;
-    PUSH_FP(b->flags, v2);
-    EMIT(pc + 1, pc + 2, 0, std::bit_cast<std::int64_t>(v2));
-    pc += 2;
-    icount += 2;
-    DISPATCH();
-  }
-  FCASE(AddLd) {
-    FUSE_GUARD(ADD);
-    const DecodedOp* b = op + 1;
-    const std::int64_t v1 = wrap_add(R[op->src1], R[op->src2]);
-    R[op->dst] = v1;
-    PUSH_INT(op->flags, v1);
-    EMIT(pc, pc + 1, 0, v1);
-    const std::uint64_t addr = static_cast<std::uint64_t>(R[b->src1]) +
-                               static_cast<std::uint64_t>(b->imm);
-    const std::int64_t v2 = mem_.read<std::int64_t>(addr);
-    R[b->dst] = v2;
-    PUSH_INT(b->flags, v2);
-    EMIT(pc + 1, pc + 2, addr, v2);
-    pc += 2;
-    icount += 2;
-    DISPATCH();
-  }
-  FCASE(LdAdd) {
-    FUSE_GUARD(LD);
-    const DecodedOp* b = op + 1;
-    const std::uint64_t addr = EA();
-    const std::int64_t v1 = mem_.read<std::int64_t>(addr);
-    R[op->dst] = v1;
-    PUSH_INT(op->flags, v1);
-    EMIT(pc, pc + 1, addr, v1);
-    const std::int64_t v2 = wrap_add(R[b->src1], R[b->src2]);
-    R[b->dst] = v2;
-    PUSH_INT(b->flags, v2);
-    EMIT(pc + 1, pc + 2, 0, v2);
-    pc += 2;
-    icount += 2;
-    DISPATCH();
-  }
-  FCASE(MulAdd) {
-    FUSE_GUARD(MUL);
-    const DecodedOp* b = op + 1;
-    const std::int64_t v1 = wrap_mul(R[op->src1], R[op->src2]);
-    R[op->dst] = v1;
-    PUSH_INT(op->flags, v1);
-    EMIT(pc, pc + 1, 0, v1);
-    const std::int64_t v2 = wrap_add(R[b->src1], R[b->src2]);
-    R[b->dst] = v2;
-    PUSH_INT(b->flags, v2);
-    EMIT(pc + 1, pc + 2, 0, v2);
-    pc += 2;
-    icount += 2;
-    DISPATCH();
-  }
-  FCASE(SlliAdd) {
-    FUSE_GUARD(SLLI);
-    const DecodedOp* b = op + 1;
-    const std::int64_t v1 = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(R[op->src1]) << (op->imm & 63));
-    R[op->dst] = v1;
-    PUSH_INT(op->flags, v1);
-    EMIT(pc, pc + 1, 0, v1);
-    const std::int64_t v2 = wrap_add(R[b->src1], R[b->src2]);
-    R[b->dst] = v2;
-    PUSH_INT(b->flags, v2);
-    EMIT(pc + 1, pc + 2, 0, v2);
-    pc += 2;
-    icount += 2;
-    DISPATCH();
-  }
-  FCASE(LdAddi) {
-    FUSE_GUARD(LD);
-    const DecodedOp* b = op + 1;
-    const std::uint64_t addr = EA();
-    const std::int64_t v1 = mem_.read<std::int64_t>(addr);
-    R[op->dst] = v1;
-    PUSH_INT(op->flags, v1);
-    EMIT(pc, pc + 1, addr, v1);
-    const std::int64_t v2 = wrap_add(R[b->src1], b->imm);
-    R[b->dst] = v2;
-    PUSH_INT(b->flags, v2);
-    EMIT(pc + 1, pc + 2, 0, v2);
-    pc += 2;
-    icount += 2;
-    DISPATCH();
-  }
-  FCASE(LdBge) {
-    FUSE_GUARD(LD);
-    const DecodedOp* b = op + 1;
-    const std::uint64_t addr = EA();
-    const std::int64_t v1 = mem_.read<std::int64_t>(addr);
-    R[op->dst] = v1;
-    PUSH_INT(op->flags, v1);
-    EMIT(pc, pc + 1, addr, v1);
-    const std::int32_t nx = (R[b->src1] >= R[b->src2]) ? b->target : pc + 2;
-    PUSH_INT(b->flags, 0);
-    EMIT(pc + 1, nx, 0, 0);
-    pc = nx;
-    icount += 2;
-    DISPATCH();
-  }
-
-#define FUSE_CMP_BR(n, guard, cmp_expr, br_expr)                    \
-  FCASE(n) {                                                        \
-    FUSE_GUARD(guard);                                              \
-    const DecodedOp* b = op + 1;                                    \
-    const std::int64_t a1 = R[op->src1];                            \
-    const std::int64_t a2 = R[op->src2];                            \
-    const std::int64_t im = op->imm;                                \
-    (void)a2; (void)im;                                             \
-    const std::int64_t v1 = (cmp_expr) ? 1 : 0;                     \
-    R[op->dst] = v1;                                                \
-    PUSH_INT(op->flags, v1);                                        \
-    EMIT(pc, pc + 1, 0, v1);                                        \
-    const std::int32_t nx = (br_expr) ? b->target : pc + 2;         \
-    PUSH_INT(b->flags, 0);                                          \
-    EMIT(pc + 1, nx, 0, 0);                                         \
-    pc = nx;                                                        \
-    icount += 2;                                                    \
-    DISPATCH();                                                     \
-  }
-
-  FUSE_CMP_BR(SltBne, SLT, a1 < a2, R[b->src1] != R[b->src2])
-  FUSE_CMP_BR(SltiBne, SLTI, a1 < im, R[b->src1] != R[b->src2])
-  FUSE_CMP_BR(SltuBne, SLTU,
-              static_cast<std::uint64_t>(a1) < static_cast<std::uint64_t>(a2),
-              R[b->src1] != R[b->src2])
-  FUSE_CMP_BR(SltBeq, SLT, a1 < a2, R[b->src1] == R[b->src2])
-  FUSE_CMP_BR(SltiBeq, SLTI, a1 < im, R[b->src1] == R[b->src2])
-
-#if !HIDISC_COMPUTED_GOTO
-  }  // switch
-#endif
-
 stop_reached:
   if (stop_at < max_steps) goto done;  // a pause, not the budget
   sync();
@@ -816,9 +602,7 @@ done:
 #undef PUSH_INT
 #undef PUSH_FP
 #undef EA
-#undef FUSE_GUARD
 #undef CASE
-#undef FCASE
 #undef DISPATCH
 #undef ALU_RR
 #undef ALU_RI
@@ -827,7 +611,6 @@ done:
 #undef LOAD
 #undef STORE
 #undef BRANCH
-#undef FUSE_CMP_BR
 }
 
 template void Functional::exec_threaded<false>(std::uint64_t, std::uint64_t,

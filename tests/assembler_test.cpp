@@ -179,7 +179,7 @@ TEST(Assembler, EntryHonorsStartLabel) {
 
 TEST(AssemblerErrors, ReportLineNumbers) {
   try {
-    assemble("nop\nbogus r1\n");
+    (void)assemble("nop\nbogus r1\n");
     FAIL() << "expected AsmError";
   } catch (const AsmError& e) {
     EXPECT_EQ(e.line(), 2);

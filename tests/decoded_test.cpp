@@ -4,15 +4,13 @@
 //    `isa::` encoding, including the commit-class dst rules (r0 sink, f0
 //    writable, kind-mismatched destinations) and the pre-shifted LUI
 //    immediate;
-//  * superinstruction fusion: sites are detected, chained pairs rewrite
-//    only their first slot, and control transfers landing on the second
-//    component of a fused pair execute it unfused with identical traces;
 //  * dual-interpreter property: every corpus kernel and test-scale paper
-//    workload produces byte-identical traces under the threaded and the
-//    reference switch interpreters;
-//  * interrupted step budgets: expiry at every point of a fused loop —
-//    including between the two components of a pair — leaves behaviour
-//    identical to the reference, and step() resumes from the partial state;
+//    workload, and a jump into the middle of a straight-line run, produce
+//    byte-identical traces under the threaded and the reference switch
+//    interpreters;
+//  * interrupted step budgets: expiry at every point of a loop leaves
+//    behaviour identical to the reference, and step() resumes from the
+//    partial state;
 //  * streamed runs: for every chunk size, the concatenated chunks of
 //    run_streamed() equal run_trace() byte for byte, errors included.
 #include <gtest/gtest.h>
@@ -79,8 +77,7 @@ Want want_commit(Opcode op) {
 DecodedOp decode_single(const isa::Instruction& inst) {
   isa::Program p;
   p.code.push_back(inst);
-  const DecodedProgram d = decode_program(p, /*fuse=*/false);
-  return d.ops.at(0);
+  return decode_program(p).at(0);
 }
 
 TEST(DecodedGolden, KindIsTheOpcodeOrdinal) {
@@ -165,45 +162,7 @@ TEST(DecodedGolden, AnnotationPushFlags) {
 }
 
 // ---------------------------------------------------------------------------
-// Fusion.
-
-TEST(Fusion, SitesAreDetectedAndCounted) {
-  const auto prog = isa::assemble(
-      "  li r1, 0\n"
-      "  li r2, 10\n"
-      "loop:\n"
-      "  addi r1, r1, 1\n"
-      "  bne r1, r2, loop\n"
-      "  halt\n");
-  const DecodedProgram d = decode_program(prog);
-  EXPECT_GT(d.stats.fused_sites, 0u);
-  EXPECT_EQ(d.ops.at(prog.code_index("loop")).kind, kFuseAddiBne);
-  // The second component keeps its own unfused decoded form.
-  EXPECT_EQ(d.ops.at(prog.code_index("loop") + 1).kind, kExecBNE);
-}
-
-TEST(Fusion, ChainedPairsRewriteOnlyTheFirstSlot) {
-  const auto prog = isa::assemble(
-      "  addi r1, r1, 1\n"
-      "  addi r2, r2, 2\n"
-      "  addi r3, r3, 3\n"
-      "  halt\n");
-  const DecodedProgram d = decode_program(prog);
-  EXPECT_EQ(d.ops.at(0).kind, kFuseAddiAddi);
-  EXPECT_EQ(d.ops.at(1).kind, kFuseAddiAddi);
-  EXPECT_EQ(d.ops.at(2).kind, kExecADDI);
-  EXPECT_EQ(d.stats.fused_sites, 2u);
-}
-
-TEST(Fusion, DisabledPassLeavesPlainKinds) {
-  const auto prog = isa::assemble(
-      "  addi r1, r1, 1\n"
-      "  addi r2, r2, 2\n"
-      "  halt\n");
-  const DecodedProgram d = decode_program(prog, /*fuse=*/false);
-  EXPECT_EQ(d.ops.at(0).kind, kExecADDI);
-  EXPECT_EQ(d.stats.fused_sites, 0u);
-}
+// Dual-interpreter property.
 
 // Runs a program through both interpreters and asserts byte-identical
 // traces, outcomes and final state.  Returns the threaded trace.
@@ -233,39 +192,16 @@ Trace expect_interpreters_agree(const isa::Program& prog,
   EXPECT_EQ(t_ok, r_ok) << t_err << " / " << r_err;
   EXPECT_EQ(t_err, r_err);
   EXPECT_EQ(t.size(), r.size());
-  if (t.size() == r.size() && !t.empty())
+  if (t.size() == r.size() && !t.empty()) {
     EXPECT_EQ(std::memcmp(t.data(), r.data(), t.size() * sizeof(TraceEntry)),
               0);
+  }
   EXPECT_EQ(ft.instructions(), fr.instructions());
   EXPECT_EQ(ft.pc(), fr.pc());
   EXPECT_EQ(ft.halted(), fr.halted());
   EXPECT_EQ(ft.state_digest(), fr.state_digest());
   return t;
 }
-
-TEST(Fusion, BranchIntoSecondComponentExecutesItUnfused) {
-  // The jump lands on the second addi of a fused addi+addi pair; that slot
-  // must execute as a plain addi (then fall into the bne), and the whole
-  // run must match the reference byte for byte.
-  // r1 passes the bne with odd values (1, 3, ..., 21), so the bound is odd.
-  const auto prog = isa::assemble(
-      "  li r2, 21\n"
-      "  j mid\n"
-      "loop:\n"
-      "  addi r1, r1, 1\n"
-      "mid:\n"
-      "  addi r1, r1, 1\n"
-      "  bne r1, r2, loop\n"
-      "  halt\n");
-  const DecodedProgram d = decode_program(prog);
-  ASSERT_EQ(d.ops.at(prog.code_index("loop")).kind, kFuseAddiAddi);
-  const Trace t = expect_interpreters_agree(prog);
-  EXPECT_FALSE(t.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Dual-interpreter property over the checked-in corpus and the paper
-// workloads at test scale.
 
 TEST(DualInterpreter, CorpusKernelsProduceIdenticalTraces) {
   const auto corpus = fuzz::load_corpus(HIDISC_CORPUS_DIR);
@@ -291,6 +227,23 @@ TEST(DualInterpreter, PaperWorkloadsProduceIdenticalTraces) {
     const Trace ts = expect_interpreters_agree(comp.separated);
     EXPECT_FALSE(ts.empty());
   }
+}
+
+TEST(DualInterpreter, JumpIntoAStraightLineRunMatchesReference) {
+  // The jump lands on the second of two consecutive addis; the run must
+  // match the reference byte for byte.  r1 passes the bne with odd values
+  // (1, 3, ..., 21), so the bound is odd.
+  const auto prog = isa::assemble(
+      "  li r2, 21\n"
+      "  j mid\n"
+      "loop:\n"
+      "  addi r1, r1, 1\n"
+      "mid:\n"
+      "  addi r1, r1, 1\n"
+      "  bne r1, r2, loop\n"
+      "  halt\n");
+  const Trace t = expect_interpreters_agree(prog);
+  EXPECT_FALSE(t.empty());
 }
 
 TEST(DualInterpreter, NaNResultsCommitAsTheCanonicalQuietNaN) {
@@ -340,9 +293,9 @@ TEST(DualInterpreter, NaNResultsCommitAsTheCanonicalQuietNaN) {
 // Interrupted step budgets.
 
 TEST(Budget, ExpiryAtEveryPointOfAFusedLoopMatchesReference) {
-  // ops[loop] fuses addi+bne, so odd budgets expire between the two
-  // components of the pair: FUSE_GUARD must fall back to the single-op
-  // handler and leave exactly the reference's partial state behind.
+  // Budgets 0..31 expire on every instruction of the loop body, before
+  // and after the back-edge, and each must leave exactly the reference's
+  // partial state behind.
   const auto prog = isa::assemble(
       "  li r1, 0\n"
       "  li r2, 1000\n"
@@ -350,8 +303,6 @@ TEST(Budget, ExpiryAtEveryPointOfAFusedLoopMatchesReference) {
       "  addi r1, r1, 1\n"
       "  bne r1, r2, loop\n"
       "  halt\n");
-  ASSERT_EQ(decode_program(prog).ops.at(prog.code_index("loop")).kind,
-            kFuseAddiBne);
   for (std::uint64_t budget = 0; budget < 32; ++budget) {
     SCOPED_TRACE(budget);
     expect_interpreters_agree(prog, budget);
@@ -437,8 +388,7 @@ std::string expect_streamed_matches(
   EXPECT_EQ(streamed.pc(), whole.pc());
   EXPECT_EQ(streamed.halted(), whole.halted());
   EXPECT_EQ(streamed.state_digest(), whole.state_digest());
-  // Every chunk but the last is full: a pause never lands early, not even
-  // inside a fused pair.
+  // Every chunk but the last is full: a pause never lands early.
   for (std::size_t i = 0; i + 1 < sizes.size(); ++i)
     EXPECT_EQ(sizes[i], chunk) << "chunk #" << i;
   if (!sizes.empty()) {
@@ -448,10 +398,11 @@ std::string expect_streamed_matches(
 
   if (want_err.empty()) {
     EXPECT_EQ(got.size(), want.size());
-    if (got.size() == want.size() && !got.empty())
+    if (got.size() == want.size() && !got.empty()) {
       EXPECT_EQ(
           std::memcmp(got.data(), want.data(), got.size() * sizeof(TraceEntry)),
           0);
+    }
   } else {
     // The failing chunk is not delivered; what was delivered is a prefix.
     EXPECT_LE(got.size(), streamed.instructions());
@@ -495,10 +446,10 @@ TEST(StreamedRun, PaperWorkloadsMatchRunTrace) {
   }
 }
 
-// ops[loop] fuses addi+bne: with an odd chunk size every other pause falls
-// between the pair's two components, where FUSE_GUARD must run the first
-// one unfused and the next chunk resumes at the second.
-const char* kFusedLoop =
+// A two-instruction loop body: with an odd chunk size every other pause
+// falls between the addi and the back-edge, and the next chunk resumes at
+// the bne.
+const char* kLoop =
     "  li r1, 0\n"
     "  li r2, 1000\n"
     "loop:\n"
@@ -507,15 +458,13 @@ const char* kFusedLoop =
     "  halt\n";
 
 TEST(StreamedRun, ChunkBoundaryInsideAFusedPair) {
-  const auto prog = isa::assemble(kFusedLoop);
-  ASSERT_EQ(decode_program(prog).ops.at(prog.code_index("loop")).kind,
-            kFuseAddiBne);
+  const auto prog = isa::assemble(kLoop);
   for (const std::size_t chunk : kChunkSizes)
     EXPECT_EQ(expect_streamed_matches(prog, chunk), "");
 }
 
 TEST(StreamedRun, BudgetExhaustionThrowsAtTheSameInstruction) {
-  const auto prog = isa::assemble(kFusedLoop);
+  const auto prog = isa::assemble(kLoop);
   for (const std::size_t chunk : kChunkSizes)
     for (const std::uint64_t budget : {0u, 1u, 7u, 1001u}) {
       SCOPED_TRACE("budget " + std::to_string(budget));
@@ -525,7 +474,7 @@ TEST(StreamedRun, BudgetExhaustionThrowsAtTheSameInstruction) {
 }
 
 TEST(StreamedRun, ZeroChunkIsRejected) {
-  Functional f(isa::assemble(kFusedLoop));
+  Functional f(isa::assemble(kLoop));
   EXPECT_THROW(f.run_streamed([](std::span<const TraceEntry>) {}, 100, 0),
                std::invalid_argument);
 }

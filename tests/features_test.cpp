@@ -51,7 +51,9 @@ TEST(ConsumerSite, AccumulatorUsesOneTransfer) {
   EXPECT_GE(sep.consumer_site_regs, 1u);
   // The accumulator's defs must NOT carry per-iteration push_sdq flags.
   for (const auto& inst : sep.separated.code)
-    if (inst.op == Opcode::FADD) EXPECT_FALSE(inst.ann.push_sdq);
+    if (inst.op == Opcode::FADD) {
+      EXPECT_FALSE(inst.ann.push_sdq);
+    }
   // Exactly one PUSHSDQF (inserted before the store).
   std::size_t pushes = 0;
   for (const auto& inst : sep.separated.code)

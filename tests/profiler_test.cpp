@@ -382,8 +382,9 @@ TEST(Compile, CmasMembersAreWithinAccessStream) {
   // Paper §4.2: "the CMAS is a subset of the Access Stream".
   const auto c = compile(assemble(kStridedMisses));
   for (const auto& inst : c.separated.code)
-    if (inst.ann.in_cmas)
+    if (inst.ann.in_cmas) {
       EXPECT_EQ(inst.ann.stream, isa::Stream::Access);
+    }
 }
 
 TEST(Compile, DisableCmasLeavesNoMarks)

@@ -59,12 +59,14 @@ TEST_P(RandomKernel, StreamInvariantsHold) {
   const auto prog = isa::assemble(gen.generate(24, 10));
   const auto sep = compiler::separate_streams(prog);
   for (const auto& inst : sep.separated.code) {
-    if (isa::is_mem(inst.op) || isa::is_control(inst.op))
+    if (isa::is_mem(inst.op) || isa::is_control(inst.op)) {
       EXPECT_EQ(inst.ann.stream, isa::Stream::Access)
           << isa::disassemble(inst);
-    if (isa::is_fp_compute(inst.op))
+    }
+    if (isa::is_fp_compute(inst.op)) {
       EXPECT_EQ(inst.ann.stream, isa::Stream::Compute)
           << isa::disassemble(inst);
+    }
   }
 }
 

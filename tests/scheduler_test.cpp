@@ -222,7 +222,9 @@ TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
       // Soundness: a promise says nothing can change before that cycle.
       // Progress strictly before it means next_event_cycle missed an
       // event — the fatal direction for the event-skip scheduler.
-      if (promise != 0) EXPECT_GE(now, promise) << "missed event at " << now;
+      if (promise != 0) {
+        EXPECT_GE(now, promise) << "missed event at " << now;
+      }
       promise = 0;
     } else {
       const std::uint64_t ev = core.next_event_cycle(now);
@@ -232,7 +234,9 @@ TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
       // Stability: with no state change, the promise may not move earlier
       // across consecutive stalled cycles (monotonicity of the frozen
       // state's thresholds).
-      if (promise != 0) EXPECT_GE(ev, promise) << "promise moved at " << now;
+      if (promise != 0) {
+        EXPECT_GE(ev, promise) << "promise moved at " << now;
+      }
       promise = ev;
     }
     ASSERT_LT(++now, limit) << "core did not drain";

@@ -278,7 +278,9 @@ TEST(ServeProtocolFuzz, RoundTripAndCorruption) {
         // A flip in the length field may leave the decoder waiting for
         // more input (nullopt) — acceptable.  A decoded frame identical
         // to the original would mean the corruption went undetected.
-        if (f.has_value()) EXPECT_NE(*f, in) << "run " << run;
+        if (f.has_value()) {
+          EXPECT_NE(*f, in) << "run " << run;
+        }
       } catch (const ProtocolError&) {
         // detected — the expected common case
       }

@@ -58,10 +58,12 @@ TEST(AccessMembership, SeedsAreAlwaysAccess) {
   for (std::size_t i = 0; i < p.code.size(); ++i) {
     const auto& inst = p.code[i];
     if (isa::is_mem(inst.op) || isa::is_control(inst.op) ||
-        inst.op == Opcode::HALT)
+        inst.op == Opcode::HALT) {
       EXPECT_TRUE(in_as[i]) << "instr " << i;
-    if (isa::is_fp_compute(inst.op))
+    }
+    if (isa::is_fp_compute(inst.op)) {
       EXPECT_FALSE(in_as[i]) << "instr " << i;
+    }
   }
 }
 
@@ -71,8 +73,9 @@ TEST(AccessMembership, AddressChainsJoinAccessStream) {
   // slli/add address arithmetic and the loop induction/bound belong to AS.
   for (std::size_t i = 0; i < p.code.size(); ++i) {
     const auto op = p.code[i].op;
-    if (op == Opcode::SLLI || op == Opcode::ADD || op == Opcode::ADDI)
+    if (op == Opcode::SLLI || op == Opcode::ADD || op == Opcode::ADDI) {
       EXPECT_TRUE(in_as[i]) << "instr " << i;
+    }
   }
 }
 

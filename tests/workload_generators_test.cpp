@@ -96,8 +96,9 @@ TEST(Workloads, EveryKernelHasNonTrivialStreams) {
     const auto sep = compiler::separate_streams(w.program);
     EXPECT_GT(sep.access_count, 4u) << w.name;
     if (w.name == "RayTray" || w.name == "Field" ||
-        w.name == "Neighborhood")
+        w.name == "Neighborhood") {
       EXPECT_GT(sep.compute_count, 2u) << w.name;
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include "fuzz/oracle.hpp"
 #include "fuzz/shrink.hpp"
 #include "isa/assembler.hpp"
+#include "parse_int.hpp"
 
 namespace {
 
@@ -210,24 +211,24 @@ int main(int argc, char** argv) {
       if (arg == "--runs") {
         const char* v = next();
         if (!v) return usage();
-        a.runs = std::stoi(v);
+        a.runs = cli::parse_int<int>(arg, v, 0);
       } else if (arg == "--seed") {
         const char* v = next();
         if (!v) return usage();
-        a.seed = std::stoull(v);
+        a.seed = cli::parse_int<std::uint64_t>(arg, v);
       } else if (arg == "--gen-seed") {
         const char* v = next();
         if (!v) return usage();
         a.have_gen_seed = true;
-        a.gen_seed = std::stoull(v);
+        a.gen_seed = cli::parse_int<std::uint64_t>(arg, v);
       } else if (arg == "--max-steps") {
         const char* v = next();
         if (!v) return usage();
-        a.max_steps = std::stoull(v);
+        a.max_steps = cli::parse_int<std::uint64_t>(arg, v, 1);
       } else if (arg == "--max-failures") {
         const char* v = next();
         if (!v) return usage();
-        a.max_failures = std::stoi(v);
+        a.max_failures = cli::parse_int<int>(arg, v, 1);
       } else if (arg == "--corpus-out") {
         const char* v = next();
         if (!v) return usage();
@@ -257,8 +258,8 @@ int main(int argc, char** argv) {
         std::cerr << "unknown option: " << arg << "\n";
         return usage();
       }
-    } catch (const std::exception&) {
-      std::cerr << "bad value for " << arg << "\n";
+    } catch (const std::exception& e) {
+      std::cerr << "hifuzz: " << e.what() << "\n";
       return usage();
     }
   }

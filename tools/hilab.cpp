@@ -44,6 +44,7 @@
 #include "lab/plan.hpp"
 #include "lab/runner.hpp"
 #include "lab/thread_pool.hpp"
+#include "parse_int.hpp"
 #include "serve/client.hpp"
 #include "serve/worker.hpp"
 #include "stats/table.hpp"
@@ -138,9 +139,19 @@ void apply_override(lab::ExperimentPlan& plan, const std::string& spec) {
   if (!known)
     throw std::runtime_error("--override: unknown field '" + field +
                              "' (fields: " + kFieldList + ")");
+  // Latencies may be 0; a fetch width or watchdog of 0 would wedge every
+  // cell, so they take the same minimum as --watchdog.
+  const std::string what = "--override " + field;
+  int latency = 0, fetch_width = 0;
+  std::uint64_t watchdog = 0;
   mem::PrefetchConfig pf;
-  std::uint64_t value = 0;
-  if (field == "prefetch") {
+  if (field == "dram" || field == "l2") {
+    latency = cli::parse_int<int>(what, value_str, 0);
+  } else if (field == "fetch_width") {
+    fetch_width = cli::parse_int<int>(what, value_str, 1);
+  } else if (field == "watchdog") {
+    watchdog = cli::parse_int<std::uint64_t>(what, value_str, 1);
+  } else {
     // e.g. '*:prefetch=ipstride:deg4' — the value is a prefetch spec, not
     // an integer.
     try {
@@ -148,25 +159,16 @@ void apply_override(lab::ExperimentPlan& plan, const std::string& spec) {
     } catch (const std::exception& e) {
       throw std::runtime_error(std::string("--override: ") + e.what());
     }
-  } else {
-    try {
-      value = std::stoull(value_str);
-    } catch (const std::exception&) {
-      throw std::runtime_error("--override value must be an integer, got '" +
-                               value_str + "'");
-    }
   }
   bool matched = false;
   for (auto& cell : plan.cells) {
     if (preset != "*" && preset != machine::preset_name(cell.preset))
       continue;
     matched = true;
-    if (field == "dram") cell.config.mem.dram_latency = static_cast<int>(value);
-    else if (field == "l2")
-      cell.config.mem.l2.hit_latency = static_cast<int>(value);
-    else if (field == "fetch_width")
-      cell.config.fetch_width = static_cast<int>(value);
-    else if (field == "watchdog") cell.config.watchdog_cycles = value;
+    if (field == "dram") cell.config.mem.dram_latency = latency;
+    else if (field == "l2") cell.config.mem.l2.hit_latency = latency;
+    else if (field == "fetch_width") cell.config.fetch_width = fetch_width;
+    else if (field == "watchdog") cell.config.watchdog_cycles = watchdog;
     else if (field == "prefetch") cell.config.mem.prefetch = pf;
   }
   if (!matched)
@@ -218,14 +220,8 @@ int main(int argc, char** argv) {
     try {
       if (arg == "--list") return list_plans();
       if (arg == "--plan") plan_name = value();
-      else if (arg == "--threads") {
-        const std::string v = value();
-        try {
-          threads = std::stoi(v);
-        } catch (const std::exception&) {
-          throw std::runtime_error("--threads needs an integer, got '" + v + "'");
-        }
-      }
+      else if (arg == "--threads")
+        threads = cli::parse_int<int>(arg, value(), 1);
       else if (arg == "--scale") {
         const std::string s = value();
         if (s == "paper") scale = workloads::Scale::Paper;
@@ -236,31 +232,13 @@ int main(int argc, char** argv) {
       else if (arg == "--cache-dir") cache_dir = value();
       else if (arg == "--no-cache") cache_dir.clear();
       else if (arg == "--refresh") refresh = true;
-      else if (arg == "--watchdog") {
-        const std::string v = value();
-        try {
-          watchdog = std::stoull(v);
-        } catch (const std::exception&) {
-          throw std::runtime_error("--watchdog needs an integer, got '" + v +
-                                   "'");
-        }
-        if (watchdog == 0)
-          throw std::runtime_error("--watchdog must be >= 1");
-      }
+      else if (arg == "--watchdog")
+        watchdog = cli::parse_int<std::uint64_t>(arg, value(), 1);
       else if (arg == "--lockstep") lockstep = true;
       else if (arg == "--override") overrides.push_back(value());
       else if (arg == "--connect") connect_ep = value();
-      else if (arg == "--reconnect") {
-        const std::string v = value();
-        try {
-          reconnects = std::stoi(v);
-        } catch (const std::exception&) {
-          throw std::runtime_error("--reconnect needs an integer, got '" + v +
-                                   "'");
-        }
-        if (reconnects < 0)
-          throw std::runtime_error("--reconnect must be >= 0");
-      }
+      else if (arg == "--reconnect")
+        reconnects = cli::parse_int<int>(arg, value(), 0);
       else if (arg == "--service-stats") stats_path = value();
       else if (arg == "--json") json_path = value();
       else if (arg == "--csv") csv_path = value();
@@ -275,10 +253,6 @@ int main(int argc, char** argv) {
     }
   }
   if (plan_name.empty() && stats_path.empty()) return usage(argv[0]);
-  if (threads < 1) {
-    std::fprintf(stderr, "hilab: --threads must be >= 1\n");
-    return 2;
-  }
   if (!stats_path.empty() && connect_ep.empty()) {
     std::fprintf(stderr, "hilab: --service-stats needs --connect\n");
     return 2;

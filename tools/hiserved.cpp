@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "parse_int.hpp"
 #include "serve/service.hpp"
 
 namespace {
@@ -62,16 +63,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     const auto int_value = [&](int min) {
-      const std::string v = value();
-      int out;
-      try {
-        out = std::stoi(v);
-      } catch (const std::exception&) {
-        throw std::runtime_error(arg + " needs an integer, got '" + v + "'");
-      }
-      if (out < min)
-        throw std::runtime_error(arg + " must be >= " + std::to_string(min));
-      return out;
+      return hidisc::cli::parse_int<int>(arg, value(), min);
     };
     try {
       if (arg == "--socket") opt.endpoint = value();
@@ -84,9 +76,11 @@ int main(int argc, char** argv) {
       else if (arg == "--backoff-ms") opt.backoff_ms = int_value(1);
       else if (arg == "--stats-file") opt.stats_file = value();
       else if (arg == "--client-queue-max")
-        opt.client_queue_max = static_cast<std::size_t>(int_value(1));
+        opt.client_queue_max =
+            hidisc::cli::parse_int<std::size_t>(arg, value(), 1);
       else if (arg == "--chaos-kill-assign")
-        opt.chaos_kill_at_assign = static_cast<std::uint64_t>(int_value(1));
+        opt.chaos_kill_at_assign =
+            hidisc::cli::parse_int<std::uint64_t>(arg, value(), 1);
       else if (arg == "--quiet") opt.quiet = true;
       else if (arg == "--help" || arg == "-h") return usage(argv[0]);
       else throw std::runtime_error("unknown option: " + arg);
