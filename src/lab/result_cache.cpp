@@ -2,8 +2,10 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "diag/quarantine.hpp"
 #include "lab/serialize.hpp"
@@ -95,8 +98,64 @@ std::optional<CacheEntry> ResultCache::load(const std::string& key) const {
   return entry;
 }
 
+ResultCache::Lease::Lease(Lease&& other) noexcept
+    : path_(std::move(other.path_)),
+      fd_(std::exchange(other.fd_, -1)),
+      unlinked_(other.unlinked_) {}
+
+ResultCache::Lease& ResultCache::Lease::operator=(Lease&& other) noexcept {
+  if (this != &other) {
+    release();
+    path_ = std::move(other.path_);
+    fd_ = std::exchange(other.fd_, -1);
+    unlinked_ = other.unlinked_;
+  }
+  return *this;
+}
+
+void ResultCache::Lease::unlink_lock() const {
+  if (fd_ < 0 || unlinked_) return;
+  ::unlink(lock_path().c_str());
+  unlinked_ = true;
+}
+
+void ResultCache::Lease::release() noexcept {
+  if (fd_ < 0) return;
+  unlink_lock();
+  ::close(fd_);  // drops the flock
+  fd_ = -1;
+}
+
+ResultCache::Lease ResultCache::lease(const std::string& key) const {
+  const std::string path = path_for(key);
+  const std::string lock_path = path + ".lock";
+  for (;;) {
+    const int fd =
+        ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (fd < 0) return Lease(path, -1);
+    int rc = ::flock(fd, LOCK_EX);
+    while (rc != 0 && errno == EINTR) rc = ::flock(fd, LOCK_EX);
+    if (rc != 0) {  // no flock on this filesystem: proceed unleased
+      ::close(fd);
+      return Lease(path, -1);
+    }
+    // The previous holder unlinks the lock file before unlocking, so a
+    // lock on an inode no longer at `lock_path` guards nothing: retry on
+    // the current file.
+    struct stat held {}, current {};
+    if (::fstat(fd, &held) == 0 && ::stat(lock_path.c_str(), &current) == 0 &&
+        held.st_dev == current.st_dev && held.st_ino == current.st_ino)
+      return Lease(path, fd);
+    ::close(fd);
+  }
+}
+
 bool ResultCache::store(const std::string& key,
                         const CacheEntry& entry) const {
+  return store(lease(key), entry);
+}
+
+bool ResultCache::store(const Lease& lease, const CacheEntry& entry) const {
   std::ostringstream body;
   body << kHeader << '\n'
        << "meta.workload " << entry.workload << '\n'
@@ -106,19 +165,10 @@ bool ResultCache::store(const std::string& key,
     body << name << ' ' << value << '\n';
   body << checksum_line(body.str()) << '\n';
 
-  // Publish protocol for a directory shared across processes: take an
-  // advisory lock on `<entry>.lock`, write a temp file unique per
-  // process AND thread, then atomically rename it into place.  The
-  // rename alone already guarantees readers never see a torn entry; the
-  // lock additionally serializes concurrent writers of the same key so
-  // their temp-write + rename windows do not interleave.  Locking is
-  // best-effort — on a filesystem without flock the rename still keeps
-  // the entry atomic.
-  const std::string final_path = path_for(key);
-  const int lock_fd =
-      ::open((final_path + ".lock").c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
-             0644);
-  if (lock_fd >= 0) ::flock(lock_fd, LOCK_EX);
+  // Write a temp file unique per process AND thread, then atomically
+  // rename it into place: readers never see a torn entry, with or
+  // without a held lease.
+  const std::string& final_path = lease.path_;
   std::ostringstream tid;
   tid << std::this_thread::get_id();
   const std::string tmp =
@@ -137,10 +187,9 @@ bool ResultCache::store(const std::string& key,
     ok = !ec;
   }
   if (!ok) std::remove(tmp.c_str());
-  if (lock_fd >= 0) {
-    ::flock(lock_fd, LOCK_UN);
-    ::close(lock_fd);
-  }
+  // Only after the rename: a leaser that creates a fresh lock file must
+  // already find the entry.
+  lease.unlink_lock();
   return ok;
 }
 

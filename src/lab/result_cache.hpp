@@ -12,10 +12,9 @@
 //     ... (every visit_result_fields name, one per line)
 //     checksum <16-hex FNV-1a-64 of everything above>
 //
-// Writes go through an advisory per-entry flock plus a per-process,
-// per-thread temp file published by atomic rename, so parallel runners
-// (threads or separate processes — hilab, hiserved workers) sharing a
-// directory never observe a torn entry.  Loads validate three layers:
+// Writes publish a per-process, per-thread temp file by atomic rename, so
+// runners sharing a directory (threads or separate hilab processes) never
+// observe a torn entry.  Loads validate three layers:
 // the checksum footer (bit rot, torn writes), line shape, and
 // required-field completeness (a line-aligned truncation must not decode
 // as a silently-zeroed Result).  Any failure quarantines the file to
@@ -25,6 +24,16 @@
 // dependency.
 // Entries with an older version header are plain misses (stale format,
 // not corruption) and are left in place to be overwritten.
+//
+// Per-key leases make processes sharing a directory simulate each key
+// once.  A lease is an exclusive flock on `<dir>/<key>.result.lock`:
+// the holder simulates and publishes, a second leaser blocks until it is
+// released and then finds the entry with load().  The lock file exists
+// only while a lease is held: the holder unlinks it before unlocking
+// (after the rename, so a later leaser that creates a fresh lock file
+// already sees the entry), and a leaser that wakes on an unlinked lock
+// file retries on the current one.  A killed holder's flock is dropped by
+// the kernel; the lock file it leaves is leased at once and removed.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +59,42 @@ class ResultCache {
   // if that fails.
   explicit ResultCache(std::string dir);
 
+  // Exclusive hold on one key, released (and its lock file removed) on
+  // destruction.  Move-only.  An unheld lease — the filesystem refused
+  // open or flock — still names its entry, so store() works without one.
+  class Lease {
+   public:
+    Lease() = default;
+    Lease(Lease&& other) noexcept;
+    Lease& operator=(Lease&& other) noexcept;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() { release(); }
+
+    [[nodiscard]] bool held() const noexcept { return fd_ >= 0; }
+
+   private:
+    friend class ResultCache;
+    Lease(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+    [[nodiscard]] std::string lock_path() const { return path_ + ".lock"; }
+    // Unlinks the lock file once, while the flock is still held.
+    void unlink_lock() const;
+    void release() noexcept;
+
+    std::string path_;  // the entry's `.result` file
+    int fd_ = -1;
+    mutable bool unlinked_ = false;
+  };
+
   [[nodiscard]] std::optional<CacheEntry> load(const std::string& key) const;
+  // Blocks while another thread or process leases `key`.  A process must
+  // not lease a key it already holds: the second flock would wait on the
+  // first forever.
+  [[nodiscard]] Lease lease(const std::string& key) const;
+  // Publishes `entry` under the lease's key, then removes its lock file.
   // Returns false (and leaves the cache unchanged) on I/O failure.
+  bool store(const Lease& lease, const CacheEntry& entry) const;
+  // store(lease(key), entry).
   bool store(const std::string& key, const CacheEntry& entry) const;
 
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }

@@ -61,7 +61,7 @@ PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt) {
         if (opt.on_cell)
           opt.on_cell(plan.cells[index], done, total, from_cache);
       };
-  pipeline::Pipeline::Outcome outcome = pipe.run(plan.cells, &pool, hook);
+  pipeline::Pipeline::Outcome outcome = pipe.run(plan.cells, pool, hook);
 
   PlanRun run;
   run.cells = std::move(outcome.cells);

@@ -10,7 +10,9 @@
 // are still compiling.  Sim results persist in the on-disk ResultCache,
 // traces in the TraceStore next to it, so a machine-preset-only change
 // reruns sim nodes while every trace node stays warm — observable in
-// PlanRun::nodes, the JSON export, and the service stats endpoint.
+// PlanRun::nodes and the JSON export.  Concurrent run_plan calls (threads
+// or processes) sharing a cache directory simulate each key once between
+// them: the sim node leases its key in the ResultCache.
 //
 // Results are returned indexed by cell, so the output is bit-identical
 // for any thread count — parallelism changes wall-clock, never numbers.
@@ -60,16 +62,6 @@ struct CellResult {
   std::string error;            // human-readable failure message
   std::string error_class;      // "prep" / "trace" / "sim" / "deadlock:<cause>"
   std::string diagnostic_json;  // attached DeadlockReport, when one exists
-
-  // Pipeline provenance: node work performed to satisfy this cell when it
-  // ran as a single-cell pipeline submission (hiserved jobs).  Local
-  // multi-cell runs leave these zero — nodes are shared across cells
-  // there, so per-cell attribution would double count; PlanRun::nodes is
-  // the authoritative aggregate.  The daemon zeroes them on dedup/memo
-  // deliveries so connected clients can sum without double counting.
-  std::uint32_t compile_nodes_rebuilt = 0;
-  std::uint32_t trace_nodes_hit = 0;
-  std::uint32_t trace_nodes_rebuilt = 0;
 
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
 };

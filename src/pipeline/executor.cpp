@@ -1,6 +1,7 @@
 #include "pipeline/executor.hpp"
 
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -101,12 +102,7 @@ struct Pipeline::Exec {
   // Sim key -> the first SimNode that probed it; later probers wait on it.
   std::unordered_map<std::string, SimNode*> first_by_key;
 
-  void submit(std::function<void()> task) {
-    if (pool)
-      pool->submit(std::move(task));
-    else
-      task();  // inline, depth-first; identical results by construction
-  }
+  void submit(std::function<void()> task) { pool->submit(std::move(task)); }
 
   // Caller holds `mu`.  Also delivers the outcome to the sims waiting on
   // this one's key.
@@ -129,6 +125,17 @@ struct Pipeline::Exec {
     w->out.from_cache = true;
     ++out->nodes.sim.hits;
     finish_cell_locked(w, /*from_cache=*/true);
+  }
+
+  // A result-cache hit for `s`, found after `ms` of probing.
+  void deliver_hit(SimNode* s, const lab::CacheEntry& hit, double ms) {
+    s->out.result = hit.result;
+    s->out.orig_dynamic_instructions = hit.orig_dynamic_instructions;
+    s->out.from_cache = true;
+    std::lock_guard<std::mutex> lock(mu);
+    ++out->nodes.sim.hits;
+    out->nodes.sim.ms_hits += ms;
+    finish_cell_locked(s, /*from_cache=*/true);
   }
 
   void fail_cell(SimNode* s, std::string msg, std::string cls) {
@@ -188,16 +195,10 @@ struct Pipeline::Exec {
     const Stores& st = self->stores_;
     if (st.results && !st.refresh) {
       const auto start = Clock::now();
-      auto hit = st.results->load(s->out.key);
+      const auto hit = st.results->load(s->out.key);
       const double ms = ms_since(start);
       if (hit) {
-        s->out.result = hit->result;
-        s->out.orig_dynamic_instructions = hit->orig_dynamic_instructions;
-        s->out.from_cache = true;
-        std::lock_guard<std::mutex> lock(mu);
-        ++out->nodes.sim.hits;
-        out->nodes.sim.ms_hits += ms;
-        finish_cell_locked(s, /*from_cache=*/true);
+        deliver_hit(s, *hit, ms);
         return;
       }
       // A missed probe still costs a disk lookup; the node ends up rebuilt.
@@ -264,9 +265,28 @@ struct Pipeline::Exec {
     submit([this, s] { run_sim(s); });
   }
 
+  // The lease is taken here, with the trace in hand, and not in
+  // probe_sim: a holder then waits on nothing, so two processes can never
+  // each hold a lease the other's workers block on while the traces that
+  // would let either finish sit in a queue.  The re-probe turns a key
+  // another process simulated while this one traced into a hit.
   void run_sim(SimNode* s) {
     const lab::Cell& cell = *s->cell;
     const CompileArtifact& comp = *s->trace->compile->out;
+    const Stores& st = self->stores_;
+    lab::ResultCache::Lease lease;
+    if (st.results) {
+      const auto probe_start = Clock::now();
+      lease = st.results->lease(s->out.key);
+      const auto hit = st.refresh ? std::nullopt : st.results->load(s->out.key);
+      const double ms = ms_since(probe_start);
+      if (hit) {
+        deliver_hit(s, *hit, ms);
+        return;
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      out->nodes.sim.ms_rebuilt += ms;
+    }
     const auto start = Clock::now();
     try {
       s->out.result =
@@ -297,9 +317,9 @@ struct Pipeline::Exec {
       s->out.sim_cycles_per_sec =
           static_cast<double>(s->out.result.cycles) * 1000.0 /
           s->out.wall_ms;
-    if (self->stores_.results)
-      self->stores_.results->store(
-          s->out.key,
+    if (st.results)
+      st.results->store(
+          lease,
           lab::CacheEntry{s->out.result, cell.workload.name,
                           machine::preset_name(cell.preset),
                           s->out.orig_dynamic_instructions});
@@ -311,7 +331,7 @@ struct Pipeline::Exec {
 };
 
 Pipeline::Outcome Pipeline::run(const std::vector<lab::Cell>& cells,
-                                lab::ThreadPool* pool,
+                                lab::ThreadPool& pool,
                                 const CellHook& on_cell) {
   Graph g = build_graph(cells);
   Outcome out;
@@ -324,14 +344,14 @@ Pipeline::Outcome Pipeline::run(const std::vector<lab::Cell>& cells,
   exec.self = this;
   exec.out = &out;
   exec.hook = &on_cell;
-  exec.pool = pool;
+  exec.pool = &pool;
   exec.total = g.sims.size();
 
   for (CompileNode& c : g.compiles) {
     CompileNode* cp = &c;
     exec.submit([&exec, cp] { exec.run_compile(cp); });
   }
-  if (pool) pool->wait();
+  pool.wait();
 
   for (SimNode& s : g.sims) out.cells[s.index] = std::move(s.out);
   return out;

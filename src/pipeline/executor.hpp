@@ -5,19 +5,21 @@
 //   compile node  →  session memo (cross-run, in-process)
 //   trace node    →  session memo, then the on-disk TraceStore
 //   sim node      →  the on-disk ResultCache (probed *before* its trace
-//                    node is demanded — a fully warm plan traces nothing)
+//                    node is demanded — a fully warm plan traces nothing —
+//                    and again under the key's lease once the trace is
+//                    ready, so processes sharing the directory simulate
+//                    each key once)
 //
 // There are no phase barriers: each compile node's completion dispatches
 // its cells' cache probes, each probe miss demands its trace node, each
 // trace completion releases its waiting sims.  A Pipeline object is a
-// session — keep one alive (as the hiserved worker does) and compile and
-// trace artifacts are shared across every run() it serves; lab::run_plan
-// creates one per plan, which still shares nodes across the plan's cells
-// and, through the on-disk stores, across processes and daemon restarts.
+// session: compile and trace artifacts are shared across every run() it
+// serves.  lab::run_plan creates one per plan, which still shares nodes
+// across the plan's cells and, through the on-disk stores, across
+// processes.
 //
 // Determinism: results are indexed by cell and every node's output is
-// independent of scheduling, so run() is bit-identical for any pool size
-// including none (pool == nullptr executes nodes inline, depth-first).
+// independent of scheduling, so run() is bit-identical for any pool size.
 #pragma once
 
 #include <functional>
@@ -48,11 +50,6 @@ class Pipeline {
   Pipeline() = default;
   explicit Pipeline(Stores stores) : stores_(stores) {}
 
-  // Flips the refresh policy for subsequent runs.  The hiserved worker
-  // toggles this per job from the request's refresh flag; not safe to
-  // call concurrently with run().
-  void set_refresh(bool refresh) { stores_.refresh = refresh; }
-
   struct Outcome {
     std::vector<lab::CellResult> cells;  // parallel to the submitted cells
     NodeStats nodes;
@@ -63,11 +60,10 @@ class Pipeline {
       std::size_t index, const lab::CellResult& result, std::size_t done,
       std::size_t total, bool from_cache)>;
 
-  // Executes the node set for `cells`.  `pool` may be nullptr (inline
-  // serial execution; the hiserved worker path).  Never throws for
+  // Executes the node set for `cells` on `pool`.  Never throws for
   // per-cell failures — they land in the CellResult error slots.
   [[nodiscard]] Outcome run(const std::vector<lab::Cell>& cells,
-                            lab::ThreadPool* pool,
+                            lab::ThreadPool& pool,
                             const CellHook& on_cell = {});
 
   // Compile + trace without sim nodes: the bench harness's prepare path.

@@ -12,11 +12,22 @@
 //
 // There is no update switch: when a Result change is intended, the
 // failure message prints the lines to paste into the golden file.
+//
+// The same golden checks runs that share a cache directory across
+// processes (ConcurrentRuns below): two concurrent plans, and a plan
+// killed mid-run then re-run.  Their children are forked before any
+// thread exists and report back through a pipe.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,6 +67,17 @@ std::string golden_line(std::size_t i, const lab::Cell& cell,
          (cell.tag.empty() ? std::string("-") : cell.tag) + " " + digest;
 }
 
+// Every cell's golden line, in plan order.
+std::vector<std::string> golden_lines(const lab::ExperimentPlan& plan,
+                                      const lab::PlanRun& run) {
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < run.cells.size(); ++i)
+    lines.push_back(golden_line(
+        i, plan.cells[i],
+        hex16(lab::fnv1a64(cell_text(i, run.cells[i].result)))));
+  return lines;
+}
+
 std::vector<std::string> read_golden(const char* path) {
   std::ifstream in(path);
   std::vector<std::string> lines;
@@ -73,12 +95,9 @@ TEST(GoldenResults, TestScalePaperPlanMatchesCheckedInDigests) {
   ASSERT_EQ(run.cells.size(), plan.cells.size());
 
   std::string grid_text;
-  std::vector<std::string> got;
-  for (std::size_t i = 0; i < run.cells.size(); ++i) {
-    const auto text = cell_text(i, run.cells[i].result);
-    grid_text += text;
-    got.push_back(golden_line(i, plan.cells[i], hex16(lab::fnv1a64(text))));
-  }
+  for (std::size_t i = 0; i < run.cells.size(); ++i)
+    grid_text += cell_text(i, run.cells[i].result);
+  const auto got = golden_lines(plan, run);
 
   const auto want = read_golden(HIDISC_GOLDEN_FILE);
   std::ostringstream diff;
@@ -183,6 +202,150 @@ TEST(CompileGolden, TestScaleRegistryMatchesCheckedInDigests) {
       << "If the compiler change is intended, replace the file's "
          "workload lines with:\n"
       << paste.str();
+}
+
+// ---- processes sharing one cache directory ----------------------------------
+
+struct TempDir {
+  std::string path;
+  TempDir() {
+    char tmpl[] = "/tmp/hidisc-golden-XXXXXX";
+    if (::mkdtemp(tmpl) != nullptr) path = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+struct Child {
+  pid_t pid = -1;
+  int out = -1;  // read end of the child's report pipe
+};
+
+// Forks a child that writes body()'s text to a pipe and exits 0 (1 if
+// body throws).  Call before this process starts any thread.
+Child fork_child(const std::function<std::string()>& body) {
+  int fds[2];
+  if (::pipe(fds) != 0) return {};
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    int code = 0;
+    std::string report;
+    try {
+      report = body();
+    } catch (...) {
+      code = 1;
+    }
+    for (std::size_t off = 0; off < report.size();) {
+      const ssize_t n =
+          ::write(fds[1], report.data() + off, report.size() - off);
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::_exit(code);
+  }
+  ::close(fds[1]);
+  return {pid, fds[0]};
+}
+
+// Reads the child's report to EOF and reaps it.
+std::string finish(const Child& c, int* status) {
+  std::string report;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(c.out, buf, sizeof buf)) > 0;)
+    report.append(buf, static_cast<std::size_t>(n));
+  ::close(c.out);
+  ::waitpid(c.pid, status, 0);
+  return report;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::string> result_cache_locks(const std::string& dir) {
+  std::vector<std::string> locks;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.ends_with(".result.lock")) locks.push_back(name);
+  }
+  return locks;
+}
+
+TEST(ConcurrentRuns, TwoProcessesSimulateEachSimKeyOnce) {
+  const TempDir dir;
+  const auto plan = lab::plan_paper(workloads::Scale::Test);
+  // Report: "rebuilt N", then one "<key> <golden line>" per cell.
+  const auto body = [&] {
+    lab::RunOptions opt;
+    opt.threads = 2;
+    opt.cache_dir = dir.path;
+    const auto run = lab::run_plan(plan, opt);
+    std::string report =
+        "rebuilt " + std::to_string(run.nodes.sim.rebuilt) + "\n";
+    const auto lines = golden_lines(plan, run);
+    for (std::size_t i = 0; i < lines.size(); ++i)
+      report += run.cells[i].key + " " + lines[i] + "\n";
+    return report;
+  };
+  const Child children[] = {fork_child(body), fork_child(body)};
+
+  const auto want = read_golden(HIDISC_GOLDEN_FILE);
+  std::size_t rebuilt = 0;
+  std::set<std::string> keys;
+  for (const Child& c : children) {
+    ASSERT_GT(c.pid, 0);
+    int status = 0;
+    const auto report = split_lines(finish(c, &status));
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+    ASSERT_EQ(report.size(), plan.cells.size() + 1);
+    rebuilt += std::stoull(report[0].substr(report[0].find(' ') + 1));
+    std::vector<std::string> got;
+    for (std::size_t i = 1; i < report.size(); ++i) {
+      const auto space = report[i].find(' ');
+      keys.insert(report[i].substr(0, space));
+      got.push_back(report[i].substr(space + 1));
+    }
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_EQ(keys.size(), 68u);
+  EXPECT_EQ(rebuilt, keys.size()) << "sims run by both processes together";
+  EXPECT_EQ(result_cache_locks(dir.path), std::vector<std::string>{});
+}
+
+TEST(ConcurrentRuns, KilledRunResumesBitIdentical) {
+  const TempDir dir;
+  const auto plan = lab::plan_paper(workloads::Scale::Test);
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path;
+
+  // Dies after 10 finished cells, with the other worker mid-simulation
+  // and holding the lease on its key.
+  lab::RunOptions doomed = opt;
+  doomed.on_cell = [](const lab::Cell&, std::size_t done, std::size_t,
+                      bool) {
+    if (done == 10) ::kill(::getpid(), SIGKILL);
+  };
+  int status = 0;
+  finish(fork_child([&] {
+           (void)lab::run_plan(plan, doomed);
+           return std::string();
+         }),
+         &status);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
+
+  // The golden is the no-cache run (GoldenResults above).
+  const auto rerun = lab::run_plan(plan, opt);
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_GT(rerun.cache_hits, 0u);
+  EXPECT_EQ(golden_lines(plan, rerun), read_golden(HIDISC_GOLDEN_FILE));
+  EXPECT_EQ(result_cache_locks(dir.path), std::vector<std::string>{});
 }
 
 }  // namespace

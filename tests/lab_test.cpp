@@ -1,16 +1,19 @@
 // hidisc-lab orchestrator tests: parallel/serial equivalence, persistent
-// result caching, content-key sensitivity, determinism, serialization
-// round-trips, and the export formats.
+// result caching and its per-key leases, content-key sensitivity,
+// determinism, serialization round-trips, and the export formats.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "lab/export.hpp"
 #include "lab/fingerprint.hpp"
@@ -134,6 +137,101 @@ TEST(LabResultCache, StoreThenLoadIdentical) {
   EXPECT_EQ(back->workload, "Pointer");
   EXPECT_EQ(back->preset, "HiDISC");
   EXPECT_EQ(back->orig_dynamic_instructions, 123456u);
+  EXPECT_FALSE(fs::exists(fs::path(dir.path()) / (key + ".result.lock")));
+}
+
+// ---- per-key leases ---------------------------------------------------------
+
+std::string lock_path(const std::string& dir, const std::string& key) {
+  return (fs::path(dir) / (key + ".result.lock")).string();
+}
+
+// How many of this process's descriptors are open on `path`.
+int open_fds_on(const std::string& path) {
+  const fs::path target = fs::canonical(path);
+  int n = 0;
+  for (const auto& fd : fs::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    if (fs::read_symlink(fd.path(), ec) == target) ++n;
+  }
+  return n;
+}
+
+TEST(LabResultCache, SecondLeaseBlocksUntilFirstIsReleased) {
+  TempDir dir("lease_blocks");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, 'b');
+  auto first = cache.lease(key);
+  ASSERT_TRUE(first.held());
+  std::atomic<bool> acquired{false};
+  std::thread waiter([&] {
+    const auto second = cache.lease(key);
+    acquired = second.held();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(acquired.load());
+  first = lab::ResultCache::Lease();  // release without a store
+  waiter.join();
+  EXPECT_TRUE(acquired.load());
+  EXPECT_FALSE(fs::exists(lock_path(dir.path(), key)));
+}
+
+TEST(LabResultCache, StoreThroughLeaseRemovesLockFile) {
+  TempDir dir("lease_store");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, 'c');
+  const auto lease = cache.lease(key);
+  ASSERT_TRUE(lease.held());
+  EXPECT_TRUE(fs::exists(lock_path(dir.path(), key)));
+  ASSERT_TRUE(cache.store(lease, {nonzero_result(), "Pointer", "HiDISC", 1}));
+  EXPECT_FALSE(fs::exists(lock_path(dir.path(), key)));
+  EXPECT_TRUE(cache.load(key).has_value());
+}
+
+TEST(LabResultCache, LeftoverLockFileIsLeasedAtOnceAndRemoved) {
+  // A holder killed mid-simulation leaves its lock file, but the kernel
+  // dropped its flock.
+  TempDir dir("lease_leftover");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, 'd');
+  std::ofstream(lock_path(dir.path(), key)).put('x');
+  {
+    const auto lease = cache.lease(key);
+    EXPECT_TRUE(lease.held());
+  }
+  EXPECT_FALSE(fs::exists(lock_path(dir.path(), key)));
+}
+
+TEST(LabResultCache, WaiterOnUnlinkedLockRetriesAndSeesResult) {
+  TempDir dir("lease_unlinked");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, 'e');
+  const std::string lock = lock_path(dir.path(), key);
+  auto holder = cache.lease(key);
+  ASSERT_TRUE(holder.held());
+  bool held = false, lock_file_present = false;
+  std::optional<lab::CacheEntry> seen;
+  std::thread waiter([&] {
+    const auto lease = cache.lease(key);
+    held = lease.held();
+    // The lease must be on the lock file at the path, not on the inode
+    // the holder unlinked.
+    lock_file_present = fs::exists(lock);
+    seen = cache.load(key);
+  });
+  // Let the waiter open the lock file the holder is about to unlink.
+  for (int i = 0; i < 2000 && open_fds_on(lock) < 2; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(open_fds_on(lock), 2);
+  const lab::CacheEntry entry{nonzero_result(), "Pointer", "HiDISC", 7};
+  EXPECT_TRUE(cache.store(holder, entry));
+  holder = lab::ResultCache::Lease();
+  waiter.join();
+  EXPECT_TRUE(held);
+  EXPECT_TRUE(lock_file_present);
+  ASSERT_TRUE(seen.has_value());
+  EXPECT_TRUE(lab::results_identical(seen->result, entry.result));
+  EXPECT_FALSE(fs::exists(lock));
 }
 
 // ---- cache hardening: checksum footer, strict fields, quarantine -----------

@@ -499,16 +499,17 @@ TEST(PipelineRunner, RepeatedSimKeySharesAFailure) {
 }
 
 TEST(PipelineRunner, SessionMemoSharesArtifactsAcrossRuns) {
-  // One Pipeline object serving two runs (the hiserved worker pattern)
-  // compiles and traces once, even with no disk stores at all.
+  // One Pipeline object serving two runs compiles and traces once, even
+  // with no disk stores at all.
   pipeline::Pipeline pipe;
+  lab::ThreadPool pool(1);
   std::vector<lab::Cell> cells{
       lab::Cell{lab::spec("Pointer", workloads::Scale::Test),
                 machine::Preset::Superscalar, {}, {}, ""}};
-  const auto first = pipe.run(cells, nullptr);
+  const auto first = pipe.run(cells, pool);
   EXPECT_EQ(first.nodes.compile.rebuilt, 1u);
   EXPECT_EQ(first.nodes.trace.rebuilt, 1u);
-  const auto second = pipe.run(cells, nullptr);
+  const auto second = pipe.run(cells, pool);
   EXPECT_EQ(second.nodes.compile.hits, 1u);
   EXPECT_EQ(second.nodes.trace.hits, 1u);
   EXPECT_EQ(second.nodes.trace.rebuilt, 0u);

@@ -11,28 +11,16 @@
 //         [--watchdog N] [--lockstep]
 //         [--json FILE|-] [--csv FILE|-] [--quiet]
 //
-// With --connect the plan runs on a hiserved daemon instead of in
-// process: cells are deduplicated against every other connected client
-// and served from the daemon's shared result cache, and the results are
-// bit-identical to a local run of the same plan:
-//
-//   hilab --connect /tmp/hiserve.sock --plan paper [--refresh]
-//         [--reconnect N] [--service-stats FILE|-] [--json ...] [--csv ...]
-//
-// Guarantees: results are bit-identical for every --threads value (and
-// for --connect against any worker count), and a second invocation
-// against a warm cache simulates zero cells.  A --connect run survives
-// connection loss and daemon restarts: the client reconnects with
-// bounded backoff and resubmits the plan, and the daemon serves the
-// cells that already finished from its shared result cache.
+// Guarantees: results are bit-identical for every --threads value, and a
+// second invocation against a warm cache simulates zero cells.  Any number
+// of hilab processes may share one cache directory: a per-key lease in the
+// result cache makes them simulate each content key once between them, and
+// a run killed mid-plan resumes from the results it already stored.
 //
 // Exit codes: 0 = every cell healthy, 4 = partial failure (some cells
 // failed; healthy cells still exported), 1 = infrastructure error (bad
-// plan, broken cache dir, export I/O, mid-plan daemon loss past the
-// reconnect budget), 2 = usage (including an unknown --plan name, which
-// lists the available plans), 5 = daemon unreachable (--connect never
-// got a handshake; the issue is almost always that hiserved isn't
-// running at that endpoint).
+// plan, broken cache dir, export I/O), 2 = usage (including an unknown
+// --plan name, which lists the available plans).
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -45,8 +33,6 @@
 #include "lab/runner.hpp"
 #include "lab/thread_pool.hpp"
 #include "parse_int.hpp"
-#include "serve/client.hpp"
-#include "serve/worker.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -76,13 +62,7 @@ int usage(const char* argv0) {
       "                    Participates in content keys, so overridden runs\n"
       "                    never alias normal cache entries (their traces\n"
       "                    still do — config never reaches trace nodes).\n"
-      "                    Local runs only (repeatable)\n"
-      "  --connect EP      run on a hiserved daemon at EP (socket path or\n"
-      "                    tcp:HOST:PORT) instead of in this process\n"
-      "  --reconnect N     with --connect: survive up to N connection\n"
-      "                    losses by resubmitting the plan (default 8)\n"
-      "  --service-stats F with --connect: fetch the daemon's stats JSON\n"
-      "                    after the run and write it to F ('-' = stdout)\n"
+      "                    Repeatable\n"
       "  --json FILE       export full results as JSON ('-' = stdout)\n"
       "  --csv FILE        export summary rows as CSV ('-' = stdout)\n"
       "  --bench-json FILE write a google-benchmark-style JSON with this\n"
@@ -178,7 +158,7 @@ void apply_override(lab::ExperimentPlan& plan, const std::string& spec) {
 }
 
 // Google-benchmark-shaped JSON so tools/perf_gate.py --append-trajectory
-// can record service/local plan throughput next to BM_FullMachine.
+// can record plan throughput next to BM_FullMachine.
 void write_bench_json(const std::string& path, const std::string& name,
                       std::size_t cells, double wall_ms) {
   const double cells_per_sec =
@@ -200,16 +180,14 @@ void write_bench_json(const std::string& path, const std::string& name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string plan_name, json_path, csv_path, connect_ep, stats_path;
+  std::string plan_name, json_path, csv_path;
   std::string bench_json, bench_name;
   std::vector<std::string> overrides;
   std::string cache_dir = ".hilab-cache";
   workloads::Scale scale = workloads::Scale::Paper;
-  std::string scale_str = "paper";
   int threads = lab::default_threads();
   bool refresh = false, quiet = false, lockstep = false;
   std::uint64_t watchdog = 0;  // 0 = keep each cell's own threshold
-  int reconnects = 8;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -227,7 +205,6 @@ int main(int argc, char** argv) {
         if (s == "paper") scale = workloads::Scale::Paper;
         else if (s == "test") scale = workloads::Scale::Test;
         else throw std::runtime_error("unknown scale: " + s);
-        scale_str = s;
       }
       else if (arg == "--cache-dir") cache_dir = value();
       else if (arg == "--no-cache") cache_dir.clear();
@@ -236,10 +213,6 @@ int main(int argc, char** argv) {
         watchdog = cli::parse_int<std::uint64_t>(arg, value(), 1);
       else if (arg == "--lockstep") lockstep = true;
       else if (arg == "--override") overrides.push_back(value());
-      else if (arg == "--connect") connect_ep = value();
-      else if (arg == "--reconnect")
-        reconnects = cli::parse_int<int>(arg, value(), 0);
-      else if (arg == "--service-stats") stats_path = value();
       else if (arg == "--json") json_path = value();
       else if (arg == "--csv") csv_path = value();
       else if (arg == "--bench-json") bench_json = value();
@@ -252,27 +225,9 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (plan_name.empty() && stats_path.empty()) return usage(argv[0]);
-  if (!stats_path.empty() && connect_ep.empty()) {
-    std::fprintf(stderr, "hilab: --service-stats needs --connect\n");
-    return 2;
-  }
-  if (!overrides.empty() && !connect_ep.empty()) {
-    // The daemon materializes plans from the registry by name; ad-hoc
-    // config mutations have no wire representation (deliberately — they
-    // would defeat cross-client dedup).
-    std::fprintf(stderr, "hilab: --override is local-only (drop --connect)\n");
-    return 2;
-  }
+  if (plan_name.empty()) return usage(argv[0]);
 
   try {
-    // Stats-only invocation: `hilab --connect EP --service-stats -`.
-    if (plan_name.empty()) {
-      lab::write_text_file(stats_path,
-                           serve::fetch_service_stats(connect_ep));
-      return 0;
-    }
-
     lab::ExperimentPlan plan;
     try {
       plan = lab::make_plan(plan_name, scale);
@@ -303,37 +258,15 @@ int main(int argc, char** argv) {
                    from_cache ? "(cached)" : "simulated");
     };
 
-    lab::PlanRun run;
-    std::size_t dedup_cells = 0;
-    if (connect_ep.empty()) {
-      lab::RunOptions opt;
-      opt.threads = threads;
-      opt.cache_dir = cache_dir;
-      opt.refresh = refresh;
-      if (!quiet) opt.on_cell = progress;
-      run = lab::run_plan(plan, opt);
-    } else {
-      serve::PlanRequest req;
-      req.plan = plan_name;
-      req.scale = scale_str;
-      req.watchdog = watchdog;
-      req.lockstep = lockstep;
-      req.refresh = refresh;
-      serve::ClientOptions copt;
-      copt.endpoint = connect_ep;
-      copt.max_reconnects = reconnects;
-      if (!quiet) copt.on_cell = progress;
-      serve::ConnectedRun cr = serve::run_plan_connected(req, plan, copt);
-      run = std::move(cr.run);
-      dedup_cells = cr.dedup;
-      if (cr.reconnects > 0 && !quiet)
-        std::fprintf(stderr, "hilab: survived %zu connection losses\n",
-                     cr.reconnects);
-    }
+    lab::RunOptions opt;
+    opt.threads = threads;
+    opt.cache_dir = cache_dir;
+    opt.refresh = refresh;
+    if (!quiet) opt.on_cell = progress;
+    const lab::PlanRun run = lab::run_plan(plan, opt);
 
     // An export aimed at stdout owns it: keep the human report off the pipe.
-    const bool stdout_export =
-        json_path == "-" || csv_path == "-" || stats_path == "-";
+    const bool stdout_export = json_path == "-" || csv_path == "-";
     if (!stdout_export) {
       stats::Table table({"Workload", "Preset", "Tag", "Cycles", "IPC",
                           "L1 miss rate", "Source"});
@@ -355,18 +288,11 @@ int main(int argc, char** argv) {
       }
       std::printf("=== plan %s: %s ===\n\n%s\n", plan.name.c_str(),
                   plan.description.c_str(), table.to_string().c_str());
-      if (connect_ep.empty())
-        std::printf(
-            "%zu cells: %zu simulated, %zu cache hits, %zu failed; "
-            "%zu compilations, %zu traces; %d threads; %.0f ms",
-            plan.cells.size(), run.simulated, run.cache_hits, run.failed,
-            run.preps, run.traces, threads, run.wall_ms);
-      else
-        std::printf(
-            "%zu cells via %s: %zu simulated, %zu cache hits, "
-            "%zu dedup-shared, %zu failed; %.0f ms",
-            plan.cells.size(), connect_ep.c_str(), run.simulated,
-            run.cache_hits, dedup_cells, run.failed, run.wall_ms);
+      std::printf(
+          "%zu cells: %zu simulated, %zu cache hits, %zu failed; "
+          "%zu compilations, %zu traces; %d threads; %.0f ms",
+          plan.cells.size(), run.simulated, run.cache_hits, run.failed,
+          run.preps, run.traces, threads, run.wall_ms);
       if (run.sim_cycles_per_sec > 0.0)
         std::printf("; %.2f Mcycles/s", run.sim_cycles_per_sec / 1e6);
       std::printf("\n");
@@ -395,9 +321,6 @@ int main(int argc, char** argv) {
       write_bench_json(bench_json,
                        bench_name.empty() ? "SVC_" + plan_name : bench_name,
                        plan.cells.size(), run.wall_ms);
-    if (!stats_path.empty())
-      lab::write_text_file(stats_path,
-                           serve::fetch_service_stats(connect_ep));
 
     if (!run.ok()) {
       // Partial failure: healthy cells are exported above; the failed
@@ -418,12 +341,6 @@ int main(int argc, char** argv) {
       return 4;
     }
     return 0;
-  } catch (const serve::ConnectError& e) {
-    std::fprintf(stderr,
-                 "hilab: %s\nhilab: is hiserved running at that endpoint? "
-                 "(start it with: hiserved --socket PATH)\n",
-                 e.what());
-    return 5;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hilab: %s\n", e.what());
     return 1;

@@ -1,5 +1,4 @@
-// Strict integer parsing for the command-line tools (hilab, hifuzz,
-// hiserved).
+// Strict integer parsing for the command-line tools (hilab, hifuzz).
 #pragma once
 
 #include <charconv>

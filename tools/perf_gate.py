@@ -31,10 +31,10 @@ repo accumulates an items/sec history across commits:
 
 Each entry is {"commit", "benchmarks": {name: {"items_per_second"}}},
 plus "label" when --label names the leg (one commit can contribute
-several legs: the machine microbenchmarks, the service-mode plan
-timings, the pipeline cold/warm timings).  An item is whatever the
-benchmark counts — simulated cycles for the BM_* microbenchmarks, plan
-cells for the SVC_*, PIPE_* and FSIM_* legs — so only rates of one
+several legs: the machine microbenchmarks, the pipeline cold/warm
+timings).  An item is whatever the benchmark counts — simulated cycles
+for the BM_* microbenchmarks, plan cells for the PIPE_* and FSIM_* legs
+(and the SVC_* legs of older entries) — so only rates of one
 benchmark name are comparable.  Entries written before this rule also
 carry a "sim_cycles_per_sec" copy of the same number; it is not a cycle
 rate for the cell-counting legs and nothing reads it.  The append
@@ -124,8 +124,8 @@ def main():
                          "(default: $GITHUB_SHA; 'local' placeholder is "
                          "rejected when $CI is set)")
     ap.add_argument("--label", default=None,
-                    help="name this trajectory leg (e.g. service-mode, "
-                         "pipeline) so one commit can carry several entries")
+                    help="name this trajectory leg (e.g. pipeline, "
+                         "fsim) so one commit can carry several entries")
     args = ap.parse_args()
 
     current = load_items_per_second(args.current)
