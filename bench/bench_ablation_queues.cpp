@@ -123,16 +123,14 @@ loop:
   halt
 )";
     const auto comp = compiler::compile(isa::assemble(src));
-    sim::Functional fs(comp.separated);
-    const auto ts = fs.run_trace();
     stats::Table table({"Range control", "HiDISC cycles", "Prefetches",
                         "Forks suppressed"});
     for (const bool adaptive : {false, true}) {
       machine::MachineConfig cfg;
       cfg.cmp.prefetch_buffer = 32;
       cfg.cmp_adaptive_range = adaptive;
-      const auto r = machine::run_machine(comp.separated, ts,
-                                          machine::Preset::HiDISC, cfg);
+      const auto r =
+          machine::run_machine(comp.separated, machine::Preset::HiDISC, cfg);
       table.add_row({adaptive ? "adaptive" : "off",
                      std::to_string(r.cycles),
                      std::to_string(r.l1.prefetches),

@@ -26,15 +26,12 @@ int main() {
     printf("--- %s ---\n", c.name);
     stats::Table table({"Distance", "HiDISC cycles", "Speed-up",
                         "Timely prefetch hits", "Late (in-flight) hits"});
-    // Each prepare() names the presets it serves, so the baseline prep
-    // skips the separated-binary trace and the per-distance preps skip
-    // the original-binary trace.
-    const auto p0 = bench::prepare(c.w, {machine::Preset::Superscalar});
+    const auto p0 = bench::prepare(c.w);
     const auto base = bench::run_preset(p0, machine::Preset::Superscalar);
     for (const int distance : {64, 128, 256, 512, 1024, 2048}) {
       compiler::CompileOptions opt;
       opt.cmas.trigger_distance = distance;
-      const auto p = bench::prepare(c.w, {machine::Preset::HiDISC}, opt);
+      const auto p = bench::prepare(c.w, opt);
       machine::MachineConfig cfg;
       cfg.cmp_fork_lookahead = distance * 3 / 4;
       const auto r = bench::run_preset(p, machine::Preset::HiDISC, cfg);

@@ -34,8 +34,8 @@ int main() {
       const std::string tag = std::to_string(sweep[s][0]) + "/" +
                               std::to_string(sweep[s][1]);
       std::vector<std::string> row{tag};
-      for (std::size_t c = 0; c < bench::all_presets().size(); ++c) {
-        const auto& r = run.at(plan, workload, bench::all_presets()[c], tag);
+      for (std::size_t c = 0; c < lab::all_presets().size(); ++c) {
+        const auto& r = run.at(plan, workload, lab::all_presets()[c], tag);
         const double ipc =
             static_cast<double>(r.orig_dynamic_instructions) /
             static_cast<double>(r.result.cycles);

@@ -107,9 +107,8 @@ void BM_SuperscalarCycleSim(benchmark::State& state) {
   const auto trace = f.run_trace();
   std::uint64_t cycles = 0;
   for (auto _ : state) {
-    const auto r = machine::run_machine(comp.original, trace,
-                                        machine::Preset::Superscalar);
-    cycles += r.cycles;
+    machine::Machine m(comp.original, trace, machine::Preset::Superscalar);
+    cycles += m.run().cycles;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
   state.SetLabel("items = simulated cycles");
@@ -123,9 +122,8 @@ void BM_HidiscCycleSim(benchmark::State& state) {
   const auto trace = f.run_trace();
   std::uint64_t cycles = 0;
   for (auto _ : state) {
-    const auto r = machine::run_machine(comp.separated, trace,
-                                        machine::Preset::HiDISC);
-    cycles += r.cycles;
+    machine::Machine m(comp.separated, trace, machine::Preset::HiDISC);
+    cycles += m.run().cycles;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
   state.SetLabel("items = simulated cycles");
@@ -148,9 +146,8 @@ void BM_FullMachine(benchmark::State& state) {
   cfg.scheduler = static_cast<machine::SchedulerKind>(state.range(0));
   std::uint64_t cycles = 0;
   for (auto _ : state) {
-    const auto r = machine::run_machine(comp.separated, trace,
-                                        machine::Preset::CPAP, cfg);
-    cycles += r.cycles;
+    machine::Machine m(comp.separated, trace, machine::Preset::CPAP, cfg);
+    cycles += m.run().cycles;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
   state.SetLabel(std::string("items = simulated cycles, ") +

@@ -7,15 +7,13 @@
 // bespoke config axes, use the direct prepare()/run_preset() path below.
 //
 // Both paths sit on the same artifact pipeline (src/pipeline/,
-// docs/PIPELINE.md): prepare() submits compile and trace nodes to a
+// docs/PIPELINE.md): prepare() submits a compile node to a
 // process-lifetime pipeline session, so two ablation loops over the same
-// workload share one compilation and one functional trace, and — when
-// $HILAB_CACHE_DIR is set — traces persist on disk across bench runs.
-// prepare() still traces only the binaries the requested presets consume:
-// a plan that never runs CP+AP or HiDISC skips the separated-binary
-// functional trace (and vice versa).
+// workload share one compilation.  run_preset() runs the streaming
+// machine, which does its own functional simulation.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -26,7 +24,6 @@
 #include "lab/thread_pool.hpp"
 #include "machine/machine.hpp"
 #include "pipeline/executor.hpp"
-#include "pipeline/trace_store.hpp"
 #include "sim/functional.hpp"
 #include "stats/table.hpp"
 #include "workloads/common.hpp"
@@ -35,63 +32,38 @@ namespace hidisc::bench {
 
 struct PreparedWorkload {
   std::string name;
-  // Immutable artifacts shared with the session memo (and with any other
+  // Immutable artifact shared with the session memo (and with any other
   // PreparedWorkload for the same (program, options) pair).
   std::shared_ptr<const pipeline::CompileArtifact> compile;
-  std::shared_ptr<const pipeline::TraceArtifact> orig;  // null unless needed
-  std::shared_ptr<const pipeline::TraceArtifact> sep;   // null unless needed
+  std::uint64_t max_steps = sim::Functional::kDefaultMaxSteps;
 
   [[nodiscard]] const compiler::Compilation& comp() const {
     return compile->comp;
   }
 };
 
-inline const std::vector<machine::Preset>& all_presets() {
-  return lab::all_presets();
-}
-
-// One pipeline session per bench process: compile and trace artifacts are
-// memoized across every prepare() call.  With $HILAB_CACHE_DIR set the
-// session also reads/writes the on-disk trace store shared with hilab.
+// One pipeline session per bench process: compile artifacts are memoized
+// across every prepare() call.
 inline pipeline::Pipeline& pipeline_session() {
-  static pipeline::Pipeline::Stores stores = [] {
-    pipeline::Pipeline::Stores s;
-    if (const char* dir = std::getenv("HILAB_CACHE_DIR")) {
-      static pipeline::TraceStore traces{dir};
-      s.traces = &traces;
-    }
-    return s;
-  }();
-  static pipeline::Pipeline session{stores};
+  static pipeline::Pipeline session;
   return session;
 }
 
-// Compiles `w` and functionally traces exactly the binaries that
-// `presets` will consume.  Throws on compile/trace failure (bench
-// binaries have no per-cell error slots).
-inline PreparedWorkload prepare(const workloads::BuiltWorkload& w,
-                                const std::vector<machine::Preset>& presets,
-                                const compiler::CompileOptions& opt = {}) {
-  bool need_orig = false, need_sep = false;
-  for (const auto preset : presets)
-    (machine::uses_separated_binary(preset) ? need_sep : need_orig) = true;
-  const auto p =
-      pipeline_session().prepare(w.program, opt, need_orig, need_sep);
-  return PreparedWorkload{w.name, p.compile, p.orig, p.sep};
-}
-
+// Compiles `w`.  Throws on compile failure (bench binaries have no
+// per-cell error slots).
 inline PreparedWorkload prepare(const workloads::BuiltWorkload& w,
                                 const compiler::CompileOptions& opt = {}) {
-  return prepare(w, all_presets(), opt);
+  return PreparedWorkload{w.name, pipeline_session().prepare(w.program, opt),
+                          opt.max_steps};
 }
 
 inline machine::Result run_preset(const PreparedWorkload& p,
                                   machine::Preset preset,
                                   const machine::MachineConfig& cfg = {}) {
   const bool sep = machine::uses_separated_binary(preset);
-  return machine::run_machine(
-      sep ? p.comp().separated : p.comp().original,
-      sep ? p.sep->trace : p.orig->trace, preset, cfg);
+  machine::Machine m(sep ? p.comp().separated : p.comp().original, preset,
+                     cfg, p.max_steps);
+  return m.run();
 }
 
 // Lab run options shared by the figure/table binaries: thread count from

@@ -154,9 +154,9 @@ int main() {
          comp.access_count, comp.compute_count, comp.inserted_pops);
 
   sim::Functional fo(comp.original);
-  const auto to = fo.run_trace();
+  fo.run();
   sim::Functional fs(comp.separated);
-  const auto ts = fs.run_trace();
+  fs.run();
   printf("y[63] = %.6f (both binaries agree: %s)\n\n",
          fo.memory().read<double>(prog.data_addr("yv") + 63 * 8),
          fo.memory().digest() == fs.memory().digest() ? "yes" : "NO");
@@ -166,8 +166,8 @@ int main() {
        {machine::Preset::Superscalar, machine::Preset::CPAP,
         machine::Preset::CPCMP, machine::Preset::HiDISC}) {
     const bool sep = machine::uses_separated_binary(preset);
-    const auto r = machine::run_machine(sep ? comp.separated : comp.original,
-                                        sep ? ts : to, preset);
+    const auto r =
+        machine::run_machine(sep ? comp.separated : comp.original, preset);
     if (preset == machine::Preset::Superscalar) base = r.cycles;
     printf("%-12s %7llu cycles  speedup %.3f\n", machine::preset_name(preset),
            static_cast<unsigned long long>(r.cycles),

@@ -13,7 +13,6 @@
 #include "compiler/compile.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
-#include "sim/functional.hpp"
 #include "stats/table.hpp"
 #include "workloads/common.hpp"
 
@@ -55,11 +54,6 @@ int main() {
   db.finish(prog);
 
   const auto comp = compiler::compile(prog);
-  sim::Functional fo(comp.original);
-  const auto to = fo.run_trace();
-  sim::Functional fs(comp.separated);
-  const auto ts = fs.run_trace();
-
   printf("random gather over a %d KiB table, %llu elements\n\n",
          static_cast<int>(kTable * 8 / 1024),
          static_cast<unsigned long long>(kElems));
@@ -79,7 +73,7 @@ int main() {
           machine::Preset::CPCMP, machine::Preset::HiDISC}) {
       const bool sep = machine::uses_separated_binary(preset);
       const auto r = machine::run_machine(
-          sep ? comp.separated : comp.original, sep ? ts : to, preset, cfg);
+          sep ? comp.separated : comp.original, preset, cfg);
       row.push_back(std::to_string(r.cycles));
       if (s == 0) first[c] = r.cycles;
       if (s == 3) last[c] = r.cycles;

@@ -109,7 +109,7 @@ int main() {
 
   // -- Run -------------------------------------------------------------------
   sim::Functional func(comp.original);
-  const auto trace = func.run_trace();
+  func.run();
   const bool ok = func.memory().read<std::uint64_t>(res_addr) == expect;
   printf("\nfunctional check: %s (sum %llu)\n", ok ? "ok" : "MISMATCH",
          static_cast<unsigned long long>(expect));
@@ -118,14 +118,12 @@ int main() {
          "      move; the DIS stressmarks add per-hop work, which is where\n"
          "      the lean CMAS slice wins (see bench_fig8_speedup).\n");
 
-  sim::Functional fs(comp.separated);
-  const auto sep_trace = fs.run_trace();
   std::uint64_t base = 0;
   for (const auto preset :
        {machine::Preset::Superscalar, machine::Preset::HiDISC}) {
     const bool sep = machine::uses_separated_binary(preset);
-    const auto r = machine::run_machine(sep ? comp.separated : comp.original,
-                                        sep ? sep_trace : trace, preset);
+    const auto r =
+        machine::run_machine(sep ? comp.separated : comp.original, preset);
     if (!base) base = r.cycles;
     printf("%-12s %9llu cycles  L1 miss rate %.3f  speedup %.3f\n",
            machine::preset_name(preset),

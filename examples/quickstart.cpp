@@ -82,18 +82,13 @@ daxpy:
   printf("\n");
 
   // -- 4. Timing simulation -------------------------------------------------
-  sim::Functional fo(comp.original);
-  const auto orig_trace = fo.run_trace();
-  sim::Functional fs(comp.separated);
-  const auto sep_trace = fs.run_trace();
-
   std::uint64_t base_cycles = 0;
   for (const auto preset :
        {machine::Preset::Superscalar, machine::Preset::CPAP,
         machine::Preset::CPCMP, machine::Preset::HiDISC}) {
     const bool sep = machine::uses_separated_binary(preset);
-    const auto r = machine::run_machine(sep ? comp.separated : comp.original,
-                                        sep ? sep_trace : orig_trace, preset);
+    const auto r =
+        machine::run_machine(sep ? comp.separated : comp.original, preset);
     if (preset == machine::Preset::Superscalar) base_cycles = r.cycles;
     printf("%-12s %9llu cycles  ipc %.2f  L1 miss rate %.3f  speedup %.3f\n",
            machine::preset_name(preset),

@@ -117,9 +117,9 @@ void check_preset(MachineVerdict& v, const isa::Program& bin,
   machine::Result es, ls;
   try {
     cfg.scheduler = machine::SchedulerKind::EventSkip;
-    es = machine::run_machine(bin, tr, preset, cfg);
+    es = machine::Machine(bin, tr, preset, cfg).run();
     cfg.scheduler = machine::SchedulerKind::Lockstep;
-    ls = machine::run_machine(bin, tr, preset, cfg);
+    ls = machine::Machine(bin, tr, preset, cfg).run();
   } catch (const diag::DeadlockError& e) {
     v.deadlock = true;
     v.deadlock_preset = name;

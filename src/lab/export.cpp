@@ -64,7 +64,6 @@ std::string to_json(const ExperimentPlan& plan, const PlanRun& run,
       << "  \"failed\": " << run.failed << ",\n"
       << "  \"nodes\": {\n";
   append_phase_object(out, "compile", run.nodes.compile);
-  append_phase_object(out, "trace", run.nodes.trace);
   append_phase_object(out, "sim", run.nodes.sim, /*last=*/true);
   out << "  },\n"
       << "  \"cells\": [\n";

@@ -23,7 +23,7 @@ namespace hidisc::lab {
 // A workload named by its generator, not by a built program: building is
 // deterministic in (maker, scale, seed), so the spec is the identity the
 // prep-memoization layer keys on, and two cells with equal specs share one
-// compilation and one functional trace.
+// compilation.
 struct WorkloadSpec {
   std::string name;  // display name; matches BuiltWorkload::name
   workloads::BuiltWorkload (*make)(workloads::Scale, std::uint64_t) = nullptr;

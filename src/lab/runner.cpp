@@ -7,7 +7,6 @@
 #include "lab/result_cache.hpp"
 #include "lab/thread_pool.hpp"
 #include "pipeline/executor.hpp"
-#include "pipeline/trace_store.hpp"
 
 namespace hidisc::lab {
 
@@ -33,24 +32,17 @@ const CellResult& PlanRun::at(const ExperimentPlan& plan,
   return cells.at(static_cast<std::size_t>(idx));
 }
 
-// Thin driver over the artifact pipeline (src/pipeline/): materialize the
-// stores, submit the plan's cells as one node set, translate the outcome
+// Thin driver over the artifact pipeline (src/pipeline/): open the result
+// cache, submit the plan's cells as one node set, translate the outcome
 // into the PlanRun shape.  All scheduling, memoization, cache probing and
 // fault isolation lives in the DAG executor.
 PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt) {
   const auto start = Clock::now();
 
-  // Both persistent layers live in the same directory: <key>.result for
-  // sim nodes, <key>.trace for trace nodes.
   std::optional<ResultCache> results;
-  std::optional<pipeline::TraceStore> traces;
-  if (!opt.cache_dir.empty()) {
-    results.emplace(opt.cache_dir);
-    traces.emplace(opt.cache_dir);
-  }
+  if (!opt.cache_dir.empty()) results.emplace(opt.cache_dir);
   pipeline::Pipeline::Stores stores;
   stores.results = results ? &*results : nullptr;
-  stores.traces = traces ? &*traces : nullptr;
   stores.refresh = opt.refresh;
   pipeline::Pipeline pipe(stores);
 
@@ -67,7 +59,6 @@ PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt) {
   run.cells = std::move(outcome.cells);
   run.nodes = outcome.nodes;
   run.preps = outcome.nodes.compile.rebuilt;
-  run.traces = outcome.nodes.trace.rebuilt;
   for (const auto& cell : run.cells) {
     if (!cell.ok()) {
       ++run.failed;

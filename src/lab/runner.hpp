@@ -3,16 +3,16 @@
 //
 // run_plan submits the plan's cells to the DAG executor, which builds a
 // content-addressed graph of typed nodes — compile (one per distinct
-// (workload spec, compile options) pair) → trace (one per binary a miss
-// cell demands) → sim (one per cell) — and executes it over the
-// work-stealing thread pool in pure dependency order: a cell simulates
-// the moment its own trace is ready, regardless of what other workloads
-// are still compiling.  Sim results persist in the on-disk ResultCache,
-// traces in the TraceStore next to it, so a machine-preset-only change
-// reruns sim nodes while every trace node stays warm — observable in
-// PlanRun::nodes and the JSON export.  Concurrent run_plan calls (threads
-// or processes) sharing a cache directory simulate each key once between
-// them: the sim node leases its key in the ResultCache.
+// (workload spec, compile options) pair) → sim (one per cell) — and
+// executes it over the work-stealing thread pool in pure dependency
+// order: a cell simulates the moment its own compilation is ready,
+// regardless of what other workloads are still compiling.  Each sim node
+// runs its own functional simulation, streamed through the machine (no
+// trace is stored).  Sim results persist in the on-disk ResultCache, so a
+// machine-preset-only change reruns exactly that preset's sim nodes —
+// observable in PlanRun::nodes and the JSON export.  Concurrent run_plan
+// calls (threads or processes) sharing a cache directory simulate each
+// key once between them: the sim node leases its key in the ResultCache.
 //
 // Results are returned indexed by cell, so the output is bit-identical
 // for any thread count — parallelism changes wall-clock, never numbers.
@@ -72,11 +72,10 @@ struct PlanRun {
   std::size_t failed = 0;         // cells with a non-empty error slot
   std::size_t cache_hits = 0;
   std::size_t preps = 0;  // compile nodes executed (= nodes.compile.rebuilt)
-  std::size_t traces = 0; // trace nodes executed (= nodes.trace.rebuilt)
   // Per-phase node accounting from the DAG executor: how many nodes the
   // graph had, how many were served from a cache layer, how many rebuilt.
   // The cache-invalidation contract is stated in these numbers (e.g. a
-  // preset-only change shows nodes.trace.rebuilt == 0).
+  // warm run shows nodes.sim.rebuilt == 0).
   pipeline::NodeStats nodes;
   double wall_ms = 0.0;   // whole-plan wall clock
   // Aggregate simulator throughput: total simulated cycles divided by the
@@ -92,11 +91,11 @@ struct PlanRun {
                                      const std::string& tag = "") const;
 };
 
-// Runs every cell of `plan`.  A cell whose prep, trace or simulation
-// fails carries the failure in its error slots (error / error_class /
-// diagnostic_json) instead of aborting the run: healthy cells complete and
-// export normally.  Only infrastructure-level problems (bad plan, broken
-// cache directory) still throw.
+// Runs every cell of `plan`.  A cell whose prep, functional run or
+// simulation fails carries the failure in its error slots (error /
+// error_class / diagnostic_json) instead of aborting the run: healthy
+// cells complete and export normally.  Only infrastructure-level problems
+// (bad plan, broken cache directory) still throw.
 [[nodiscard]] PlanRun run_plan(const ExperimentPlan& plan,
                                const RunOptions& opt = {});
 

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "uarch/event.hpp"
 
@@ -42,10 +43,18 @@ std::int16_t num_cmas_groups(const isa::Program& prog) {
 
 }  // namespace
 
+Machine::Machine(const isa::Program& prog, Preset preset,
+                 const MachineConfig& cfg, std::uint64_t max_steps)
+    : Machine(prog, TraceWindow(prog, max_steps), preset, cfg) {}
+
 Machine::Machine(const isa::Program& prog, const sim::Trace& trace,
                  Preset preset, const MachineConfig& cfg)
+    : Machine(prog, TraceWindow(trace), preset, cfg) {}
+
+Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
+                 const MachineConfig& cfg)
     : prog_(prog),
-      trace_(trace),
+      window_(std::move(window)),
       preset_(preset),
       cfg_(cfg),
       optable_(prog),
@@ -137,8 +146,16 @@ OoOCore& Machine::route(const isa::Instruction& inst) {
   return inst.ann.stream == Stream::Compute ? *cp_ : *ap_;
 }
 
-bool Machine::done() const {
-  if (fetch_pos_ < trace_.size()) return false;
+// Fetch and every active CMP context read at or above this point.
+std::size_t Machine::low_water() const {
+  std::size_t low = fetch_pos_;
+  for (const auto& ctx : contexts_)
+    if (ctx.active) low = std::min(low, ctx.scan_pos);
+  return low;
+}
+
+bool Machine::done() {
+  if (!trace_ended(fetch_pos_)) return false;
   for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()})
     if (core != nullptr && !core->drained()) return false;
   for (const auto& ctx : contexts_)
@@ -155,8 +172,8 @@ void Machine::fetch(std::uint64_t now) {
     fetch_blocked_ = false;
   }
   for (int fetched = 0; fetched < cfg_.fetch_width; ++fetched) {
-    if (fetch_pos_ >= trace_.size()) return;
-    const sim::TraceEntry& e = trace_[fetch_pos_];
+    if (trace_ended(fetch_pos_)) return;
+    const sim::TraceEntry& e = window_.at(fetch_pos_);
     const isa::Instruction& inst = prog_.code[e.static_idx];
 
     // Instruction-cache model: a fetch-block miss blocks the front end for
@@ -294,7 +311,7 @@ bool Machine::pump_cmp(std::uint64_t now) {
     if (!ctx.active) continue;
     std::size_t scanned = 0;
     while (scanned < kCmpScanBudget && !cmp_->input_full()) {
-      if (ctx.scan_pos >= trace_.size()) {
+      if (trace_ended(ctx.scan_pos)) {
         ctx.active = false;
         group_next_scan_[ctx.group] = ctx.scan_pos;
         progress = true;
@@ -305,7 +322,7 @@ bool Machine::pump_cmp(std::uint64_t now) {
       if (ctx.scan_pos >= fetch_pos_ + static_cast<std::size_t>(
                                            cfg_.cmp_max_runahead))
         break;
-      const sim::TraceEntry& e = trace_[ctx.scan_pos];
+      const sim::TraceEntry& e = window_.at(ctx.scan_pos);
       const isa::Instruction& inst = prog_.code[e.static_idx];
       ++ctx.scan_pos;
       ++scanned;
@@ -337,7 +354,7 @@ Result Machine::run() {
       lockstep_verify_requested()) {
     MachineConfig ref_cfg = cfg_;
     ref_cfg.scheduler = SchedulerKind::Lockstep;
-    Machine ref(prog_, trace_, preset_, ref_cfg);
+    Machine ref(prog_, window_.restart(), preset_, ref_cfg);
     const Result want = ref.run_scheduler();
     const Result got = run_scheduler();
     if (!(want == got))
@@ -444,10 +461,10 @@ void Machine::account_skip(std::uint64_t now, std::uint64_t delta) {
     // Blocked on a pending branch or a timed resume point; the skip never
     // crosses the resume cycle.
     fetch_stall_branch_cycles_ += delta;
-  } else if (fetch_pos_ < trace_.size()) {
+  } else if (!trace_ended(fetch_pos_)) {
     // Unblocked yet frozen: the next instruction's core must have a full
     // input queue (an I-cache probe would have changed state).
-    const sim::TraceEntry& e = trace_[fetch_pos_];
+    const sim::TraceEntry& e = window_.at(fetch_pos_);
     if (route(prog_.code[e.static_idx]).input_full())
       fetch_stall_queue_full_ += delta;
   }
@@ -476,7 +493,7 @@ diag::StepRecord Machine::make_record(std::uint64_t now, diag::StepKind kind,
 
 diag::DeadlockReport Machine::build_deadlock_report(
     std::uint64_t now, std::uint64_t last_progress_cycle,
-    bool no_pending_event) const {
+    bool no_pending_event, std::size_t trace_size) const {
   diag::DeadlockReport rep;
   rep.preset = preset_name(preset_);
   rep.scheduler = cfg_.scheduler == SchedulerKind::Lockstep ? "Lockstep"
@@ -486,7 +503,7 @@ diag::DeadlockReport Machine::build_deadlock_report(
   rep.watchdog_cycles = cfg_.watchdog_cycles;
   rep.no_pending_event = no_pending_event;
   rep.fetch_pos = fetch_pos_;
-  rep.trace_size = trace_.size();
+  rep.trace_size = trace_size;
   rep.fetch_blocked = fetch_blocked_;
   rep.pending_branch_pos = pending_branch_pos_;
   for (const auto& ctx : contexts_)
@@ -538,8 +555,9 @@ void Machine::throw_deadlock(std::uint64_t now,
                              std::uint64_t last_progress_cycle,
                              bool no_pending_event) {
   recorder_.record(make_record(now, diag::StepKind::Deadlock, 0));
-  throw diag::DeadlockError(
-      build_deadlock_report(now, last_progress_cycle, no_pending_event));
+  const std::size_t trace_size = window_.drain();
+  throw diag::DeadlockError(build_deadlock_report(
+      now, last_progress_cycle, no_pending_event, trace_size));
 }
 
 Result Machine::run_scheduler() {
@@ -653,17 +671,10 @@ Result Machine::collect(std::uint64_t cycles) const {
   return r;
 }
 
-Result run_machine(const isa::Program& prog, const sim::Trace& trace,
-                   Preset preset, const MachineConfig& cfg) {
-  Machine m(prog, trace, preset, cfg);
-  return m.run();
-}
-
 Result run_machine(const isa::Program& prog, Preset preset,
                    const MachineConfig& cfg) {
-  sim::Functional func(prog);
-  const sim::Trace trace = func.run_trace();
-  return run_machine(prog, trace, preset, cfg);
+  Machine m(prog, preset, cfg);
+  return m.run();
 }
 
 }  // namespace hidisc::machine

@@ -9,8 +9,10 @@
 //
 // Timing is cycle-accurate and globally ordered across cores, so all cache
 // accesses — including CMP prefetches — interleave in true global time
-// order.  Functional behaviour is pre-resolved by the dynamic trace
-// (DESIGN.md §6), which the caller obtains from sim::Functional.
+// order.  Functional behaviour is resolved by the dynamic trace (DESIGN.md
+// §6), read forward through a TraceWindow: either the machine's own
+// streamed functional run (execution-driven) or a whole trace the caller
+// obtained from sim::Functional.
 //
 // Time advances through an event-skip scheduler by default: on any cycle
 // where no core, FIFO or front-end state changed, the machine jumps `now`
@@ -30,6 +32,7 @@
 #include "isa/program.hpp"
 #include "machine/config.hpp"
 #include "machine/result.hpp"
+#include "machine/trace_window.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/functional.hpp"
 #include "uarch/branch_predictor.hpp"
@@ -55,7 +58,11 @@ class Machine {
  public:
   // `prog` must outlive the machine and must be the binary matching the
   // preset (separated for CP+AP / HiDISC — see uses_separated_binary).
-  // `trace` is the dynamic trace of exactly that binary.
+  // The machine streams the functional run of `prog` itself under the
+  // step budget `max_steps`; its sim::ExecError escapes run().
+  Machine(const isa::Program& prog, Preset preset, const MachineConfig& cfg,
+          std::uint64_t max_steps = sim::Functional::kDefaultMaxSteps);
+  // The same over `trace`, `prog`'s whole trace, which must outlive it.
   Machine(const isa::Program& prog, const sim::Trace& trace, Preset preset,
           const MachineConfig& cfg = {});
   ~Machine();
@@ -66,7 +73,9 @@ class Machine {
   // Runs to completion and returns the collected statistics.
   // Throws diag::DeadlockError (a std::runtime_error) if the machine stops
   // making progress; the attached DeadlockReport carries queue/core
-  // snapshots, a classified root cause, and the flight-recorder tail.
+  // snapshots, a classified root cause, and the flight-recorder tail (its
+  // trace_size is the full length: a streamed machine first runs the rest
+  // of its functional run, and an ExecError there wins).
   // With HIDISC_LOCKSTEP=1 in the environment, an event-skip run is
   // shadowed by a fresh lock-stepped run of the same inputs and a
   // divergence in any Result field throws std::logic_error.
@@ -90,13 +99,21 @@ class Machine {
     int targets_left = 0;
   };
 
+  Machine(const isa::Program& prog, TraceWindow window, Preset preset,
+          const MachineConfig& cfg);
+
+  [[nodiscard]] bool trace_ended(std::size_t pos) {
+    return window_.ended(pos, [this] { return low_water(); });
+  }
+  [[nodiscard]] std::size_t low_water() const;
+
   void fetch(std::uint64_t now);
   bool fetch_step(std::uint64_t now);
   bool pump_cmp(std::uint64_t now);
   bool resolve_branches();
   void fork_cmas(std::int16_t group, std::size_t fetch_pos);
   [[nodiscard]] uarch::OoOCore& route(const isa::Instruction& inst);
-  [[nodiscard]] bool done() const;
+  [[nodiscard]] bool done();
   [[nodiscard]] Result collect(std::uint64_t cycles) const;
 
   // Event-skip scheduler internals (see docs/MACHINE.md).
@@ -109,13 +126,13 @@ class Machine {
                                              std::uint64_t arg) const;
   [[nodiscard]] diag::DeadlockReport build_deadlock_report(
       std::uint64_t now, std::uint64_t last_progress_cycle,
-      bool no_pending_event) const;
+      bool no_pending_event, std::size_t trace_size) const;
   [[noreturn]] void throw_deadlock(std::uint64_t now,
                                    std::uint64_t last_progress_cycle,
                                    bool no_pending_event);
 
   const isa::Program& prog_;
-  const sim::Trace& trace_;
+  TraceWindow window_;
   Preset preset_;
   MachineConfig cfg_;
 
@@ -173,14 +190,8 @@ class Machine {
   std::uint64_t distance_adaptations_ = 0;
 };
 
-// Convenience wrapper: trace `prog` functionally, then run the machine.
+// Convenience wrapper: runs the streaming machine over `prog`.
 [[nodiscard]] Result run_machine(const isa::Program& prog, Preset preset,
-                                 const MachineConfig& cfg = {});
-
-// Runs a preset against a compilation, choosing the right binary.
-// Pre-computed traces may be supplied to amortize across presets.
-[[nodiscard]] Result run_machine(const isa::Program& prog,
-                                 const sim::Trace& trace, Preset preset,
                                  const MachineConfig& cfg = {});
 
 }  // namespace hidisc::machine

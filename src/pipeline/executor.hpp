@@ -3,20 +3,18 @@
 // consulted per node:
 //
 //   compile node  →  session memo (cross-run, in-process)
-//   trace node    →  session memo, then the on-disk TraceStore
-//   sim node      →  the on-disk ResultCache (probed *before* its trace
-//                    node is demanded — a fully warm plan traces nothing —
-//                    and again under the key's lease once the trace is
-//                    ready, so processes sharing the directory simulate
-//                    each key once)
+//   sim node      →  the on-disk ResultCache: probed first — a fully warm
+//                    plan runs no functional simulation — and on a miss
+//                    probed again under the key's lease, so processes
+//                    sharing the directory simulate each key once
 //
 // There are no phase barriers: each compile node's completion dispatches
-// its cells' cache probes, each probe miss demands its trace node, each
-// trace completion releases its waiting sims.  A Pipeline object is a
-// session: compile and trace artifacts are shared across every run() it
-// serves.  lab::run_plan creates one per plan, which still shares nodes
-// across the plan's cells and, through the on-disk stores, across
-// processes.
+// its cells' sim nodes, and each sim node probes, leases and simulates in
+// one task, running its own streamed functional run through the
+// machine's trace window.  A Pipeline object is a session: compile
+// artifacts are shared across every run() it serves.  lab::run_plan
+// creates one per plan, which still shares compile nodes across the
+// plan's cells and, through the ResultCache, results across processes.
 //
 // Determinism: results are indexed by cell and every node's output is
 // independent of scheduling, so run() is bit-identical for any pool size.
@@ -33,7 +31,6 @@
 #include "lab/thread_pool.hpp"
 #include "pipeline/graph.hpp"
 #include "pipeline/stats.hpp"
-#include "pipeline/trace_store.hpp"
 
 namespace hidisc::pipeline {
 
@@ -41,8 +38,7 @@ class Pipeline {
  public:
   struct Stores {
     const lab::ResultCache* results = nullptr;  // sim-node cache (optional)
-    const TraceStore* traces = nullptr;         // trace-node store (optional)
-    // Distrust every on-disk layer: probe nothing, overwrite everything.
+    // Distrust the on-disk cache: probe nothing, overwrite everything.
     // The in-process session memo still applies (identical artifacts).
     bool refresh = false;
   };
@@ -66,34 +62,24 @@ class Pipeline {
                             lab::ThreadPool& pool,
                             const CellHook& on_cell = {});
 
-  // Compile + trace without sim nodes: the bench harness's prepare path.
-  // Runs through the same artifact functions (and session memo) as run().
-  struct Prepared {
-    std::shared_ptr<const CompileArtifact> compile;
-    std::shared_ptr<const TraceArtifact> orig;  // null unless demanded
-    std::shared_ptr<const TraceArtifact> sep;   // null unless demanded
-  };
-  // Throws std::runtime_error on compile or trace failure (the direct
-  // bench path has no error slots to carry it).
-  [[nodiscard]] Prepared prepare(const isa::Program& program,
-                                 const compiler::CompileOptions& opt,
-                                 bool need_orig, bool need_sep);
+  // Compile without sim nodes: the bench harness's prepare path.  Runs
+  // through the same artifact function (and session memo) as run().
+  // Throws std::runtime_error on compile failure (the direct bench path
+  // has no error slots to carry it).
+  [[nodiscard]] std::shared_ptr<const CompileArtifact> prepare(
+      const isa::Program& program, const compiler::CompileOptions& opt);
 
  private:
   struct Exec;  // per-run executor state (executor.cpp)
 
   [[nodiscard]] std::shared_ptr<const CompileArtifact> obtain_compile(
       const CompileNode& n, bool* memo_hit);
-  [[nodiscard]] std::shared_ptr<const TraceArtifact> obtain_trace(
-      const std::string& key, const isa::Program& binary,
-      std::uint64_t max_steps, bool* hit);
 
   Stores stores_;
   std::mutex memo_mu_;
-  // Session memos, keyed by node content key; artifacts are immutable so
-  // sharing across runs (and across this session's threads) is free.
+  // Session memo, keyed by compile key; artifacts are immutable so sharing
+  // across runs (and across this session's threads) is free.
   std::map<std::string, std::shared_ptr<const CompileArtifact>> compile_memo_;
-  std::map<std::string, std::shared_ptr<const TraceArtifact>> trace_memo_;
 };
 
 }  // namespace hidisc::pipeline

@@ -1,7 +1,6 @@
 #include "pipeline/graph.hpp"
 
 #include <map>
-#include <utility>
 
 #include "pipeline/keys.hpp"
 
@@ -12,7 +11,6 @@ Graph build_graph(const std::vector<lab::Cell>& cells) {
   // std::map keeps deterministic construction order; the deques keep the
   // node addresses these maps hand out stable.
   std::map<std::string, CompileNode*> compile_by_key;
-  std::map<std::pair<const CompileNode*, Mode>, TraceNode*> trace_by_id;
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const lab::Cell& cell = cells[i];
@@ -30,21 +28,9 @@ Graph build_graph(const std::vector<lab::Cell>& cells) {
       compile_by_key.emplace(ckey, cn);
     }
 
-    const Mode mode = mode_for(cell.preset);
-    TraceNode* tn;
-    if (const auto it = trace_by_id.find({cn, mode});
-        it != trace_by_id.end()) {
-      tn = it->second;
-    } else {
-      tn = &g.traces.emplace_back();
-      tn->compile = cn;
-      tn->mode = mode;
-      cn->traces.push_back(tn);
-      trace_by_id.emplace(std::make_pair(cn, mode), tn);
-    }
-
     SimNode* sn = &g.sims.emplace_back();
-    sn->trace = tn;
+    sn->compile = cn;
+    sn->mode = mode_for(cell.preset);
     sn->cell = &cell;
     sn->index = i;
     cn->sims.push_back(sn);

@@ -1,30 +1,27 @@
-// The artifact DAG: typed, immutable nodes for the compile → trace →
-// simulate pipeline (docs/PIPELINE.md).
+// The artifact DAG: typed, immutable nodes for the compile → simulate
+// pipeline (docs/PIPELINE.md).
 //
 //   CompileNode   one per distinct (workload spec | program, compile
-//                 options); produces a Compilation plus the encoded
-//                 image of both its binaries (original + separated).
-//   TraceNode     one per (compile node, separator mode) a cell demands;
-//                 produces the functional trace of that exact binary.
-//   SimNode       one per cell; consumes its trace node's output and the
-//                 machine (preset, config) to produce a lab::CellResult.
-//                 Cells with equal sim keys simulate once per run: the
-//                 first to probe runs, later ones wait for its outcome.
+//                 options); produces a Compilation plus the sim-key hash
+//                 state of both its binaries (original + separated).
+//   SimNode       one per cell; runs the machine (preset, config) over the
+//                 binary its preset consumes, streaming its own functional
+//                 run (DESIGN.md §6).  Cells with equal sim keys simulate
+//                 once per run: the first to probe runs, later ones wait.
 //
-// Artifacts (CompileArtifact / TraceArtifact) are write-once and shared
-// by shared_ptr — across nodes within a run, across runs via the
-// Pipeline session memo, and across processes via the on-disk stores.
-// Edges are content-addressed (pipeline/keys.hpp): a node's key is
-// derived purely from its upstream content, so execution order falls out
-// of the dependency structure and nothing else — there are no phase
-// barriers; a fast workload's sim nodes run while a slow workload is
-// still compiling.
+// Compile artifacts are write-once and shared by shared_ptr — across
+// nodes within a run and across runs via the Pipeline session memo; sim
+// results persist across processes in the on-disk ResultCache.  Edges
+// are content-addressed (pipeline/keys.hpp): a node's key is derived
+// purely from its upstream content, so execution order falls out of the
+// dependency structure and nothing else — there are no phase barriers; a
+// fast workload's sim nodes run while a slow workload is still compiling.
 //
-// Failure is data, not control flow: a failed compile or trace artifact
-// carries its error string, and the executor poisons exactly the
-// downstream nodes that depended on it (the lab runner's fault-isolation
-// contract, preserved verbatim: error classes "prep" / "trace" / "sim" /
-// "deadlock:<cause>").
+// Failure is data, not control flow: a failed compile artifact carries
+// its error string, and the executor poisons exactly the downstream
+// nodes that depended on it (the lab runner's fault-isolation contract:
+// error classes "prep" / "trace" / "sim" / "deadlock:<cause>", where
+// "trace" is a failed functional run).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +35,6 @@
 #include "lab/fingerprint.hpp"
 #include "lab/plan.hpp"
 #include "lab/runner.hpp"
-#include "sim/functional.hpp"
 
 namespace hidisc::pipeline {
 
@@ -51,35 +47,23 @@ enum class Mode : std::uint8_t { Original, Separated };
 }
 
 // Write-once output of a compile node.  Both binary images are encoded
-// and hashed for sim keys eagerly: that is cheap next to compilation and
-// done once, where a plan has several cells per image.
+// and hashed for sim keys (lab::image_key_state) eagerly: that is cheap
+// next to compilation and done once, where a plan has several cells per
+// image.
 struct CompileArtifact {
   compiler::Compilation comp;
-  std::vector<std::uint8_t> orig_image, sep_image;  // isa::save_program
-  lab::ImageKeyState orig_key, sep_key;  // lab::image_key_state of each
+  lab::ImageKeyState orig_key, sep_key;
   std::string error;  // non-empty = compile failed (sticky)
 
   [[nodiscard]] bool ok() const noexcept { return error.empty(); }
   [[nodiscard]] const isa::Program& binary(Mode m) const noexcept {
     return m == Mode::Separated ? comp.separated : comp.original;
   }
-  [[nodiscard]] const std::vector<std::uint8_t>& image(Mode m) const noexcept {
-    return m == Mode::Separated ? sep_image : orig_image;
-  }
   [[nodiscard]] const lab::ImageKeyState& image_key(Mode m) const noexcept {
     return m == Mode::Separated ? sep_key : orig_key;
   }
 };
 
-// Write-once output of a trace node.
-struct TraceArtifact {
-  sim::Trace trace;
-  std::string error;  // non-empty = functional execution failed (sticky)
-
-  [[nodiscard]] bool ok() const noexcept { return error.empty(); }
-};
-
-struct TraceNode;
 struct SimNode;
 
 struct CompileNode {
@@ -89,31 +73,15 @@ struct CompileNode {
   compiler::CompileOptions options;
   std::string display;  // workload display name for error messages
 
-  std::vector<TraceNode*> traces;  // dependent trace nodes
-  std::vector<SimNode*> sims;      // every sim node under this compile
+  std::vector<SimNode*> sims;  // every sim node under this compile
 
   // Executor state (guarded by the run lock after submission):
   std::shared_ptr<const CompileArtifact> out;
-  bool from_memo = false;
-};
-
-struct TraceNode {
-  CompileNode* compile = nullptr;
-  Mode mode = Mode::Original;
-  // pipeline::trace_key — derivable only once the compile artifact (the
-  // binary image) exists; filled by the executor when it dispatches the
-  // node, so a run whose sims all hit the result cache computes none.
-  std::string key;
-
-  // Executor state (guarded by the run lock):
-  std::shared_ptr<const TraceArtifact> out;
-  bool started = false;  // a demanding sim has dispatched this node
-  bool done = false;
-  std::vector<SimNode*> waiting;  // sims blocked on this trace
 };
 
 struct SimNode {
-  TraceNode* trace = nullptr;
+  CompileNode* compile = nullptr;
+  Mode mode = Mode::Original;       // which of its binaries the cell runs
   const lab::Cell* cell = nullptr;  // points into the submitted cell set
   std::size_t index = 0;            // result slot, = cell position
   lab::CellResult out;
@@ -127,12 +95,11 @@ struct SimNode {
 // cross-node pointers never dangle as the graph grows.
 struct Graph {
   std::deque<CompileNode> compiles;
-  std::deque<TraceNode> traces;
   std::deque<SimNode> sims;
 };
 
 // Builds the deduplicated DAG for `cells`: compile nodes keyed by
-// content, trace nodes by (compile, mode), one sim node per cell.  The
+// content, one sim node per cell.  The
 // returned graph holds pointers into `cells`, which must outlive it.
 [[nodiscard]] Graph build_graph(const std::vector<lab::Cell>& cells);
 

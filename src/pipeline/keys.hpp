@@ -6,9 +6,10 @@
 // nothing else.  The hashing rules *are* the invalidation semantics:
 //
 //   compile_key  = H(workload identity, canonical CompileOptions)
-//   trace_key    = H(encoded binary image, step budget)
 //   sim_key      = H(encoded binary image, preset name, canonical
 //                    MachineConfig)            == lab::content_key
+//   trace_key    = H(encoded binary image, step budget) — keys the
+//                  TraceStore, which only perfbench/layers.cpp still uses
 //
 // The image leads the sim key, so a compile node hashes each of its two
 // images once (lab::image_key_state) and every cell's sim key continues
@@ -16,11 +17,11 @@
 //
 // Consequences, each guarded by tests/pipeline_test.cpp:
 //   * changing kernel text changes the binary image, hence every
-//     downstream trace and sim key;
+//     downstream sim key;
 //   * the separator mode selects a different binary image (original vs
-//     separated), so the two modes never share trace or sim nodes;
+//     separated), so the two modes never share sim nodes;
 //   * changing a machine preset or any MachineConfig field changes only
-//     sim keys — traces stay warm, the whole point of the DAG;
+//     sim keys — compilations stay warm;
 //   * the scheduler kind is deliberately excluded from describe(), so
 //     event-skip and lockstep share every node (they are bit-identical
 //     by the HIDISC_LOCKSTEP oracle).
@@ -51,9 +52,9 @@ namespace hidisc::pipeline {
     const std::vector<std::uint8_t>& program_image,
     const compiler::CompileOptions& opt);
 
-// Key of a trace node: the exact encoded binary the functional simulator
-// executes plus the step budget.  Presets and machine configs do not
-// appear — that is what lets one trace serve every machine sweep.
+// Key of a stored trace: the exact encoded binary the functional
+// simulator executes plus the step budget.  Presets and machine configs
+// do not appear, so one trace serves every machine sweep.
 [[nodiscard]] std::string trace_key(
     const std::vector<std::uint8_t>& binary_image, std::uint64_t max_steps);
 

@@ -2,14 +2,12 @@
 //
 // Every run of the DAG executor reports, for each node phase, how many
 // nodes existed in the graph and what happened to each: served from a
-// cache layer (memo / on-disk store / result cache), executed fresh, or
-// executed and failed.  The remainder (total - hits - rebuilt - failed)
-// are nodes the run never demanded — e.g. a trace node all of whose sim
-// consumers hit the result cache — or nodes poisoned by an upstream
-// failure.  These counters are the observable contract of cache
-// invalidation: a machine-preset-only change must show trace.rebuilt == 0
-// (CI's pipeline-invalidation job asserts exactly that from the JSON
-// export).
+// cache layer (memo / result cache), executed fresh, or executed and
+// failed.  The remainder (total - hits - rebuilt - failed) are nodes
+// poisoned by an upstream failure.  These counters are the observable
+// contract of cache invalidation: a warm run shows sim.rebuilt == 0, and
+// a machine-preset-only change re-simulates exactly that preset's keys
+// (CI's pipeline-invalidation job asserts both from the JSON export).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +30,7 @@ struct PhaseStats {
   double ms_hits = 0.0;
   double ms_rebuilt = 0.0;
 
-  // Nodes never demanded, or poisoned by an upstream failure.
+  // Nodes poisoned by an upstream failure.
   [[nodiscard]] std::uint64_t skipped() const noexcept {
     const std::uint64_t used = hits + rebuilt + failed;
     return total > used ? total - used : 0;
@@ -51,7 +49,9 @@ struct PhaseStats {
 
 struct NodeStats {
   PhaseStats compile;  // (workload spec | program, compile options) nodes
-  PhaseStats trace;    // (binary image, step budget) nodes
+  // Always zero: sims stream their own functional runs.  Kept only because
+  // perfbench/layers.cpp reads it; deleted at the benchmark re-anchor.
+  PhaseStats trace;
   PhaseStats sim;      // (binary image, preset, machine config) nodes
 
   NodeStats& operator+=(const NodeStats& o) noexcept {

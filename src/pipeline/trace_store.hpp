@@ -10,9 +10,9 @@
 //     raw TraceEntry payload       count * entry size bytes
 //     u64  checksum                FNV-1a-64 of every preceding byte
 //
-// This is what makes "traces stay warm across processes" true: a sim-only
-// invalidation (machine preset change) in a *fresh* hilab invocation
-// reloads the trace here instead of re-running the functional simulator.
+// The pipeline no longer uses it — each sim node streams its own
+// functional run — so its only user is perfbench/layers.cpp, and it is
+// deleted with the benchmark's next re-anchor.
 //
 // The durability story mirrors the result cache (lab/result_cache.hpp):
 // writes go through an advisory per-entry flock plus a per-process,

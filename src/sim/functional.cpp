@@ -62,7 +62,7 @@ std::size_t trace_reserve_hint(std::uint64_t max_steps, std::uint64_t done) {
 // allocation — measured at ~2× the entire emission cost) to release pages
 // that were never resident.  Only shrink when the buffer out-grew its
 // initial reserve: doubling growth leaves up to size/2 of *touched* slack,
-// and trace artifacts are retained in the pipeline memo for the whole run.
+// which a caller holding the whole trace for a machine run would keep.
 void finish_trace(Trace& trace, std::size_t reserved) {
   if (trace.capacity() > reserved) trace.shrink_to_fit();
 }
@@ -99,19 +99,23 @@ void Functional::run_streamed(const ChunkSink& sink, std::uint64_t max_steps,
   std::optional<Functional> ref;
   if (ref_shadow_enabled()) ref.emplace(*this);
   Trace buf;
-  buf.reserve(chunk);
   while (!halted_) {
-    // The last chunk stops at max_steps itself, where exec_threaded throws
-    // the budget error; every earlier stop is a pause.
-    const std::uint64_t left = max_steps > icount_ ? max_steps - icount_ : 0;
-    const std::uint64_t stop = icount_ + std::min<std::uint64_t>(left, chunk);
     buf.clear();
-    if (ref)
-      shadowed_exec(*ref, max_steps, stop, &buf);
-    else
-      exec_threaded<true>(max_steps, stop, &buf);
+    stream_chunk(buf, max_steps, chunk, ref ? &*ref : nullptr);
     sink(buf);
   }
+}
+
+void Functional::stream_chunk(Trace& out, std::uint64_t max_steps,
+                              std::size_t chunk, Functional* ref) {
+  // The last chunk stops at max_steps itself, where exec_threaded throws
+  // the budget error; every earlier stop is a pause.
+  const std::uint64_t left = max_steps > icount_ ? max_steps - icount_ : 0;
+  const std::uint64_t stop = icount_ + std::min<std::uint64_t>(left, chunk);
+  if (ref)
+    shadowed_exec(*ref, max_steps, stop, &out);
+  else
+    exec_threaded<true>(max_steps, stop, &out);
 }
 
 void Functional::ref_run(std::uint64_t max_steps, std::uint64_t stop_at,
@@ -142,6 +146,8 @@ Trace Functional::run_trace_ref(std::uint64_t max_steps) {
 
 void Functional::shadowed_exec(Functional& ref, std::uint64_t max_steps,
                                std::uint64_t stop_at, Trace* out) {
+  // `out` may already hold entries; only this call's are compared.
+  const std::size_t from = out ? out->size() : 0;
   bool got_ok = true;
   std::string got_err;
   try {
@@ -173,11 +179,11 @@ void Functional::shadowed_exec(Functional& ref, std::uint64_t max_steps,
     die("error mismatch: threaded \"" + got_err + "\" vs reference \"" +
         want_err + "\"");
   if (out) {
-    if (out->size() != want.size())
-      die("trace length " + std::to_string(out->size()) + " vs reference " +
-          std::to_string(want.size()));
+    if (out->size() - from != want.size())
+      die("trace length " + std::to_string(out->size() - from) +
+          " vs reference " + std::to_string(want.size()));
     for (std::size_t i = 0; i < want.size(); ++i) {
-      const TraceEntry& g = (*out)[i];
+      const TraceEntry& g = (*out)[from + i];
       const TraceEntry& w = want[i];
       if (g.static_idx != w.static_idx || g.next != w.next ||
           g.addr != w.addr || g.value != w.value)

@@ -1,12 +1,12 @@
 // Functional (architectural) simulator for HISA.
 //
 // Executes a program sequentially and, optionally, records the dynamic
-// trace that drives the cycle-level machines (DESIGN.md §6: trace-driven
-// timing).  The simulator honours the decoupling annotation flags
-// (push_ldq/push_sdq) and the explicit queue opcodes, maintaining real
-// FIFO contents, so both original and compiler-separated binaries execute
-// to the same architectural result — the invariant the integration tests
-// enforce.
+// trace that drives the cycle-level machines (DESIGN.md §6: a machine
+// pulls it chunk by chunk while it simulates).  The simulator honours the
+// decoupling annotation flags (push_ldq/push_sdq) and the explicit queue
+// opcodes, maintaining real FIFO contents, so both original and
+// compiler-separated binaries execute to the same architectural result —
+// the invariant the integration tests enforce.
 //
 // Two interpreters share this architectural state (docs/FUNCTIONAL.md):
 //
@@ -113,6 +113,14 @@ class Functional {
   void run_streamed(const ChunkSink& sink,
                     std::uint64_t max_steps = kDefaultMaxSteps,
                     std::size_t chunk = kStreamChunk);
+
+  // One chunk of a streamed run, in pull form (run_streamed's loop body):
+  // appends at most `chunk` entries to `out`, then pauses or ends at HALT;
+  // reaching `max_steps` throws the budget ExecError.  `ref` is null or the
+  // HIDISC_FSIM_REF snapshot taken before the first chunk, replayed and
+  // compared chunk by chunk.
+  void stream_chunk(Trace& out, std::uint64_t max_steps, std::size_t chunk,
+                    Functional* ref);
 
   // Reference-interpreter equivalents of run()/run_trace(): drive the
   // original switch interpreter step by step.  Byte-identical behaviour to

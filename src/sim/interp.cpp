@@ -14,6 +14,7 @@
 // HIDISC_FSIM_REF shadow oracle and the fuzz campaign's dual-interpreter
 // leg enforce that (docs/FUNCTIONAL.md).
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -76,7 +77,26 @@ void Functional::exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
   const DecodedOp* op = nullptr;
   const char* err_what = "";
 
+  // Emission goes through local cursors into a slab of `out`, and sync()
+  // trims its unused tail: push_back would reload the vector's bounds
+  // after every store to simulated memory (byte stores may alias them),
+  // doubling the cost.  Slabs double from 256 entries up to one
+  // kStreamChunk, never past stop_at, so a short run zero-fills little.
+  TraceEntry* cur = nullptr;
+  TraceEntry* lim = nullptr;
+  const auto open_slab = [&] {
+    const auto used = out->size() - static_cast<std::size_t>(lim - cur);
+    const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
+        stop_at - icount,
+        std::clamp<std::size_t>(used, 256, Functional::kStreamChunk)));
+    out->resize(used + n);
+    cur = out->data() + used;
+    lim = cur + n;
+  };
+
   const auto sync = [&] {
+    if constexpr (kEmit)
+      out->resize(out->size() - static_cast<std::size_t>(lim - cur));
     std::memcpy(iregs_.data(), R, sizeof(std::int64_t) * isa::kNumIntRegs);
     std::memcpy(fregs_.data(), F, sizeof(double) * isa::kNumFpRegs);
     pc_ = pc;
@@ -94,11 +114,13 @@ void Functional::exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
 
 #define EMIT(s, n, a, v)                                                     \
   do {                                                                       \
-    if constexpr (kEmit)                                                     \
-      out->push_back(TraceEntry{static_cast<std::int32_t>(s),                \
-                                static_cast<std::int32_t>(n),                \
-                                static_cast<std::uint64_t>(a),               \
-                                static_cast<std::int64_t>(v)});              \
+    if constexpr (kEmit) {                                                   \
+      if (HIDISC_UNLIKELY(cur == lim)) open_slab();                          \
+      *cur++ = TraceEntry{static_cast<std::int32_t>(s),                      \
+                          static_cast<std::int32_t>(n),                      \
+                          static_cast<std::uint64_t>(a),                     \
+                          static_cast<std::int64_t>(v)};                     \
+    }                                                                        \
   } while (0)
 #define PUSH_INT(fl, v)                       \
   do {                                        \

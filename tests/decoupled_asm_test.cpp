@@ -68,13 +68,13 @@ done:
 
   // Functional result first.
   sim::Functional f(prog);
-  const auto trace = f.run_trace();
+  f.run();
   const auto out = f.memory().read<std::uint64_t>(prog.data_addr("out"));
   EXPECT_EQ(out, 0u);  // vals is all zeros; the protocol matters, not data
 
   // And the same binary on the decoupled timing machine.
-  const auto r = machine::run_machine(prog, trace, machine::Preset::CPAP);
-  EXPECT_EQ(r.instructions, trace.size());
+  const auto r = machine::run_machine(prog, machine::Preset::CPAP);
+  EXPECT_EQ(r.instructions, f.instructions());
   EXPECT_EQ(r.ldq.pushes, r.ldq.pops);      // 20 values + 1 EOD
   EXPECT_EQ(r.ldq.pushes, 21u);
   EXPECT_EQ(r.sdq.pushes, 1u);
@@ -109,10 +109,10 @@ drain:
     tags[i] = Stream::Compute;
   prog = annotate_by_table(prog, tags);
   sim::Functional f(prog);
-  const auto trace = f.run_trace();
+  f.run();
   machine::MachineConfig cfg;
   cfg.watchdog_cycles = 20'000;
-  machine::Machine m(prog, trace, machine::Preset::CPAP, cfg);
+  machine::Machine m(prog, machine::Preset::CPAP, cfg);
   EXPECT_THROW((void)m.run(), std::runtime_error);
 }
 
@@ -135,10 +135,10 @@ never:
   prog.code[3].ann.stream = Stream::Compute;  // popldq on the CP
   prog.code[2].ann.stream = Stream::Compute;  // beod on the CP
   sim::Functional f(prog);
-  const auto trace = f.run_trace();
+  f.run();
   EXPECT_EQ(f.reg(2), 42);
-  const auto r = machine::run_machine(prog, trace, machine::Preset::CPAP);
-  EXPECT_EQ(r.instructions, trace.size());
+  const auto r = machine::run_machine(prog, machine::Preset::CPAP);
+  EXPECT_EQ(r.instructions, f.instructions());
 }
 
 TEST(HandDecoupled, ScqTokensThrottleOnTimingMachine) {
@@ -158,9 +158,9 @@ loop:
   for (auto& inst : prog.code) inst.ann.stream = Stream::Access;
   prog.code[1].ann.stream = Stream::Compute;  // putscq from the other side
   sim::Functional f(prog);
-  const auto trace = f.run_trace();
-  const auto r = machine::run_machine(prog, trace, machine::Preset::CPAP);
-  EXPECT_EQ(r.instructions, trace.size());
+  f.run();
+  const auto r = machine::run_machine(prog, machine::Preset::CPAP);
+  EXPECT_EQ(r.instructions, f.instructions());
   EXPECT_EQ(r.scq.pushes, 50u);
   EXPECT_EQ(r.scq.pops, 50u);
 }
@@ -188,11 +188,10 @@ inner:
 )";
   const auto prog = isa::assemble(src);
   sim::Functional f(prog);
-  const auto trace = f.run_trace();
+  f.run();
   EXPECT_EQ(f.reg(6), 200);
-  const auto r = machine::run_machine(prog, trace,
-                                      machine::Preset::Superscalar);
-  EXPECT_EQ(r.instructions, trace.size());
+  const auto r = machine::run_machine(prog, machine::Preset::Superscalar);
+  EXPECT_EQ(r.instructions, f.instructions());
   // Loop branch may mispredict at the boundary; returns should not.
   EXPECT_LT(r.branch.mispredicts, 10u);
 }
@@ -215,11 +214,10 @@ target:
 )";
   const auto prog = isa::assemble(src);
   sim::Functional f(prog);
-  const auto trace = f.run_trace();
+  f.run();
   EXPECT_EQ(f.reg(6), 30);
-  const auto r = machine::run_machine(prog, trace,
-                                      machine::Preset::Superscalar);
-  EXPECT_EQ(r.instructions, trace.size());
+  const auto r = machine::run_machine(prog, machine::Preset::Superscalar);
+  EXPECT_EQ(r.instructions, f.instructions());
   EXPECT_GT(r.fetch_stall_branch_cycles, 0u);  // unpredicted jr redirects
 }
 

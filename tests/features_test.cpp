@@ -71,10 +71,7 @@ TEST(ConsumerSite, DynamicTransfersMatchConsumptions) {
   const auto sep = compiler::separate_streams(prog, &profile);
   // Run separated and confirm exactly one SDQ round-trip happened: the
   // machine's queue stats record it.
-  sim::Functional fs(sep.separated);
-  const auto ts = fs.run_trace();
-  const auto r = machine::run_machine(sep.separated, ts,
-                                      machine::Preset::CPAP);
+  const auto r = machine::run_machine(sep.separated, machine::Preset::CPAP);
   EXPECT_EQ(r.sdq.pushes, 1u);
   EXPECT_EQ(r.sdq.pops, 1u);
   // The per-iteration LDQ traffic (loads feeding the FP add) remains.
@@ -192,39 +189,22 @@ TEST(Cmas, StridedLoadsAreFireAndForget) {
   EXPECT_TRUE(any_cmas_load);
 }
 
-struct PreparedRun {
-  compiler::Compilation comp;
-  sim::Trace orig;
-  sim::Trace sep;
-};
-
-PreparedRun prep(const isa::Program& prog) {
-  PreparedRun p{compiler::compile(prog), {}, {}};
-  sim::Functional fo(p.comp.original);
-  p.orig = fo.run_trace();
-  sim::Functional fs(p.comp.separated);
-  p.sep = fs.run_trace();
-  return p;
-}
-
 TEST(ForkModes, ChainingIsGapFreePaperModeLeavesHoles) {
-  const auto p = prep(isa::assemble(kStrided));
+  const auto p = compiler::compile(isa::assemble(kStrided));
   machine::MachineConfig paper_mode;
   paper_mode.cmp_chaining = false;
   paper_mode.cmp.prefetch_buffer = 32;  // ample: isolate the fork mode
   machine::MachineConfig chaining = paper_mode;
   chaining.cmp_chaining = true;
   chaining.cmp_targets_per_fork = 256;  // long-lived slice instances
-  const auto r_paper = machine::run_machine(p.comp.separated, p.sep,
-                                            machine::Preset::HiDISC,
-                                            paper_mode);
-  const auto r_chain = machine::run_machine(p.comp.separated, p.sep,
-                                            machine::Preset::HiDISC,
-                                            chaining);
+  const auto r_paper =
+      machine::run_machine(p.separated, machine::Preset::HiDISC, paper_mode);
+  const auto r_chain = machine::run_machine(p.separated,
+                                            machine::Preset::HiDISC, chaining);
   // Chaining covers every slice micro-op (2 per iteration); the paper-mode
   // fork jumps forward when the CMP falls behind and leaves holes.
   EXPECT_GT(r_chain.cmas_uops, r_paper.cmas_uops);
-  EXPECT_LT(r_paper.cmas_uops, p.sep.size());
+  EXPECT_LT(r_paper.cmas_uops, r_paper.instructions);
   // Paper-mode instances start at the trigger distance, so on this
   // DRAM-bound stream some of their fills complete in time; chaining from
   // the fetch position can never build a lead against equal fill demand
@@ -235,22 +215,21 @@ TEST(ForkModes, ChainingIsGapFreePaperModeLeavesHoles) {
 }
 
 TEST(PrefetchBuffer, SmallerBufferCoversFewerMisses) {
-  const auto p = prep(isa::assemble(kStrided));
+  const auto p = compiler::compile(isa::assemble(kStrided));
   machine::MachineConfig small_buf;
   small_buf.cmp.prefetch_buffer = 1;
   machine::MachineConfig big_buf;
   big_buf.cmp.prefetch_buffer = 32;
-  const auto r_small = machine::run_machine(p.comp.separated, p.sep,
-                                            machine::Preset::HiDISC,
-                                            small_buf);
-  const auto r_big = machine::run_machine(p.comp.separated, p.sep,
-                                          machine::Preset::HiDISC, big_buf);
+  const auto r_small = machine::run_machine(p.separated,
+                                            machine::Preset::HiDISC, small_buf);
+  const auto r_big = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                          big_buf);
   EXPECT_LT(r_big.l1.demand_misses(), r_small.l1.demand_misses());
   EXPECT_LE(r_big.cycles, r_small.cycles);
 }
 
 TEST(Runahead, TinyBoundStarvesTheCmp) {
-  const auto p = prep(isa::assemble(kStrided));
+  const auto p = compiler::compile(isa::assemble(kStrided));
   machine::MachineConfig tiny;
   tiny.cmp.prefetch_buffer = 32;
   // A slip bound below the fork lookahead forbids any scanning at all:
@@ -258,24 +237,24 @@ TEST(Runahead, TinyBoundStarvesTheCmp) {
   tiny.cmp_max_runahead = 16;
   machine::MachineConfig wide = tiny;
   wide.cmp_max_runahead = 1024;
-  const auto r_tiny = machine::run_machine(p.comp.separated, p.sep,
-                                           machine::Preset::HiDISC, tiny);
-  const auto r_wide = machine::run_machine(p.comp.separated, p.sep,
-                                           machine::Preset::HiDISC, wide);
+  const auto r_tiny = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                           tiny);
+  const auto r_wide = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                           wide);
   EXPECT_LT(r_tiny.l1.prefetches, r_wide.l1.prefetches);
   EXPECT_GT(r_tiny.cycles, r_wide.cycles);
 }
 
 TEST(SerialGroups, ChaseForksAlwaysChainEvenInPaperMode) {
   auto prog = chase_program();
-  const auto p = prep(prog);
+  const auto p = compiler::compile(prog);
   machine::MachineConfig paper_mode;
   paper_mode.cmp_chaining = false;
-  const auto r = machine::run_machine(p.comp.separated, p.sep,
-                                      machine::Preset::HiDISC, paper_mode);
+  const auto r = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                      paper_mode);
   // The chase is serial: the CMP cannot teleport ahead, so HiDISC ends up
   // within a whisker of the baseline (never dramatically faster).
-  const auto base = machine::run_machine(p.comp.original, p.orig,
+  const auto base = machine::run_machine(p.original,
                                          machine::Preset::Superscalar);
   EXPECT_LT(static_cast<double>(base.cycles) / r.cycles, 1.25);
 }
@@ -283,23 +262,22 @@ TEST(SerialGroups, ChaseForksAlwaysChainEvenInPaperMode) {
 TEST(DynamicDistance, RecoversFromABadStart) {
   // TC with a deliberately too-short fork distance: the controller must
   // grow it and recover most of the gap to the well-tuned static setting.
-  const auto p = prep(isa::assemble(kStrided));
+  const auto p = compiler::compile(isa::assemble(kStrided));
   machine::MachineConfig bad;
   bad.cmp_fork_lookahead = 64;
   machine::MachineConfig dyn = bad;
   dyn.cmp_dynamic_distance = true;
-  const auto r_bad = machine::run_machine(p.comp.separated, p.sep,
-                                          machine::Preset::HiDISC, bad);
-  const auto r_dyn = machine::run_machine(p.comp.separated, p.sep,
-                                          machine::Preset::HiDISC, dyn);
+  const auto r_bad = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                          bad);
+  const auto r_dyn = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                          dyn);
   EXPECT_GT(r_dyn.distance_adaptations, 0u);
   EXPECT_LE(r_dyn.cycles, r_bad.cycles * 101 / 100);  // never clearly worse
 }
 
 TEST(DynamicDistance, OffByDefault) {
-  const auto p = prep(isa::assemble(kStrided));
-  const auto r = machine::run_machine(p.comp.separated, p.sep,
-                                      machine::Preset::HiDISC);
+  const auto p = compiler::compile(isa::assemble(kStrided));
+  const auto r = machine::run_machine(p.separated, machine::Preset::HiDISC);
   EXPECT_EQ(r.distance_adaptations, 0u);
   EXPECT_EQ(r.final_fork_lookahead, machine::MachineConfig{}.cmp_fork_lookahead);
 }
@@ -327,15 +305,15 @@ TEST(AdaptiveRange, SuppressesSelfEvictingPrefetchGroups) {
   // The CMP's prefetches for the set-conflicting stride die unused; the
   // range controller must notice the waste and suppress forks, and
   // performance must not get worse.
-  const auto p = prep(isa::assemble(kSetConflict));
+  const auto p = compiler::compile(isa::assemble(kSetConflict));
   machine::MachineConfig wasteful;  // paper-mode forks, ample buffer
   wasteful.cmp.prefetch_buffer = 32;
   machine::MachineConfig adaptive = wasteful;
   adaptive.cmp_adaptive_range = true;
-  const auto r_w = machine::run_machine(p.comp.separated, p.sep,
-                                        machine::Preset::HiDISC, wasteful);
-  const auto r_a = machine::run_machine(p.comp.separated, p.sep,
-                                        machine::Preset::HiDISC, adaptive);
+  const auto r_w = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                        wasteful);
+  const auto r_a = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                        adaptive);
   EXPECT_GT(r_a.cmas_forks_suppressed, 0u);
   EXPECT_LT(r_a.l1.prefetches, r_w.l1.prefetches);
   EXPECT_LE(r_a.cycles, r_w.cycles * 102 / 100);
@@ -344,26 +322,24 @@ TEST(AdaptiveRange, SuppressesSelfEvictingPrefetchGroups) {
 TEST(AdaptiveRange, LeavesUsefulGroupsAlone) {
   // Default configuration: prefetches are consumed, nothing is wasted, so
   // the controller must not interfere.
-  const auto p = prep(isa::assemble(kStrided));
+  const auto p = compiler::compile(isa::assemble(kStrided));
   machine::MachineConfig cfg;
   cfg.cmp_adaptive_range = true;
-  const auto r = machine::run_machine(p.comp.separated, p.sep,
-                                      machine::Preset::HiDISC, cfg);
-  const auto base = machine::run_machine(p.comp.separated, p.sep,
-                                         machine::Preset::HiDISC);
+  const auto r = machine::run_machine(p.separated, machine::Preset::HiDISC,
+                                      cfg);
+  const auto base = machine::run_machine(p.separated, machine::Preset::HiDISC);
   EXPECT_EQ(r.cmas_forks_suppressed, 0u);
   EXPECT_EQ(r.cycles, base.cycles);
 }
 
 TEST(Triggers, FiringIsRecordedAndBounded) {
-  const auto p = prep(isa::assemble(kStrided));
-  const auto r = machine::run_machine(p.comp.separated, p.sep,
-                                      machine::Preset::HiDISC);
+  const auto p = compiler::compile(isa::assemble(kStrided));
+  const auto r = machine::run_machine(p.separated, machine::Preset::HiDISC);
   EXPECT_GT(r.cmas_forks, 0u);
   EXPECT_GT(r.cmas_uops, 0u);
   // Micro-ops per fork can't exceed what one instance allows by much
   // (address-chain ops + loads per target).
-  EXPECT_LT(r.cmas_uops, p.sep.size());
+  EXPECT_LT(r.cmas_uops, r.instructions);
 }
 
 }  // namespace

@@ -450,12 +450,12 @@ TEST(LabRunner, WarmCacheSimulatesNothingAndMatches) {
   const auto cold = lab::run_plan(plan, opt);
   EXPECT_EQ(cold.simulated, plan.cells.size());
   EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_GT(cold.traces, 0u);
+  EXPECT_EQ(cold.nodes.sim.rebuilt, plan.cells.size());
 
   const auto warm = lab::run_plan(plan, opt);
   EXPECT_EQ(warm.simulated, 0u);
   EXPECT_EQ(warm.cache_hits, plan.cells.size());
-  EXPECT_EQ(warm.traces, 0u);  // no functional tracing on a warm cache
+  EXPECT_EQ(warm.nodes.sim.rebuilt, 0u);  // no machine, no functional run
   for (std::size_t i = 0; i < plan.cells.size(); ++i) {
     EXPECT_TRUE(warm.cells[i].from_cache);
     EXPECT_TRUE(
@@ -480,13 +480,10 @@ TEST(LabRunner, RepeatedSimulationIsDeterministic) {
   const auto w = lab::spec("Update", workloads::Scale::Test).build();
   const auto comp = compiler::compile(w.program);
   for (const auto preset : lab::all_presets()) {
-    const bool sep = machine::uses_separated_binary(preset);
-    sim::Functional f(sep ? comp.separated : comp.original);
-    const sim::Trace trace = f.run_trace();
-    const auto r1 = machine::run_machine(
-        sep ? comp.separated : comp.original, trace, preset);
-    const auto r2 = machine::run_machine(
-        sep ? comp.separated : comp.original, trace, preset);
+    const auto& bin = machine::uses_separated_binary(preset) ? comp.separated
+                                                             : comp.original;
+    const auto r1 = machine::run_machine(bin, preset);
+    const auto r2 = machine::run_machine(bin, preset);
     EXPECT_EQ(r1.cycles, r2.cycles) << machine::preset_name(preset);
     EXPECT_EQ(r1.ipc, r2.ipc) << machine::preset_name(preset);
     EXPECT_TRUE(lab::results_identical(r1, r2))

@@ -55,32 +55,26 @@ loop:
   halt
 )";
 
-struct Prepared {
-  Compilation comp;
-  sim::Trace orig_trace;
-  sim::Trace sep_trace;
-};
-
-Prepared prepare(const char* src, compiler::CompileOptions copt = {}) {
-  Prepared p{compiler::compile(assemble(src), copt), {}, {}};
-  sim::Functional fo(p.comp.original);
-  p.orig_trace = fo.run_trace();
-  sim::Functional fs(p.comp.separated);
-  p.sep_trace = fs.run_trace();
-  return p;
+Compilation prepare(const char* src, compiler::CompileOptions copt = {}) {
+  return compiler::compile(assemble(src), copt);
 }
 
-Result run_preset(const Prepared& p, Preset preset,
+Result run_preset(const Compilation& p, Preset preset,
                   const MachineConfig& cfg = {}) {
-  const bool sep = uses_separated_binary(preset);
-  return run_machine(sep ? p.comp.separated : p.comp.original,
-                     sep ? p.sep_trace : p.orig_trace, preset, cfg);
+  return run_machine(uses_separated_binary(preset) ? p.separated : p.original,
+                     preset, cfg);
+}
+
+std::uint64_t dynamic_instructions(const isa::Program& prog) {
+  sim::Functional f(prog);
+  f.run();
+  return f.instructions();
 }
 
 TEST(Machine, SuperscalarCommitsWholeTrace) {
   const auto p = prepare(kStrided);
   const auto r = run_preset(p, Preset::Superscalar);
-  EXPECT_EQ(r.instructions, p.orig_trace.size());
+  EXPECT_EQ(r.instructions, dynamic_instructions(p.original));
   EXPECT_TRUE(r.has_main);
   EXPECT_FALSE(r.has_cp);
   EXPECT_GT(r.ipc, 0.05);
@@ -90,7 +84,7 @@ TEST(Machine, SuperscalarCommitsWholeTrace) {
 TEST(Machine, CpApCommitsWholeSeparatedTrace) {
   const auto p = prepare(kDaxpy);
   const auto r = run_preset(p, Preset::CPAP);
-  EXPECT_EQ(r.instructions, p.sep_trace.size());
+  EXPECT_EQ(r.instructions, dynamic_instructions(p.separated));
   EXPECT_TRUE(r.has_cp);
   EXPECT_TRUE(r.has_ap);
   EXPECT_FALSE(r.has_cmp);

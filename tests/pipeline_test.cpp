@@ -1,7 +1,8 @@
 // Artifact-pipeline tests (src/pipeline/): content-addressed node keys —
 // each input dimension perturbs exactly the downstream hashes it should —
-// the TraceStore's round-trip/corruption contract, and warm/partial
-// invalidation through lab::run_plan's per-phase node stats.
+// the TraceStore's round-trip/corruption contract (perfbench still uses
+// it), and warm/partial invalidation through lab::run_plan's per-phase
+// node stats.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -99,7 +100,7 @@ TEST(PipelineKeys, SeparatorModeSelectsADistinctBinary) {
   ASSERT_NE(orig, sep);
 
   const std::uint64_t steps = compiler::CompileOptions{}.max_steps;
-  // Original and separated binaries never share trace or sim nodes.
+  // Original and separated binaries never share stored traces or sims.
   EXPECT_NE(pipeline::trace_key(orig, steps),
             pipeline::trace_key(sep, steps));
   const machine::MachineConfig cfg;
@@ -122,7 +123,7 @@ TEST(PipelineKeys, MachinePresetAndConfigPerturbOnlySimKeys) {
   EXPECT_EQ(tk, pipeline::trace_key(img, steps));
 
   // Any config field change (dram latency, watchdog) re-keys the sim
-  // node only — this is the warm-trace invalidation contract.
+  // node only.
   machine::MachineConfig slow = base;
   slow.mem.dram_latency = 200;
   EXPECT_NE(sk, pipeline::sim_key(img, machine::Preset::Superscalar, slow));
@@ -143,7 +144,7 @@ TEST(PipelineKeys, PrefetcherConfigPerturbsOnlySimKeys) {
 
   // Enabling a prefetcher, or turning any of its live knobs, re-keys the
   // sim node and nothing upstream (hilab --override '*:prefetch=...'
-  // rides this: zero trace rebuilds).
+  // rides this).
   machine::MachineConfig pf = base;
   pf.mem.prefetch = mem::parse_prefetch_spec("ipstride:deg4");
   const std::string pf_sk =
@@ -196,8 +197,8 @@ TEST(PipelineKeys, SimKeyMatchesPreRefactorContentKey) {
 // ---- graph shape -----------------------------------------------------------
 
 TEST(PipelineGraph, NodesAreSharedAcrossCells) {
-  // 2 workloads x 4 presets: 2 compile nodes, 4 trace nodes (orig + sep
-  // per workload), 8 sim nodes.
+  // 2 workloads x 4 presets: 2 compile nodes, 8 sim nodes, each running
+  // the binary its preset consumes.
   std::vector<lab::Cell> cells;
   for (const char* name : {"Pointer", "Update"})
     for (const auto preset : lab::all_presets())
@@ -205,12 +206,14 @@ TEST(PipelineGraph, NodesAreSharedAcrossCells) {
                                 preset, {}, {}, ""});
   const pipeline::Graph g = pipeline::build_graph(cells);
   EXPECT_EQ(g.compiles.size(), 2u);
-  EXPECT_EQ(g.traces.size(), 4u);
   ASSERT_EQ(g.sims.size(), cells.size());
   for (std::size_t i = 0; i < g.sims.size(); ++i) {
     EXPECT_EQ(g.sims[i].index, i);
     EXPECT_EQ(g.sims[i].cell, &cells[i]);
+    EXPECT_EQ(g.sims[i].compile, &g.compiles[i / 4]);
+    EXPECT_EQ(g.sims[i].mode, pipeline::mode_for(cells[i].preset));
   }
+  EXPECT_EQ(g.compiles[0].sims.size(), 4u);
 }
 
 // ---- trace store -----------------------------------------------------------
@@ -299,25 +302,21 @@ TEST(PipelineRunner, WarmRunRebuildsNoNodes) {
   const auto cold = lab::run_plan(plan, opt);
   EXPECT_EQ(cold.nodes.compile.total, 2u);
   EXPECT_EQ(cold.nodes.compile.rebuilt, 2u);
-  EXPECT_EQ(cold.nodes.trace.total, 4u);
-  EXPECT_EQ(cold.nodes.trace.rebuilt, 4u);
   EXPECT_EQ(cold.nodes.sim.total, plan.cells.size());
   EXPECT_EQ(cold.nodes.sim.rebuilt, plan.cells.size());
-  // PlanRun's legacy counters are views of the node stats.
+  // PlanRun's legacy counter is a view of the node stats.
   EXPECT_EQ(cold.preps, cold.nodes.compile.rebuilt);
-  EXPECT_EQ(cold.traces, cold.nodes.trace.rebuilt);
 
+  // Every cell is a result-cache hit: no machine and no functional run.
   const auto warm = lab::run_plan(plan, opt);
   EXPECT_EQ(warm.nodes.sim.hits, plan.cells.size());
   EXPECT_EQ(warm.nodes.sim.rebuilt, 0u);
-  // Result-cache hits are probed before traces are demanded, so a fully
-  // warm run neither rebuilds nor loads a single trace node.
-  EXPECT_EQ(warm.nodes.trace.rebuilt, 0u);
-  EXPECT_EQ(warm.nodes.trace.hits, 0u);
-  EXPECT_EQ(warm.nodes.trace.skipped(), warm.nodes.trace.total);
+  // The cache directory holds results only.
+  for (const auto& e : fs::directory_iterator(dir.path()))
+    EXPECT_EQ(e.path().extension(), ".result") << e.path();
 }
 
-TEST(PipelineRunner, PresetOnlyChangeKeepsEveryTraceWarm) {
+TEST(PipelineRunner, PresetOnlyChangeResimulatesExactlyThatPreset) {
   TempDir dir("preset_invalidate");
   auto plan = two_workload_plan();
   lab::RunOptions opt;
@@ -328,8 +327,7 @@ TEST(PipelineRunner, PresetOnlyChangeKeepsEveryTraceWarm) {
 
   // Mutate the machine config of the HiDISC cells only (the CI job does
   // the same via hilab --override): their sim nodes re-key and rerun,
-  // every other cell hits, and ZERO traces are re-traced — the HiDISC
-  // cells' separated-binary traces load from the store instead.
+  // and every other cell hits.
   std::size_t mutated = 0;
   for (auto& cell : plan.cells)
     if (cell.preset == machine::Preset::HiDISC) {
@@ -342,11 +340,6 @@ TEST(PipelineRunner, PresetOnlyChangeKeepsEveryTraceWarm) {
   EXPECT_EQ(partial.failed, 0u);
   EXPECT_EQ(partial.nodes.sim.rebuilt, mutated);
   EXPECT_EQ(partial.nodes.sim.hits, plan.cells.size() - mutated);
-  EXPECT_EQ(partial.nodes.trace.rebuilt, 0u);
-  // Exactly the separated-binary trace of each mutated workload was
-  // demanded, and all of them came from the trace store.
-  EXPECT_EQ(partial.nodes.trace.hits, 2u);
-  EXPECT_EQ(partial.nodes.trace.skipped(), partial.nodes.trace.total - 2u);
   for (std::size_t i = 0; i < plan.cells.size(); ++i)
     EXPECT_EQ(partial.cells[i].from_cache,
               plan.cells[i].preset != machine::Preset::HiDISC)
@@ -364,8 +357,7 @@ TEST(PipelineRunner, PrefetcherChangeResimulatesExactlyAffectedCells) {
 
   // Enable a hardware prefetcher on the CP+AP cells only (what
   // `hilab --override 'CP+AP:prefetch=ipstride:deg4'` does): exactly
-  // those sim nodes re-key and rerun, every other cell hits, and no
-  // trace is ever re-traced.
+  // those sim nodes re-key and rerun, and every other cell hits.
   std::size_t mutated = 0;
   for (auto& cell : plan.cells)
     if (cell.preset == machine::Preset::CPAP) {
@@ -378,7 +370,6 @@ TEST(PipelineRunner, PrefetcherChangeResimulatesExactlyAffectedCells) {
   EXPECT_EQ(partial.failed, 0u);
   EXPECT_EQ(partial.nodes.sim.rebuilt, mutated);
   EXPECT_EQ(partial.nodes.sim.hits, plan.cells.size() - mutated);
-  EXPECT_EQ(partial.nodes.trace.rebuilt, 0u);
   for (std::size_t i = 0; i < plan.cells.size(); ++i)
     EXPECT_EQ(partial.cells[i].from_cache,
               plan.cells[i].preset != machine::Preset::CPAP)
@@ -389,8 +380,8 @@ TEST(PipelineRunner, PrefetcherChangeResimulatesExactlyAffectedCells) {
   EXPECT_EQ(warm.nodes.sim.rebuilt, 0u);
 }
 
-TEST(PipelineRunner, RefreshBypassesBothStoresButStillWritesThem) {
-  TempDir dir("refresh_traces");
+TEST(PipelineRunner, RefreshBypassesTheResultCacheButStillWritesIt) {
+  TempDir dir("refresh");
   const auto plan = two_workload_plan();
   lab::RunOptions opt;
   opt.threads = 2;
@@ -401,8 +392,7 @@ TEST(PipelineRunner, RefreshBypassesBothStoresButStillWritesThem) {
   refresh.refresh = true;
   const auto forced = lab::run_plan(plan, refresh);
   EXPECT_EQ(forced.nodes.sim.rebuilt, plan.cells.size());
-  EXPECT_EQ(forced.nodes.trace.rebuilt, forced.nodes.trace.total);
-  EXPECT_EQ(forced.nodes.trace.hits, 0u);
+  EXPECT_EQ(forced.nodes.sim.hits, 0u);
   for (std::size_t i = 0; i < plan.cells.size(); ++i)
     EXPECT_TRUE(lab::results_identical(cold.cells[i].result,
                                        forced.cells[i].result));
@@ -499,8 +489,8 @@ TEST(PipelineRunner, RepeatedSimKeySharesAFailure) {
 }
 
 TEST(PipelineRunner, SessionMemoSharesArtifactsAcrossRuns) {
-  // One Pipeline object serving two runs compiles and traces once, even
-  // with no disk stores at all.
+  // One Pipeline object serving two runs compiles once, even with no
+  // result cache at all; each run simulates its cell.
   pipeline::Pipeline pipe;
   lab::ThreadPool pool(1);
   std::vector<lab::Cell> cells{
@@ -508,11 +498,11 @@ TEST(PipelineRunner, SessionMemoSharesArtifactsAcrossRuns) {
                 machine::Preset::Superscalar, {}, {}, ""}};
   const auto first = pipe.run(cells, pool);
   EXPECT_EQ(first.nodes.compile.rebuilt, 1u);
-  EXPECT_EQ(first.nodes.trace.rebuilt, 1u);
+  EXPECT_EQ(first.nodes.sim.rebuilt, 1u);
   const auto second = pipe.run(cells, pool);
   EXPECT_EQ(second.nodes.compile.hits, 1u);
-  EXPECT_EQ(second.nodes.trace.hits, 1u);
-  EXPECT_EQ(second.nodes.trace.rebuilt, 0u);
+  EXPECT_EQ(second.nodes.compile.rebuilt, 0u);
+  EXPECT_EQ(second.nodes.sim.rebuilt, 1u);
   EXPECT_TRUE(lab::results_identical(first.cells[0].result,
                                      second.cells[0].result));
 }

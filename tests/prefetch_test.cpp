@@ -25,7 +25,6 @@
 #include "machine/machine.hpp"
 #include "mem/memory_system.hpp"
 #include "mem/prefetcher.hpp"
-#include "sim/functional.hpp"
 #include "workloads/common.hpp"
 
 namespace hidisc {
@@ -493,31 +492,19 @@ TEST(PrefetchStats, ResidentCandidatesAreFiltered) {
 
 // ---- machine-level bit-identity -------------------------------------------
 
-struct Prepared {
-  compiler::Compilation comp;
-  sim::Trace orig_trace;
-  sim::Trace sep_trace;
-};
 
-Prepared prepare(const workloads::BuiltWorkload& w) {
-  Prepared p{compiler::compile(w.program), {}, {}};
-  p.orig_trace = sim::Functional(p.comp.original).run_trace();
-  p.sep_trace = sim::Functional(p.comp.separated).run_trace();
-  return p;
-}
-
-machine::Result run_with(const Prepared& p, machine::Preset preset,
+machine::Result run_with(const compiler::Compilation& p, machine::Preset preset,
                          machine::SchedulerKind k, machine::MachineConfig cfg) {
   cfg.scheduler = k;
-  const bool sep = machine::uses_separated_binary(preset);
-  machine::Machine m(sep ? p.comp.separated : p.comp.original,
-                     sep ? p.sep_trace : p.orig_trace, preset, cfg);
+  machine::Machine m(
+      machine::uses_separated_binary(preset) ? p.separated : p.original,
+      preset, cfg);
   return m.run();
 }
 
 TEST(PrefetchScheduler, EventSkipMatchesLockstepWithEveryScheme) {
   const auto w = workloads::make_neighborhood(workloads::Scale::Test);
-  const Prepared p = prepare(w);
+  const auto p = compiler::compile(w.program);
   for (const char* s :
        {"nextline", "stride", "ipstride:deg4", "sms", "runahead"}) {
     for (const auto preset :
@@ -538,7 +525,7 @@ TEST(PrefetchScheduler, EventSkipMatchesLockstepWithEveryScheme) {
 
 TEST(PrefetchScheduler, PrefetchingChangesTimingButNotArchitecture) {
   const auto w = workloads::make_neighborhood(workloads::Scale::Test);
-  const Prepared p = prepare(w);
+  const auto p = compiler::compile(w.program);
   machine::MachineConfig base;
   const auto plain = run_with(p, machine::Preset::Superscalar,
                               machine::SchedulerKind::EventSkip, base);

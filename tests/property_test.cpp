@@ -74,17 +74,15 @@ TEST_P(RandomKernel, AllPresetsRetireTheWholeTrace) {
   KernelGen gen(static_cast<std::uint64_t>(GetParam()) * 104729 + 5);
   const auto prog = isa::assemble(gen.generate(16, 100));
   const auto comp = compiler::compile(prog);
-  sim::Functional fo(comp.original);
-  const auto to = fo.run_trace();
-  sim::Functional fs(comp.separated);
-  const auto ts = fs.run_trace();
   for (const auto preset :
        {machine::Preset::Superscalar, machine::Preset::CPAP,
         machine::Preset::CPCMP, machine::Preset::HiDISC}) {
-    const bool sep = machine::uses_separated_binary(preset);
-    const auto r = machine::run_machine(sep ? comp.separated : comp.original,
-                                        sep ? ts : to, preset);
-    EXPECT_EQ(r.instructions, (sep ? ts : to).size())
+    const auto& bin = machine::uses_separated_binary(preset) ? comp.separated
+                                                             : comp.original;
+    sim::Functional f(bin);
+    f.run();
+    const auto r = machine::run_machine(bin, preset);
+    EXPECT_EQ(r.instructions, f.instructions())
         << machine::preset_name(preset) << " seed " << GetParam();
     EXPECT_EQ(r.ldq.pushes, r.ldq.pops);
     EXPECT_EQ(r.sdq.pushes, r.sdq.pops);

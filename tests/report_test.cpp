@@ -10,7 +10,6 @@
 #include "machine/machine.hpp"
 #include "machine/report.hpp"
 #include "mem/cache.hpp"
-#include "sim/functional.hpp"
 
 namespace hidisc {
 namespace {
@@ -32,10 +31,7 @@ loop:
   halt
 )");
   const auto comp = compiler::compile(prog);
-  sim::Functional fs(comp.separated);
-  const auto ts = fs.run_trace();
-  const auto r = machine::run_machine(comp.separated, ts,
-                                      machine::Preset::HiDISC);
+  const auto r = machine::run_machine(comp.separated, machine::Preset::HiDISC);
   const auto text = machine::render_report(r);
   for (const char* section :
        {"== execution ==", "== cores ==", "== memory ==", "== branches ==",

@@ -16,7 +16,6 @@
 #include "compiler/compile.hpp"
 #include "machine/machine.hpp"
 #include "mem/memory_system.hpp"
-#include "sim/functional.hpp"
 #include "uarch/core.hpp"
 #include "uarch/event.hpp"
 #include "workloads/common.hpp"
@@ -29,28 +28,15 @@ using machine::MachineConfig;
 using machine::Preset;
 using machine::SchedulerKind;
 
-struct Prepared {
-  compiler::Compilation comp;
-  sim::Trace orig_trace;
-  sim::Trace sep_trace;
-};
-
-Prepared prepare(const workloads::BuiltWorkload& w) {
-  Prepared p{compiler::compile(w.program), {}, {}};
-  p.orig_trace = sim::Functional(p.comp.original).run_trace();
-  p.sep_trace = sim::Functional(p.comp.separated).run_trace();
-  return p;
-}
 
 // Runs one preset under the given scheduler and returns the Result plus
 // the scheduler's telemetry.
-machine::Result run_with(const Prepared& p, Preset preset, SchedulerKind k,
-                         MachineConfig cfg,
+machine::Result run_with(const compiler::Compilation& p, Preset preset,
+                         SchedulerKind k, MachineConfig cfg,
                          machine::SchedulerStats* stats = nullptr) {
   cfg.scheduler = k;
-  const bool sep = machine::uses_separated_binary(preset);
-  Machine m(sep ? p.comp.separated : p.comp.original,
-            sep ? p.sep_trace : p.orig_trace, preset, cfg);
+  Machine m(machine::uses_separated_binary(preset) ? p.separated : p.original,
+            preset, cfg);
   const auto r = m.run();
   if (stats != nullptr) *stats = m.sched_stats();
   return r;
@@ -70,7 +56,7 @@ std::vector<workloads::BuiltWorkload> paper_workloads() {
 
 TEST(SchedulerEquivalence, PaperWorkloadsAllPresetsTable1Latencies) {
   for (const auto& w : paper_workloads()) {
-    const Prepared p = prepare(w);
+    const auto p = compiler::compile(w.program);
     for (const Preset preset : kAllPresets) {
       const auto skip = run_with(p, preset, SchedulerKind::EventSkip, {});
       const auto lock = run_with(p, preset, SchedulerKind::Lockstep, {});
@@ -86,7 +72,8 @@ TEST(SchedulerEquivalence, PaperWorkloadsAllPresetsTable1Latencies) {
 TEST(SchedulerEquivalence, HighLatencySweepPointActuallySkips) {
   MachineConfig cfg;
   cfg.mem = mem::MemConfig::with_latencies(16, 160);  // Fig. 10 far point
-  const Prepared p = prepare(workloads::make_update(workloads::Scale::Test));
+  const auto p =
+      compiler::compile(workloads::make_update(workloads::Scale::Test).program);
   for (const Preset preset : kAllPresets) {
     machine::SchedulerStats stats;
     const auto skip =
@@ -106,7 +93,8 @@ TEST(SchedulerEquivalence, HighLatencySweepPointActuallySkips) {
 TEST(Scheduler, QuiescentCoresAreNotTickedOnMemoryBoundStressmark) {
   MachineConfig cfg;
   cfg.mem = mem::MemConfig::with_latencies(16, 160);
-  const Prepared p = prepare(workloads::make_matrix(workloads::Scale::Test));
+  const auto p =
+      compiler::compile(workloads::make_matrix(workloads::Scale::Test).program);
   machine::SchedulerStats stats;
   const auto r =
       run_with(p, Preset::HiDISC, SchedulerKind::EventSkip, cfg, &stats);
@@ -125,7 +113,8 @@ TEST(Scheduler, WatchdogCountsEventStepsNotSkippedCycles) {
   MachineConfig cfg;
   cfg.mem = mem::MemConfig::with_latencies(16, 5000);
   cfg.watchdog_cycles = 2000;
-  const Prepared p = prepare(workloads::make_update(workloads::Scale::Test));
+  const auto p =
+      compiler::compile(workloads::make_update(workloads::Scale::Test).program);
   const auto skip = run_with(p, Preset::Superscalar, SchedulerKind::EventSkip,
                              cfg);
   EXPECT_GT(skip.cycles, 5000u);
@@ -139,7 +128,8 @@ TEST(Scheduler, WatchdogCountsEventStepsNotSkippedCycles) {
 
 TEST(Scheduler, LockstepVerifyEnvRunsBothAndAgrees) {
   ::setenv("HIDISC_LOCKSTEP", "1", 1);
-  const Prepared p = prepare(workloads::make_field(workloads::Scale::Test));
+  const auto p =
+      compiler::compile(workloads::make_field(workloads::Scale::Test).program);
   machine::Result r;
   EXPECT_NO_THROW({
     r = run_with(p, Preset::HiDISC, SchedulerKind::EventSkip, {});

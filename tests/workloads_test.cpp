@@ -49,19 +49,15 @@ TEST_P(WorkloadSuite, SeparatedBinaryValidatesToo) {
 TEST_P(WorkloadSuite, AllPresetsRunToCompletion) {
   const auto w = build();
   const auto c = compiler::compile(w.program);
-  sim::Functional fo(c.original);
-  const auto orig_trace = fo.run_trace();
-  sim::Functional fs(c.separated);
-  const auto sep_trace = fs.run_trace();
-
   for (const auto preset :
        {machine::Preset::Superscalar, machine::Preset::CPAP,
         machine::Preset::CPCMP, machine::Preset::HiDISC}) {
-    const bool sep = machine::uses_separated_binary(preset);
-    const auto r = machine::run_machine(sep ? c.separated : c.original,
-                                        sep ? sep_trace : orig_trace,
-                                        preset);
-    EXPECT_EQ(r.instructions, (sep ? sep_trace : orig_trace).size())
+    const auto& bin =
+        machine::uses_separated_binary(preset) ? c.separated : c.original;
+    sim::Functional f(bin);
+    f.run();
+    const auto r = machine::run_machine(bin, preset);
+    EXPECT_EQ(r.instructions, f.instructions())
         << w.name << " on " << machine::preset_name(preset);
     EXPECT_GT(r.cycles, 0u);
     // Queue discipline holds on every run.

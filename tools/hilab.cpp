@@ -60,8 +60,7 @@ int usage(const char* argv0) {
       "                    prefetch (a spec such as ipstride:deg4 — see\n"
       "                    docs/PREFETCH.md).\n"
       "                    Participates in content keys, so overridden runs\n"
-      "                    never alias normal cache entries (their traces\n"
-      "                    still do — config never reaches trace nodes).\n"
+      "                    never alias normal cache entries.\n"
       "                    Repeatable\n"
       "  --json FILE       export full results as JSON ('-' = stdout)\n"
       "  --csv FILE        export summary rows as CSV ('-' = stdout)\n"
@@ -97,7 +96,7 @@ int unknown_plan(const std::string& name) {
 // Applies one `PRESET:FIELD=VALUE` machine-config override to every cell
 // whose preset name matches (or every cell, for '*').  Drives the CI
 // cache-invalidation check: a preset-scoped config change must rerun
-// exactly that preset's sim nodes while every trace node stays warm.
+// exactly that preset's sim nodes and nothing else.
 void apply_override(lab::ExperimentPlan& plan, const std::string& spec) {
   const auto colon = spec.find(':');
   const auto eq = spec.find('=', colon == std::string::npos ? 0 : colon);
@@ -290,26 +289,23 @@ int main(int argc, char** argv) {
                   plan.description.c_str(), table.to_string().c_str());
       std::printf(
           "%zu cells: %zu simulated, %zu cache hits, %zu failed; "
-          "%zu compilations, %zu traces; %d threads; %.0f ms",
+          "%zu compilations; %d threads; %.0f ms",
           plan.cells.size(), run.simulated, run.cache_hits, run.failed,
-          run.preps, run.traces, threads, run.wall_ms);
+          run.preps, threads, run.wall_ms);
       if (run.sim_cycles_per_sec > 0.0)
         std::printf("; %.2f Mcycles/s", run.sim_cycles_per_sec / 1e6);
       std::printf("\n");
       const pipeline::NodeStats& n = run.nodes;
       std::printf(
           "pipeline nodes: compile %zu/%zu rebuilt (%zu cached), "
-          "trace %zu/%zu rebuilt (%zu cached), "
           "sim %zu/%zu rebuilt (%zu cached)\n",
           n.compile.rebuilt, n.compile.total, n.compile.hits,
-          n.trace.rebuilt, n.trace.total, n.trace.hits,
           n.sim.rebuilt, n.sim.total, n.sim.hits);
       std::printf(
           "phase wall time: compile %.0f ms (+%.0f ms cached), "
-          "trace %.0f ms (+%.0f ms cached), "
           "sim %.0f ms (+%.0f ms cached)\n",
-          n.compile.ms_rebuilt, n.compile.ms_hits, n.trace.ms_rebuilt,
-          n.trace.ms_hits, n.sim.ms_rebuilt, n.sim.ms_hits);
+          n.compile.ms_rebuilt, n.compile.ms_hits, n.sim.ms_rebuilt,
+          n.sim.ms_hits);
     }
 
     const lab::ExportMeta meta{threads};

@@ -193,10 +193,6 @@ int cmd_sim(const std::vector<std::string>& args) {
       usage();
   }
   const auto comp = compiler::compile(prog);
-  sim::Functional fo(comp.original);
-  const auto to = fo.run_trace();
-  sim::Functional fs(comp.separated);
-  const auto ts = fs.run_trace();
 
   stats::Table table({"Machine", "Cycles", "IPC", "L1 miss rate",
                       "Speedup"});
@@ -209,9 +205,10 @@ int cmd_sim(const std::vector<std::string>& args) {
                              : preset == machine::Preset::CPCMP ? "cpcmp"
                                                                 : "hidisc";
     if (which != "all" && which != name) continue;
-    const bool sep = machine::uses_separated_binary(preset);
-    const auto r = machine::run_machine(sep ? comp.separated : comp.original,
-                                        sep ? ts : to, preset, cfg);
+    const auto r = machine::run_machine(
+        machine::uses_separated_binary(preset) ? comp.separated
+                                               : comp.original,
+        preset, cfg);
     if (base == 0) base = r.cycles;
     if (verbose)
       std::printf("--- %s ---\n%s\n", machine::preset_name(preset),
