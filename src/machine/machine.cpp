@@ -96,9 +96,6 @@ Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
   }
   lookahead_ = cfg_.cmp_fork_lookahead;
   next_adapt_cycle_ = cfg_.cmp_adapt_interval;
-  // Only an event-skip run queries outstanding fills; don't make the
-  // lock-stepped reference pay for tracking them.
-  memsys_.set_event_tracking(cfg_.scheduler == SchedulerKind::EventSkip);
 }
 
 // Hill-climbing control of the fork distance (paper §6: "the prefetching
@@ -433,10 +430,11 @@ bool Machine::step(std::uint64_t now) {
 
 // Earliest cycle strictly after `now` at which anything in the machine
 // could change state: per-core completions, architectural-FIFO heads
-// becoming consumable, the front end's fetch-resume point, the CMP adapt
-// tick, and outstanding memory-system fills.  kNoEvent means the machine
-// is wedged for good.
-std::uint64_t Machine::next_event_after(std::uint64_t now) {
+// becoming consumable, the front end's fetch-resume point and the CMP
+// adapt tick.  A memory-system fill landing is not an event of its own:
+// whoever waits on it already holds its time (see mem/memory_system.hpp).
+// kNoEvent means the machine is wedged for good.
+std::uint64_t Machine::next_event_after(std::uint64_t now) const {
   std::uint64_t ev = uarch::kNoEvent;
   for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()})
     if (core != nullptr) ev = std::min(ev, core->next_event_cycle(now));
@@ -446,7 +444,6 @@ std::uint64_t Machine::next_event_after(std::uint64_t now) {
     ev = std::min(ev, fetch_resume_cycle_);
   if (cmp_ && cfg_.cmp_dynamic_distance && next_adapt_cycle_ > now)
     ev = std::min(ev, next_adapt_cycle_);
-  ev = std::min(ev, memsys_.next_fill_complete(now));
   return ev;
 }
 

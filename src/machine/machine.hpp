@@ -17,10 +17,10 @@
 // Time advances through an event-skip scheduler by default: on any cycle
 // where no core, FIFO or front-end state changed, the machine jumps `now`
 // to the earliest pending event (FU/memory completion, FIFO head becoming
-// ready, fetch resume, CMP adapt tick, outstanding cache fill) instead of
-// ticking through the idle gap — see docs/MACHINE.md.  The seed
-// cycle-by-cycle scheduler survives as SchedulerKind::Lockstep, and
-// HIDISC_LOCKSTEP=1 runs both and asserts bit-identical Results.
+// ready, fetch resume, CMP adapt tick) instead of ticking through the idle
+// gap — see docs/MACHINE.md.  The seed cycle-by-cycle scheduler survives
+// as SchedulerKind::Lockstep, and HIDISC_LOCKSTEP=1 runs both and asserts
+// bit-identical Results.
 #pragma once
 
 #include <memory>
@@ -119,7 +119,7 @@ class Machine {
   // Event-skip scheduler internals (see docs/MACHINE.md).
   [[nodiscard]] Result run_scheduler();
   bool step(std::uint64_t now);
-  [[nodiscard]] std::uint64_t next_event_after(std::uint64_t now);
+  [[nodiscard]] std::uint64_t next_event_after(std::uint64_t now) const;
   void account_skip(std::uint64_t now, std::uint64_t delta);
   [[nodiscard]] diag::StepRecord make_record(std::uint64_t now,
                                              diag::StepKind kind,

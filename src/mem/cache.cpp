@@ -21,12 +21,6 @@ void Cache::reset() {
   stamp_ = 0;
 }
 
-void Cache::debug_outstanding_readys(std::uint64_t now,
-                                     std::vector<std::uint64_t>& out) const {
-  for (const auto& line : lines_)
-    if (line.valid && line.ready > now) out.push_back(line.ready);
-}
-
 bool Cache::contains(std::uint64_t addr) const {
   const std::uint64_t block = block_of(addr);
   const auto set = static_cast<std::size_t>(block & (cfg_.sets - 1));

@@ -94,12 +94,6 @@ class Cache {
     return pf_groups_;
   }
 
-  // Appends the `ready` cycle of every valid line whose fill is still in
-  // flight at `now`.  Debug-only: lets MemorySystem::debug_check_invariants
-  // recompute the fill frontier from first principles.
-  void debug_outstanding_readys(std::uint64_t now,
-                                std::vector<std::uint64_t>& out) const;
-
   void reset();
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return cfg_; }

@@ -1,8 +1,6 @@
 #include "mem/memory_system.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 namespace hidisc::mem {
 
@@ -12,47 +10,6 @@ MemorySystem::MemorySystem(const MemConfig& cfg)
       l1i_(cfg.l1i),
       l2_(cfg.l2),
       prefetcher_(make_prefetcher(cfg.prefetch, cfg.l1.block_bytes)) {}
-
-void MemorySystem::reset() {
-  l1_.reset();
-  l1i_.reset();
-  l2_.reset();
-  bus_free_ = 0;
-  bus_busy_cycles_ = 0;
-  profile_.clear();
-  fills_.clear();
-  if (prefetcher_) prefetcher_->reset();
-  pf_ = HwPrefetchStats{};
-}
-
-std::uint64_t MemorySystem::next_fill_complete(std::uint64_t now) {
-  while (!fills_.empty() && fills_.front() <= now) {
-    std::pop_heap(fills_.begin(), fills_.end(), std::greater<>{});
-    fills_.pop_back();
-  }
-  return fills_.empty() ? kNoFill : fills_.front();
-}
-
-void MemorySystem::debug_check_invariants(std::uint64_t now) const {
-  if (!track_fills_) return;
-  const auto fail = [](const std::string& what) {
-    throw std::logic_error("memsys: invariant violated: " + what);
-  };
-  if (!std::is_heap(fills_.begin(), fills_.end(), std::greater<>{}))
-    fail("fill events not a min-heap");
-  // Recompute the fill frontier from the cache lines themselves: any line
-  // still filling must have its completion cycle in the event heap, or
-  // next_fill_complete could return a later cycle and the scheduler would
-  // skip the fill.
-  std::vector<std::uint64_t> outstanding;
-  l1_.debug_outstanding_readys(now, outstanding);
-  l1i_.debug_outstanding_readys(now, outstanding);
-  l2_.debug_outstanding_readys(now, outstanding);
-  for (const auto ready : outstanding)
-    if (std::find(fills_.begin(), fills_.end(), ready) == fills_.end())
-      fail("in-flight fill at cycle " + std::to_string(ready) +
-           " missing from event heap");
-}
 
 HwPrefetchStats MemorySystem::hw_prefetch_stats() const {
   HwPrefetchStats s = pf_;
@@ -122,7 +79,6 @@ AccessResult MemorySystem::fetch_access(std::uint64_t addr,
     l2_.access(addr, AccessType::Read, now, data_ready);
   }
   l1i_.access(addr, AccessType::Read, now, data_ready);
-  note_fill(data_ready, now);
   const auto wait = data_ready > now ? static_cast<int>(data_ready - now) : 0;
   out.latency = std::max(cfg_.l1i.hit_latency, wait);
   return out;
@@ -183,7 +139,6 @@ AccessResult MemorySystem::access(std::uint64_t addr, AccessType type,
     // counted by the L1 writeback stat.
   }
 
-  note_fill(data_ready, now);
   const auto wait = data_ready > now ? static_cast<int>(data_ready - now) : 0;
   out.latency = std::max(cfg_.l1.hit_latency, wait);
   // Train after the demand allocation so the miss's own block is resident

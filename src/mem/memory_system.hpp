@@ -9,10 +9,15 @@
 //
 // An optional hardware prefetcher (mem/prefetcher.hpp) observes the L1D
 // demand stream and issues AccessType::Prefetch fills through the same
-// timed path as demand misses, so event-skip scheduling stays sound.
+// timed path as demand misses.
+//
+// A fill landing is never a scheduler event: a line only carries its
+// `ready` stamp, which `access` compares with `now` when it is called, and
+// every waiter holds the fill's time as its own event (a load's
+// completion, the CMP prefetch buffer's busy-until, the front end's
+// I-cache resume cycle).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -67,8 +72,6 @@ class MemorySystem {
   // Returns the cycles until the fetch block is available.
   AccessResult fetch_access(std::uint64_t addr, std::uint64_t now);
 
-  void reset();
-
   [[nodiscard]] const Cache& l1() const noexcept { return l1_; }
   [[nodiscard]] const Cache& l1i() const noexcept { return l1i_; }
   [[nodiscard]] const Cache& l2() const noexcept { return l2_; }
@@ -94,29 +97,6 @@ class MemorySystem {
     return bus_busy_cycles_;
   }
 
-  // Event-skip scheduler interface --------------------------------------
-  //
-  // Sentinel for "no outstanding fill".
-  static constexpr std::uint64_t kNoFill = ~std::uint64_t{0};
-
-  // When enabled, every miss records its fill-completion cycle so the
-  // scheduler can query the earliest outstanding one.  Off by default:
-  // lock-stepped machines never ask, and tracking would only grow the
-  // heap.  Toggling does not affect timing — only event visibility.
-  void set_event_tracking(bool on) noexcept { track_fills_ = on; }
-
-  // Earliest outstanding fill completing strictly after `now` (kNoFill
-  // when none).  Prunes fills that have already landed.
-  [[nodiscard]] std::uint64_t next_fill_complete(std::uint64_t now);
-
-  // Brute-force recomputation of the fill frontier: every valid line in
-  // any level whose `ready` is still in the future must be covered by an
-  // entry in the event heap, or the event-skip scheduler could jump past
-  // its completion (a prefetch fill landing "for free").  Stale heap
-  // entries are fine — they are conservative.  No-op unless event
-  // tracking is on.  Throws std::logic_error on violation.
-  void debug_check_invariants(std::uint64_t now) const;
-
  private:
   // Claims the L1<->L2 bus at `now`; returns the transaction start cycle
   // (== now when contention modelling is off).
@@ -132,12 +112,6 @@ class MemorySystem {
   Cache l1_;
   Cache l1i_;
   Cache l2_;
-  void note_fill(std::uint64_t ready, std::uint64_t now) {
-    if (track_fills_ && ready > now) {
-      fills_.push_back(ready);
-      std::push_heap(fills_.begin(), fills_.end(), std::greater<>{});
-    }
-  }
 
   std::uint64_t bus_free_ = 0;
   std::uint64_t bus_busy_cycles_ = 0;
@@ -149,10 +123,6 @@ class MemorySystem {
   }
 
   std::vector<ProfileEntry> profile_;
-  bool track_fills_ = false;
-  // Completion cycles of in-flight fills, kept as an explicit min-heap
-  // (push_heap/pop_heap) so debug_check_invariants can scan it.
-  std::vector<std::uint64_t> fills_;
 
   std::unique_ptr<Prefetcher> prefetcher_;
   HwPrefetchStats pf_;  // issue-side counters (trains/issued/filtered)

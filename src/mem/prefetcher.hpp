@@ -27,7 +27,7 @@
 // counts: the demand stream itself is identical, so the prefetch stream
 // is too.  Fills issue through MemorySystem::access(AccessType::Prefetch)
 // at the observing access's cycle, so they ride the existing timed fill
-// path and the event-skip scheduler's `next_fill_complete` sees them.
+// path: a later access to the block pays whatever of the fill remains.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -12,21 +11,6 @@ using isa::OpClass;
 using isa::Opcode;
 
 namespace {
-
-// Lazily drops heap tops that have already been reached.  Entries for
-// committed ops are covered too: commit requires completion, so their
-// times are <= the commit cycle and fall out here.
-void prune_heap(std::vector<std::uint64_t>& heap, std::uint64_t now) {
-  while (!heap.empty() && heap.front() <= now) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    heap.pop_back();
-  }
-}
-
-void push_heap_value(std::vector<std::uint64_t>& heap, std::uint64_t v) {
-  heap.push_back(v);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-}
 
 constexpr std::uint64_t store_line(std::uint64_t addr) noexcept {
   return addr & ~7ull;
@@ -51,7 +35,8 @@ OoOCore::OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys,
       int_muldiv_(cfg.int_muldiv),
       fp_alu_(cfg.fp_alu),
       fp_muldiv_(cfg.fp_muldiv),
-      mem_ports_(cfg.mem_ports) {
+      mem_ports_(cfg.mem_ports),
+      prefetch_buf_(cfg.prefetch_buffer) {
   if (cfg.window <= 0 || cfg.issue_width <= 0 || cfg.commit_width <= 0)
     throw std::invalid_argument(cfg.name + ": non-positive core geometry");
   // The issue walk keeps one bit per ring slot in a 64-bit mask.
@@ -62,27 +47,6 @@ OoOCore::OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys,
   input_slots_.resize(
       pow2_at_least(static_cast<std::size_t>(std::max(1, cfg.input_queue))));
   input_mask_ = input_slots_.size() - 1;
-}
-
-void OoOCore::reset() {
-  input_head_ = input_count_ = 0;
-  window_head_ = window_count_ = 0;
-  next_seq_ = base_seq_ = 1;
-  mem_ops_in_window_ = 0;
-  std::fill(last_writer_.begin(), last_writer_.end(), 0);
-  int_alu_.reset();
-  int_muldiv_.reset();
-  fp_alu_.reset();
-  fp_muldiv_.reset();
-  mem_ports_.reset();
-  completion_events_.clear();
-  next_completion_ = kNoEvent;
-  for (auto& pend : pending_push_) pend.clear();
-  unissued_ = 0;
-  stores_by_line_.clear();
-  prefetch_fills_.clear();
-  stats_ = CoreStats{};
-  resolved_.clear();
 }
 
 std::vector<ResolvedBranch> OoOCore::take_resolved_branches() {
@@ -115,11 +79,6 @@ TimedFifo* OoOCore::queue_ptr(QueueRole role) const noexcept {
 
 bool OoOCore::tick(std::uint64_t now) {
   if (window_count_ != 0 || input_count_ != 0) ++stats_.busy_cycles;
-  // Keep the completion heap bounded by the in-flight population: during
-  // long progress stretches nobody queries next_event_cycle, and without
-  // this drain expired events would pile up and tax every push.
-  if (!completion_events_.empty() && completion_events_.front() <= now)
-    prune_heap(completion_events_, now);
   progress_ = false;
   do_commit(now);
   do_pushes(now);
@@ -128,30 +87,23 @@ bool OoOCore::tick(std::uint64_t now) {
   return progress_;
 }
 
-void OoOCore::prune_prefetch_fills(std::uint64_t now) const {
-  prune_heap(prefetch_fills_, now);
+std::uint64_t OoOCore::next_completion(std::uint64_t now) const noexcept {
+  std::uint64_t ev = kNoEvent;
+  for (const Entry& e : slots_)
+    if (e.complete_cycle > now) ev = std::min(ev, e.complete_cycle);
+  return ev;
 }
 
 std::uint64_t OoOCore::next_event_cycle(std::uint64_t now) const {
   // Issued-but-incomplete entries cover every time-threshold their
   // completion gates: commit of the head, queue writes draining, consumers'
-  // source readiness, and load/store disambiguation waits.  The completion
-  // heap's pruned top is exactly the earliest of them; the cached copy is
-  // only refreshed once it falls due, so between completions this poll
-  // never touches the heap.
-  if (next_completion_ != kNoEvent && next_completion_ <= now) {
-    prune_heap(completion_events_, now);
-    next_completion_ =
-        completion_events_.empty() ? kNoEvent : completion_events_.front();
-  }
-  std::uint64_t ev = next_completion_;
-  for (const FuPool* pool :
-       {&int_alu_, &int_muldiv_, &fp_alu_, &fp_muldiv_, &mem_ports_})
+  // source readiness, and load/store disambiguation waits.  Pool releases
+  // cover units freeing, including a full prefetch buffer's earliest fill
+  // landing.
+  std::uint64_t ev = next_completion(now);
+  for (const FuPool* pool : {&int_alu_, &int_muldiv_, &fp_alu_, &fp_muldiv_,
+                             &mem_ports_, &prefetch_buf_})
     ev = std::min(ev, pool->next_release(now));
-  // A full prefetch buffer frees a slot when its earliest fill lands.
-  prune_prefetch_fills(now);
-  if (!prefetch_fills_.empty() && prefetch_fills_.front() < ev)
-    ev = prefetch_fills_.front();
   return ev;
 }
 
@@ -260,16 +212,8 @@ OoOCore::StallProbe OoOCore::probe_oldest_stall(std::uint64_t now) const {
       return p;
     }
   }
-  if (head.so.is_load && cfg_.prefetch_only && !head.so.value_live) {
-    prune_prefetch_fills(now);
-    if (prefetch_fills_.size() >=
-        static_cast<std::size_t>(cfg_.prefetch_buffer)) {
-      p.why = diag::StallWhy::FuBusy;
-      return p;
-    }
-  }
-  // Sources and queues cleared: a functional unit / memory port is the
-  // remaining gate.
+  // Sources and queues cleared: a functional unit, memory port or (on a
+  // prefetch-only core) prefetch-buffer slot is the remaining gate.
   p.why = diag::StallWhy::FuBusy;
   return p;
 }
@@ -407,12 +351,9 @@ void OoOCore::do_issue(std::uint64_t now) {
     }
 
     // Fire-and-forget prefetch loads draw from a finite prefetch buffer.
-    if (e.so.is_load && cfg_.prefetch_only && !e.so.value_live) {
-      prune_prefetch_fills(now);
-      if (prefetch_fills_.size() >=
-          static_cast<std::size_t>(cfg_.prefetch_buffer))
-        continue;
-    }
+    if (e.so.is_load && cfg_.prefetch_only && !e.so.value_live &&
+        !prefetch_buf_.available(now))
+      continue;
 
     // Functional unit / memory port availability.
     FuPool* pool = pool_ptr(e.so.pool);
@@ -454,9 +395,7 @@ void OoOCore::issue_one(Entry& e, std::uint64_t now) {
         // fill completes in the background.  Pointer-chase slices, whose
         // loads feed later slice instructions, keep the full latency.
         e.complete_cycle = now + 1;
-        push_heap_value(prefetch_fills_,
-                        now + static_cast<std::uint64_t>(
-                                  std::max(1, res.latency)));
+        prefetch_buf_.acquire(now, std::max(1, res.latency));
       } else {
         e.complete_cycle = now + static_cast<std::uint64_t>(
                                      std::max(1, res.latency));
@@ -477,8 +416,6 @@ void OoOCore::issue_one(Entry& e, std::uint64_t now) {
 
   e.issued = true;
   unissued_ &= ~(std::uint64_t{1} << (&e - slots_.data()));
-  push_heap_value(completion_events_, e.complete_cycle);
-  next_completion_ = std::min(next_completion_, e.complete_cycle);
   progress_ = true;
 
   if (e.op.mispredicted)
@@ -580,25 +517,16 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
     throw std::logic_error(cfg_.name + ": invariant violated: " + what);
   };
 
-  // Completion frontier: pruned heap top == min future completion.
+  // Completion frontier: the min over issued window entries must equal
+  // the ring-wide scan, i.e. no free or unissued slot carries a future
+  // complete_cycle.
   std::uint64_t want_min = kNoEvent;
   for (std::size_t i = 0; i < window_count_; ++i) {
     const Entry& e = window_at(i);
     if (e.issued && e.complete_cycle > now && e.complete_cycle < want_min)
       want_min = e.complete_cycle;
   }
-  // Emulate a query: a cached value <= now is stale and resolves through
-  // a prune; a future cached value must BE the frontier.
-  std::uint64_t got_min = next_completion_;
-  if (got_min != kNoEvent && got_min <= now) {
-    prune_heap(completion_events_, now);
-    got_min =
-        completion_events_.empty() ? kNoEvent : completion_events_.front();
-  }
-  if (want_min != got_min) fail("completion frontier mismatch");
-  if (!std::is_heap(completion_events_.begin(), completion_events_.end(),
-                    std::greater<>{}))
-    fail("completion events not a min-heap");
+  if (want_min != next_completion(now)) fail("completion frontier mismatch");
 
   // Unissued mask: bit s set exactly for the ring slots that hold an
   // unissued window entry.
@@ -648,15 +576,6 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
   for (std::size_t i = 0; i < window_count_; ++i)
     if (window_at(i).so.is_load || window_at(i).so.is_store) ++want_mem;
   if (want_mem != mem_ops_in_window_) fail("mem-op census mismatch");
-
-  // Prefetch-fill heap shape (occupancy is bounded by construction).
-  if (!std::is_heap(prefetch_fills_.begin(), prefetch_fills_.end(),
-                    std::greater<>{}))
-    fail("prefetch fills not a min-heap");
-
-  // The shared memory system's fill frontier (covers hardware-prefetcher
-  // fills too); no-op when event tracking is off.
-  if (memsys_ != nullptr) memsys_->debug_check_invariants(now);
 }
 
 }  // namespace hidisc::uarch

@@ -17,12 +17,13 @@
 // reads two pieces of state, both set from facts fixed when a producer
 // issues: a 64-bit mask of the ring slots holding unissued entries (hence
 // `window` <= 64), and each entry's source-ready cycle.  The other stages
-// keep incremental frontiers (a completion-event min-heap, per-queue
-// pending-write cursors and a per-8-byte-line map of in-window stores)
-// instead of rescanning the window — see docs/MACHINE.md "Hot-path data
-// structures".  `debug_check_invariants` recomputes all of this state by
-// brute force and throws on disagreement; the randomized scheduler tests
-// call it each step.
+// keep incremental frontiers (per-queue pending-write cursors and a
+// per-8-byte-line map of in-window stores) instead of rescanning the
+// window; the event-skip frontier is a plain min over the ring's
+// complete_cycle stamps and the pools' busy-until arrays — see
+// docs/MACHINE.md "Hot-path data structures".  `debug_check_invariants`
+// recomputes all of this state by brute force and throws on disagreement;
+// the randomized scheduler tests call it each step.
 #pragma once
 
 #include <algorithm>
@@ -128,10 +129,9 @@ class OoOCore {
   // Event-skip scheduler interface --------------------------------------
   //
   // Earliest cycle strictly after `now` at which this core's own state
-  // could change without external input: a functional-unit result or an
-  // unpipelined unit freeing (both bounded by issued entries'
-  // complete_cycle / pool release times), or a fire-and-forget prefetch
-  // fill vacating a prefetch-buffer slot.  Cross-core wake-ups (queue
+  // could change without external input: an issued entry completing, a
+  // functional unit freeing, or a fire-and-forget prefetch fill vacating a
+  // prefetch-buffer slot.  Cross-core wake-ups (queue
   // pushes/pops, new front-end input) are events of the *other* party and
   // are folded in by the machine.  kNoEvent when nothing self-scheduled
   // remains.
@@ -180,8 +180,6 @@ class OoOCore {
   // disagreement.  Test-only: the randomized invariant tests call it after
   // every tick.
   void debug_check_invariants(std::uint64_t now) const;
-
-  void reset();
 
  private:
   // One window (RUU) entry.  Hot issue/complete fields first; the decoded
@@ -279,8 +277,11 @@ class OoOCore {
   [[nodiscard]] Disambiguation check_older_stores(std::uint64_t line,
                                                   std::uint64_t seq,
                                                   std::uint64_t now) const;
-  // Drops prefetch-fill slots whose fills have landed by `now`.
-  void prune_prefetch_fills(std::uint64_t now) const;
+  // Earliest complete_cycle strictly after `now` over the ring (kNoEvent
+  // when none).  Free and unissued slots never count: dispatch writes 0,
+  // and a slot is freed only by commit, which requires completion.
+  [[nodiscard]] std::uint64_t next_completion(std::uint64_t now) const
+      noexcept;
 
   CoreConfig cfg_;
   mem::MemorySystem* memsys_;
@@ -317,18 +318,12 @@ class OoOCore {
   std::vector<std::uint64_t> last_writer_;
 
   FuPool int_alu_, int_muldiv_, fp_alu_, fp_muldiv_, mem_ports_;
+  // Prefetch-only cores: one unit per in-flight fire-and-forget fill, busy
+  // until the fill lands.
+  FuPool prefetch_buf_;
 
   // Incremental frontiers (all invariants in docs/MACHINE.md) ------------
   //
-  // Min-heap of complete_cycle over issued entries; stale tops (already
-  // reached, possibly committed) are lazily pruned, so the pruned top is
-  // exactly min{complete_cycle > now | issued} without a window scan.
-  mutable std::vector<std::uint64_t> completion_events_;
-  // Cache of the heap's pruned top, refreshed only once it falls due —
-  // the scheduler polls next_event_cycle every stalled step, and this
-  // keeps the polls O(1) between completions.  kNoEvent iff the heap
-  // holds no future event; a value <= now is stale and triggers a prune.
-  mutable std::uint64_t next_completion_ = kNoEvent;
   // Per queue slot: seqs of entries with an unperformed queue write, in
   // program order.  Front = the oldest write do_pushes must drain next.
   std::deque<std::uint64_t> pending_push_[3];
@@ -337,9 +332,6 @@ class OoOCore {
   // 8-byte line -> seqs of in-window stores to it, ascending.  Loads
   // disambiguate against their own line's bucket instead of the window.
   std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> stores_by_line_;
-  // Completion times of in-flight fire-and-forget prefetch fills
-  // (prefetch-only cores); a min-heap bounded by cfg_.prefetch_buffer.
-  mutable std::vector<std::uint64_t> prefetch_fills_;
 
   CoreStats stats_;
   std::vector<ResolvedBranch> resolved_;

@@ -3,21 +3,18 @@
 // Table 1: 4 integer ALUs + 1 integer MUL/DIV per processor; 4 FP adders +
 // 1 FP MUL/DIV on the superscalar and the CP.  ALU/FP-add/FP-mul units are
 // pipelined (busy one cycle per issue); divide units are unpipelined (busy
-// for the whole operation).
+// for the whole operation).  The CMP's prefetch buffer is a pool too: one
+// unit per in-flight fire-and-forget fill, busy until the fill lands.
 //
-// Units are interchangeable, so the pool keeps no per-unit state: only a
-// min-heap of the release times of currently-busy units, lazily pruned as
-// time advances.  `available`/`acquire` are O(1) amortized and
-// `next_release` reads the heap top instead of scanning every unit — the
-// event-skip scheduler calls it on every stalled step.  The heap is sized
-// once to the unit count, so no member ever allocates after construction
-// (the noexcept promises are real).  Queries assume `now` never moves
-// backwards, which the cores guarantee.
+// Each unit keeps the cycle it is busy until; a unit is free at `now` once
+// that cycle is <= now.  Pools hold a handful of units (the largest, the
+// CMP's prefetch buffer, has 8), so `available`, `acquire` and `next_release` are plain linear
+// scans over the array, which is sized once at construction and never
+// allocates again.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "uarch/event.hpp"
@@ -27,49 +24,40 @@ namespace hidisc::uarch {
 class FuPool {
  public:
   FuPool() = default;
-  explicit FuPool(int units) : units_(units) {
-    busy_.reserve(static_cast<std::size_t>(units));
-  }
+  explicit FuPool(int units)
+      : busy_until_(static_cast<std::size_t>(units), 0) {}
 
-  [[nodiscard]] int size() const noexcept { return units_; }
+  [[nodiscard]] int size() const noexcept {
+    return static_cast<int>(busy_until_.size());
+  }
 
   // True if some unit can accept an operation this cycle.
   [[nodiscard]] bool available(std::uint64_t now) const noexcept {
-    prune(now);
-    return busy_.size() < static_cast<std::size_t>(units_);
+    return std::any_of(busy_until_.begin(), busy_until_.end(),
+                       [now](std::uint64_t t) { return t <= now; });
   }
 
   // Claims a unit for `busy` cycles; returns false when none is free.
   bool acquire(std::uint64_t now, int busy) noexcept {
-    prune(now);
-    if (busy_.size() >= static_cast<std::size_t>(units_)) return false;
-    busy_.push_back(now + static_cast<std::uint64_t>(busy));
-    std::push_heap(busy_.begin(), busy_.end(), std::greater<>{});
-    return true;
+    for (auto& t : busy_until_)
+      if (t <= now) {
+        t = now + static_cast<std::uint64_t>(busy);
+        return true;
+      }
+    return false;
   }
 
   // Earliest cycle strictly after `now` at which a busy unit frees up;
   // kNoEvent when every unit is already free (or the pool is empty).
   [[nodiscard]] std::uint64_t next_release(std::uint64_t now) const noexcept {
-    prune(now);
-    return busy_.empty() ? kNoEvent : busy_.front();
+    std::uint64_t ev = kNoEvent;
+    for (const auto t : busy_until_)
+      if (t > now) ev = std::min(ev, t);
+    return ev;
   }
-
-  void reset() noexcept { busy_.clear(); }
 
  private:
-  // Units whose release time has passed are free again; drop them.
-  void prune(std::uint64_t now) const noexcept {
-    while (!busy_.empty() && busy_.front() <= now) {
-      std::pop_heap(busy_.begin(), busy_.end(), std::greater<>{});
-      busy_.pop_back();
-    }
-  }
-
-  int units_ = 0;
-  // Min-heap of busy units' release times; `mutable` for lazy pruning
-  // under const queries (pruning never changes observable behaviour).
-  mutable std::vector<std::uint64_t> busy_;
+  std::vector<std::uint64_t> busy_until_;  // per unit: busy until this cycle
 };
 
 }  // namespace hidisc::uarch

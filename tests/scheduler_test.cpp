@@ -90,6 +90,36 @@ TEST(SchedulerEquivalence, HighLatencySweepPointActuallySkips) {
   }
 }
 
+// The input where the core's plain event scans bind hardest: bus
+// contention and a hardware prefetcher keep fills landing at cycles no
+// core asked for, and a one-entry CMP prefetch buffer makes its busy-until
+// the CMP's only way forward, while the dynamic fork distance and the
+// adaptive range keep re-timing the CMP's slices.
+TEST(SchedulerEquivalence, BusContentionPrefetcherAndOneSlotPrefetchBuffer) {
+  MachineConfig cfg;
+  cfg.mem = mem::MemConfig::with_latencies(16, 160);
+  cfg.mem.l2_bus_cycles = 10;
+  cfg.mem.prefetch = mem::parse_prefetch_spec("ipstride:deg4");
+  cfg.cmp.prefetch_buffer = 1;
+  cfg.cmp_dynamic_distance = true;
+  cfg.cmp_adaptive_range = true;
+  for (const auto& w : paper_workloads()) {
+    const auto p = compiler::compile(w.program);
+    for (const Preset preset : kAllPresets) {
+      machine::SchedulerStats stats;
+      const auto skip =
+          run_with(p, preset, SchedulerKind::EventSkip, cfg, &stats);
+      const auto lock = run_with(p, preset, SchedulerKind::Lockstep, cfg);
+      EXPECT_TRUE(skip == lock)
+          << w.name << "/" << machine::preset_name(preset)
+          << ": event-skip {" << skip.cycles << " cycles} vs lockstep {"
+          << lock.cycles << " cycles}";
+      EXPECT_GT(stats.skips, 0u)
+          << w.name << "/" << machine::preset_name(preset);
+    }
+  }
+}
+
 TEST(Scheduler, QuiescentCoresAreNotTickedOnMemoryBoundStressmark) {
   MachineConfig cfg;
   cfg.mem = mem::MemConfig::with_latencies(16, 160);

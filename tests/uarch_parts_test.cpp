@@ -95,23 +95,17 @@ TEST(FuPool, UnpipelinedOccupiesForLatency) {
   EXPECT_TRUE(pool.available(20));
 }
 
-TEST(FuPool, ResetFreesUnits) {
-  FuPool pool(1);
-  pool.acquire(0, 100);
-  pool.reset();
-  EXPECT_TRUE(pool.available(0));
-}
-
 TEST(FuPool, SizeReportsUnitCount) {
   EXPECT_EQ(FuPool(4).size(), 4);
   EXPECT_EQ(FuPool().size(), 0);
 }
 
-// The pool keeps a lazily-pruned min-heap of release times; this model is
-// the obvious per-unit array with linear scans.  Every query the issue
-// path makes (available / acquire / next_release) must agree with it
-// under a random schedule of pipelined and unpipelined acquires with
-// time always moving forward.
+// The obvious per-unit release array with linear scans — the pool's own
+// representation, kept here as an independent copy so any future change
+// to the pool (a heap, a bitmask) is checked against the plain semantics.
+// Every query the issue path makes (available / acquire / next_release)
+// must agree with it under a random schedule of pipelined and unpipelined
+// acquires with time always moving forward.
 struct RefPool {
   explicit RefPool(int units) : release(static_cast<std::size_t>(units), 0) {}
   std::vector<std::uint64_t> release;  // per-unit: busy until this cycle
