@@ -300,8 +300,7 @@ void Machine::fork_cmas(std::int16_t group, std::size_t fetch_pos) {
   ++cmas_forks_;
 }
 
-bool Machine::pump_cmp(std::uint64_t now) {
-  (void)now;
+bool Machine::pump_cmp() {
   bool progress = false;
   if (!cmp_) return progress;
   for (auto& ctx : contexts_) {
@@ -423,7 +422,7 @@ bool Machine::step(std::uint64_t now) {
   }
   progress |= resolve_branches();
   progress |= fetch_step(now);
-  progress |= pump_cmp(now);
+  progress |= pump_cmp();
   adapt_distance(now);
   return progress;
 }

@@ -109,7 +109,7 @@ class Machine {
 
   void fetch(std::uint64_t now);
   bool fetch_step(std::uint64_t now);
-  bool pump_cmp(std::uint64_t now);
+  bool pump_cmp();
   bool resolve_branches();
   void fork_cmas(std::int16_t group, std::size_t fetch_pos);
   [[nodiscard]] uarch::OoOCore& route(const isa::Instruction& inst);

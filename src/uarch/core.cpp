@@ -83,7 +83,7 @@ bool OoOCore::tick(std::uint64_t now) {
   do_commit(now);
   do_pushes(now);
   do_issue(now);
-  do_dispatch(now);
+  do_dispatch();
   return progress_;
 }
 
@@ -138,23 +138,28 @@ void OoOCore::account_idle_cycles(std::uint64_t now, std::uint64_t delta) {
 
   if (window_count_ != 0) {
     const Entry& head = window_at(0);
-    if (completed(head, now) && head.push_queue != nullptr && !head.pushed)
+    if (completed(head, now) && write_pending(head))
       stats_.queue_full_commit_stalls += delta;
   }
 
   // do_pushes: one full-stall note per queue per cycle, charged when the
-  // oldest un-pushed write for that queue is completed but the queue is
+  // oldest pending write to that queue is completed but the queue is
   // full.  (An older incomplete write blocks younger ones silently.)
-  for (const auto& pend : pending_push_) {
-    if (pend.empty()) continue;
-    const Entry* e = find_by_seq(pend.front());
-    if (e != nullptr && completed(*e, now) && e->push_queue->full())
-      e->push_queue->note_full_stalls(delta);
+  bool seen[3] = {false, false, false};
+  for (auto pending = by_age(unpushed_); pending != 0;
+       pending &= pending - 1) {
+    const Entry& e =
+        window_at(static_cast<std::size_t>(std::countr_zero(pending)));
+    bool& oldest = seen[queue_slot(e.push_queue)];
+    if (oldest) continue;
+    oldest = true;
+    if (completed(e, now) && e.push_queue->full())
+      e.push_queue->note_full_stalls(delta);
   }
 
   // do_issue: the oldest un-issued op, when ready but waiting on an empty
   // (or not-yet-ready) architectural queue, counts a head stall per cycle.
-  if (const auto pending = unissued_by_age(); pending != 0) {
+  if (const auto pending = by_age(unissued_); pending != 0) {
     const Entry* e = &window_at(static_cast<std::size_t>(
         std::countr_zero(pending)));
     if (source_ready_cycle(*e) <= now && e->pop_queue != nullptr &&
@@ -187,13 +192,13 @@ OoOCore::StallProbe OoOCore::probe_oldest_stall(std::uint64_t now) const {
 
   if (completed(head, now)) {
     // do_commit's only gate: an undrained queue write.
-    if (head.push_queue != nullptr && !head.pushed) {
+    if (write_pending(head)) {
       p.why = diag::StallWhy::PushFull;
       p.queue = head.push_queue;
     }
     return p;
   }
-  if (head.issued) {
+  if (head.complete_cycle != kNoEvent) {  // issued
     p.why = diag::StallWhy::InFlight;
     return p;
   }
@@ -221,27 +226,29 @@ OoOCore::StallProbe OoOCore::probe_oldest_stall(std::uint64_t now) const {
 // Queue writes drain at completion (writeback), in program order per queue
 // — the decoupled machines' whole point is that the consumer sees a value
 // as soon as it is produced, not when it retires.  An entry that has not
-// managed its write (queue full) blocks commit.  Only each queue's oldest
-// pending write can move, so the cursors replace the historical window
-// scan.
+// managed its write (queue full) blocks commit.  A write that is incomplete
+// or refused blocks only the younger writes to its own queue.
 void OoOCore::do_pushes(std::uint64_t now) {
-  for (auto& pend : pending_push_) {
-    while (!pend.empty()) {
-      Entry& e = *find_by_seq(pend.front());
-      if (!completed(e, now)) break;  // younger writes to this queue wait
-      TimedFifo::Entry qe;
-      // Value travels one cycle through the queue interconnect.
-      qe.ready = now + 1;
-      qe.producer_pos = e.op.trace_pos;
-      qe.eod = e.push_eod;
-      if (!e.push_queue->push(qe)) {
-        e.push_queue->note_full_stall();
-        break;
-      }
-      e.pushed = true;
-      progress_ = true;
-      pend.pop_front();
+  bool blocked[3] = {false, false, false};
+  for (auto pending = by_age(unpushed_); pending != 0;
+       pending &= pending - 1) {
+    Entry& e = window_at(static_cast<std::size_t>(std::countr_zero(pending)));
+    bool& queue_blocked = blocked[queue_slot(e.push_queue)];
+    if (queue_blocked) continue;
+    queue_blocked = !completed(e, now);
+    if (queue_blocked) continue;
+    TimedFifo::Entry qe;
+    // Value travels one cycle through the queue interconnect.
+    qe.ready = now + 1;
+    qe.producer_pos = e.op.trace_pos;
+    qe.eod = e.push_eod;
+    if (!e.push_queue->push(qe)) {
+      e.push_queue->note_full_stall();
+      queue_blocked = true;
+      continue;
     }
+    unpushed_ &= ~slot_bit(e);
+    progress_ = true;
   }
 }
 
@@ -250,18 +257,12 @@ void OoOCore::do_commit(std::uint64_t now) {
   while (window_count_ != 0 && committed < cfg_.commit_width) {
     Entry& head = window_at(0);
     if (!completed(head, now)) break;
-    if (head.push_queue != nullptr && !head.pushed) {
+    if (write_pending(head)) {
       ++stats_.queue_full_commit_stalls;
       break;  // the queue write has not drained yet
     }
     if (head.so.is_load || head.so.is_store) --mem_ops_in_window_;
-    if (head.so.is_store) {
-      // The committing store is this line's oldest in-window store, i.e.
-      // the front of its disambiguation bucket.
-      const auto it = stores_by_line_.find(store_line(head.op.addr));
-      it->second.erase(it->second.begin());
-      if (it->second.empty()) stores_by_line_.erase(it);
-    }
+    stores_ &= ~slot_bit(head);
     if (head.op.count_commit) ++stats_.committed;
     ++stats_.committed_all;
     window_head_ = (window_head_ + 1) & window_mask_;
@@ -273,18 +274,16 @@ void OoOCore::do_commit(std::uint64_t now) {
 }
 
 OoOCore::Disambiguation OoOCore::check_older_stores(std::uint64_t line,
-                                                    std::uint64_t seq,
+                                                    std::size_t pos,
                                                     std::uint64_t now) const {
   Disambiguation d;
-  const auto it = stores_by_line_.find(line);
-  if (it == stores_by_line_.end()) return d;
-  // Bucket seqs ascend, so this walk visits overlapping stores oldest
-  // first — identical order (and first-incomplete early-out) to the
-  // historical full-window scan, minus every non-overlapping entry.
-  for (const auto s : it->second) {
-    if (s >= seq) break;
-    const Entry* older = find_by_seq(s);
-    if (!completed(*older, now)) {
+  // Older stores only, oldest first.
+  for (auto older = by_age(stores_) & ((std::uint64_t{1} << pos) - 1);
+       older != 0; older &= older - 1) {
+    const Entry& s =
+        window_at(static_cast<std::size_t>(std::countr_zero(older)));
+    if (store_line(s.op.addr) != line) continue;
+    if (!completed(s, now)) {
       d.wait = true;
       break;
     }
@@ -294,7 +293,7 @@ OoOCore::Disambiguation OoOCore::check_older_stores(std::uint64_t line,
 }
 
 void OoOCore::do_issue(std::uint64_t now) {
-  std::uint64_t pending = unissued_by_age();
+  std::uint64_t pending = by_age(unissued_);
   if (pending == 0) return;
   // The oldest unissued entry, fixed for this pass: the one entry whose
   // wait on an empty queue is charged to the stall counters.
@@ -345,7 +344,7 @@ void OoOCore::do_issue(std::uint64_t now) {
     // store that has not yet written (8-byte granularity; addresses are
     // exact, from the trace).
     if (e.so.is_load && cfg_.has_lsu) {
-      const auto d = check_older_stores(store_line(e.op.addr), e.seq, now);
+      const auto d = check_older_stores(store_line(e.op.addr), pos, now);
       if (d.wait) continue;
       e.forwarded = d.forward;
     }
@@ -414,16 +413,14 @@ void OoOCore::issue_one(Entry& e, std::uint64_t now) {
     e.complete_cycle = now + static_cast<std::uint64_t>(e.so.latency);
   }
 
-  e.issued = true;
-  unissued_ &= ~(std::uint64_t{1} << (&e - slots_.data()));
+  unissued_ &= ~slot_bit(e);
   progress_ = true;
 
   if (e.op.mispredicted)
     resolved_.push_back({e.op.trace_pos, e.complete_cycle});
 }
 
-void OoOCore::do_dispatch(std::uint64_t now) {
-  (void)now;
+void OoOCore::do_dispatch() {
   int dispatched = 0;
   while (input_count_ != 0 && dispatched < cfg_.dispatch_width) {
     if (window_count_ >= static_cast<std::size_t>(cfg_.window)) {
@@ -456,12 +453,10 @@ void OoOCore::do_dispatch(std::uint64_t now) {
     e.so = so;
     e.op = op;
     e.seq = next_seq_++;
-    e.complete_cycle = 0;
+    e.complete_cycle = kNoEvent;
     e.pop_queue = nullptr;
     e.push_queue = nullptr;
     e.push_eod = false;
-    e.pushed = false;
-    e.issued = false;
     e.forwarded = false;
     e.src_ready = kNoEvent;
 
@@ -497,11 +492,10 @@ void OoOCore::do_dispatch(std::uint64_t now) {
     if (so.dst >= 0) last_writer_[so.dst] = e.seq;
 
     if (so.is_load || so.is_store) ++mem_ops_in_window_;
-    if (so.is_store)
-      stores_by_line_[store_line(op.addr)].push_back(e.seq);
-    if (e.push_queue != nullptr)
-      pending_push_[queue_slot(e.push_queue)].push_back(e.seq);
-    unissued_ |= std::uint64_t{1} << slot;
+    const auto bit = std::uint64_t{1} << slot;
+    unissued_ |= bit;
+    if (so.is_store) stores_ |= bit;
+    if (e.push_queue != nullptr) unpushed_ |= bit;
     ++window_count_;
     input_pop();
     ++dispatched;
@@ -517,59 +511,52 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
     throw std::logic_error(cfg_.name + ": invariant violated: " + what);
   };
 
-  // Completion frontier: the min over issued window entries must equal
-  // the ring-wide scan, i.e. no free or unissued slot carries a future
-  // complete_cycle.
+  // Completion frontier: the min over in-window entries must equal the
+  // ring-wide scan.  An unissued entry's kNoEvent never lowers the min, so
+  // this checks that every free slot carries a past complete_cycle.
   std::uint64_t want_min = kNoEvent;
   for (std::size_t i = 0; i < window_count_; ++i) {
     const Entry& e = window_at(i);
-    if (e.issued && e.complete_cycle > now && e.complete_cycle < want_min)
+    if (e.complete_cycle > now && e.complete_cycle < want_min)
       want_min = e.complete_cycle;
   }
   if (want_min != next_completion(now)) fail("completion frontier mismatch");
 
-  // Unissued mask: bit s set exactly for the ring slots that hold an
-  // unissued window entry.
+  // Ring-slot masks: bit s set exactly for the ring slots that hold an
+  // unissued window entry (complete_cycle still the kNoEvent sentinel) /
+  // a store; unpushed_ only ever names in-window entries with a queue
+  // write.
   std::uint64_t want_unissued = 0;
-  for (std::size_t i = 0; i < window_count_; ++i)
-    if (!window_at(i).issued)
-      want_unissued |= std::uint64_t{1} << ((window_head_ + i) & window_mask_);
+  std::uint64_t want_stores = 0;
+  std::uint64_t may_push = 0;
+  for (std::size_t i = 0; i < window_count_; ++i) {
+    const Entry& e = window_at(i);
+    const auto bit = std::uint64_t{1} << ((window_head_ + i) & window_mask_);
+    if (e.complete_cycle == kNoEvent) want_unissued |= bit;
+    if (e.so.is_store) want_stores |= bit;
+    if (e.push_queue != nullptr) may_push |= bit;
+  }
   if (want_unissued != unissued_) fail("unissued mask mismatch");
+  if (want_stores != stores_) fail("store mask mismatch");
+  if ((unpushed_ & ~may_push) != 0) fail("unpushed mask names a non-writer");
 
   // Source-ready cycles: once filled in, every in-window producer has
   // issued and none completes after src_ready.  A future src_ready is a
   // producer's complete_cycle, and that producer cannot have committed.
   for (std::size_t i = 0; i < window_count_; ++i) {
     const Entry& e = window_at(i);
-    if (e.issued || e.src_ready == kNoEvent) continue;
+    if (e.complete_cycle != kNoEvent || e.src_ready == kNoEvent) continue;
     std::uint64_t latest = 0;
     for (std::size_t j = 0; j < i; ++j) {
       const Entry& p = window_at(j);
       if (p.seq != e.src_seq[0] && p.seq != e.src_seq[1]) continue;
-      if (!p.issued) fail("source-ready cycle set before a producer issued");
+      if (p.complete_cycle == kNoEvent)
+        fail("source-ready cycle set before a producer issued");
       latest = std::max(latest, p.complete_cycle);
     }
     if (e.src_ready > now ? latest != e.src_ready : latest > e.src_ready)
       fail("source-ready cycle mismatch");
   }
-
-  // Per-queue pending-push cursors.
-  std::deque<std::uint64_t> want_pend[3];
-  for (std::size_t i = 0; i < window_count_; ++i) {
-    const Entry& e = window_at(i);
-    if (e.push_queue != nullptr && !e.pushed)
-      want_pend[queue_slot(e.push_queue)].push_back(e.seq);
-  }
-  for (int s = 0; s < 3; ++s)
-    if (want_pend[s] != pending_push_[s]) fail("pending-push cursor mismatch");
-
-  // Store disambiguation map: per line, the in-window stores, ascending.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> want_stores;
-  for (std::size_t i = 0; i < window_count_; ++i) {
-    const Entry& e = window_at(i);
-    if (e.so.is_store) want_stores[store_line(e.op.addr)].push_back(e.seq);
-  }
-  if (want_stores != stores_by_line_) fail("store map mismatch");
 
   // Memory-op census.
   int want_mem = 0;

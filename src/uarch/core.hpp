@@ -13,24 +13,21 @@
 // `TimedFifo`s, exactly like the paper's LDQ/SDQ/SCQ.
 //
 // Issue is sim-outorder's: every cycle, walk the unissued entries oldest
-// first and check every gate, until `issue_width` ops issued.  The walk
-// reads two pieces of state, both set from facts fixed when a producer
-// issues: a 64-bit mask of the ring slots holding unissued entries (hence
-// `window` <= 64), and each entry's source-ready cycle.  The other stages
-// keep incremental frontiers (per-queue pending-write cursors and a
-// per-8-byte-line map of in-window stores) instead of rescanning the
-// window; the event-skip frontier is a plain min over the ring's
-// complete_cycle stamps and the pools' busy-until arrays — see
-// docs/MACHINE.md "Hot-path data structures".  `debug_check_invariants`
-// recomputes all of this state by brute force and throws on disagreement;
-// the randomized scheduler tests call it each step.
+// first and check every gate, until `issue_width` ops issued.  The window's
+// only index is a set of 64-bit ring-slot masks (hence `window` <= 64):
+// unissued entries, stores, and entries whose queue write has not drained.
+// Issue, store disambiguation and queue writes all walk a mask oldest
+// first; each entry also caches its source-ready cycle.  The event-skip
+// frontier is a plain min over the ring's complete_cycle stamps and the
+// pools' busy-until arrays — see docs/MACHINE.md "Hot-path data
+// structures".  `debug_check_invariants` recomputes all of this state by
+// brute force and throws on disagreement; the randomized scheduler tests
+// call it each step.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "diag/deadlock.hpp"
@@ -175,8 +172,8 @@ class OoOCore {
   [[nodiscard]] StallProbe probe_oldest_stall(std::uint64_t now) const;
 
   // Recomputes every incremental frontier (completion min, unissued mask,
-  // source-ready cycles, per-queue push cursors, store map, mem-op count)
-  // by brute-force window scan and throws std::logic_error on any
+  // source-ready cycles, store and unpushed masks, mem-op count) by
+  // brute-force window scan and throws std::logic_error on any
   // disagreement.  Test-only: the randomized invariant tests call it after
   // every tick.
   void debug_check_invariants(std::uint64_t now) const;
@@ -191,12 +188,11 @@ class OoOCore {
     // Producer tracking: seq of in-window producer (0 = value already
     // available) per source operand.
     std::uint64_t src_seq[2] = {0, 0};
+    // kNoEvent until the entry issues.
     std::uint64_t complete_cycle = 0;
     TimedFifo* pop_queue = nullptr;   // null = no queue pop
     TimedFifo* push_queue = nullptr;  // queue written at completion
     bool push_eod = false;
-    bool pushed = false;  // queue write already performed
-    bool issued = false;
     bool forwarded = false;  // load satisfied by an older in-window store
     // Cycle from which every source operand is available: the latest
     // in-window producer's complete_cycle, filled in by the issue walk
@@ -225,17 +221,20 @@ class OoOCore {
   [[nodiscard]] Entry& window_at(std::size_t i) noexcept {
     return slots_[(window_head_ + i) & window_mask_];
   }
-  // Bit i set = window position i (0 = oldest) holds an unissued entry.
-  [[nodiscard]] std::uint64_t unissued_by_age() const noexcept {
-    if (window_head_ == 0) return unissued_;
+  // A ring-slot mask (bit s = ring slot s) re-indexed by window position:
+  // bit i set = window position i (0 = oldest) is set in `mask`.
+  [[nodiscard]] std::uint64_t by_age(std::uint64_t mask) const noexcept {
+    if (window_head_ == 0) return mask;
     const auto n = slots_.size();
-    const auto m =
-        (unissued_ >> window_head_) | (unissued_ << (n - window_head_));
+    const auto m = (mask >> window_head_) | (mask << (n - window_head_));
     return n == 64 ? m : m & ((std::uint64_t{1} << n) - 1);
   }
-  // The latest in-window producer's complete_cycle, or kNoEvent while one
-  // of them is unissued: `e`'s sources are ready at `now` iff this is
-  // <= now, and it is what the issue walk fills src_ready in with.
+  [[nodiscard]] std::uint64_t slot_bit(const Entry& e) const noexcept {
+    return std::uint64_t{1} << (&e - slots_.data());
+  }
+  // The latest in-window producer's complete_cycle — kNoEvent while one of
+  // them is unissued: `e`'s sources are ready at `now` iff this is <= now,
+  // and it is what the issue walk fills src_ready in with.
   [[nodiscard]] std::uint64_t source_ready_cycle(const Entry& e) const
       noexcept {
     std::uint64_t at = 0;
@@ -243,43 +242,46 @@ class OoOCore {
       if (seq == 0) continue;
       const Entry* p = find_by_seq(seq);
       if (p == nullptr) continue;  // producer committed: value architectural
-      if (!p->issued) return kNoEvent;
       at = std::max(at, p->complete_cycle);
     }
     return at;
   }
-  [[nodiscard]] bool completed(const Entry& e, std::uint64_t now) const
-      noexcept {
-    return e.issued && e.complete_cycle <= now;
+  [[nodiscard]] static bool completed(const Entry& e,
+                                      std::uint64_t now) noexcept {
+    return e.complete_cycle <= now;
+  }
+  // `e` has a queue write that has not drained yet.
+  [[nodiscard]] bool write_pending(const Entry& e) const noexcept {
+    return (unpushed_ & slot_bit(e)) != 0;
   }
   void do_commit(std::uint64_t now);
   void do_pushes(std::uint64_t now);
   void do_issue(std::uint64_t now);
-  void do_dispatch(std::uint64_t now);
+  void do_dispatch();
   void issue_one(Entry& e, std::uint64_t now);
   [[nodiscard]] FuPool* pool_ptr(PoolKind kind);
   [[nodiscard]] const FuPool* pool_ptr(PoolKind kind) const noexcept {
     return const_cast<OoOCore*>(this)->pool_ptr(kind);
   }
   [[nodiscard]] TimedFifo* queue_ptr(QueueRole role) const noexcept;
-  // Slot index for the per-queue pending-push cursors; mirrors the
-  // historical ldq/sdq/else bucketing of do_pushes.
+  // Index of a queue's per-cycle order state in do_issue and do_pushes.
   [[nodiscard]] int queue_slot(const TimedFifo* q) const noexcept {
     return q == queues_.ldq ? 0 : q == queues_.sdq ? 1 : 2;
   }
-  // Memory disambiguation against the per-line store map: whether the load
-  // `seq` at `line` must wait for an older incomplete store, and whether a
-  // completed older store forwards to it.
+  // Memory disambiguation: whether the load at window position `pos` and
+  // 8-byte `line` must wait for an older incomplete store to its line, and
+  // whether a completed older store forwards to it.
   struct Disambiguation {
     bool wait = false;
     bool forward = false;
   };
   [[nodiscard]] Disambiguation check_older_stores(std::uint64_t line,
-                                                  std::uint64_t seq,
+                                                  std::size_t pos,
                                                   std::uint64_t now) const;
   // Earliest complete_cycle strictly after `now` over the ring (kNoEvent
-  // when none).  Free and unissued slots never count: dispatch writes 0,
-  // and a slot is freed only by commit, which requires completion.
+  // when none).  Free and unissued slots never lower it: an unissued slot
+  // holds kNoEvent, and a slot is freed only by commit, which requires
+  // completion.
   [[nodiscard]] std::uint64_t next_completion(std::uint64_t now) const
       noexcept;
 
@@ -322,16 +324,13 @@ class OoOCore {
   // until the fill lands.
   FuPool prefetch_buf_;
 
-  // Incremental frontiers (all invariants in docs/MACHINE.md) ------------
+  // Ring-slot masks (all invariants in docs/MACHINE.md) ------------------
   //
-  // Per queue slot: seqs of entries with an unperformed queue write, in
-  // program order.  Front = the oldest write do_pushes must drain next.
-  std::deque<std::uint64_t> pending_push_[3];
-  // Bit s set = ring slot s holds an unissued window entry.
+  // Bit s set = ring slot s holds an in-window entry that is unissued /
+  // a store / waiting to write its queue.
   std::uint64_t unissued_ = 0;
-  // 8-byte line -> seqs of in-window stores to it, ascending.  Loads
-  // disambiguate against their own line's bucket instead of the window.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> stores_by_line_;
+  std::uint64_t stores_ = 0;
+  std::uint64_t unpushed_ = 0;
 
   CoreStats stats_;
   std::vector<ResolvedBranch> resolved_;

@@ -234,6 +234,60 @@ TEST_F(CoreTest, PushBlocksCommitWhenQueueFull) {
   EXPECT_TRUE(core.drained());
 }
 
+TEST_F(CoreTest, FullQueueBlocksOnlyItsOwnWrites) {
+  // The second LDQ write finds the 1-entry LDQ full and blocks commit, but
+  // the younger SDQ writes drain at completion all the same: a refused
+  // write holds back only the younger writes to its own queue.
+  TimedFifo ldq("LDQ", 1);
+  TimedFifo sdq("SDQ", 8);
+  auto cfg = small_config();
+  OoOCore core(cfg, &memsys_, {&ldq, &sdq, nullptr});
+  for (const auto opcode : {Opcode::PUSHLDQ, Opcode::PUSHLDQ,
+                            Opcode::PUSHSDQ, Opcode::PUSHSDQ}) {
+    Instruction push;
+    push.op = opcode;
+    push.src1 = ir(1);
+    ASSERT_TRUE(core.enqueue(op_for(push)));
+  }
+  for (std::uint64_t now = 0; now < 50; ++now) core.tick(now);
+  EXPECT_EQ(ldq.size(), 1u);
+  EXPECT_EQ(sdq.stats().pushes, 2u);
+  EXPECT_GT(core.stats().queue_full_commit_stalls, 0u);
+  EXPECT_FALSE(core.drained());
+}
+
+TEST_F(CoreTest, ProbeNamesTheOldestOpsGate) {
+  TimedFifo ldq("LDQ", 1);
+  auto cfg = small_config();
+  OoOCore core(cfg, &memsys_, {&ldq, nullptr, nullptr});
+  ldq.push({/*ready=*/0, /*producer_pos=*/0, /*eod=*/false});
+  Instruction push;
+  push.op = Opcode::PUSHLDQ;
+  push.src1 = ir(1);
+  ASSERT_TRUE(core.enqueue(op_for(push)));
+  std::uint64_t now = 0;
+  for (; now < 10; ++now) core.tick(now);
+  // Completed, but its write faces the full LDQ.
+  auto probe = core.probe_oldest_stall(now);
+  ASSERT_TRUE(probe.valid);
+  EXPECT_EQ(probe.why, diag::StallWhy::PushFull);
+  EXPECT_EQ(probe.queue, &ldq);
+  EXPECT_EQ(probe.op, "pushldq");
+
+  ldq.pop();
+  for (; now < 20 && !core.drained(); ++now) core.tick(now);
+  ASSERT_TRUE(core.drained());
+  EXPECT_FALSE(core.probe_oldest_stall(now).valid);
+
+  // A cold load issues at once and waits out the DRAM miss.
+  ASSERT_TRUE(core.enqueue(op_for(make_load(2, 0), /*addr=*/0x7000)));
+  for (const auto stop = now + 5; now < stop; ++now) core.tick(now);
+  probe = core.probe_oldest_stall(now);
+  ASSERT_TRUE(probe.valid);
+  EXPECT_EQ(probe.why, diag::StallWhy::InFlight);
+  EXPECT_EQ(probe.queue, nullptr);
+}
+
 TEST_F(CoreTest, AnnotationPushLandsInQueueAtCommit) {
   TimedFifo ldq("LDQ", 8);
   auto cfg = small_config();

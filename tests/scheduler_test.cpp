@@ -267,10 +267,9 @@ TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
 // Incremental-frontier invariants under random stimulus (docs/MACHINE.md,
 // "Hot-path data structures").  After every tick, debug_check_invariants
 // recomputes by brute force what the core maintains incrementally — the
-// completion frontier, the unissued-slot mask, every filled-in
-// source-ready cycle, the pending-push cursors and the
-// store-disambiguation map — and throws std::logic_error on any
-// disagreement.
+// completion frontier, every filled-in source-ready cycle and the
+// unissued, store and unpushed ring-slot masks — and throws
+// std::logic_error on any disagreement.
 
 TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   uarch::CoreConfig cfg;
@@ -288,7 +287,7 @@ TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   uarch::OoOCore core(cfg, &memsys_, {});
 
   // Addresses collide on a handful of 8-byte lines so loads meet older
-  // in-window stores: the store map, disambiguation waits and
+  // in-window stores: the store mask, disambiguation waits and
   // store-to-load forwarding all get exercised.  DIVs keep the single
   // unpipelined unit saturated, and the dependent DIV/MUL chains leave
   // consumers with source-ready cycles far in the future.
@@ -343,7 +342,9 @@ TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
   // A producer core feeding an LDQ that a consumer core pops, with the
   // producer deliberately bursty so the consumer's POPLDQ entries run the
   // queue dry and wait on it, both as the oldest unissued entry (charged
-  // a stall each cycle) and behind it, while the window ring wraps.
+  // a stall each cycle) and behind it, while the window ring wraps.  The
+  // consumer also stalls in stretches, so the LDQ fills and the
+  // producer's writes are refused and queue up behind each other.
   uarch::TimedFifo ldq("LDQ", 4);
   uarch::CoreConfig pcfg;
   pcfg.name = "prod";
@@ -396,7 +397,7 @@ TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
       }
     }
     prod.tick(now);
-    cons.tick(now);
+    if ((now / 100) % 3 != 2) cons.tick(now);  // stalled 1/3 of the time
     ASSERT_NO_THROW(prod.debug_check_invariants(now)) << "cycle " << now;
     ASSERT_NO_THROW(cons.debug_check_invariants(now)) << "cycle " << now;
     ASSERT_LT(++now, limit) << "pair did not drain";
@@ -406,6 +407,8 @@ TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
   // waiting on the empty queue — otherwise this test lost its coverage
   // of the stall charge.
   EXPECT_GT(cons.stats().head_pop_empty_stalls, 0u);
+  // Likewise the stalls must have filled the queue and refused writes.
+  EXPECT_GT(ldq.stats().full_stall_cycles, 0u);
   EXPECT_TRUE(ldq.empty());
 }
 
