@@ -21,8 +21,8 @@
 namespace hidisc::lab {
 
 // A workload named by its generator, not by a built program: building is
-// deterministic in (maker, scale, seed), so the spec is the identity the
-// prep-memoization layer keys on, and two cells with equal specs share one
+// deterministic in (maker, scale, seed), so the spec is the identity
+// pipeline::compile_key hashes, and two cells with equal specs share one
 // compilation.
 struct WorkloadSpec {
   std::string name;  // display name; matches BuiltWorkload::name

@@ -1,18 +1,24 @@
-// The hidisc-lab experiment runner: a thin driver over the artifact
-// pipeline (src/pipeline/, docs/PIPELINE.md).
+// The hidisc-lab experiment runner (docs/LAB.md, docs/PIPELINE.md).
 //
-// run_plan submits the plan's cells to the DAG executor, which builds a
-// content-addressed graph of typed nodes — compile (one per distinct
-// (workload spec, compile options) pair) → sim (one per cell) — and
-// executes it over the work-stealing thread pool in pure dependency
-// order: a cell simulates the moment its own compilation is ready,
-// regardless of what other workloads are still compiling.  Each sim node
-// runs its own functional simulation, streamed through the machine (no
-// trace is stored).  Sim results persist in the on-disk ResultCache, so a
-// machine-preset-only change reruns exactly that preset's sim nodes —
+// run_plan runs a plan's cells as two kinds of task over the
+// work-stealing thread pool:
+//
+//   compile  one per distinct (workload spec, compile options) pair
+//            (pipeline::compile_key): builds the workload, compiles it
+//            and hashes both binary images for sim keys, then submits
+//            one sim task per cell under it;
+//   sim      one per cell: probes the on-disk ResultCache, and on a miss
+//            takes the key's lease, probes again and runs the machine,
+//            which streams its own functional run (no trace is stored).
+//
+// A cell simulates the moment its own compilation is ready, regardless of
+// what other workloads are still compiling.  Cells with equal sim keys
+// simulate once per run: the first to claim the key runs, later ones wait
+// for its outcome.  Sim results persist in the ResultCache, so a
+// machine-preset-only change reruns exactly that preset's cells —
 // observable in PlanRun::nodes and the JSON export.  Concurrent run_plan
 // calls (threads or processes) sharing a cache directory simulate each
-// key once between them: the sim node leases its key in the ResultCache.
+// key once between them through the lease.
 //
 // Results are returned indexed by cell, so the output is bit-identical
 // for any thread count — parallelism changes wall-clock, never numbers.
@@ -32,7 +38,7 @@ namespace hidisc::lab {
 struct RunOptions {
   int threads = 1;
   // On-disk result cache directory; empty disables persistent caching
-  // (prep memoization within the run still applies).
+  // (cells with equal sim keys still simulate once within the run).
   std::string cache_dir;
   // Ignore (but still refresh) existing cache entries.
   bool refresh = false;
@@ -71,11 +77,11 @@ struct PlanRun {
   std::size_t simulated = 0;      // cells that ran the timing machine
   std::size_t failed = 0;         // cells with a non-empty error slot
   std::size_t cache_hits = 0;
-  std::size_t preps = 0;  // compile nodes executed (= nodes.compile.rebuilt)
-  // Per-phase node accounting from the DAG executor: how many nodes the
-  // graph had, how many were served from a cache layer, how many rebuilt.
-  // The cache-invalidation contract is stated in these numbers (e.g. a
-  // warm run shows nodes.sim.rebuilt == 0).
+  std::size_t preps = 0;  // compile tasks run (= nodes.compile.rebuilt)
+  // Per-task accounting: how many compile and sim tasks the plan had, how
+  // many were served from the result cache (or a same-key cell), how many
+  // ran.  The cache-invalidation contract is stated in these numbers
+  // (e.g. a warm run shows nodes.sim.rebuilt == 0).
   pipeline::NodeStats nodes;
   double wall_ms = 0.0;   // whole-plan wall clock
   // Aggregate simulator throughput: total simulated cycles divided by the

@@ -1,7 +1,11 @@
 #include "lab/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace hidisc::lab {
 
@@ -74,8 +78,14 @@ void ThreadPool::worker_loop(std::size_t self) {
 
 int default_threads() {
   if (const char* env = std::getenv("HILAB_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    const char* const end = env + std::strlen(env);
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, n);
+    if (ec != std::errc() || ptr != end || n < 1)
+      throw std::runtime_error(
+          "HILAB_THREADS needs an integer of at least 1, got '" +
+          std::string(env) + "'");
+    return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);

@@ -54,8 +54,9 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Worker-count default for CLI/bench entry points: $HILAB_THREADS if set
-// and positive, else std::thread::hardware_concurrency().
+// Worker-count default for CLI/bench entry points: $HILAB_THREADS if set,
+// else std::thread::hardware_concurrency().  Throws std::runtime_error
+// naming HILAB_THREADS when it is set to anything but an integer >= 1.
 [[nodiscard]] int default_threads();
 
 }  // namespace hidisc::lab

@@ -38,11 +38,6 @@ std::string compile_key(const lab::WorkloadSpec& spec,
   return lab::hex128(lo, hi);
 }
 
-std::string compile_key(const std::vector<std::uint8_t>& program_image,
-                        const compiler::CompileOptions& opt) {
-  return two_stream_key(kCompileTag, program_image, lab::describe(opt));
-}
-
 std::string trace_key(const std::vector<std::uint8_t>& binary_image,
                       std::uint64_t max_steps) {
   return two_stream_key(kTraceTag, binary_image,
@@ -52,14 +47,9 @@ std::string trace_key(const std::vector<std::uint8_t>& binary_image,
 std::string sim_key(const std::vector<std::uint8_t>& binary_image,
                     machine::Preset preset,
                     const machine::MachineConfig& cfg) {
-  return sim_key(lab::image_key_state(binary_image), preset, cfg);
-}
-
-std::string sim_key(const lab::ImageKeyState& image, machine::Preset preset,
-                    const machine::MachineConfig& cfg) {
   // Deliberately NOT domain-tagged: sim keys are lab::content_key, the
   // address of every on-disk .result entry.
-  return lab::content_key(image, preset, cfg);
+  return lab::content_key(lab::image_key_state(binary_image), preset, cfg);
 }
 
 }  // namespace hidisc::pipeline

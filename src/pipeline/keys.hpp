@@ -1,17 +1,18 @@
-// Content keys for the artifact DAG's edges (docs/PIPELINE.md).
+// Content keys for lab::run_plan's two task kinds (docs/PIPELINE.md).
 //
-// Every edge in the pipeline graph is content-addressed: a node's key is
-// a 32-hex-digit 128-bit FNV-1a hash (the lab::fingerprint machinery)
-// over exactly the upstream content that can change its output, and
-// nothing else.  The hashing rules *are* the invalidation semantics:
+// Every key is a 32-hex-digit 128-bit FNV-1a hash (the lab::fingerprint
+// machinery) over exactly the upstream content that can change a task's
+// output, and nothing else.  The hashing rules *are* the invalidation
+// semantics:
 //
-//   compile_key  = H(workload identity, canonical CompileOptions)
-//   sim_key      = H(encoded binary image, preset name, canonical
-//                    MachineConfig)            == lab::content_key
+//   compile_key  = H(workload identity, canonical CompileOptions); dedups
+//                  the plan's cells into compile tasks
+//   sim key      = lab::content_key = H(encoded binary image, preset name,
+//                  canonical MachineConfig); addresses the ResultCache
 //   trace_key    = H(encoded binary image, step budget) — keys the
 //                  TraceStore, which only perfbench/layers.cpp still uses
 //
-// The image leads the sim key, so a compile node hashes each of its two
+// The image leads the sim key, so a compile task hashes each of its two
 // images once (lab::image_key_state) and every cell's sim key continues
 // from that state.
 //
@@ -19,15 +20,15 @@
 //   * changing kernel text changes the binary image, hence every
 //     downstream sim key;
 //   * the separator mode selects a different binary image (original vs
-//     separated), so the two modes never share sim nodes;
+//     separated), so the two modes never share a sim key;
 //   * changing a machine preset or any MachineConfig field changes only
 //     sim keys — compilations stay warm;
 //   * the scheduler kind is deliberately excluded from describe(), so
-//     event-skip and lockstep share every node (they are bit-identical
+//     event-skip and lockstep share every key (they are bit-identical
 //     by the HIDISC_LOCKSTEP oracle).
 //
-// sim_key is byte-for-byte the pre-pipeline lab::content_key, so result
-// cache directories written before the DAG refactor stay valid.
+// sim_key below is byte-for-byte lab::content_key, so result cache
+// directories stay valid across every change to how a plan runs.
 #pragma once
 
 #include <cstdint>
@@ -41,16 +42,9 @@
 
 namespace hidisc::pipeline {
 
-// Key of a compile node fed by a registry workload spec (the identity the
-// old prep-memoization layer keyed on, hashed).
+// Key of a compilation of a registry workload spec.
 [[nodiscard]] std::string compile_key(const lab::WorkloadSpec& spec,
                                       const compiler::CompileOptions& opt);
-
-// Key of a compile node fed a caller-built program (bench/ablation path):
-// the program bytes stand in for the spec identity.
-[[nodiscard]] std::string compile_key(
-    const std::vector<std::uint8_t>& program_image,
-    const compiler::CompileOptions& opt);
 
 // Key of a stored trace: the exact encoded binary the functional
 // simulator executes plus the step budget.  Presets and machine configs
@@ -58,15 +52,9 @@ namespace hidisc::pipeline {
 [[nodiscard]] std::string trace_key(
     const std::vector<std::uint8_t>& binary_image, std::uint64_t max_steps);
 
-// Key of a sim node; identical to lab::content_key on the decoded
-// program, taking the already-encoded image to avoid re-encoding per
-// consumer.
+// Key of one simulation; identical to lab::content_key on the decoded
+// program, taking the already-encoded image.
 [[nodiscard]] std::string sim_key(const std::vector<std::uint8_t>& binary_image,
-                                  machine::Preset preset,
-                                  const machine::MachineConfig& cfg);
-// The same key continued from the image's hash state, so an image shared
-// by many cells is hashed once.
-[[nodiscard]] std::string sim_key(const lab::ImageKeyState& image,
                                   machine::Preset preset,
                                   const machine::MachineConfig& cfg);
 

@@ -10,7 +10,7 @@
 //     raw TraceEntry payload       count * entry size bytes
 //     u64  checksum                FNV-1a-64 of every preceding byte
 //
-// The pipeline no longer uses it — each sim node streams its own
+// lab::run_plan no longer uses it — each sim task streams its own
 // functional run — so its only user is perfbench/layers.cpp, and it is
 // deleted with the benchmark's next re-anchor.
 //

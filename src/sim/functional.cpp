@@ -131,10 +131,6 @@ void Functional::ref_run(std::uint64_t max_steps, std::uint64_t stop_at,
   }
 }
 
-void Functional::run_ref(std::uint64_t max_steps) {
-  ref_run(max_steps, max_steps, nullptr);
-}
-
 Trace Functional::run_trace_ref(std::uint64_t max_steps) {
   Trace trace;
   const std::size_t reserved = trace_reserve_hint(max_steps, icount_);

@@ -15,8 +15,8 @@
 //    table, computed-goto dispatch to one handler per opcode, batched
 //    trace emission into a pre-sized buffer (run_trace) or one reused
 //    chunk buffer (run_streamed);
-//  * the reference switch interpreter (step(), run_ref(), run_trace_ref())
-//    — the original giant-switch implementation, kept as the semantic
+//  * the reference switch interpreter (step(), run_trace_ref()) — the
+//    original giant-switch implementation, kept as the semantic
 //    oracle.  Setting HIDISC_FSIM_REF=1 (mirroring HIDISC_LOCKSTEP) makes
 //    every run()/run_trace()/run_streamed() shadow-execute the reference
 //    interpreter on a snapshot and byte-compare traces (chunk by chunk for
@@ -122,12 +122,11 @@ class Functional {
   void stream_chunk(Trace& out, std::uint64_t max_steps, std::size_t chunk,
                     Functional* ref);
 
-  // Reference-interpreter equivalents of run()/run_trace(): drive the
-  // original switch interpreter step by step.  Byte-identical behaviour to
-  // the threaded path is the hard invariant; the fuzz oracle's
-  // dual-interpreter leg and the HIDISC_FSIM_REF shadow both compare
-  // against these.
-  void run_ref(std::uint64_t max_steps = kDefaultMaxSteps);
+  // Reference-interpreter equivalent of run_trace(): drives the original
+  // switch interpreter step by step.  Byte-identical behaviour to the
+  // threaded path is the hard invariant; the fuzz oracle's
+  // dual-interpreter leg compares against it, and the HIDISC_FSIM_REF
+  // shadow against the same stepping (ref_run).
   [[nodiscard]] Trace run_trace_ref(
       std::uint64_t max_steps = kDefaultMaxSteps);
 

@@ -8,10 +8,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -106,6 +108,30 @@ TEST(LabThreadPool, RunsEverySubmittedTask) {
   });
   pool.wait();
   EXPECT_EQ(count.load(), 110);
+}
+
+TEST(LabThreadPool, DefaultThreadsParsesAllOfHilabThreads) {
+  // default_threads() starts no thread, so only small values appear here.
+  const char* saved = std::getenv("HILAB_THREADS");
+  const std::optional<std::string> restore =
+      saved ? std::optional<std::string>(saved) : std::nullopt;
+  for (const char* bad : {"abc", "4x", "0", "-2"}) {
+    ::setenv("HILAB_THREADS", bad, 1);
+    try {
+      (void)lab::default_threads();
+      ADD_FAILURE() << "HILAB_THREADS=" << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("HILAB_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::setenv("HILAB_THREADS", "3", 1);
+  EXPECT_EQ(lab::default_threads(), 3);
+  if (restore)
+    ::setenv("HILAB_THREADS", restore->c_str(), 1);
+  else
+    ::unsetenv("HILAB_THREADS");
 }
 
 TEST(LabSerialize, ResultRoundTripsExactly) {

@@ -1,8 +1,7 @@
-// Artifact-pipeline tests (src/pipeline/): content-addressed node keys —
-// each input dimension perturbs exactly the downstream hashes it should —
-// the TraceStore's round-trip/corruption contract (perfbench still uses
-// it), and warm/partial invalidation through lab::run_plan's per-phase
-// node stats.
+// Pipeline tests (src/pipeline/): content keys — each input dimension
+// perturbs exactly the downstream hashes it should — the TraceStore's
+// round-trip/corruption contract (perfbench still uses it), and
+// warm/partial invalidation through lab::run_plan's per-phase task stats.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,8 +19,6 @@
 #include "lab/plan.hpp"
 #include "lab/runner.hpp"
 #include "lab/serialize.hpp"
-#include "pipeline/executor.hpp"
-#include "pipeline/graph.hpp"
 #include "pipeline/keys.hpp"
 #include "pipeline/trace_store.hpp"
 #include "sim/functional.hpp"
@@ -122,8 +119,8 @@ TEST(PipelineKeys, MachinePresetAndConfigPerturbOnlySimKeys) {
   EXPECT_NE(sk, pipeline::sim_key(img, machine::Preset::CPCMP, base));
   EXPECT_EQ(tk, pipeline::trace_key(img, steps));
 
-  // Any config field change (dram latency, watchdog) re-keys the sim
-  // node only.
+  // Any config field change (dram latency, watchdog) re-keys the
+  // simulation only.
   machine::MachineConfig slow = base;
   slow.mem.dram_latency = 200;
   EXPECT_NE(sk, pipeline::sim_key(img, machine::Preset::Superscalar, slow));
@@ -143,7 +140,7 @@ TEST(PipelineKeys, PrefetcherConfigPerturbsOnlySimKeys) {
       pipeline::sim_key(img, machine::Preset::Superscalar, base);
 
   // Enabling a prefetcher, or turning any of its live knobs, re-keys the
-  // sim node and nothing upstream (hilab --override '*:prefetch=...'
+  // simulation and nothing upstream (hilab --override '*:prefetch=...'
   // rides this).
   machine::MachineConfig pf = base;
   pf.mem.prefetch = mem::parse_prefetch_spec("ipstride:deg4");
@@ -192,28 +189,6 @@ TEST(PipelineKeys, SimKeyMatchesPreRefactorContentKey) {
               lab::content_key(bin, preset, cfg))
         << machine::preset_name(preset);
   }
-}
-
-// ---- graph shape -----------------------------------------------------------
-
-TEST(PipelineGraph, NodesAreSharedAcrossCells) {
-  // 2 workloads x 4 presets: 2 compile nodes, 8 sim nodes, each running
-  // the binary its preset consumes.
-  std::vector<lab::Cell> cells;
-  for (const char* name : {"Pointer", "Update"})
-    for (const auto preset : lab::all_presets())
-      cells.push_back(lab::Cell{lab::spec(name, workloads::Scale::Test),
-                                preset, {}, {}, ""});
-  const pipeline::Graph g = pipeline::build_graph(cells);
-  EXPECT_EQ(g.compiles.size(), 2u);
-  ASSERT_EQ(g.sims.size(), cells.size());
-  for (std::size_t i = 0; i < g.sims.size(); ++i) {
-    EXPECT_EQ(g.sims[i].index, i);
-    EXPECT_EQ(g.sims[i].cell, &cells[i]);
-    EXPECT_EQ(g.sims[i].compile, &g.compiles[i / 4]);
-    EXPECT_EQ(g.sims[i].mode, pipeline::mode_for(cells[i].preset));
-  }
-  EXPECT_EQ(g.compiles[0].sims.size(), 4u);
 }
 
 // ---- trace store -----------------------------------------------------------
@@ -326,8 +301,8 @@ TEST(PipelineRunner, PresetOnlyChangeResimulatesExactlyThatPreset) {
   ASSERT_EQ(cold.failed, 0u);
 
   // Mutate the machine config of the HiDISC cells only (the CI job does
-  // the same via hilab --override): their sim nodes re-key and rerun,
-  // and every other cell hits.
+  // the same via hilab --override): their sim keys change and they
+  // rerun, and every other cell hits.
   std::size_t mutated = 0;
   for (auto& cell : plan.cells)
     if (cell.preset == machine::Preset::HiDISC) {
@@ -357,7 +332,7 @@ TEST(PipelineRunner, PrefetcherChangeResimulatesExactlyAffectedCells) {
 
   // Enable a hardware prefetcher on the CP+AP cells only (what
   // `hilab --override 'CP+AP:prefetch=ipstride:deg4'` does): exactly
-  // those sim nodes re-key and rerun, and every other cell hits.
+  // those cells re-key and rerun, and every other cell hits.
   std::size_t mutated = 0;
   for (auto& cell : plan.cells)
     if (cell.preset == machine::Preset::CPAP) {
@@ -438,8 +413,8 @@ TEST(PipelineRunner, OneSimulationPerSimKey) {
 }
 
 TEST(PipelineRunner, EveryCellKeyIsItsContentKey) {
-  // Sim keys continue from each image's hash state (CompileArtifact), so
-  // check them against the from-scratch key over a plan that varies the
+  // Sim keys continue from each image's hash state (hashed once per
+  // compile task), so check them against the from-scratch key over a plan that varies the
   // preset, the config and the binary.
   const auto plan = lab::plan_fig10(workloads::Scale::Test);
   lab::RunOptions opt;
@@ -486,25 +461,6 @@ TEST(PipelineRunner, RepeatedSimKeySharesAFailure) {
   }
   EXPECT_NE(run.cells[0].error.find("window"), std::string::npos)
       << run.cells[0].error;
-}
-
-TEST(PipelineRunner, SessionMemoSharesArtifactsAcrossRuns) {
-  // One Pipeline object serving two runs compiles once, even with no
-  // result cache at all; each run simulates its cell.
-  pipeline::Pipeline pipe;
-  lab::ThreadPool pool(1);
-  std::vector<lab::Cell> cells{
-      lab::Cell{lab::spec("Pointer", workloads::Scale::Test),
-                machine::Preset::Superscalar, {}, {}, ""}};
-  const auto first = pipe.run(cells, pool);
-  EXPECT_EQ(first.nodes.compile.rebuilt, 1u);
-  EXPECT_EQ(first.nodes.sim.rebuilt, 1u);
-  const auto second = pipe.run(cells, pool);
-  EXPECT_EQ(second.nodes.compile.hits, 1u);
-  EXPECT_EQ(second.nodes.compile.rebuilt, 0u);
-  EXPECT_EQ(second.nodes.sim.rebuilt, 1u);
-  EXPECT_TRUE(lab::results_identical(first.cells[0].result,
-                                     second.cells[0].result));
 }
 
 }  // namespace

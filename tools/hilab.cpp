@@ -96,7 +96,7 @@ int unknown_plan(const std::string& name) {
 // Applies one `PRESET:FIELD=VALUE` machine-config override to every cell
 // whose preset name matches (or every cell, for '*').  Drives the CI
 // cache-invalidation check: a preset-scoped config change must rerun
-// exactly that preset's sim nodes and nothing else.
+// exactly that preset's cells and nothing else.
 void apply_override(lab::ExperimentPlan& plan, const std::string& spec) {
   const auto colon = spec.find(':');
   const auto eq = spec.find('=', colon == std::string::npos ? 0 : colon);
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> overrides;
   std::string cache_dir = ".hilab-cache";
   workloads::Scale scale = workloads::Scale::Paper;
-  int threads = lab::default_threads();
+  int threads = 0;  // 0 = no --threads: $HILAB_THREADS or all cores
   bool refresh = false, quiet = false, lockstep = false;
   std::uint64_t watchdog = 0;  // 0 = keep each cell's own threshold
 
@@ -225,6 +225,13 @@ int main(int argc, char** argv) {
     }
   }
   if (plan_name.empty()) return usage(argv[0]);
+
+  try {
+    if (threads == 0) threads = lab::default_threads();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "hilab: %s\n", e.what());
+    return 2;
+  }
 
   try {
     lab::ExperimentPlan plan;
