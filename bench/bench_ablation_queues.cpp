@@ -4,69 +4,61 @@
 // slip distance measures latency tolerance), and the SCQ-style runahead
 // bound keeps the CMP from evicting its own prefetches (DESIGN.md §6).
 // This bench quantifies both on the decoupling-sensitive Field Stressmark
-// and the prefetch-sensitive Update Stressmark.
+// and the prefetch-sensitive Update Stressmark.  Ablations A-D are the
+// cells of lab plan "ablation-queues"; E runs a hand-assembled kernel.
 #include <cstdio>
 
+#include "compiler/compile.hpp"
 #include "harness.hpp"
 #include "isa/assembler.hpp"
+#include "machine/machine.hpp"
 
 int main() {
   using namespace hidisc;
+  using machine::Preset;
+  const auto plan = lab::plan_ablation_queues();
+  const auto run = bench::run_checked(plan);
+
   printf("=== Ablation A: LDQ/SDQ capacity (Field, CP+AP) ===\n\n");
   {
-    const auto p = bench::prepare(workloads::make_field(
-        workloads::Scale::Paper));
-    const auto base = bench::run_preset(p, machine::Preset::Superscalar);
+    const auto& base = run.at(plan, "Field", Preset::Superscalar).result;
     stats::Table table({"Queue capacity", "CP+AP cycles", "Speed-up",
                         "LDQ empty-stall cycles"});
-    for (const std::size_t cap : {2u, 4u, 8u, 16u, 32u, 64u}) {
-      machine::MachineConfig cfg;
-      cfg.ldq_capacity = cap;
-      cfg.sdq_capacity = cap;
-      const auto r = bench::run_preset(p, machine::Preset::CPAP, cfg);
-      table.add_row(
-          {std::to_string(cap), std::to_string(r.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / r.cycles),
-           std::to_string(r.ldq.empty_stall_cycles)});
+    for (const auto i : bench::rows(plan, Preset::CPAP, "ldq=")) {
+      const auto& r = run.cells[i].result;
+      table.add_row({std::to_string(plan.cells[i].config.ldq_capacity),
+                     std::to_string(r.cycles), bench::speedup(base, r),
+                     std::to_string(r.ldq.empty_stall_cycles)});
     }
     printf("%s\n", table.to_string().c_str());
   }
 
   printf("=== Ablation B: CMP prefetch buffer (Update, HiDISC) ===\n\n");
   {
-    const auto p = bench::prepare(workloads::make_update(
-        workloads::Scale::Paper));
-    const auto base = bench::run_preset(p, machine::Preset::Superscalar);
+    const auto& base = run.at(plan, "Update", Preset::Superscalar).result;
     stats::Table table({"Prefetch buffer entries", "HiDISC cycles",
                         "Speed-up", "L1 miss rate"});
-    for (const int buf : {1, 2, 4, 8, 16, 32}) {
-      machine::MachineConfig cfg;
-      cfg.cmp.prefetch_buffer = buf;
-      const auto r = bench::run_preset(p, machine::Preset::HiDISC, cfg);
-      table.add_row(
-          {std::to_string(buf), std::to_string(r.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / r.cycles),
-           stats::Table::num(r.l1_demand_miss_rate())});
+    for (const auto i : bench::rows(plan, Preset::HiDISC, "pfbuf=")) {
+      const auto& r = run.cells[i].result;
+      table.add_row({std::to_string(plan.cells[i].config.cmp.prefetch_buffer),
+                     std::to_string(r.cycles), bench::speedup(base, r),
+                     stats::Table::num(r.l1_demand_miss_rate())});
     }
     printf("%s\n", table.to_string().c_str());
   }
 
   printf("=== Ablation C: L2 bus bandwidth (Update, all machines) ===\n\n");
   {
-    const auto p = bench::prepare(workloads::make_update(
-        workloads::Scale::Paper));
     stats::Table table({"Bus cycles/miss", "Superscalar", "HiDISC",
                         "HiDISC speed-up"});
-    for (const int bus : {0, 4, 8, 16}) {
-      machine::MachineConfig cfg;
-      cfg.mem.l2_bus_cycles = bus;
-      const auto base = bench::run_preset(p, machine::Preset::Superscalar,
-                                          cfg);
-      const auto hd = bench::run_preset(p, machine::Preset::HiDISC, cfg);
+    for (const auto i : bench::rows(plan, Preset::Superscalar, "bus=")) {
+      const auto& base = run.cells[i].result;
+      const auto& hd =
+          run.at(plan, "Update", Preset::HiDISC, plan.cells[i].tag).result;
       table.add_row(
-          {std::to_string(bus), std::to_string(base.cycles),
-           std::to_string(hd.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / hd.cycles)});
+          {std::to_string(plan.cells[i].config.mem.l2_bus_cycles),
+           std::to_string(base.cycles), std::to_string(hd.cycles),
+           bench::speedup(base, hd)});
     }
     printf("%s\n", table.to_string().c_str());
     printf("Prefetch traffic shares the bus with demand misses: with "
@@ -77,24 +69,14 @@ int main() {
   {
     stats::Table table({"Benchmark", "Paper-mode speedup",
                         "Chaining speedup", "Paper uops", "Chaining uops"});
-    for (auto* make : {&workloads::make_update, &workloads::make_transitive}) {
-      const auto w = make(workloads::Scale::Paper,
-                          make == &workloads::make_update ? 2 : 5);
-      const auto p = bench::prepare(w);
-      const auto base = bench::run_preset(p, machine::Preset::Superscalar);
-      machine::MachineConfig paper_mode;
-      machine::MachineConfig chaining;
-      chaining.cmp_chaining = true;
-      chaining.cmp_targets_per_fork = 256;
-      const auto rp = bench::run_preset(p, machine::Preset::HiDISC,
-                                        paper_mode);
-      const auto rc = bench::run_preset(p, machine::Preset::HiDISC,
-                                        chaining);
-      table.add_row(
-          {w.name,
-           stats::Table::num(static_cast<double>(base.cycles) / rp.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / rc.cycles),
-           std::to_string(rp.cmas_uops), std::to_string(rc.cmas_uops)});
+    for (const auto i : bench::rows(plan, Preset::HiDISC, "paper")) {
+      const auto& name = plan.cells[i].workload.name;
+      const auto& base = run.at(plan, name, Preset::Superscalar).result;
+      const auto& rp = run.cells[i].result;
+      const auto& rc = run.at(plan, name, Preset::HiDISC, "chaining").result;
+      table.add_row({name, bench::speedup(base, rp), bench::speedup(base, rc),
+                     std::to_string(rp.cmas_uops),
+                     std::to_string(rc.cmas_uops)});
     }
     printf("%s\n", table.to_string().c_str());
     printf("Chaining (the paper's cited future-work trigger mode) trades "

@@ -1,43 +1,33 @@
 // Ablation (paper §6 future work: "the runtime control of the prefetching
 // distance is another important task"): how the CMAS trigger/fork distance
-// affects HiDISC, on the Update Stressmark (fire-and-forget slices, where
+// affects HiDISC, on the TC Stressmark (fire-and-forget row slices, where
 // distance governs timeliness) and on Pointer (serial chase slices, which
 // chain from the fetch point and are insensitive to it — exactly why the
-// paper calls for dynamic control).
+// paper calls for dynamic control).  Cells: lab plan "ablation-trigger".
 #include <cstdio>
 
 #include "harness.hpp"
 
 int main() {
   using namespace hidisc;
+  using machine::Preset;
   printf("=== Ablation: CMAS trigger/fork distance ===\n\n");
 
-  struct Case {
-    const char* name;
-    workloads::BuiltWorkload w;
-  };
-  Case cases[] = {
-      {"TC (fire-and-forget row slices)",
-       workloads::make_transitive(workloads::Scale::Paper)},
-      {"Pointer (serial chase slices)",
-       workloads::make_pointer(workloads::Scale::Paper)},
-  };
-  for (auto& c : cases) {
-    printf("--- %s ---\n", c.name);
+  const auto plan = lab::plan_ablation_trigger();
+  const auto run = bench::run_checked(plan);
+
+  for (const auto& [name, title] :
+       {std::pair{"TC", "TC (fire-and-forget row slices)"},
+        std::pair{"Pointer", "Pointer (serial chase slices)"}}) {
+    printf("--- %s ---\n", title);
     stats::Table table({"Distance", "HiDISC cycles", "Speed-up",
                         "Timely prefetch hits", "Late (in-flight) hits"});
-    const auto p0 = bench::prepare(c.w);
-    const auto base = bench::run_preset(p0, machine::Preset::Superscalar);
-    for (const int distance : {64, 128, 256, 512, 1024, 2048}) {
-      compiler::CompileOptions opt;
-      opt.cmas.trigger_distance = distance;
-      const auto p = bench::prepare(c.w, opt);
-      machine::MachineConfig cfg;
-      cfg.cmp_fork_lookahead = distance * 3 / 4;
-      const auto r = bench::run_preset(p, machine::Preset::HiDISC, cfg);
+    const auto& base = run.at(plan, name, Preset::Superscalar).result;
+    for (const auto i : bench::rows(plan, Preset::HiDISC, "dist=", name)) {
+      const auto& r = run.cells[i].result;
       table.add_row(
-          {std::to_string(distance), std::to_string(r.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / r.cycles),
+          {std::to_string(plan.cells[i].compile.cmas.trigger_distance),
+           std::to_string(r.cycles), bench::speedup(base, r),
            std::to_string(r.l1.useful_prefetches),
            std::to_string(r.l1.late_fill_hits)});
     }
@@ -46,22 +36,18 @@ int main() {
 
   printf("--- Dynamic distance control (paper §6 future work) ---\n");
   {
-    const auto w = workloads::make_transitive(workloads::Scale::Paper);
-    const auto p = bench::prepare(w);
-    const auto base = bench::run_preset(p, machine::Preset::Superscalar);
+    const auto& base = run.at(plan, "TC", Preset::Superscalar).result;
     stats::Table table({"Initial distance", "Static speed-up",
                         "Dynamic speed-up", "Adaptations"});
-    for (const int start : {64, 384, 2048}) {
-      machine::MachineConfig cfg;
-      cfg.cmp_fork_lookahead = start;
-      const auto rs = bench::run_preset(p, machine::Preset::HiDISC, cfg);
-      cfg.cmp_dynamic_distance = true;
-      const auto rd = bench::run_preset(p, machine::Preset::HiDISC, cfg);
-      table.add_row(
-          {std::to_string(start),
-           stats::Table::num(static_cast<double>(base.cycles) / rs.cycles),
-           stats::Table::num(static_cast<double>(base.cycles) / rd.cycles),
-           std::to_string(rd.distance_adaptations)});
+    for (const auto i : bench::rows(plan, Preset::HiDISC, "static@")) {
+      const auto start = plan.cells[i].config.cmp_fork_lookahead;
+      const auto& rd = run.at(plan, "TC", Preset::HiDISC,
+                              "dynamic@" + std::to_string(start))
+                           .result;
+      table.add_row({std::to_string(start),
+                     bench::speedup(base, run.cells[i].result),
+                     bench::speedup(base, rd),
+                     std::to_string(rd.distance_adaptations)});
     }
     printf("%s\n", table.to_string().c_str());
   }

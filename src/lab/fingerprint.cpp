@@ -66,6 +66,10 @@ class Describer {
     field((p + ".lsu").c_str(), c.has_lsu ? 1 : 0);
     field((p + ".pfonly").c_str(), c.prefetch_only ? 1 : 0);
     field((p + ".qpops").c_str(), c.queue_pops_per_cycle);
+    // Appended only off the Table-1 default, like the prefetcher below, so
+    // keys written before it was keyed stay valid.
+    if (c.prefetch_buffer != uarch::CoreConfig{}.prefetch_buffer)
+      field((p + ".pfbuf").c_str(), c.prefetch_buffer);
   }
 
   void mem(const char* prefix, const mem::MemConfig& m) {

@@ -152,6 +152,90 @@ ExperimentPlan plan_prefetch(workloads::Scale scale) {
   return plan;
 }
 
+ExperimentPlan plan_ablation_trigger(workloads::Scale scale) {
+  ExperimentPlan plan{"ablation-trigger",
+                      "CMAS trigger/fork distance (TC, Pointer) and dynamic "
+                      "distance control (TC)",
+                      {}};
+  const WorkloadSpec tc = spec("TC", scale);
+  for (const auto& w : {tc, spec("Pointer", scale)}) {
+    plan.cells.push_back(Cell{w, machine::Preset::Superscalar, {}, {}, ""});
+    for (const int distance : {64, 128, 256, 512, 1024, 2048}) {
+      Cell c{w, machine::Preset::HiDISC, {}, {},
+             "dist=" + std::to_string(distance)};
+      c.compile.cmas.trigger_distance = distance;
+      c.config.cmp_fork_lookahead = distance * 3 / 4;
+      plan.cells.push_back(std::move(c));
+    }
+  }
+  for (const int start : {64, 384, 2048})
+    for (const bool dynamic : {false, true}) {
+      Cell c{tc, machine::Preset::HiDISC, {}, {},
+             (dynamic ? "dynamic@" : "static@") + std::to_string(start)};
+      c.config.cmp_fork_lookahead = start;
+      c.config.cmp_dynamic_distance = dynamic;
+      plan.cells.push_back(std::move(c));
+    }
+  return plan;
+}
+
+ExperimentPlan plan_ablation_queues(workloads::Scale scale) {
+  ExperimentPlan plan{"ablation-queues",
+                      "LDQ/SDQ capacity (Field), CMP prefetch buffer, L2 bus "
+                      "occupancy and fork mode (Update, TC)",
+                      {}};
+  const WorkloadSpec field = spec("Field", scale);
+  const WorkloadSpec update = spec("Update", scale);
+  const WorkloadSpec tc = spec("TC", scale);
+  for (const auto& w : {field, update, tc})
+    plan.cells.push_back(Cell{w, machine::Preset::Superscalar, {}, {}, ""});
+  for (const std::size_t cap : {2u, 4u, 8u, 16u, 32u, 64u}) {
+    Cell c{field, machine::Preset::CPAP, {}, {},
+           "ldq=" + std::to_string(cap)};
+    c.config.ldq_capacity = cap;
+    c.config.sdq_capacity = cap;
+    plan.cells.push_back(std::move(c));
+  }
+  for (const int buf : {1, 2, 4, 8, 16, 32}) {
+    Cell c{update, machine::Preset::HiDISC, {}, {},
+           "pfbuf=" + std::to_string(buf)};
+    c.config.cmp.prefetch_buffer = buf;
+    plan.cells.push_back(std::move(c));
+  }
+  for (const int bus : {0, 4, 8, 16})
+    for (const auto preset :
+         {machine::Preset::Superscalar, machine::Preset::HiDISC}) {
+      Cell c{update, preset, {}, {}, "bus=" + std::to_string(bus)};
+      c.config.mem.l2_bus_cycles = bus;
+      plan.cells.push_back(std::move(c));
+    }
+  for (const auto& w : {update, tc}) {
+    plan.cells.push_back(Cell{w, machine::Preset::HiDISC, {}, {}, "paper"});
+    Cell c{w, machine::Preset::HiDISC, {}, {}, "chaining"};
+    c.config.cmp_chaining = true;
+    c.config.cmp_targets_per_fork = 256;
+    plan.cells.push_back(std::move(c));
+  }
+  return plan;
+}
+
+ExperimentPlan plan_ablation_predictor(workloads::Scale scale) {
+  ExperimentPlan plan{"ablation-predictor",
+                      "bimodal vs. gshare branch predictor (DM, Update)",
+                      {}};
+  for (const auto& w : {spec("DM", scale), spec("Update", scale)})
+    for (const auto kind :
+         {uarch::PredictorKind::Bimodal, uarch::PredictorKind::GShare})
+      for (const auto preset :
+           {machine::Preset::Superscalar, machine::Preset::HiDISC}) {
+        Cell c{w, preset, {}, {},
+               kind == uarch::PredictorKind::Bimodal ? "bimodal" : "gshare"};
+        c.config.predictor_kind = kind;
+        plan.cells.push_back(std::move(c));
+      }
+  return plan;
+}
+
 ExperimentPlan plan_paper(workloads::Scale scale) {
   ExperimentPlan plan{"paper", "the full paper evaluation suite", {}};
   for (const auto& sub :
@@ -181,7 +265,8 @@ ExperimentPlan latency_sweep(
 
 const std::vector<std::string>& plan_names() {
   static const std::vector<std::string> names = {
-      "fig8", "fig9", "fig10", "table2", "extra", "paper", "prefetch"};
+      "fig8", "fig9", "fig10", "table2", "extra", "paper", "prefetch",
+      "ablation-trigger", "ablation-queues", "ablation-predictor"};
   return names;
 }
 
@@ -193,6 +278,9 @@ ExperimentPlan make_plan(const std::string& name, workloads::Scale scale) {
   if (name == "extra") return plan_extra(scale);
   if (name == "paper") return plan_paper(scale);
   if (name == "prefetch") return plan_prefetch(scale);
+  if (name == "ablation-trigger") return plan_ablation_trigger(scale);
+  if (name == "ablation-queues") return plan_ablation_queues(scale);
+  if (name == "ablation-predictor") return plan_ablation_predictor(scale);
   throw std::out_of_range("unknown plan: " + name +
                           " (try `hilab --list`)");
 }

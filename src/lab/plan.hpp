@@ -7,7 +7,8 @@
 // *how* it is scheduled.
 //
 // Named plans reproduce the paper's figures/tables (fig8, fig9, fig10,
-// table2, extra); `latency_sweep` builds arbitrary (L2, DRAM) sweeps.
+// table2, extra) and its future-work ablations (ablation-*);
+// `latency_sweep` builds arbitrary (L2, DRAM) sweeps.
 #pragma once
 
 #include <cstdint>
@@ -96,6 +97,24 @@ struct ExperimentPlan {
 // on the L1D (tag suffix "+pf"), answering "would a conventional
 // prefetcher beat the CMP?".
 [[nodiscard]] ExperimentPlan plan_prefetch(
+    workloads::Scale scale = workloads::Scale::Paper);
+
+// Ablations of the paper's §6 future-work mechanisms, rendered by the
+// bench_ablation_* binaries.  Each sweep point is a cell tagged with its
+// axis value ("dist=256", "static@384", "ldq=4", "pfbuf=2", "bus=8",
+// "paper"/"chaining", "bimodal"/"gshare"); the Superscalar base cells keep
+// the Table 1 config and tag "".
+//
+// CMAS trigger/fork distance on TC and Pointer, and static vs. dynamic
+// fork distance from three starting points on TC.
+[[nodiscard]] ExperimentPlan plan_ablation_trigger(
+    workloads::Scale scale = workloads::Scale::Paper);
+// LDQ/SDQ capacity on Field (CP+AP); CMP prefetch buffer and L2 bus
+// occupancy on Update; paper vs. chaining fork mode on Update and TC.
+[[nodiscard]] ExperimentPlan plan_ablation_queues(
+    workloads::Scale scale = workloads::Scale::Paper);
+// Bimodal vs. gshare under Superscalar and HiDISC on DM and Update.
+[[nodiscard]] ExperimentPlan plan_ablation_predictor(
     workloads::Scale scale = workloads::Scale::Paper);
 
 // Arbitrary sweep builder: every workload x preset x (l2, dram) latency

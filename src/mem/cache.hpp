@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -21,7 +20,6 @@ struct CacheConfig {
   int block_bytes = 32;
   int assoc = 4;
   int hit_latency = 1;
-  std::string name = "cache";
 
   [[nodiscard]] int size_bytes() const noexcept {
     return sets * block_bytes * assoc;

@@ -28,9 +28,9 @@
 namespace hidisc::mem {
 
 struct MemConfig {
-  CacheConfig l1{256, 32, 4, 1, "L1D"};
-  CacheConfig l1i{512, 32, 1, 1, "L1I"};  // SimpleScalar's il1 default
-  CacheConfig l2{1024, 64, 4, 12, "L2"};
+  CacheConfig l1{256, 32, 4, 1};
+  CacheConfig l1i{512, 32, 1, 1};  // SimpleScalar's il1 default
+  CacheConfig l2{1024, 64, 4, 12};
   int dram_latency = 120;
   // Occupancy of the L1<->L2 bus per miss transaction, in cycles.  0
   // disables contention modelling (infinite bandwidth, the default — the

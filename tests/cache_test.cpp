@@ -11,18 +11,18 @@ namespace {
 
 CacheConfig tiny_cache() {
   return CacheConfig{/*sets=*/2, /*block_bytes=*/16, /*assoc=*/2,
-                     /*hit_latency=*/1, "tiny"};
+                     /*hit_latency=*/1};
 }
 
 TEST(Cache, RejectsBadGeometry) {
-  EXPECT_THROW(Cache(CacheConfig{0, 16, 2, 1, "x"}), std::invalid_argument);
-  EXPECT_THROW(Cache(CacheConfig{3, 16, 2, 1, "x"}), std::invalid_argument);
-  EXPECT_THROW(Cache(CacheConfig{2, 24, 2, 1, "x"}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{0, 16, 2, 1}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{3, 16, 2, 1}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{2, 24, 2, 1}), std::invalid_argument);
 }
 
 TEST(Cache, SizeBytes) {
-  EXPECT_EQ(CacheConfig(256, 32, 4, 1, "L1").size_bytes(), 32 * 1024);
-  EXPECT_EQ(CacheConfig(1024, 64, 4, 12, "L2").size_bytes(), 256 * 1024);
+  EXPECT_EQ(CacheConfig(256, 32, 4, 1).size_bytes(), 32 * 1024);
+  EXPECT_EQ(CacheConfig(1024, 64, 4, 12).size_bytes(), 256 * 1024);
 }
 
 TEST(Cache, MissThenHit) {

@@ -95,6 +95,34 @@ TEST(LabPlan, NamedPlansEnumerate) {
                std::out_of_range);
 }
 
+// Cells with equal content keys share one simulation, so a config field
+// the key leaves out shows up here as a cell whose Result is not that of
+// its own direct run.
+TEST(LabPlan, AblationPlansMatchDirectRuns) {
+  for (const char* name :
+       {"ablation-trigger", "ablation-queues", "ablation-predictor"}) {
+    const auto plan = lab::make_plan(name, workloads::Scale::Test);
+    lab::RunOptions opt;
+    opt.threads = 2;
+    const auto run = lab::run_plan(plan, opt);
+    ASSERT_TRUE(run.ok()) << name;
+    for (std::size_t i = 0; i < plan.cells.size(); ++i) {
+      const auto& c = plan.cells[i];
+      const auto comp =
+          compiler::compile(c.workload.build().program, c.compile);
+      machine::Machine m(machine::uses_separated_binary(c.preset)
+                             ? comp.separated
+                             : comp.original,
+                         c.preset, c.config, c.compile.max_steps);
+      const auto direct = m.run();
+      EXPECT_TRUE(run.cells[i].result == direct)
+          << name << " " << c.workload.name << "/"
+          << machine::preset_name(c.preset) << " " << c.tag << ": "
+          << run.cells[i].result.cycles << " vs " << direct.cycles;
+    }
+  }
+}
+
 TEST(LabThreadPool, RunsEverySubmittedTask) {
   lab::ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -406,6 +434,14 @@ TEST(LabFingerprint, KeyChangesWithConfigPresetAndProgram) {
   cmp_tweak.cmp_fork_lookahead = 512;
   EXPECT_NE(key, lab::content_key(comp.original,
                                   machine::Preset::Superscalar, cmp_tweak));
+  // The CMP prefetch buffer keys off its Table-1 default of 8 only.
+  machine::MachineConfig pfbuf = base_cfg;
+  pfbuf.cmp.prefetch_buffer = 1;
+  EXPECT_NE(key, lab::content_key(comp.original,
+                                  machine::Preset::Superscalar, pfbuf));
+  pfbuf.cmp.prefetch_buffer = 8;
+  EXPECT_EQ(key, lab::content_key(comp.original,
+                                  machine::Preset::Superscalar, pfbuf));
   // Preset and binary changes -> new key.
   EXPECT_NE(key, lab::content_key(comp.original, machine::Preset::CPCMP,
                                   base_cfg));

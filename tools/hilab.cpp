@@ -77,7 +77,7 @@ int list_plans() {
   std::printf("available plans (workload scale via --scale):\n");
   for (const auto& name : lab::plan_names()) {
     const auto plan = lab::make_plan(name, workloads::Scale::Paper);
-    std::printf("  %-8s %3zu cells  %s\n", name.c_str(), plan.cells.size(),
+    std::printf("  %-18s %3zu cells  %s\n", name.c_str(), plan.cells.size(),
                 plan.description.c_str());
   }
   return 0;
