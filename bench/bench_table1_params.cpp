@@ -13,8 +13,8 @@ int main() {
   const auto& m = cfg.mem;
   table
       .add_row({"Branch predict mode", "Bimodal", "Bimodal"})
-      .add_row({"Branch table size", std::to_string(cfg.predictor_table),
-                "2048"})
+      .add_row({"Branch table size",
+                std::to_string(machine::kPredictorTable), "2048"})
       .add_row({"Issue/commit width",
                 std::to_string(cfg.superscalar.issue_width), "8"})
       .add_row({"Window: superscalar",

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "compiler/verify.hpp"
+#include "mem/memory_system.hpp"
 
 namespace hidisc::compiler {
 
@@ -13,7 +14,8 @@ Compilation compile(const isa::Program& prog, const CompileOptions& opt) {
   // 1. One streamed profiling run (functional; also validates that the
   // program halts).  Nothing downstream needs the trace itself.
   const ProfileObserver observer = profile_run(
-      out.original, opt.profile_mem, opt.cmas.trigger_distance, opt.max_steps);
+      out.original, mem::MemConfig{}, opt.cmas.trigger_distance,
+      opt.max_steps);
   out.profile = observer.profile();
 
   // 2. CMAS extraction annotates the original binary in place.

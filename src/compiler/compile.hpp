@@ -24,12 +24,11 @@
 #include "compiler/profiler.hpp"
 #include "compiler/slicer.hpp"
 #include "isa/program.hpp"
-#include "mem/memory_system.hpp"
 
 namespace hidisc::compiler {
 
+// The profiling pass runs on the default hierarchy, mem::MemConfig{}.
 struct CompileOptions {
-  mem::MemConfig profile_mem{};  // hierarchy used for the profiling pass
   std::uint64_t max_steps = sim::Functional::kDefaultMaxSteps;
   CmasOptions cmas{};
   bool enable_cmas = true;

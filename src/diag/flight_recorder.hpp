@@ -46,7 +46,7 @@ struct StepRecord {
   std::uint64_t arg = 0;       // Skip: delta; FetchBlock: trace position
   std::uint64_t fetch_pos = 0;
   std::uint16_t ldq = 0, sdq = 0, scq = 0;  // queue occupancies
-  std::uint16_t window[4] = {0, 0, 0, 0};   // main/CP, AP, CMP occupancy
+  std::uint16_t window[4] = {0, 0, 0, 0};   // main, CP, AP, CMP occupancy
 };
 
 class FlightRecorder {

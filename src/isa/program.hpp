@@ -17,10 +17,6 @@ namespace hidisc::isa {
 inline constexpr std::uint64_t kDataBase = 0x1000'0000;
 inline constexpr std::uint64_t kStackTop = 0x7fff'ff00;
 inline constexpr std::uint64_t kHeapBase = 0x4000'0000;
-// Nominal address of instruction index i (i * kInstrBytes + kTextBase);
-// used by the instruction-cache model.
-inline constexpr std::uint64_t kTextBase = 0x0040'0000;
-inline constexpr std::uint64_t kInstrBytes = 8;
 
 struct Program {
   std::vector<Instruction> code;

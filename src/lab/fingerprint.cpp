@@ -41,6 +41,9 @@ class Describer {
     out_ += v;
     out_ += ';';
   }
+  // Fields of retired models, frozen at the values they were keyed with,
+  // so keys written while the model existed stay valid.
+  void frozen(const std::string& fields) { out_ += fields; }
 
   void cache(const char* prefix, const mem::CacheConfig& c) {
     const std::string p = prefix;
@@ -65,7 +68,7 @@ class Describer {
     field((p + ".ports").c_str(), c.mem_ports);
     field((p + ".lsu").c_str(), c.has_lsu ? 1 : 0);
     field((p + ".pfonly").c_str(), c.prefetch_only ? 1 : 0);
-    field((p + ".qpops").c_str(), c.queue_pops_per_cycle);
+    field((p + ".qpops").c_str(), uarch::kQueuePopsPerCycle);
     // Appended only off the Table-1 default, like the prefetcher below, so
     // keys written before it was keyed stay valid.
     if (c.prefetch_buffer != uarch::CoreConfig{}.prefetch_buffer)
@@ -75,7 +78,8 @@ class Describer {
   void mem(const char* prefix, const mem::MemConfig& m) {
     const std::string p = prefix;
     cache((p + ".l1").c_str(), m.l1);
-    cache((p + ".l1i").c_str(), m.l1i);
+    frozen(p + ".l1i.sets=512;" + p + ".l1i.block=32;" + p +
+           ".l1i.assoc=1;" + p + ".l1i.lat=1;");  // the I-cache model
     cache((p + ".l2").c_str(), m.l2);
     field((p + ".dram").c_str(), m.dram_latency);
     field((p + ".bus").c_str(), m.l2_bus_cycles);
@@ -99,31 +103,32 @@ std::string describe(const machine::MachineConfig& cfg) {
   Describer d;
   d.mem("mem", cfg.mem);
   d.field("fetch_width", cfg.fetch_width);
-  d.field("redirect", cfg.redirect_penalty);
-  d.field("predictor", cfg.predictor_table);
-  d.field("btb", cfg.btb_size);
+  d.field("redirect", machine::kRedirectPenalty);
+  d.field("predictor", machine::kPredictorTable);
+  d.field("btb", machine::kBtbSize);
   d.field("predictor_kind", static_cast<std::int64_t>(cfg.predictor_kind));
-  d.field("icache", cfg.model_icache ? 1 : 0);
+  d.frozen("icache=0;");  // the I-cache model
   d.field("ldq", static_cast<std::int64_t>(cfg.ldq_capacity));
   d.field("sdq", static_cast<std::int64_t>(cfg.sdq_capacity));
-  d.field("scq", static_cast<std::int64_t>(cfg.scq_capacity));
+  d.field("scq", static_cast<std::int64_t>(machine::kScqCapacity));
   d.core("ss", cfg.superscalar);
   d.core("cp", cfg.cp);
   d.core("ap", cfg.ap);
   d.core("cmp", cfg.cmp);
-  d.field("cmp_contexts", cfg.cmp_contexts);
+  d.field("cmp_contexts", machine::kCmpContexts);
   d.field("cmp_targets", cfg.cmp_targets_per_fork);
   d.field("cmp_lookahead", cfg.cmp_fork_lookahead);
   d.field("cmp_chaining", cfg.cmp_chaining ? 1 : 0);
   d.field("cmp_dyn_dist", cfg.cmp_dynamic_distance ? 1 : 0);
   d.field("cmp_adaptive", cfg.cmp_adaptive_range ? 1 : 0);
   d.field("cmp_range_samples",
-          static_cast<std::int64_t>(cfg.cmp_range_min_samples));
-  d.field("cmp_range_use", cfg.cmp_range_min_use);
-  d.field("cmp_range_reprobe", cfg.cmp_range_reprobe);
-  d.field("cmp_la_min", cfg.cmp_lookahead_min);
-  d.field("cmp_la_max", cfg.cmp_lookahead_max);
-  d.field("cmp_adapt_ivl", static_cast<std::int64_t>(cfg.cmp_adapt_interval));
+          static_cast<std::int64_t>(machine::kCmpRangeMinSamples));
+  d.field("cmp_range_use", machine::kCmpRangeMinUse);
+  d.field("cmp_range_reprobe", machine::kCmpRangeReprobe);
+  d.field("cmp_la_min", machine::kCmpLookaheadMin);
+  d.field("cmp_la_max", machine::kCmpLookaheadMax);
+  d.field("cmp_adapt_ivl",
+          static_cast<std::int64_t>(machine::kCmpAdaptInterval));
   d.field("cmp_runahead", cfg.cmp_max_runahead);
   d.field("watchdog", static_cast<std::int64_t>(cfg.watchdog_cycles));
   return d.take();
@@ -131,7 +136,7 @@ std::string describe(const machine::MachineConfig& cfg) {
 
 std::string describe(const compiler::CompileOptions& opt) {
   Describer d;
-  d.mem("pmem", opt.profile_mem);
+  d.mem("pmem", mem::MemConfig{});  // compile() profiles on the default
   d.field("max_steps", static_cast<std::int64_t>(opt.max_steps));
   d.field("cmas", opt.enable_cmas ? 1 : 0);
   d.field("cmas.miss_rate", opt.cmas.miss_rate_threshold);

@@ -34,7 +34,8 @@ class Fnv1a {
 
 // Canonical `key=value;` listing of every field that affects timing.
 // Appends here whenever MachineConfig/CompileOptions grow a field — the
-// lab_test fingerprint-sensitivity test guards the common cases.
+// lab_test fingerprint-sensitivity test guards the common cases, and
+// LabFingerprint.DefaultKeysArePinned pins the default keys.
 [[nodiscard]] std::string describe(const machine::MachineConfig& cfg);
 [[nodiscard]] std::string describe(const compiler::CompileOptions& opt);
 

@@ -11,6 +11,7 @@
 // 1024x64Bx4 (12 cycles), 120-cycle DRAM.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -52,27 +53,46 @@ enum class SchedulerKind : std::uint8_t { EventSkip, Lockstep };
   return p == Preset::CPCMP || p == Preset::HiDISC;
 }
 
+// Parameters no configuration varies.  lab::describe() keys each one, so
+// changing a value here re-keys the result cache.
+//
+// Front end (Table 1): cycles from branch resolution to refetch, and the
+// predictor and BTB sizes.
+inline constexpr int kRedirectPenalty = 3;
+inline constexpr int kPredictorTable = 2048;
+inline constexpr int kBtbSize = 512;
+// Slice-control queue entries (LDQ and SDQ sizes are MachineConfig fields).
+inline constexpr std::size_t kScqCapacity = 16;
+// CMP fork engine: concurrent slice contexts.
+inline constexpr int kCmpContexts = 4;
+// Adaptive range (MachineConfig::cmp_adaptive_range): installs judged
+// before a group may be suppressed, the used/installed share that keeps it
+// active, and 1 in N suppressed forks let through as a re-probe.
+inline constexpr std::uint64_t kCmpRangeMinSamples = 64;
+inline constexpr double kCmpRangeMinUse = 0.25;
+inline constexpr int kCmpRangeReprobe = 16;
+// Dynamic distance (MachineConfig::cmp_dynamic_distance): the fork
+// lookahead's clamp and the cycles between adjustments.
+inline constexpr std::int64_t kCmpLookaheadMin = 64;
+inline constexpr std::int64_t kCmpLookaheadMax = 4096;
+inline constexpr std::uint64_t kCmpAdaptInterval = 4096;
+// How many recent scheduler transitions the always-on flight recorder
+// retains for the DeadlockReport.  Recording is one struct store per event
+// step; the perf-smoke gate verifies the overhead stays inside its band.
+inline constexpr std::size_t kFlightRecorderDepth = 64;
+
 struct MachineConfig {
   mem::MemConfig mem{};
 
   // Front end.
   int fetch_width = 8;
-  int redirect_penalty = 3;   // cycles from branch resolution to refetch
-  int predictor_table = 2048;
-  int btb_size = 512;
   // Predictor flavour: the paper's Table 1 uses bimodal; gshare is an
   // ablation (bench_ablation_predictor).
   uarch::PredictorKind predictor_kind = uarch::PredictorKind::Bimodal;
-  // Model instruction fetch through an L1I (SimpleScalar il1 geometry) and
-  // the shared L2.  Off by default: the paper's Table 1 lists no I-cache
-  // and the DIS kernels are loop-resident; enabling it charges cold-start
-  // fetch misses.
-  bool model_icache = false;
 
   // Architectural queues (paper: "32 entries load store queues").
   std::size_t ldq_capacity = 32;
   std::size_t sdq_capacity = 32;
-  std::size_t scq_capacity = 16;
 
   // Cores.
   uarch::CoreConfig superscalar{
@@ -100,7 +120,6 @@ struct MachineConfig {
       .mem_ports = 2, .has_lsu = true, .prefetch_only = true};
 
   // CMP fork engine.
-  int cmp_contexts = 4;
   int cmp_targets_per_fork = 4;  // slice instance length, in load micro-ops
   // Where a fork starts hunting for its slice instance: the paper forks
   // the slice for the miss ~512 dynamic instructions ahead of the trigger,
@@ -123,28 +142,16 @@ struct MachineConfig {
   // forks for groups whose prefetched lines mostly go unused, re-probing
   // occasionally.
   bool cmp_adaptive_range = false;
-  std::uint64_t cmp_range_min_samples = 64;  // installs before judging
-  double cmp_range_min_use = 0.25;           // used/installed to stay active
-  int cmp_range_reprobe = 16;                // let 1 in N suppressed through
-  std::int64_t cmp_lookahead_min = 64;
-  std::int64_t cmp_lookahead_max = 4096;
-  std::uint64_t cmp_adapt_interval = 4096;  // cycles between adjustments
   // Slip-control bound (the paper's SCQ): how far, in dynamic trace
   // entries, the CMP may run ahead of the front end.  Too small and
   // prefetches are late; too large and the CMP's own prefetches evict each
-  // other from L1 before the AP arrives (see bench_ablation_queues).
+  // other from L1 before the AP arrives.
   std::int64_t cmp_max_runahead = 1024;
 
   // Abort threshold for a machine making no forward progress (model bug).
   // Counted over stalled *event steps*, not raw cycle deltas, so a legal
   // multi-thousand-cycle fast-forward never trips it.
   std::uint64_t watchdog_cycles = 1'000'000;
-
-  // Flight-recorder depth: how many recent scheduler transitions the
-  // always-on ring buffer retains for the DeadlockReport (rounded up to a
-  // power of two).  Recording is one struct store per event step; the
-  // perf-smoke gate verifies the overhead stays inside its band.
-  std::size_t flight_recorder_depth = 64;
 
   // Time-advance strategy; excluded from lab content keys because both
   // schedulers produce bit-identical results.

@@ -59,12 +59,11 @@ Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
       cfg_(cfg),
       optable_(prog),
       memsys_(cfg.mem),
-      predictor_(cfg.predictor_table, cfg.btb_size, 8,
-                 cfg.predictor_kind),
+      predictor_(kPredictorTable, kBtbSize, 8, cfg.predictor_kind),
       ldq_("LDQ", cfg.ldq_capacity),
       sdq_("SDQ", cfg.sdq_capacity),
-      scq_("SCQ", cfg.scq_capacity),
-      recorder_(cfg.flight_recorder_depth) {
+      scq_("SCQ", kScqCapacity),
+      recorder_(kFlightRecorderDepth) {
   const OoOCore::Queues queues{&ldq_, &sdq_, &scq_};
   switch (preset_) {
     case Preset::Superscalar:
@@ -85,7 +84,7 @@ Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
       break;
   }
   if (cmp_) {
-    contexts_.resize(static_cast<std::size_t>(cfg_.cmp_contexts));
+    contexts_.resize(static_cast<std::size_t>(kCmpContexts));
     const auto ngroups = static_cast<std::size_t>(num_cmas_groups(prog_));
     group_next_scan_.assign(ngroups, 0);
     group_reprobe_.assign(ngroups, 0);
@@ -95,7 +94,7 @@ Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
         group_serial_[inst.ann.cmas_group] = true;
   }
   lookahead_ = cfg_.cmp_fork_lookahead;
-  next_adapt_cycle_ = cfg_.cmp_adapt_interval;
+  next_adapt_cycle_ = kCmpAdaptInterval;
 }
 
 // Hill-climbing control of the fork distance (paper §6: "the prefetching
@@ -107,7 +106,7 @@ void Machine::adapt_distance(std::uint64_t now) {
   if (!cfg_.cmp_dynamic_distance || cmp_ == nullptr ||
       now < next_adapt_cycle_)
     return;
-  next_adapt_cycle_ = now + cfg_.cmp_adapt_interval;
+  next_adapt_cycle_ = now + kCmpAdaptInterval;
 
   const auto& l1 = memsys_.l1().stats();
   const auto useful = l1.useful_prefetches - adapt_last_useful_;
@@ -131,8 +130,7 @@ void Machine::adapt_distance(std::uint64_t now) {
     lookahead_ += lookahead_ / 2;
   else if (too_long)
     lookahead_ -= lookahead_ / 3;
-  lookahead_ = std::clamp(lookahead_, cfg_.cmp_lookahead_min,
-                          cfg_.cmp_lookahead_max);
+  lookahead_ = std::clamp(lookahead_, kCmpLookaheadMin, kCmpLookaheadMax);
   if (lookahead_ != old) ++distance_adaptations_;
 }
 
@@ -172,27 +170,6 @@ void Machine::fetch(std::uint64_t now) {
     if (trace_ended(fetch_pos_)) return;
     const sim::TraceEntry& e = window_.at(fetch_pos_);
     const isa::Instruction& inst = prog_.code[e.static_idx];
-
-    // Instruction-cache model: a fetch-block miss blocks the front end for
-    // the fill latency.
-    if (cfg_.model_icache) {
-      const std::uint64_t iaddr =
-          isa::kTextBase +
-          static_cast<std::uint64_t>(e.static_idx) * isa::kInstrBytes;
-      const std::uint64_t block =
-          iaddr / static_cast<std::uint64_t>(cfg_.mem.l1i.block_bytes);
-      if (block != last_fetch_block_) {
-        last_fetch_block_ = block;
-        const auto res = memsys_.fetch_access(iaddr, now);
-        if (res.latency > cfg_.mem.l1i.hit_latency) {
-          fetch_blocked_ = true;
-          pending_branch_pos_ = -1;
-          fetch_resume_cycle_ = now + static_cast<std::uint64_t>(res.latency);
-          return;
-        }
-      }
-    }
-
     OoOCore& core = route(inst);
     if (core.input_full()) {
       ++fetch_stall_queue_full_;
@@ -262,11 +239,11 @@ void Machine::fork_cmas(std::int16_t group, std::size_t fetch_pos) {
       // Judge only decided lines: demand-used vs evicted-before-use.
       // Still-resident prefetches are pending, not evidence.
       const auto decided = it->second.used + it->second.evicted_unused;
-      if (decided >= cfg_.cmp_range_min_samples) {
+      if (decided >= kCmpRangeMinSamples) {
         const double use = static_cast<double>(it->second.used) /
                            static_cast<double>(decided);
-        if (use < cfg_.cmp_range_min_use &&
-            ++group_reprobe_[group] % cfg_.cmp_range_reprobe != 0) {
+        if (use < kCmpRangeMinUse &&
+            ++group_reprobe_[group] % kCmpRangeReprobe != 0) {
           ++cmas_forks_suppressed_;
           return;
         }
@@ -378,8 +355,7 @@ bool Machine::resolve_branches() {
       if (rb.trace_pos == pending_branch_pos_) {
         pending_branch_pos_ = -1;
         fetch_resume_cycle_ =
-            rb.resolve_cycle +
-            static_cast<std::uint64_t>(cfg_.redirect_penalty);
+            rb.resolve_cycle + static_cast<std::uint64_t>(kRedirectPenalty);
         progress = true;
       }
     }
@@ -395,11 +371,9 @@ bool Machine::fetch_step(std::uint64_t now) {
   const bool blocked = fetch_blocked_;
   const auto pending = pending_branch_pos_;
   const auto resume = fetch_resume_cycle_;
-  const auto block = last_fetch_block_;
   fetch(now);
   return fetch_pos_ != pos || fetch_blocked_ != blocked ||
-         pending_branch_pos_ != pending || fetch_resume_cycle_ != resume ||
-         last_fetch_block_ != block;
+         pending_branch_pos_ != pending || fetch_resume_cycle_ != resume;
 }
 
 // One simulated cycle, identical in ordering to the seed scheduler's loop
@@ -459,7 +433,7 @@ void Machine::account_skip(std::uint64_t now, std::uint64_t delta) {
     fetch_stall_branch_cycles_ += delta;
   } else if (!trace_ended(fetch_pos_)) {
     // Unblocked yet frozen: the next instruction's core must have a full
-    // input queue (an I-cache probe would have changed state).
+    // input queue.
     const sim::TraceEntry& e = window_.at(fetch_pos_);
     if (route(prog_.code[e.static_idx]).input_full())
       fetch_stall_queue_full_ += delta;

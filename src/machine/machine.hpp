@@ -157,7 +157,6 @@ class Machine {
   bool fetch_blocked_ = false;
   std::int64_t pending_branch_pos_ = -1;
   std::uint64_t fetch_resume_cycle_ = 0;
-  std::uint64_t last_fetch_block_ = ~0ull;  // I-cache model
 
   // CMP fork engine state.
   std::vector<CmpContext> contexts_;

@@ -1,7 +1,7 @@
 // Forward-only view of a machine's dynamic trace (docs/MACHINE.md).
 //
 // A Machine reads its trace only forward: fetch advances fetch_pos_, and a
-// CMP context scans at most max(cmp_lookahead_max, cmp_max_runahead)
+// CMP context scans at most max(kCmpLookaheadMax, cmp_max_runahead)
 // entries past it.  Entries below the low-water mark (fetch_pos_ and the
 // scan position of every active CMP context) are never read again.
 //

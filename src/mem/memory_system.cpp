@@ -7,7 +7,6 @@ namespace hidisc::mem {
 MemorySystem::MemorySystem(const MemConfig& cfg)
     : cfg_(cfg),
       l1_(cfg.l1),
-      l1i_(cfg.l1i),
       l2_(cfg.l2),
       prefetcher_(make_prefetcher(cfg.prefetch, cfg.l1.block_bytes)) {}
 
@@ -54,34 +53,6 @@ void MemorySystem::train_prefetcher(std::uint64_t addr, AccessType type,
     // trainer (they are not demand traffic) and never touch pf_buf_.
     access(cand, AccessType::Prefetch, now, -1, kHwPrefetchGroup);
   }
-}
-
-AccessResult MemorySystem::fetch_access(std::uint64_t addr,
-                                        std::uint64_t now) {
-  AccessResult out;
-  if (l1i_.contains(addr)) {
-    const auto r = l1i_.access(addr, AccessType::Read, now, 0);
-    out.l1_hit = true;
-    const auto wait = r.ready > now ? static_cast<int>(r.ready - now) : 0;
-    out.latency = cfg_.l1i.hit_latency + wait;
-    return out;
-  }
-  std::uint64_t data_ready;
-  if (l2_.contains(addr)) {
-    const auto r2 = l2_.access(addr, AccessType::Read, now, 0);
-    out.l2_hit = true;
-    const std::uint64_t base_ready =
-        now + cfg_.l1i.hit_latency + cfg_.l2.hit_latency;
-    data_ready = std::max(base_ready, r2.ready + cfg_.l2.hit_latency);
-  } else {
-    data_ready =
-        now + cfg_.l1i.hit_latency + cfg_.l2.hit_latency + cfg_.dram_latency;
-    l2_.access(addr, AccessType::Read, now, data_ready);
-  }
-  l1i_.access(addr, AccessType::Read, now, data_ready);
-  const auto wait = data_ready > now ? static_cast<int>(data_ready - now) : 0;
-  out.latency = std::max(cfg_.l1i.hit_latency, wait);
-  return out;
 }
 
 AccessResult MemorySystem::access(std::uint64_t addr, AccessType type,

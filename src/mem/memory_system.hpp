@@ -14,8 +14,7 @@
 // A fill landing is never a scheduler event: a line only carries its
 // `ready` stamp, which `access` compares with `now` when it is called, and
 // every waiter holds the fill's time as its own event (a load's
-// completion, the CMP prefetch buffer's busy-until, the front end's
-// I-cache resume cycle).
+// completion, the CMP prefetch buffer's busy-until).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,6 @@ namespace hidisc::mem {
 
 struct MemConfig {
   CacheConfig l1{256, 32, 4, 1};
-  CacheConfig l1i{512, 32, 1, 1};  // SimpleScalar's il1 default
   CacheConfig l2{1024, 64, 4, 12};
   int dram_latency = 120;
   // Occupancy of the L1<->L2 bus per miss transaction, in cycles.  0
@@ -68,12 +66,7 @@ class MemorySystem {
                       std::int32_t static_idx = -1,
                       std::int16_t pf_group = -1);
 
-  // Instruction fetch through the (direct-mapped) L1I and the shared L2.
-  // Returns the cycles until the fetch block is available.
-  AccessResult fetch_access(std::uint64_t addr, std::uint64_t now);
-
   [[nodiscard]] const Cache& l1() const noexcept { return l1_; }
-  [[nodiscard]] const Cache& l1i() const noexcept { return l1i_; }
   [[nodiscard]] const Cache& l2() const noexcept { return l2_; }
   [[nodiscard]] const MemConfig& config() const noexcept { return cfg_; }
 
@@ -110,7 +103,6 @@ class MemorySystem {
 
   MemConfig cfg_;
   Cache l1_;
-  Cache l1i_;
   Cache l2_;
 
   std::uint64_t bus_free_ = 0;

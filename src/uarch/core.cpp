@@ -314,7 +314,7 @@ void OoOCore::do_issue(std::uint64_t now) {
     PopState* ps = nullptr;
     if (e.pop_queue != nullptr) {
       ps = &pop_state[queue_slot(e.pop_queue)];
-      if (ps->order_blocked || ps->pops >= cfg_.queue_pops_per_cycle)
+      if (ps->order_blocked || ps->pops >= kQueuePopsPerCycle)
         continue;
     }
 

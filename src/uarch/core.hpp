@@ -39,6 +39,12 @@
 
 namespace hidisc::uarch {
 
+// Architectural-queue reads per cycle per queue.  The paper's machine
+// names $LDQ as a register operand (Figure 6: "mul.d $f4, $LDQ, $LDQ"
+// consumes two entries in one instruction), so several queue entries per
+// cycle must be consumable.
+inline constexpr int kQueuePopsPerCycle = 4;
+
 struct CoreConfig {
   std::string name = "core";
   int window = 64;         // scheduling window (RUU) entries
@@ -54,11 +60,6 @@ struct CoreConfig {
   int mem_ports = 2;
   bool has_lsu = true;
   bool prefetch_only = false;  // CMP: loads probe/fill caches only
-  // Architectural-queue read/write bandwidth per cycle.  The paper's
-  // machine names $LDQ as a register operand (Figure 6: "mul.d $f4, $LDQ,
-  // $LDQ" consumes two entries in one instruction), so several queue
-  // entries per cycle must be consumable.
-  int queue_pops_per_cycle = 4;
   // Prefetch-only cores: cap on concurrent fire-and-forget fills (the
   // precomputation engine's prefetch buffer, cf. DGP).  Bounds how much
   // miss bandwidth the CMP can sustain.

@@ -337,26 +337,6 @@ TEST(DeadlockReport, JsonCarriesCauseQueuesCoresAndRecent) {
   EXPECT_NE(text.find("recorded transitions"), std::string::npos);
 }
 
-TEST(FlightRecorderConfig, DepthIsConfigurableThroughMachineConfig) {
-  auto prog = isa::assemble("popldq r1\nhalt\n");
-  prog.code[0].ann.stream = Stream::Compute;
-  prog.code[1].ann.stream = Stream::Access;
-  sim::Trace trace;
-  trace.push_back({0, 1, 0, 0});
-  trace.push_back({1, 1, 0, 0});
-  machine::MachineConfig cfg;
-  cfg.watchdog_cycles = 2000;
-  cfg.flight_recorder_depth = 128;
-  cfg.scheduler = machine::SchedulerKind::Lockstep;  // one record per cycle
-  const auto rep = expect_deadlock([&] {
-    machine::Machine m(prog, trace, machine::Preset::CPAP, cfg);
-    (void)m.run();
-  });
-  // A >2000-cycle lockstep stall fills any sane ring: the deep recorder
-  // must retain its full 128 records.
-  EXPECT_EQ(rep.recent.size(), 128u);
-}
-
 // ---- quarantine --------------------------------------------------------------
 
 TEST(DiagQuarantine, PathsAreUniquePerCall) {

@@ -16,7 +16,9 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
+#include "isa/assembler.hpp"
 #include "lab/export.hpp"
 #include "lab/fingerprint.hpp"
 #include "lab/plan.hpp"
@@ -447,6 +449,33 @@ TEST(LabFingerprint, KeyChangesWithConfigPresetAndProgram) {
                                   base_cfg));
   EXPECT_NE(key, lab::content_key(comp.separated,
                                   machine::Preset::Superscalar, base_cfg));
+}
+
+// The default keys, pinned: a change to describe(), to a folded constant
+// or to the hash re-keys every existing result cache, so it must show up
+// here as a deliberate edit.
+TEST(LabFingerprint, DefaultKeysArePinned) {
+  const auto fnv1a64 = [](const std::string& s) {
+    lab::Fnv1a h;
+    h.update(s);
+    return h.digest();
+  };
+  EXPECT_EQ(fnv1a64(lab::describe(machine::MachineConfig{})),
+            0xd254dff219364866ull);
+  EXPECT_EQ(fnv1a64(lab::describe(compiler::CompileOptions{})),
+            0x49cc68029367594eull);
+
+  const auto prog = isa::assemble(
+      "li r5, 3\nloop:\naddi r5, r5, -1\nbne r5, r0, loop\nhalt\n");
+  const std::pair<machine::Preset, const char*> want[] = {
+      {machine::Preset::Superscalar, "84bf56838d58a40be038eda91cd7647b"},
+      {machine::Preset::CPAP, "d055bf7c053413ad44b9f0aff638bd5d"},
+      {machine::Preset::CPCMP, "f100795e3d72c16a7d0a6e5f8ff7b87a"},
+      {machine::Preset::HiDISC, "9f61aed65cbdb134d339969cab0a4864"},
+  };
+  for (const auto& [preset, key] : want)
+    EXPECT_EQ(lab::content_key(prog, preset, {}), key)
+        << machine::preset_name(preset);
 }
 
 TEST(LabFingerprint, PrefetcherConfigKeysOnlyWhenEnabled) {

@@ -195,19 +195,6 @@ TEST(Machine, WatchdogAbortsStuckConfiguration) {
   EXPECT_THROW((void)m.run(), std::runtime_error);
 }
 
-TEST(Machine, ICacheModelChargesColdFetchOnly) {
-  const auto p = prepare(kStrided);
-  MachineConfig off;
-  MachineConfig on;
-  on.model_icache = true;
-  const auto r_off = run_preset(p, Preset::Superscalar, off);
-  const auto r_on = run_preset(p, Preset::Superscalar, on);
-  // Loop-resident code: only cold-start fetch misses, so the cost is a
-  // handful of fills, not a per-iteration tax.
-  EXPECT_GE(r_on.cycles, r_off.cycles);
-  EXPECT_LT(r_on.cycles, r_off.cycles + 2000);
-}
-
 TEST(Machine, GsharePredictorIsSelectable) {
   // A history-friendly branch pattern: period-2 taken/not-taken.
   const char* src = R"(

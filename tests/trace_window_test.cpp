@@ -52,11 +52,11 @@ TEST(TraceWindow, StreamingMatchesWholeTraceOnEveryWorkload) {
 }
 
 TEST(TraceWindow, FarEdgeAndLaggingContexts) {
-  // A fork cmp_lookahead_max past fetch reads the window's far edge; a
+  // A fork kCmpLookaheadMax past fetch reads the window's far edge; a
   // one-entry CMP input queue stalls slice scans, so contexts fall behind
   // fetch and their scan positions set the low-water mark.
   MachineConfig far;
-  far.cmp_fork_lookahead = far.cmp_lookahead_max;
+  far.cmp_fork_lookahead = machine::kCmpLookaheadMax;
   MachineConfig lag;
   lag.cmp.input_queue = 1;
   lag.cmp_chaining = true;

@@ -2,8 +2,8 @@
 //
 // Runs a named experiment plan (each reproducing one paper figure/table,
 // or arbitrary sweeps) across a thread pool, memoizing workload
-// compilation and functional tracing, consulting the persistent result
-// cache, and exporting machine-readable JSON/CSV.
+// compilation, consulting the persistent result cache, and exporting
+// machine-readable JSON/CSV.
 //
 //   hilab --list
 //   hilab --plan fig8 [--threads N] [--scale paper|test]
