@@ -1,11 +1,15 @@
 // Fuzz campaign driver: seed -> generate -> multi-oracle -> shrink ->
-// corpus, in a deterministic loop.
+// corpus, deterministic at every thread count.
 //
 // Run i derives its kernel seed from the campaign seed with a splitmix64
 // step, so `hifuzz --gen-seed <kernel_seed>` regenerates any single run
-// exactly.  Failures are deduplicated by oracle signature; each new
-// signature is shrunk to a minimal reproducer and (optionally) written to
-// the corpus directory.
+// exactly.  Runs are independent, so worker threads generate and check
+// them ahead of time (at most 4 x workers runs past the last committed
+// one) while the calling thread commits their reports strictly in run
+// order: counting, deduplication by oracle signature, log lines, shrinking
+// each new signature to a minimal reproducer, the optional corpus write,
+// and the stop at max_distinct_failures.  Reports past the stop are
+// discarded, so the result and the log are identical for every `threads`.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,9 @@ struct CampaignOptions {
   int max_distinct_failures = 8;  // stop hunting after this many signatures
   std::string corpus_out;         // write minimized repros here ("" = off)
   std::ostream* log = nullptr;    // progress / failure narration
+  // Worker threads that generate and check kernels; 0 = one per hardware
+  // thread.  The result does not depend on it.
+  int threads = 0;
 };
 
 struct CampaignFailure {
@@ -51,6 +58,8 @@ struct CampaignResult {
   [[nodiscard]] bool ok() const noexcept { return failures.empty(); }
 };
 
+// Throws std::invalid_argument on negative `threads`; an exception thrown
+// while generating or checking run i is rethrown when run i commits.
 [[nodiscard]] CampaignResult run_campaign(const CampaignOptions& opt);
 
 }  // namespace hidisc::fuzz

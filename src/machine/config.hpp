@@ -57,10 +57,10 @@ enum class SchedulerKind : std::uint8_t { EventSkip, Lockstep };
 // changing a value here re-keys the result cache.
 //
 // Front end (Table 1): cycles from branch resolution to refetch, and the
-// predictor and BTB sizes.
+// predictor and BTB sizes (defined with the predictor).
 inline constexpr int kRedirectPenalty = 3;
-inline constexpr int kPredictorTable = 2048;
-inline constexpr int kBtbSize = 512;
+inline constexpr int kPredictorTable = uarch::kPredictorTable;
+inline constexpr int kBtbSize = uarch::kBtbSize;
 // Slice-control queue entries (LDQ and SDQ sizes are MachineConfig fields).
 inline constexpr std::size_t kScqCapacity = 16;
 // CMP fork engine: concurrent slice contexts.

@@ -59,7 +59,8 @@ Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
       cfg_(cfg),
       optable_(prog),
       memsys_(cfg.mem),
-      predictor_(kPredictorTable, kBtbSize, 8, cfg.predictor_kind),
+      predictor_(kPredictorTable, kBtbSize, uarch::kRasDepth,
+                 cfg.predictor_kind),
       ldq_("LDQ", cfg.ldq_capacity),
       sdq_("SDQ", cfg.sdq_capacity),
       scq_("SCQ", kScqCapacity),

@@ -50,19 +50,19 @@ void Functional::ensure_decoded() {
 namespace {
 
 // Pre-size a trace buffer from the remaining step budget, capped so small
-// kernels with a huge budget only reserve lazily committed address space.
+// kernels with a huge budget reserve at most kTraceReserveCap entries.
 std::size_t trace_reserve_hint(std::uint64_t max_steps, std::uint64_t done) {
   const std::uint64_t remaining = max_steps > done ? max_steps - done : 0;
   return static_cast<std::size_t>(
       std::min<std::uint64_t>(remaining, Functional::kTraceReserveCap));
 }
 
-// Reserved-but-never-touched capacity is lazily committed address space, so
-// shrinking a pre-sized buffer pays a full copy (plus page faults on the new
-// allocation — measured at ~2× the entire emission cost) to release pages
-// that were never resident.  Only shrink when the buffer out-grew its
-// initial reserve: doubling growth leaves up to size/2 of *touched* slack,
-// which a caller holding the whole trace for a machine run would keep.
+// Unused reserve is at most kTraceReserveCap entries, so shrinking a
+// pre-sized buffer would pay a full copy (plus page faults on the new
+// allocation — measured at ~2× the entire emission cost) to release little.
+// Only shrink when the buffer out-grew its initial reserve: doubling growth
+// leaves up to size/2 of *touched* slack, which a caller holding the whole
+// trace for a machine run would keep.
 void finish_trace(Trace& trace, std::size_t reserved) {
   if (trace.capacity() > reserved) trace.shrink_to_fit();
 }
@@ -319,8 +319,8 @@ bool Functional::step(TraceEntry* out) {
     case Opcode::FMUL: wf(canon_nan(fs1() * fs2())); break;
     case Opcode::FDIV: wf(canon_nan(fs1() / fs2())); break;
     case Opcode::FSQRT: wf(canon_nan(std::sqrt(fs1()))); break;
-    case Opcode::FMIN: wf(canon_nan(std::fmin(fs1(), fs2()))); break;
-    case Opcode::FMAX: wf(canon_nan(std::fmax(fs1(), fs2()))); break;
+    case Opcode::FMIN: wf(canon_nan(fp_min(fs1(), fs2()))); break;
+    case Opcode::FMAX: wf(canon_nan(fp_max(fs1(), fs2()))); break;
     case Opcode::FNEG: wf(-fs1()); break;
     case Opcode::FABS: wf(std::fabs(fs1())); break;
     case Opcode::FMOV: wf(fs1()); break;

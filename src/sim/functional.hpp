@@ -58,6 +58,23 @@ inline double canon_nan(double v) {
   return std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
 }
 
+// FMIN/FMAX: C's fmin/fmax (a NaN operand yields the other operand) with
+// -0 ordered below +0.  C lets fmin(+0, -0) return either zero and the
+// choice varies with how each call site is compiled, so both interpreters
+// pin it here, as canon_nan pins NaN payloads.
+inline double fp_min(double a, double b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  if (a == b) return std::signbit(a) ? a : b;
+  return a < b ? a : b;
+}
+inline double fp_max(double a, double b) {
+  if (std::isnan(a)) return b;
+  if (std::isnan(b)) return a;
+  if (a == b) return std::signbit(a) ? b : a;
+  return a > b ? a : b;
+}
+
 // One retired dynamic instruction.  24 bytes; a few million entries is the
 // expected scale for the DIS workloads.
 struct TraceEntry {
@@ -79,10 +96,11 @@ class Functional {
   // benchmark looping forever) long before memory is exhausted.
   static constexpr std::uint64_t kDefaultMaxSteps = 200'000'000;
 
-  // Trace buffers are pre-sized from the step budget, capped here (8 Mi
-  // entries = 192 MiB) so small kernels with a large budget reserve lazily
-  // committed address space, not resident memory.
-  static constexpr std::uint64_t kTraceReserveCap = 1ull << 23;
+  // Trace buffers are pre-sized from the step budget, capped here (64 Ki
+  // entries = 1.5 MiB, under the 32 MiB ceiling of glibc's dynamic mmap
+  // threshold, so repeated calls recycle heap instead of mapping and
+  // faulting in a fresh region each time); longer traces grow by doubling.
+  static constexpr std::uint64_t kTraceReserveCap = 1ull << 16;
 
   // Entries per run_streamed() chunk: one reused 96 KiB buffer, small
   // enough to stay cache-resident between the interpreter and the sink.

@@ -269,8 +269,8 @@ void Functional::exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
   FPU(FMUL, canon_nan(a * b))
   FPU(FDIV, canon_nan(a / b))
   FPU(FSQRT, canon_nan(std::sqrt(a)))
-  FPU(FMIN, canon_nan(std::fmin(a, b)))
-  FPU(FMAX, canon_nan(std::fmax(a, b)))
+  FPU(FMIN, canon_nan(fp_min(a, b)))
+  FPU(FMAX, canon_nan(fp_max(a, b)))
   FPU(FNEG, -a)
   FPU(FABS, std::fabs(a))
   FPU(FMOV, a)

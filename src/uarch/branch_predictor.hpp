@@ -28,10 +28,16 @@ struct BranchStats {
 
 enum class PredictorKind : std::uint8_t { Bimodal, GShare };
 
+// The machine's predictor geometry (Table 1's 2048-entry table), its BTB
+// and its return-address stack depth.
+inline constexpr int kPredictorTable = 2048;
+inline constexpr int kBtbSize = 512;
+inline constexpr int kRasDepth = 8;
+
 class BranchPredictor {
  public:
-  explicit BranchPredictor(int table_size = 2048, int btb_size = 512,
-                           int ras_size = 8,
+  explicit BranchPredictor(int table_size = kPredictorTable,
+                           int btb_size = kBtbSize, int ras_size = kRasDepth,
                            PredictorKind kind = PredictorKind::Bimodal);
 
   struct Prediction {

@@ -289,6 +289,32 @@ TEST(DualInterpreter, NaNResultsCommitAsTheCanonicalQuietNaN) {
   EXPECT_EQ(nans, 8u);
 }
 
+TEST(DualInterpreter, MinMaxOfOppositeZerosOrderMinusZeroFirst) {
+  // C lets fmin(+0, -0) return either zero; a Debug build's reference
+  // interpreter returned +0 where the threaded one returned -0 (found by
+  // the fuzz campaign as sig fsim-div:original, seed 6280598950732548470).
+  // fp_min/fp_max pin -0 < +0 in both operand orders.
+  const auto prog = isa::assemble(
+      ".data\n"
+      "k: .double 0.0\n"
+      ".text\n"
+      "  la r6, k\n"
+      "  fld f1, 0(r6)\n"
+      "  fneg f2, f1\n"
+      "  fmin f3, f1, f2\n"
+      "  fmin f4, f2, f1\n"
+      "  fmax f5, f1, f2\n"
+      "  fmax f6, f2, f1\n"
+      "  halt\n");
+  expect_interpreters_agree(prog);
+  Functional f(prog);
+  f.run();
+  EXPECT_TRUE(std::signbit(f.freg(3)));
+  EXPECT_TRUE(std::signbit(f.freg(4)));
+  EXPECT_FALSE(std::signbit(f.freg(5)));
+  EXPECT_FALSE(std::signbit(f.freg(6)));
+}
+
 // ---------------------------------------------------------------------------
 // Interrupted step budgets.
 

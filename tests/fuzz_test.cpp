@@ -3,7 +3,10 @@
 // delta-debugging shrinker, and the campaign driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "fuzz/campaign.hpp"
 #include "fuzz/generator.hpp"
@@ -138,6 +141,80 @@ TEST(Campaign, FaultyOracleProducesShrunkFailures) {
         run_oracles(to_source(gen.generate_random(co.limits)), co.oracle);
     EXPECT_EQ(rep.signature, f.report.signature);
   }
+}
+
+// Runs `co` on `threads` workers; the log text goes to `*log`.
+CampaignResult run_logged(CampaignOptions co, int threads, std::string* log) {
+  std::ostringstream os;
+  co.log = &os;
+  co.threads = threads;
+  CampaignResult res = run_campaign(co);
+  *log = os.str();
+  return res;
+}
+
+// Runs `co` at 1, 3 and 4 workers and demands identical results and logs.
+// Returns the serial result.
+CampaignResult expect_thread_count_independent(const CampaignOptions& co) {
+  std::string serial_log;
+  CampaignResult serial = run_logged(co, 1, &serial_log);
+  for (const int threads : {3, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::string log;
+    const CampaignResult res = run_logged(co, threads, &log);
+    EXPECT_EQ(res.runs_done, serial.runs_done);
+    EXPECT_EQ(res.dynamic_instructions, serial.dynamic_instructions);
+    EXPECT_EQ(res.duplicate_failures, serial.duplicate_failures);
+    EXPECT_EQ(res.failures.size(), serial.failures.size());
+    for (std::size_t i = 0;
+         i < std::min(res.failures.size(), serial.failures.size()); ++i) {
+      const CampaignFailure& a = res.failures[i];
+      const CampaignFailure& b = serial.failures[i];
+      EXPECT_EQ(a.kernel_seed, b.kernel_seed);
+      EXPECT_EQ(a.report.stage, b.report.stage);
+      EXPECT_EQ(a.report.signature, b.report.signature);
+      EXPECT_EQ(a.report.detail, b.report.detail);
+      EXPECT_EQ(a.report.static_instructions, b.report.static_instructions);
+      EXPECT_EQ(a.report.dynamic_instructions, b.report.dynamic_instructions);
+      EXPECT_EQ(a.minimized_source, b.minimized_source);
+      EXPECT_EQ(a.minimized_instructions, b.minimized_instructions);
+      EXPECT_EQ(a.repro_path, b.repro_path);
+    }
+    EXPECT_EQ(log, serial_log);
+  }
+  return serial;
+}
+
+TEST(Campaign, ResultIndependentOfThreadCount) {
+  // Workers run ahead but reports commit in run order, so the result and
+  // the log match the serial campaign's, also where a campaign stops early.
+  CampaignOptions clean;
+  clean.seed = 11;
+  clean.runs = 40;
+  const CampaignResult c = expect_thread_count_independent(clean);
+  EXPECT_EQ(c.runs_done, 40);
+  EXPECT_TRUE(c.ok());
+
+  // DropPush fails every kernel with one signature: 39 duplicates and one
+  // shrink, with workers running ahead of the shrinking commit.
+  CampaignOptions drop;
+  drop.seed = 3;
+  drop.runs = 40;
+  drop.oracle.fault = Fault::DropPush;
+  drop.max_distinct_failures = 2;
+  drop.shrink = true;
+  const CampaignResult d = expect_thread_count_independent(drop);
+  EXPECT_EQ(d.failures.size(), 1u);
+  EXPECT_EQ(d.runs_done, drop.runs);
+
+  // MisStream finds a second signature at run 15, so the stop lands mid-run
+  // and the reports the workers made past it are discarded.
+  CampaignOptions mis = drop;
+  mis.seed = 4;
+  mis.oracle.fault = Fault::MisStream;
+  const CampaignResult m = expect_thread_count_independent(mis);
+  EXPECT_EQ(m.failures.size(), 2u);
+  EXPECT_EQ(m.runs_done, 16);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // hifuzz — differential fuzzer CLI for the HiDISC toolchain.
 //
-//   hifuzz [--runs N] [--seed S]          run a fuzz campaign
+//   hifuzz [--runs N] [--seed S] [--threads N]
+//                                         run a fuzz campaign
 //   hifuzz --gen-seed S                   regenerate + test one kernel seed
 //   hifuzz --repro FILE                   replay one corpus entry
 //   hifuzz --replay DIR                   replay a whole corpus directory
 //   hifuzz --demo-shrink                  inject a separator fault, shrink it
+//
+// A campaign checks kernels on --threads workers (default: all cores) and
+// commits their reports in run order, so its output is byte-identical for
+// every --threads value.
 //
 // Exit codes: 0 = clean, 1 = divergence found / replay mismatch / runtime
 // error, 2 = usage.
@@ -34,6 +39,8 @@ int usage() {
       "    --corpus-out DIR    write minimized reproducers here\n"
       "    --max-failures N    stop after N distinct signatures (default 8)\n"
       "    --no-shrink         keep failures at full size\n"
+      "    --threads N         worker threads (default: all cores); the\n"
+      "                        output is the same for every N\n"
       "  single kernel:\n"
       "    --gen-seed S        regenerate kernel seed S (printed on failure)\n"
       "    --dump              with --gen-seed: print the kernel source\n"
@@ -56,6 +63,7 @@ struct Args {
   std::string corpus_out;
   int max_failures = 8;
   bool shrink = true;
+  int threads = 0;  // 0 = all cores
   bool have_gen_seed = false;
   std::uint64_t gen_seed = 0;
   bool dump = false;
@@ -179,6 +187,7 @@ int run_campaign_cli(const Args& a) {
   co.shrink = a.shrink;
   co.max_distinct_failures = a.max_failures;
   co.corpus_out = a.corpus_out;
+  co.threads = a.threads;
   if (!a.quiet) co.log = &std::cout;
   const auto res = fuzz::run_campaign(co);
   std::cout << "hifuzz: " << res.runs_done << " runs, "
@@ -229,6 +238,10 @@ int main(int argc, char** argv) {
         const char* v = next();
         if (!v) return usage();
         a.max_failures = cli::parse_int<int>(arg, v, 1);
+      } else if (arg == "--threads") {
+        const char* v = next();
+        if (!v) return usage();
+        a.threads = cli::parse_int<int>(arg, v, 1);
       } else if (arg == "--corpus-out") {
         const char* v = next();
         if (!v) return usage();
