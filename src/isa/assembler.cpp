@@ -94,18 +94,23 @@ Line tokenize(int number, std::string_view raw) {
 const std::map<std::string, Reg, std::less<>>& reg_aliases() {
   static const std::map<std::string, Reg, std::less<>> table = [] {
     std::map<std::string, Reg, std::less<>> t;
+    // Not `"r" + std::to_string(i)`: GCC 12 flags that with a false
+    // -Wrestrict once it is inlined.
+    const auto name = [](char c, int i) {
+      return std::string(1, c).append(std::to_string(i));
+    };
     for (int i = 0; i < kNumIntRegs; ++i)
-      t["r" + std::to_string(i)] = ir(static_cast<std::uint8_t>(i));
+      t[name('r', i)] = ir(static_cast<std::uint8_t>(i));
     for (int i = 0; i < kNumFpRegs; ++i)
-      t["f" + std::to_string(i)] = fr(static_cast<std::uint8_t>(i));
+      t[name('f', i)] = fr(static_cast<std::uint8_t>(i));
     t["zero"] = ir(0); t["at"] = ir(1);
     t["v0"] = ir(2); t["v1"] = ir(3);
     for (int i = 0; i < 4; ++i)
-      t["a" + std::to_string(i)] = ir(static_cast<std::uint8_t>(4 + i));
+      t[name('a', i)] = ir(static_cast<std::uint8_t>(4 + i));
     for (int i = 0; i < 8; ++i)
-      t["t" + std::to_string(i)] = ir(static_cast<std::uint8_t>(8 + i));
+      t[name('t', i)] = ir(static_cast<std::uint8_t>(8 + i));
     for (int i = 0; i < 8; ++i)
-      t["s" + std::to_string(i)] = ir(static_cast<std::uint8_t>(16 + i));
+      t[name('s', i)] = ir(static_cast<std::uint8_t>(16 + i));
     t["t8"] = ir(24); t["t9"] = ir(25);
     t["k0"] = ir(26); t["k1"] = ir(27);
     t["gp"] = ir(28); t["sp"] = ir(29); t["fp"] = ir(30); t["ra"] = ir(31);

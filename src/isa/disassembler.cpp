@@ -7,8 +7,12 @@ namespace hidisc::isa {
 
 std::string reg_name(Reg r) {
   switch (r.kind) {
-    case RegKind::Int: return "r" + std::to_string(r.idx);
-    case RegKind::Fp: return "f" + std::to_string(r.idx);
+    // Not `"r" + std::to_string(...)`: GCC 12 flags that with a false
+    // -Wrestrict once it is inlined.
+    case RegKind::Int:
+      return std::string(1, 'r').append(std::to_string(r.idx));
+    case RegKind::Fp:
+      return std::string(1, 'f').append(std::to_string(r.idx));
     case RegKind::None: return "-";
   }
   return "?";

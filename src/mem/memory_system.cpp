@@ -30,19 +30,13 @@ std::uint64_t MemorySystem::claim_bus(std::uint64_t now) {
   return start;
 }
 
-void MemorySystem::train_prefetcher(std::uint64_t addr, AccessType type,
-                                    std::uint64_t now,
-                                    std::int32_t static_idx, bool l1_hit) {
+void MemorySystem::train_prefetcher(std::uint64_t addr, std::uint64_t now,
+                                    std::int32_t static_idx) {
   ++pf_.trains;
-  PrefetchAccess ev;
-  ev.addr = addr;
-  ev.block = addr / static_cast<std::uint64_t>(cfg_.l1.block_bytes);
-  ev.pc = static_idx;
-  ev.now = now;
-  ev.l1_hit = l1_hit;
-  ev.write = type == AccessType::Write;
   pf_buf_.clear();
-  prefetcher_->observe(ev, pf_buf_);
+  prefetcher_->observe(
+      {addr / static_cast<std::uint64_t>(cfg_.l1.block_bytes), static_idx},
+      pf_buf_);
   for (const auto cand : pf_buf_) {
     if (l1_.contains(cand)) {
       ++pf_.filtered;
@@ -72,7 +66,7 @@ AccessResult MemorySystem::access(std::uint64_t addr, AccessType type,
         r1.ready > now ? static_cast<int>(r1.ready - now) : 0;
     out.latency = cfg_.l1.hit_latency + wait;
     if (demand && prefetcher_)
-      train_prefetcher(addr, type, now, static_idx, /*l1_hit=*/true);
+      train_prefetcher(addr, now, static_idx);
     return out;
   }
 
@@ -115,7 +109,7 @@ AccessResult MemorySystem::access(std::uint64_t addr, AccessType type,
   // Train after the demand allocation so the miss's own block is resident
   // (candidates aliasing it get filtered, not re-issued).
   if (demand && prefetcher_)
-    train_prefetcher(addr, type, now, static_idx, /*l1_hit=*/false);
+    train_prefetcher(addr, now, static_idx);
   return out;
 }
 

@@ -97,9 +97,8 @@ class MemorySystem {
 
   // Feeds one demand access to the hardware prefetcher and issues the
   // candidates it emits (minus those already resident in L1).
-  void train_prefetcher(std::uint64_t addr, AccessType type,
-                        std::uint64_t now, std::int32_t static_idx,
-                        bool l1_hit);
+  void train_prefetcher(std::uint64_t addr, std::uint64_t now,
+                        std::int32_t static_idx);
 
   MemConfig cfg_;
   Cache l1_;

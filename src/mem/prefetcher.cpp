@@ -1,6 +1,8 @@
 #include "mem/prefetcher.hpp"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <stdexcept>
 
 namespace hidisc::mem {
@@ -20,124 +22,65 @@ namespace {
   return x ^ (x >> 31);
 }
 
-// ---- nextline --------------------------------------------------------------
+// Tracker-table entries of both schemes (the ipstride PC table and the sms
+// pattern-history table).  Power of two.
+constexpr std::size_t kTableEntries = 256;
+// Stride confirmations an ipstride entry needs before it issues.
+constexpr int kMinConfidence = 2;
 
-class NextLinePrefetcher final : public Prefetcher {
- public:
-  NextLinePrefetcher(const PrefetchConfig& cfg, int block_bytes)
-      : cfg_(cfg), block_bytes_(static_cast<std::uint64_t>(block_bytes)) {}
-
-  void observe(const PrefetchAccess& ev,
-               std::vector<std::uint64_t>& out) override {
-    if (ev.l1_hit && !cfg_.train_on_hit) return;
-    for (int i = 0; i < cfg_.degree; ++i)
-      out.push_back((ev.block + static_cast<std::uint64_t>(cfg_.distance + i)) *
-                    block_bytes_);
-  }
-
-  void reset() override {}
-  [[nodiscard]] const char* name() const noexcept override {
-    return "nextline";
-  }
-
- private:
-  PrefetchConfig cfg_;
-  std::uint64_t block_bytes_;
-};
-
-// ---- stride / ipstride -----------------------------------------------------
-
-struct StrideEntry {
-  std::uint64_t tag = 0;       // owning PC (ipstride) — unused by stride
-  std::uint64_t last_block = 0;
-  std::int64_t stride = 0;     // in blocks
-  int confidence = 0;
-  bool valid = false;
-};
-
-// Advances one stride tracker by the observed block and, when confident,
-// emits `degree` prefetches starting `distance` strides ahead.  Shared by
-// the global and per-PC variants (and mirrored by the golden reference
-// model in tests/prefetch_test.cpp).
-void step_stride(StrideEntry& e, std::uint64_t block,
-                 const PrefetchConfig& cfg, std::uint64_t block_bytes,
-                 std::vector<std::uint64_t>& out) {
-  if (!e.valid) {
-    e.valid = true;
-    e.last_block = block;
-    e.stride = 0;
-    e.confidence = 0;
-    return;
-  }
-  const std::int64_t stride =
-      static_cast<std::int64_t>(block) - static_cast<std::int64_t>(e.last_block);
-  e.last_block = block;
-  if (stride == 0) return;  // same block: neither confirms nor breaks
-  if (stride == e.stride) {
-    e.confidence = std::min(e.confidence + 1, 8);
-  } else {
-    e.stride = stride;
-    e.confidence = 1;
-  }
-  if (e.confidence < cfg.min_confidence) return;
-  for (int i = 0; i < cfg.degree; ++i) {
-    const std::int64_t target =
-        static_cast<std::int64_t>(block) +
-        e.stride * static_cast<std::int64_t>(cfg.distance + i);
-    if (target < 0) break;
-    out.push_back(static_cast<std::uint64_t>(target) * block_bytes);
-  }
-}
-
-class StridePrefetcher final : public Prefetcher {
- public:
-  StridePrefetcher(const PrefetchConfig& cfg, int block_bytes)
-      : cfg_(cfg), block_bytes_(static_cast<std::uint64_t>(block_bytes)) {}
-
-  void observe(const PrefetchAccess& ev,
-               std::vector<std::uint64_t>& out) override {
-    if (ev.l1_hit && !cfg_.train_on_hit) return;
-    step_stride(entry_, ev.block, cfg_, block_bytes_, out);
-  }
-
-  void reset() override { entry_ = StrideEntry{}; }
-  [[nodiscard]] const char* name() const noexcept override { return "stride"; }
-
- private:
-  PrefetchConfig cfg_;
-  std::uint64_t block_bytes_;
-  StrideEntry entry_;
-};
+// ---- ipstride --------------------------------------------------------------
+//
+// A direct-mapped table of per-PC stride detectors.  A repeated block delta
+// bumps an entry's confidence (saturating at 8), a changed delta rewrites
+// the stride and drops confidence to 1; at kMinConfidence or above the
+// entry emits `degree` prefetches starting `distance` strides ahead.
 
 class IpStridePrefetcher final : public Prefetcher {
  public:
   IpStridePrefetcher(const PrefetchConfig& cfg, int block_bytes)
-      : cfg_(cfg),
-        block_bytes_(static_cast<std::uint64_t>(block_bytes)),
-        table_(static_cast<std::size_t>(cfg.table_entries)) {}
+      : cfg_(cfg), block_bytes_(static_cast<std::uint64_t>(block_bytes)) {}
 
   void observe(const PrefetchAccess& ev,
                std::vector<std::uint64_t>& out) override {
     if (ev.pc < 0) return;  // no PC to index by
-    if (ev.l1_hit && !cfg_.train_on_hit) return;
     const auto pc = static_cast<std::uint64_t>(ev.pc);
-    StrideEntry& e = table_[mix(pc) & (table_.size() - 1)];
-    if (e.valid && e.tag != pc) e = StrideEntry{};  // direct-mapped replace
-    e.tag = pc;
-    step_stride(e, ev.block, cfg_, block_bytes_, out);
-  }
-
-  void reset() override {
-    for (auto& e : table_) e = StrideEntry{};
-  }
-  [[nodiscard]] const char* name() const noexcept override {
-    return "ipstride";
+    Entry& e = table_[mix(pc) & (kTableEntries - 1)];
+    if (!e.valid || e.tag != pc) {  // cold slot or direct-mapped replace
+      e = Entry{pc, ev.block, 0, 0, true};
+      return;
+    }
+    const std::int64_t stride = static_cast<std::int64_t>(ev.block) -
+                                static_cast<std::int64_t>(e.last_block);
+    e.last_block = ev.block;
+    if (stride == 0) return;  // same block: neither confirms nor breaks
+    if (stride == e.stride) {
+      e.confidence = std::min(e.confidence + 1, 8);
+    } else {
+      e.stride = stride;
+      e.confidence = 1;
+    }
+    if (e.confidence < kMinConfidence) return;
+    for (int i = 0; i < cfg_.degree; ++i) {
+      const std::int64_t target =
+          static_cast<std::int64_t>(ev.block) +
+          e.stride * static_cast<std::int64_t>(cfg_.distance + i);
+      if (target < 0) break;
+      out.push_back(static_cast<std::uint64_t>(target) * block_bytes_);
+    }
   }
 
  private:
+  struct Entry {
+    std::uint64_t tag = 0;  // owning PC
+    std::uint64_t last_block = 0;
+    std::int64_t stride = 0;  // in blocks
+    int confidence = 0;
+    bool valid = false;
+  };
+
   PrefetchConfig cfg_;
   std::uint64_t block_bytes_;
-  std::vector<StrideEntry> table_;
+  std::array<Entry, kTableEntries> table_{};
 };
 
 // ---- sms -------------------------------------------------------------------
@@ -153,17 +96,14 @@ class SmsPrefetcher final : public Prefetcher {
   SmsPrefetcher(const PrefetchConfig& cfg, int block_bytes)
       : cfg_(cfg),
         block_bytes_(static_cast<std::uint64_t>(block_bytes)),
-        region_blocks_(static_cast<std::uint64_t>(cfg.sms_region_blocks)),
-        acc_(kAccEntries),
-        pht_(static_cast<std::size_t>(cfg.table_entries)) {}
+        region_blocks_(static_cast<std::uint64_t>(cfg.sms_region_blocks)) {}
 
   void observe(const PrefetchAccess& ev,
                std::vector<std::uint64_t>& out) override {
-    if (ev.l1_hit && !cfg_.train_on_hit) return;
     const std::uint64_t region = ev.block / region_blocks_;
     const auto offset = static_cast<int>(ev.block % region_blocks_);
 
-    AccEntry& a = acc_[mix(region) & (acc_.size() - 1)];
+    AccEntry& a = acc_[mix(region) & (kAccEntries - 1)];
     if (a.valid && a.region == region) {
       a.pattern |= std::uint64_t{1} << offset;  // ongoing generation
       return;
@@ -177,7 +117,7 @@ class SmsPrefetcher final : public Prefetcher {
     a.trigger = trigger_key(ev.pc, offset);
 
     // Replay the learned footprint for this trigger, if any.
-    const PhtEntry& p = pht_[mix(a.trigger) & (pht_.size() - 1)];
+    const PhtEntry& p = pht_[mix(a.trigger) & (kTableEntries - 1)];
     if (!p.valid || p.trigger != a.trigger) return;
     const std::uint64_t base = region * region_blocks_;
     int emitted = 0;
@@ -189,12 +129,6 @@ class SmsPrefetcher final : public Prefetcher {
       ++emitted;
     }
   }
-
-  void reset() override {
-    for (auto& a : acc_) a = AccEntry{};
-    for (auto& p : pht_) p = PhtEntry{};
-  }
-  [[nodiscard]] const char* name() const noexcept override { return "sms"; }
 
  private:
   static constexpr std::size_t kAccEntries = 64;
@@ -220,7 +154,7 @@ class SmsPrefetcher final : public Prefetcher {
   }
 
   void commit(const AccEntry& a) {
-    PhtEntry& p = pht_[mix(a.trigger) & (pht_.size() - 1)];
+    PhtEntry& p = pht_[mix(a.trigger) & (kTableEntries - 1)];
     p.valid = true;
     p.trigger = a.trigger;
     p.pattern = a.pattern;
@@ -229,102 +163,16 @@ class SmsPrefetcher final : public Prefetcher {
   PrefetchConfig cfg_;
   std::uint64_t block_bytes_;
   std::uint64_t region_blocks_;
-  std::vector<AccEntry> acc_;
-  std::vector<PhtEntry> pht_;
+  std::array<AccEntry, kAccEntries> acc_{};
+  std::array<PhtEntry, kTableEntries> pht_{};
 };
 
-// ---- runahead --------------------------------------------------------------
-//
-// Miss-stream correlation in the spirit of continuous runahead: each L1
-// demand miss records itself as the successor of the previous miss, and
-// triggers a chain walk from its own block through recorded successors —
-// the addresses a runahead engine would have uncovered while the core was
-// stalled on this miss.
-
-class RunaheadPrefetcher final : public Prefetcher {
- public:
-  RunaheadPrefetcher(const PrefetchConfig& cfg, int block_bytes)
-      : cfg_(cfg),
-        block_bytes_(static_cast<std::uint64_t>(block_bytes)),
-        table_(static_cast<std::size_t>(cfg.table_entries)) {}
-
-  void observe(const PrefetchAccess& ev,
-               std::vector<std::uint64_t>& out) override {
-    if (ev.l1_hit) return;  // miss-driven by construction
-    // Learn: the previous miss's successor slot gains this block.
-    if (have_last_) {
-      Entry& prev = table_[mix(last_miss_) & (table_.size() - 1)];
-      if (!prev.valid || prev.tag != last_miss_) {
-        prev = Entry{};
-        prev.valid = true;
-        prev.tag = last_miss_;
-      }
-      // Skip consecutive same-block misses (MSHR-merged re-requests).
-      if (ev.block != last_miss_) {
-        prev.succ[prev.next_slot] = ev.block;
-        prev.succ_valid |= std::uint8_t{1} << prev.next_slot;
-        prev.next_slot = (prev.next_slot + 1) % kSuccessors;
-      }
-    }
-    have_last_ = true;
-    last_miss_ = ev.block;
-
-    // Predict: walk the recorded chain up to `distance` hops, emitting at
-    // most `degree` successors in total.
-    int budget = cfg_.degree;
-    std::uint64_t cur = ev.block;
-    for (int hop = 0; hop < cfg_.distance && budget > 0; ++hop) {
-      const Entry& e = table_[mix(cur) & (table_.size() - 1)];
-      if (!e.valid || e.tag != cur || e.succ_valid == 0) break;
-      std::uint64_t chain_next = cur;
-      for (int s = 0; s < kSuccessors && budget > 0; ++s) {
-        if ((e.succ_valid & (std::uint8_t{1} << s)) == 0) continue;
-        out.push_back(e.succ[s] * block_bytes_);
-        if (chain_next == cur) chain_next = e.succ[s];
-        --budget;
-      }
-      if (chain_next == cur) break;
-      cur = chain_next;
-    }
-  }
-
-  void reset() override {
-    for (auto& e : table_) e = Entry{};
-    have_last_ = false;
-    last_miss_ = 0;
-  }
-  [[nodiscard]] const char* name() const noexcept override {
-    return "runahead";
-  }
-
- private:
-  static constexpr int kSuccessors = 4;
-
-  struct Entry {
-    std::uint64_t tag = 0;
-    std::uint64_t succ[kSuccessors] = {};
-    std::uint8_t succ_valid = 0;
-    std::uint8_t next_slot = 0;
-    bool valid = false;
-  };
-
-  PrefetchConfig cfg_;
-  std::uint64_t block_bytes_;
-  std::vector<Entry> table_;
-  bool have_last_ = false;
-  std::uint64_t last_miss_ = 0;
-};
-
-}  // namespace
-
+// Canonical spec spelling of a kind, and its inverse.
 const char* prefetch_kind_name(PrefetchKind k) noexcept {
   switch (k) {
     case PrefetchKind::None: return "none";
-    case PrefetchKind::NextLine: return "nextline";
-    case PrefetchKind::Stride: return "stride";
     case PrefetchKind::IpStride: return "ipstride";
     case PrefetchKind::Sms: return "sms";
-    case PrefetchKind::Runahead: return "runahead";
   }
   return "?";
 }
@@ -332,31 +180,11 @@ const char* prefetch_kind_name(PrefetchKind k) noexcept {
 std::optional<PrefetchKind> parse_prefetch_kind(
     std::string_view name) noexcept {
   for (const auto k :
-       {PrefetchKind::None, PrefetchKind::NextLine, PrefetchKind::Stride,
-        PrefetchKind::IpStride, PrefetchKind::Sms, PrefetchKind::Runahead})
+       {PrefetchKind::None, PrefetchKind::IpStride, PrefetchKind::Sms})
     if (name == prefetch_kind_name(k)) return k;
   if (name == "off") return PrefetchKind::None;
   return std::nullopt;
 }
-
-std::string prefetch_spec(const PrefetchConfig& cfg) {
-  std::string s = prefetch_kind_name(cfg.kind);
-  if (cfg.kind == PrefetchKind::None) return s;
-  const PrefetchConfig def;
-  if (cfg.degree != def.degree) s += ":deg" + std::to_string(cfg.degree);
-  if (cfg.distance != def.distance)
-    s += ":dist" + std::to_string(cfg.distance);
-  if (cfg.table_entries != def.table_entries)
-    s += ":tbl" + std::to_string(cfg.table_entries);
-  if (cfg.sms_region_blocks != def.sms_region_blocks)
-    s += ":region" + std::to_string(cfg.sms_region_blocks);
-  if (cfg.min_confidence != def.min_confidence)
-    s += ":conf" + std::to_string(cfg.min_confidence);
-  if (!cfg.train_on_hit) s += ":miss";
-  return s;
-}
-
-namespace {
 
 // "deg4" -> ("deg", 4).  Throws on a malformed numeric suffix.
 int spec_number(std::string_view token, std::size_t prefix_len) {
@@ -376,6 +204,18 @@ int spec_number(std::string_view token, std::size_t prefix_len) {
 
 }  // namespace
 
+std::string prefetch_spec(const PrefetchConfig& cfg) {
+  std::string s = prefetch_kind_name(cfg.kind);
+  if (cfg.kind == PrefetchKind::None) return s;
+  const PrefetchConfig def;
+  if (cfg.degree != def.degree) s += ":deg" + std::to_string(cfg.degree);
+  if (cfg.distance != def.distance)
+    s += ":dist" + std::to_string(cfg.distance);
+  if (cfg.sms_region_blocks != def.sms_region_blocks)
+    s += ":region" + std::to_string(cfg.sms_region_blocks);
+  return s;
+}
+
 PrefetchConfig parse_prefetch_spec(std::string_view spec) {
   PrefetchConfig cfg;
   std::size_t pos = 0;
@@ -389,29 +229,23 @@ PrefetchConfig parse_prefetch_spec(std::string_view spec) {
     if (first) {
       const auto kind = parse_prefetch_kind(token);
       if (!kind)
-        throw std::invalid_argument(
-            "prefetch spec: unknown kind '" + std::string(token) +
-            "' (kinds: none, nextline, stride, ipstride, sms, runahead)");
+        throw std::invalid_argument("prefetch spec: unknown kind '" +
+                                    std::string(token) +
+                                    "' (kinds: none, ipstride, sms)");
       cfg.kind = *kind;
       first = false;
       continue;
     }
     if (token.empty())
       throw std::invalid_argument("prefetch spec: empty token");
-    if (token == "miss") cfg.train_on_hit = false;
-    else if (token == "all") cfg.train_on_hit = true;
-    else if (token.starts_with("deg")) cfg.degree = spec_number(token, 3);
+    if (token.starts_with("deg")) cfg.degree = spec_number(token, 3);
     else if (token.starts_with("dist")) cfg.distance = spec_number(token, 4);
-    else if (token.starts_with("tbl"))
-      cfg.table_entries = spec_number(token, 3);
     else if (token.starts_with("region"))
       cfg.sms_region_blocks = spec_number(token, 6);
-    else if (token.starts_with("conf"))
-      cfg.min_confidence = spec_number(token, 4);
     else
-      throw std::invalid_argument(
-          "prefetch spec: unknown token '" + std::string(token) +
-          "' (tokens: degN, distN, tblN, regionN, confN, miss, all)");
+      throw std::invalid_argument("prefetch spec: unknown token '" +
+                                  std::string(token) +
+                                  "' (tokens: degN, distN, regionN)");
   }
   // Validate eagerly so a bad --override fails at parse time, not when the
   // first cell builds its machine.
@@ -426,26 +260,14 @@ std::unique_ptr<Prefetcher> make_prefetcher(const PrefetchConfig& cfg,
     throw std::invalid_argument("prefetcher: degree must be in [1, 64]");
   if (cfg.distance <= 0 || cfg.distance > 4096)
     throw std::invalid_argument("prefetcher: distance must be in [1, 4096]");
-  if (!power_of_two(cfg.table_entries))
-    throw std::invalid_argument(
-        "prefetcher: table_entries must be a power of two");
   if (!power_of_two(cfg.sms_region_blocks) || cfg.sms_region_blocks > 64)
     throw std::invalid_argument(
         "prefetcher: sms_region_blocks must be a power of two <= 64");
-  if (cfg.min_confidence <= 0 || cfg.min_confidence > 8)
-    throw std::invalid_argument(
-        "prefetcher: min_confidence must be in [1, 8]");
   switch (cfg.kind) {
-    case PrefetchKind::NextLine:
-      return std::make_unique<NextLinePrefetcher>(cfg, block_bytes);
-    case PrefetchKind::Stride:
-      return std::make_unique<StridePrefetcher>(cfg, block_bytes);
     case PrefetchKind::IpStride:
       return std::make_unique<IpStridePrefetcher>(cfg, block_bytes);
     case PrefetchKind::Sms:
       return std::make_unique<SmsPrefetcher>(cfg, block_bytes);
-    case PrefetchKind::Runahead:
-      return std::make_unique<RunaheadPrefetcher>(cfg, block_bytes);
     case PrefetchKind::None: break;
   }
   return nullptr;

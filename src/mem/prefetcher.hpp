@@ -1,38 +1,30 @@
-// Hardware prefetcher family for the L1D (ROADMAP "Prefetcher zoo vs. the
-// CMP").
+// Hardware prefetchers for the L1D: the conventional baseline to the CMP.
 //
 // The paper's Cache Management Processor is one point in the prefetch
 // design space: a software-visible slice processor that runs CMAS slices
-// ahead of the AP.  This module implements the conventional alternatives a
+// ahead of the AP.  This module implements the conventional alternative a
 // modern memory system would ship instead, so `hilab --plan prefetch` can
 // answer "would a hardware prefetcher beat the CMP?" across the Fig. 10
 // latency sweep:
 //
-//   nextline  sequential next-N-blocks on a trigger access
-//   stride    single global (PC-blind) stride detector over the demand
-//             access stream
-//   ipstride  per-PC stride table (the classic IP-stride prefetcher)
+//   ipstride  per-PC stride table (the classic IP-stride prefetcher); the
+//             `prefetch` plan's baseline
 //   sms       spatial-memory-streaming: per-(PC, region-offset) footprint
 //             patterns replayed on the first touch of a region (server
 //             prefetching survey, arxiv 2009.00715)
-//   runahead  temporal miss-stream variant in the spirit of Hashemi's
-//             runahead work (arxiv 1609.00306): a miss-correlation table
-//             chains from the current miss through recorded successor
-//             misses, prefetching the stream a stalled core would have
-//             uncovered by running ahead
 //
-// Every scheme is a deterministic pure function of the demand access
-// stream (fixed-size direct-mapped tables, no randomness, no wall-clock),
-// which is what keeps Results bit-identical across schedulers and thread
-// counts: the demand stream itself is identical, so the prefetch stream
-// is too.  Fills issue through MemorySystem::access(AccessType::Prefetch)
-// at the observing access's cycle, so they ride the existing timed fill
-// path: a later access to the block pays whatever of the fill remains.
+// Both schemes train on every demand access, hit or miss, and are
+// deterministic pure functions of the demand block/PC stream (fixed-size
+// direct-mapped tables, no randomness, no wall-clock), which is what keeps
+// Results bit-identical across schedulers and thread counts: the demand
+// stream itself is identical, so the prefetch stream is too.  Fills issue
+// through MemorySystem::access(AccessType::Prefetch) at the observing
+// access's cycle, so they ride the existing timed fill path: a later
+// access to the block pays whatever of the fill remains.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,61 +33,39 @@ namespace hidisc::mem {
 
 enum class PrefetchKind : std::uint8_t {
   None,
-  NextLine,
-  Stride,
   IpStride,
   Sms,
-  Runahead,
 };
 
-// Canonical CLI / spec spelling ("none", "nextline", "stride", "ipstride",
-// "sms", "runahead") and its inverse.
-[[nodiscard]] const char* prefetch_kind_name(PrefetchKind k) noexcept;
-[[nodiscard]] std::optional<PrefetchKind> parse_prefetch_kind(
-    std::string_view name) noexcept;
-
-// Knobs shared across the family; schemes ignore what does not apply.
+// Knobs shared by both schemes; a scheme ignores what does not apply.
 struct PrefetchConfig {
   PrefetchKind kind = PrefetchKind::None;
-  // Prefetch candidates emitted per triggering access (nextline: blocks
-  // ahead; stride/ipstride: stride multiples; sms: pattern blocks;
-  // runahead: successor misses across the whole chain walk).
+  // Prefetch candidates emitted per triggering access (ipstride: stride
+  // multiples; sms: pattern blocks).
   int degree = 2;
-  // Lookahead: nextline/stride/ipstride start `distance` blocks/strides
-  // ahead of the trigger; runahead walks the correlation chain this deep.
+  // Lookahead: ipstride starts `distance` strides ahead of the trigger.
   int distance = 1;
-  // Train/trigger on every demand access (true) or on L1 demand misses
-  // only (false).  The runahead scheme is miss-driven by construction and
-  // ignores this.
-  bool train_on_hit = true;
-  // Tracker-table entries (ipstride PC table, sms pattern-history table,
-  // runahead correlation table).  Power of two.
-  int table_entries = 256;
   // Spatial region size for sms, in L1 blocks.  Power of two, <= 64 (the
   // footprint is a 64-bit map).
   int sms_region_blocks = 16;
-  // Stride confirmations required before a stride scheme issues.
-  int min_confidence = 2;
 };
 
 // Round-trips a config through the `hilab --override` spec grammar:
 //
-//   KIND[:degN][:distN][:tblN][:regionN][:confN][:miss|:all]
+//   KIND[:degN][:distN][:regionN]
 //
-// e.g. "ipstride:deg4", "sms:region32:tbl512", "nextline:deg1:miss",
-// "none".  parse_prefetch_spec throws std::invalid_argument on an unknown
-// kind or token (the message names the valid ones).
+// with KIND one of none (alias off), ipstride, sms; e.g. "ipstride:deg4",
+// "ipstride:dist4", "sms:region4", "none".  prefetch_spec prints only the
+// knobs off their defaults, in that order.  parse_prefetch_spec throws
+// std::invalid_argument on an unknown kind or token (the message names the
+// valid ones) or an out-of-range knob.
 [[nodiscard]] std::string prefetch_spec(const PrefetchConfig& cfg);
 [[nodiscard]] PrefetchConfig parse_prefetch_spec(std::string_view spec);
 
 // One observed demand access, as the prefetchers see it.
 struct PrefetchAccess {
-  std::uint64_t addr = 0;    // byte address
-  std::uint64_t block = 0;   // addr / L1 block size
+  std::uint64_t block = 0;   // byte address / L1 block size
   std::int32_t pc = -1;      // static instruction index (-1: unattributed)
-  std::uint64_t now = 0;     // cycle of the access
-  bool l1_hit = false;
-  bool write = false;
 };
 
 // Accurate/late/useless accounting for the hardware prefetcher, assembled
@@ -143,13 +113,11 @@ class Prefetcher {
   virtual ~Prefetcher() = default;
   virtual void observe(const PrefetchAccess& ev,
                        std::vector<std::uint64_t>& out) = 0;
-  virtual void reset() = 0;
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
 
 // Builds the scheme `cfg.kind` names (nullptr for None).  Throws
-// std::invalid_argument on bad knobs (non-power-of-two tables/regions,
-// non-positive degree/distance, sms region > 64 blocks).
+// std::invalid_argument on bad knobs (degree outside [1, 64], distance
+// outside [1, 4096], sms region not a power of two <= 64 blocks).
 [[nodiscard]] std::unique_ptr<Prefetcher> make_prefetcher(
     const PrefetchConfig& cfg, int block_bytes);
 

@@ -505,9 +505,46 @@ TEST(LabFingerprint, PrefetcherConfigKeysOnlyWhenEnabled) {
   // reachable: the disabled config keys exactly as before).
   machine::MachineConfig inert = base;
   inert.mem.prefetch.degree = 7;
-  inert.mem.prefetch.table_entries = 64;
+  inert.mem.prefetch.sms_region_blocks = 4;
   EXPECT_EQ(key, lab::content_key(comp.original,
                                   machine::Preset::Superscalar, inert));
+}
+
+// The prefetch specs the prefetch plan, the fuzz oracle and perfbench
+// build, in canonical spelling, and the describe() hash of a +pf cell of
+// the prefetch plan: keys carry the canonical spec, so a change to the
+// spec grammar that moved any of these would orphan every cached
+// prefetcher result.
+TEST(LabFingerprint, PrefetchSpecsArePinned) {
+  const auto spec_of = [](mem::PrefetchKind kind, int degree, int distance,
+                          int region) {
+    mem::PrefetchConfig pf;
+    pf.kind = kind;
+    pf.degree = degree;
+    pf.distance = distance;
+    pf.sms_region_blocks = region;
+    return mem::prefetch_spec(pf);
+  };
+  // The plan's degree 2 is the default, so its spec prints without it.
+  EXPECT_EQ(spec_of(mem::PrefetchKind::IpStride, 2, 4, 16), "ipstride:dist4");
+  EXPECT_EQ(spec_of(mem::PrefetchKind::IpStride, 4, 1, 16), "ipstride:deg4");
+  EXPECT_EQ(spec_of(mem::PrefetchKind::Sms, 2, 1, 4), "sms:region4");
+  for (const char* s : {"ipstride:dist4", "ipstride:deg4", "sms:region4"})
+    EXPECT_EQ(mem::prefetch_spec(mem::parse_prefetch_spec(s)), s);
+  EXPECT_EQ(
+      mem::prefetch_spec(mem::parse_prefetch_spec("ipstride:deg2:dist4")),
+      "ipstride:dist4");
+
+  const auto plan = lab::plan_prefetch(workloads::Scale::Test);
+  const auto i = plan.find("Pointer", machine::Preset::CPAP, "16/160+pf");
+  ASSERT_GE(i, 0);
+  const auto desc =
+      lab::describe(plan.cells[static_cast<std::size_t>(i)].config);
+  EXPECT_NE(desc.find("mem.pf=ipstride:dist4;"), std::string::npos)
+      << desc;
+  lab::Fnv1a h;
+  h.update(desc);
+  EXPECT_EQ(h.digest(), 0xd9cb3cf259b9f7c1ull) << desc;
 }
 
 TEST(LabRunner, ParallelMatchesSerialCellForCell) {

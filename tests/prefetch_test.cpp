@@ -2,13 +2,13 @@
 //
 // Three layers:
 //   1. Golden reference models — brute-force reimplementations of the
-//      next-line / stride / IP-stride / SMS predictors, replayed against
-//      the real prefetchers on seeded random access streams (seeds via
+//      IP-stride and SMS predictors, replayed against the real
+//      prefetchers on seeded random access streams (seeds via
 //      fuzz::derive_seed, so any failure names its reproducing stream).
 //   2. Accurate/late/useless accounting on a bare MemorySystem: a fill's
 //      `ready` stamp decides whether a later demand touch was timely.
 //   3. Machine-level bit-identity — EventSkip == Lockstep Results with
-//      every scheme enabled.  A prefetch fill landing is never a scheduler
+//      each scheme enabled.  A prefetch fill landing is never a scheduler
 //      event (mem/memory_system.hpp), so this equivalence, the scheduler
 //      tests' prefetch-and-bus config and the lockstep fuzz campaign are
 //      what check that the event-skip scheduler never misses one.
@@ -39,9 +39,8 @@ using mem::PrefetchKind;
 
 TEST(PrefetchSpec, RoundTripsCanonically) {
   for (const char* s :
-       {"none", "nextline", "stride", "ipstride", "sms", "runahead",
-        "ipstride:deg4", "nextline:deg1:miss", "sms:tbl512:region32",
-        "stride:deg8:dist2:conf1", "runahead:deg4:dist3"}) {
+       {"none", "ipstride", "sms", "ipstride:deg4", "ipstride:dist4",
+        "ipstride:deg8:dist2", "sms:region4", "sms:deg8:region32"}) {
     const PrefetchConfig cfg = mem::parse_prefetch_spec(s);
     EXPECT_EQ(mem::prefetch_spec(cfg), s) << "spec not canonical";
     // Re-parsing the canonical form is a fixed point.
@@ -52,21 +51,23 @@ TEST(PrefetchSpec, RoundTripsCanonically) {
 
 TEST(PrefetchSpec, RejectsUnknownAndMalformed) {
   EXPECT_THROW((void)mem::parse_prefetch_spec("markov"), std::invalid_argument);
-  EXPECT_THROW((void)mem::parse_prefetch_spec("nextline:bogus"),
+  EXPECT_THROW((void)mem::parse_prefetch_spec("ipstride:bogus"),
                std::invalid_argument);
-  EXPECT_THROW((void)mem::parse_prefetch_spec("nextline:deg"),
+  EXPECT_THROW((void)mem::parse_prefetch_spec("ipstride:deg"),
                std::invalid_argument);
-  EXPECT_THROW((void)mem::parse_prefetch_spec("nextline:deg0"),
+  EXPECT_THROW((void)mem::parse_prefetch_spec("ipstride:deg0"),
                std::invalid_argument);
   EXPECT_THROW((void)mem::parse_prefetch_spec("sms:region48"),
                std::invalid_argument);  // not a power of two
   EXPECT_THROW((void)mem::parse_prefetch_spec("sms:region128"),
                std::invalid_argument);  // > 64 blocks
-  EXPECT_THROW((void)mem::parse_prefetch_spec("ipstride:tbl100"),
-               std::invalid_argument);
-  EXPECT_THROW((void)mem::parse_prefetch_spec("stride:conf9"),
-               std::invalid_argument);
   EXPECT_THROW((void)mem::parse_prefetch_spec(""), std::invalid_argument);
+  // Schemes and knobs that are not part of the grammar: the table size,
+  // confidence threshold and training filter are fixed.
+  for (const char* s : {"nextline", "stride", "runahead", "ipstride:tbl16",
+                        "ipstride:conf1", "ipstride:miss"})
+    EXPECT_THROW((void)mem::parse_prefetch_spec(s), std::invalid_argument)
+        << s;
 }
 
 TEST(PrefetchSpec, NoneBuildsNoPrefetcher) {
@@ -95,91 +96,41 @@ struct GoldenStrideState {
   bool seen = false;
 };
 
-// One training step of the classic stride predictor, written longhand.
-void golden_stride_step(GoldenStrideState& st, std::uint64_t block,
-                        const PrefetchConfig& cfg, std::uint64_t bs,
-                        std::vector<std::uint64_t>& out) {
-  if (!st.seen) {
-    st = GoldenStrideState{block, 0, 0, true};
-    return;
-  }
-  const std::int64_t delta = static_cast<std::int64_t>(block) -
-                             static_cast<std::int64_t>(st.last_block);
-  st.last_block = block;
-  if (delta == 0) return;
-  if (delta == st.stride) st.confidence = std::min(st.confidence + 1, 8);
-  else {
-    st.stride = delta;
-    st.confidence = 1;
-  }
-  if (st.confidence < cfg.min_confidence) return;
-  for (int i = 0; i < cfg.degree; ++i) {
-    const std::int64_t target =
-        static_cast<std::int64_t>(block) +
-        st.stride * static_cast<std::int64_t>(cfg.distance + i);
-    if (target < 0) break;
-    out.push_back(static_cast<std::uint64_t>(target) * bs);
-  }
-}
-
-class GoldenModel {
- public:
-  virtual ~GoldenModel() = default;
-  virtual void observe(const PrefetchAccess& ev,
-                       std::vector<std::uint64_t>& out) = 0;
-};
-
-class GoldenNextLine final : public GoldenModel {
- public:
-  GoldenNextLine(const PrefetchConfig& cfg, std::uint64_t bs)
-      : cfg_(cfg), bs_(bs) {}
-  void observe(const PrefetchAccess& ev,
-               std::vector<std::uint64_t>& out) override {
-    if (ev.l1_hit && !cfg_.train_on_hit) return;
-    for (int i = 0; i < cfg_.degree; ++i)
-      out.push_back((ev.block + static_cast<std::uint64_t>(cfg_.distance) +
-                     static_cast<std::uint64_t>(i)) *
-                    bs_);
-  }
-
- private:
-  PrefetchConfig cfg_;
-  std::uint64_t bs_;
-};
-
-class GoldenStride final : public GoldenModel {
- public:
-  GoldenStride(const PrefetchConfig& cfg, std::uint64_t bs)
-      : cfg_(cfg), bs_(bs) {}
-  void observe(const PrefetchAccess& ev,
-               std::vector<std::uint64_t>& out) override {
-    if (ev.l1_hit && !cfg_.train_on_hit) return;
-    golden_stride_step(st_, ev.block, cfg_, bs_, out);
-  }
-
- private:
-  PrefetchConfig cfg_;
-  std::uint64_t bs_;
-  GoldenStrideState st_;
-};
-
-// Direct-mapped per-PC table, modelled as a map from slot index: a
-// colliding PC evicts the incumbent and restarts training.
-class GoldenIpStride final : public GoldenModel {
+// Direct-mapped 256-entry per-PC table, modelled as a map from slot
+// index: a colliding PC evicts the incumbent and restarts training.  Each
+// slot runs the classic stride predictor, written longhand: two equal
+// consecutive deltas (confidence 2) arm it.
+class GoldenIpStride {
  public:
   GoldenIpStride(const PrefetchConfig& cfg, std::uint64_t bs)
       : cfg_(cfg), bs_(bs) {}
-  void observe(const PrefetchAccess& ev,
-               std::vector<std::uint64_t>& out) override {
+  void observe(const PrefetchAccess& ev, std::vector<std::uint64_t>& out) {
     if (ev.pc < 0) return;
-    if (ev.l1_hit && !cfg_.train_on_hit) return;
     const auto pc = static_cast<std::uint64_t>(ev.pc);
-    const std::uint64_t slot =
-        mix64(pc) & (static_cast<std::uint64_t>(cfg_.table_entries) - 1);
-    auto& [owner, st] = slots_[slot];
+    auto& [owner, st] = slots_[mix64(pc) & 255];
     if (st.seen && owner != pc) st = GoldenStrideState{};
     owner = pc;
-    golden_stride_step(st, ev.block, cfg_, bs_, out);
+    if (!st.seen) {
+      st = GoldenStrideState{ev.block, 0, 0, true};
+      return;
+    }
+    const std::int64_t delta = static_cast<std::int64_t>(ev.block) -
+                               static_cast<std::int64_t>(st.last_block);
+    st.last_block = ev.block;
+    if (delta == 0) return;
+    if (delta == st.stride) st.confidence = std::min(st.confidence + 1, 8);
+    else {
+      st.stride = delta;
+      st.confidence = 1;
+    }
+    if (st.confidence < 2) return;
+    for (int i = 0; i < cfg_.degree; ++i) {
+      const std::int64_t target =
+          static_cast<std::int64_t>(ev.block) +
+          st.stride * static_cast<std::int64_t>(cfg_.distance + i);
+      if (target < 0) break;
+      out.push_back(static_cast<std::uint64_t>(target) * bs_);
+    }
   }
 
  private:
@@ -189,16 +140,14 @@ class GoldenIpStride final : public GoldenModel {
 };
 
 // SMS: accumulate per-region footprints in a 64-slot direct-mapped table;
-// commit to the PHT on slot recycle; replay the learned footprint (lowest
-// offsets first, trigger block excluded, at most `degree`) on the first
-// touch of a new generation.
-class GoldenSms final : public GoldenModel {
+// commit to the 256-entry PHT on slot recycle; replay the learned
+// footprint (lowest offsets first, trigger block excluded, at most
+// `degree`) on the first touch of a new generation.
+class GoldenSms {
  public:
   GoldenSms(const PrefetchConfig& cfg, std::uint64_t bs)
       : cfg_(cfg), bs_(bs) {}
-  void observe(const PrefetchAccess& ev,
-               std::vector<std::uint64_t>& out) override {
-    if (ev.l1_hit && !cfg_.train_on_hit) return;
+  void observe(const PrefetchAccess& ev, std::vector<std::uint64_t>& out) {
     const auto region_blocks =
         static_cast<std::uint64_t>(cfg_.sms_region_blocks);
     const std::uint64_t region = ev.block / region_blocks;
@@ -210,10 +159,8 @@ class GoldenSms final : public GoldenModel {
       return;
     }
     if (it != acc_.end()) {
-      const std::uint64_t pslot =
-          mix64(it->second.trigger) &
-          (static_cast<std::uint64_t>(cfg_.table_entries) - 1);
-      pht_[pslot] = {it->second.trigger, it->second.pattern};
+      pht_[mix64(it->second.trigger) & 255] = {it->second.trigger,
+                                               it->second.pattern};
     }
     const std::uint64_t trigger =
         (static_cast<std::uint64_t>(
@@ -221,9 +168,7 @@ class GoldenSms final : public GoldenModel {
          << 6) ^
         static_cast<std::uint64_t>(offset);
     acc_[slot] = {region, std::uint64_t{1} << offset, trigger};
-    const std::uint64_t pslot =
-        mix64(trigger) & (static_cast<std::uint64_t>(cfg_.table_entries) - 1);
-    const auto pit = pht_.find(pslot);
+    const auto pit = pht_.find(mix64(trigger) & 255);
     if (pit == pht_.end() || pit->second.first != trigger) return;
     int emitted = 0;
     for (int b = 0;
@@ -248,10 +193,9 @@ class GoldenSms final : public GoldenModel {
   std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> pht_;
 };
 
-// A seeded access stream with enough structure to exercise every scheme:
+// A seeded access stream with enough structure to exercise both schemes:
 // a handful of PC-attributed strided walkers plus uniform noise.
-std::vector<PrefetchAccess> random_stream(std::uint64_t seed, int length,
-                                          std::uint64_t block_bytes) {
+std::vector<PrefetchAccess> random_stream(std::uint64_t seed, int length) {
   std::mt19937_64 rng(seed);
   struct Walker {
     std::uint64_t block;
@@ -264,13 +208,8 @@ std::vector<PrefetchAccess> random_stream(std::uint64_t seed, int length,
                        static_cast<std::int64_t>(rng() % 7) - 3,
                        static_cast<std::int32_t>(rng() % 48)});
   std::vector<PrefetchAccess> stream;
-  std::uint64_t now = 0;
   for (int i = 0; i < length; ++i) {
-    now += rng() % 9 + 1;
     PrefetchAccess ev;
-    ev.now = now;
-    ev.l1_hit = (rng() & 3) != 0;  // 75% hits, like a real stream
-    ev.write = (rng() & 7) == 0;
     if ((rng() & 7) < 6) {
       auto& w = walkers[rng() % walkers.size()];
       const std::int64_t next =
@@ -283,157 +222,78 @@ std::vector<PrefetchAccess> random_stream(std::uint64_t seed, int length,
       ev.block = rng() % 65536;
       ev.pc = (rng() & 1) ? static_cast<std::int32_t>(rng() % 48) : -1;
     }
-    ev.addr = ev.block * block_bytes + rng() % block_bytes;
     stream.push_back(ev);
   }
   return stream;
 }
 
-void replay_against_golden(const PrefetchConfig& cfg, GoldenModel& golden) {
-  constexpr std::uint64_t kBlockBytes = 32;
-  const auto pf = mem::make_prefetcher(cfg, kBlockBytes);
-  ASSERT_NE(pf, nullptr);
+// Replays eight seeded streams, each through a fresh prefetcher and a
+// fresh golden model, asserting candidate-for-candidate equality.
+template <class Golden>
+void replay_against_golden(const char* spec, std::uint64_t seed_base) {
+  const auto cfg = mem::parse_prefetch_spec(spec);
   for (std::uint64_t run = 0; run < 8; ++run) {
-    const std::uint64_t seed = fuzz::derive_seed(0x9f37, run);
-    const auto stream = random_stream(seed, 2000, kBlockBytes);
+    const auto pf = mem::make_prefetcher(cfg, 32);
+    ASSERT_NE(pf, nullptr);
+    Golden golden(cfg, 32);
+    const std::uint64_t seed = fuzz::derive_seed(seed_base, run);
+    const auto stream = random_stream(seed, 2000);
     std::vector<std::uint64_t> got, want;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       got.clear();
       want.clear();
       pf->observe(stream[i], got);
       golden.observe(stream[i], want);
-      ASSERT_EQ(got, want)
-          << mem::prefetch_spec(cfg) << ": divergence at event " << i
-          << " (seed " << seed << ", block " << stream[i].block << ", pc "
-          << stream[i].pc << ")";
-    }
-    pf->reset();
-  }
-}
-
-TEST(PrefetchGolden, NextLineMatchesBruteForce) {
-  for (const char* s : {"nextline", "nextline:deg4:dist2", "nextline:miss"}) {
-    const auto cfg = mem::parse_prefetch_spec(s);
-    GoldenNextLine golden(cfg, 32);
-    // reset() between runs is a no-op for a stateless scheme, so one
-    // golden instance serves all replays.
-    replay_against_golden(cfg, golden);
-  }
-}
-
-TEST(PrefetchGolden, StrideMatchesBruteForce) {
-  for (const char* s : {"stride", "stride:deg4:conf1", "stride:dist3:miss"}) {
-    const auto cfg = mem::parse_prefetch_spec(s);
-    const auto pf = mem::make_prefetcher(cfg, 32);
-    for (std::uint64_t run = 0; run < 8; ++run) {
-      GoldenStride golden(cfg, 32);  // fresh golden per replay
-      const std::uint64_t seed = fuzz::derive_seed(0x57a1de, run);
-      const auto stream = random_stream(seed, 2000, 32);
-      std::vector<std::uint64_t> got, want;
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        got.clear();
-        want.clear();
-        pf->observe(stream[i], got);
-        golden.observe(stream[i], want);
-        ASSERT_EQ(got, want) << s << ": event " << i << " seed " << seed;
-      }
-      pf->reset();
+      ASSERT_EQ(got, want) << spec << ": event " << i << " seed " << seed
+                           << ", block " << stream[i].block << ", pc "
+                           << stream[i].pc;
     }
   }
 }
 
 TEST(PrefetchGolden, IpStrideMatchesBruteForce) {
-  for (const char* s : {"ipstride", "ipstride:deg4", "ipstride:tbl16:conf1"}) {
-    const auto cfg = mem::parse_prefetch_spec(s);
-    const auto pf = mem::make_prefetcher(cfg, 32);
-    for (std::uint64_t run = 0; run < 8; ++run) {
-      GoldenIpStride golden(cfg, 32);
-      const std::uint64_t seed = fuzz::derive_seed(0x1b57a1de, run);
-      const auto stream = random_stream(seed, 2000, 32);
-      std::vector<std::uint64_t> got, want;
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        got.clear();
-        want.clear();
-        pf->observe(stream[i], got);
-        golden.observe(stream[i], want);
-        ASSERT_EQ(got, want) << s << ": event " << i << " seed " << seed;
-      }
-      pf->reset();
-    }
-  }
+  for (const char* s : {"ipstride", "ipstride:deg4", "ipstride:deg2:dist4"})
+    replay_against_golden<GoldenIpStride>(s, 0x1b57a1de);
 }
 
 TEST(PrefetchGolden, SmsMatchesBruteForce) {
-  for (const char* s : {"sms", "sms:region4:deg8", "sms:tbl16"}) {
-    const auto cfg = mem::parse_prefetch_spec(s);
-    const auto pf = mem::make_prefetcher(cfg, 32);
-    for (std::uint64_t run = 0; run < 8; ++run) {
-      GoldenSms golden(cfg, 32);
-      const std::uint64_t seed = fuzz::derive_seed(0x5a5a, run);
-      const auto stream = random_stream(seed, 2000, 32);
-      std::vector<std::uint64_t> got, want;
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        got.clear();
-        want.clear();
-        pf->observe(stream[i], got);
-        golden.observe(stream[i], want);
-        ASSERT_EQ(got, want) << s << ": event " << i << " seed " << seed;
-      }
-      pf->reset();
-    }
-  }
-}
-
-TEST(PrefetchRunahead, ReplaysRecordedMissChain) {
-  const auto cfg = mem::parse_prefetch_spec("runahead:deg2:dist2");
-  const auto pf = mem::make_prefetcher(cfg, 32);
-  std::vector<std::uint64_t> out;
-  const auto miss = [&](std::uint64_t block) {
-    PrefetchAccess ev;
-    ev.block = block;
-    ev.addr = block * 32;
-    ev.l1_hit = false;
-    out.clear();
-    pf->observe(ev, out);
-    return out;
-  };
-  // Teach the chain A -> B -> C (cold walk: nothing to predict yet).
-  EXPECT_TRUE(miss(100).empty());
-  EXPECT_TRUE(miss(200).empty());
-  EXPECT_TRUE(miss(300).empty());
-  // Re-missing A replays the chain: B from A's entry, then C from B's.
-  const auto replay = miss(100);
-  EXPECT_EQ(replay, (std::vector<std::uint64_t>{200 * 32, 300 * 32}));
-  // Hits never train or trigger the miss-driven scheme.
-  PrefetchAccess hit;
-  hit.block = 200;
-  hit.l1_hit = true;
-  out.clear();
-  pf->observe(hit, out);
-  EXPECT_TRUE(out.empty());
+  for (const char* s : {"sms", "sms:region4:deg8", "sms:region4"})
+    replay_against_golden<GoldenSms>(s, 0x5a5a);
 }
 
 // ---- accurate / late / useless accounting --------------------------------
 
-TEST(PrefetchStats, TimelyAndLateAccounting) {
+// ipstride:deg1 on a bare memory system.  The tests drive one static load
+// (PC 7) through 32-byte blocks with a unit stride: its first two
+// accesses arm its table entry, and from the third on each access
+// prefetches the next block.
+mem::MemorySystem ipstride_deg1() {
   mem::MemConfig mc;
-  mc.prefetch = mem::parse_prefetch_spec("nextline:deg1");
-  mem::MemorySystem ms(mc);
-  // Miss on block 0 trains the prefetcher, which fills block 1.
-  ms.access(0, mem::AccessType::Read, 0);
+  mc.prefetch = mem::parse_prefetch_spec("ipstride:deg1");
+  return mem::MemorySystem(mc);
+}
+
+TEST(PrefetchStats, TimelyAndLateAccounting) {
+  auto ms = ipstride_deg1();
+  ms.access(0, mem::AccessType::Read, 0, 7);
+  ms.access(32, mem::AccessType::Read, 100, 7);
   auto s = ms.hw_prefetch_stats();
-  EXPECT_EQ(s.trains, 1u);
+  EXPECT_EQ(s.trains, 2u);
+  EXPECT_EQ(s.issued, 0u);  // one delta seen: not yet confident
+  ms.access(64, mem::AccessType::Read, 200, 7);  // prefetches block 3
+  s = ms.hw_prefetch_stats();
+  EXPECT_EQ(s.trains, 3u);
   EXPECT_EQ(s.issued, 1u);
   EXPECT_EQ(s.installed, 1u);
   // Demand touch long after the fill landed: timely.
-  ms.access(32, mem::AccessType::Read, 1000);
+  ms.access(96, mem::AccessType::Read, 1000, 7);
   s = ms.hw_prefetch_stats();
   EXPECT_EQ(s.used, 1u);
   EXPECT_EQ(s.late, 0u);
   EXPECT_EQ(s.timely(), 1u);
-  // That hit trained again, prefetching block 2 at cycle 1000; touching
+  // That hit trained again, prefetching block 4 at cycle 1000; touching
   // it immediately finds the fill still in flight: late.
-  ms.access(64, mem::AccessType::Read, 1001);
+  ms.access(128, mem::AccessType::Read, 1001, 7);
   s = ms.hw_prefetch_stats();
   EXPECT_EQ(s.used, 2u);
   EXPECT_EQ(s.late, 1u);
@@ -445,15 +305,19 @@ TEST(PrefetchStats, TimelyAndLateAccounting) {
 }
 
 TEST(PrefetchStats, ResidentCandidatesAreFiltered) {
-  mem::MemConfig mc;
-  mc.prefetch = mem::parse_prefetch_spec("nextline:deg1");
-  mem::MemorySystem ms(mc);
-  ms.access(0, mem::AccessType::Read, 0);    // prefetches block 1
-  ms.access(32, mem::AccessType::Read, 500);  // hit; candidate block 2
-  ms.access(32, mem::AccessType::Read, 600);  // hit; block 2 now resident
+  auto ms = ipstride_deg1();
+  ms.access(0, mem::AccessType::Read, 0, 7);
+  ms.access(32, mem::AccessType::Read, 100, 7);
+  // An unattributed demand access (no PC) counts as a train, which
+  // ipstride ignores, and makes block 3 resident ...
+  ms.access(96, mem::AccessType::Read, 150);
+  // ... so PC 7's first candidate, block 3, is filtered,
+  ms.access(64, mem::AccessType::Read, 200, 7);
+  // and its next one, block 4, is issued.
+  ms.access(96, mem::AccessType::Read, 300, 7);
   const auto s = ms.hw_prefetch_stats();
-  EXPECT_EQ(s.trains, 3u);
-  EXPECT_EQ(s.issued, 2u);
+  EXPECT_EQ(s.trains, 5u);
+  EXPECT_EQ(s.issued, 1u);
   EXPECT_EQ(s.filtered, 1u);
 }
 
@@ -473,7 +337,7 @@ TEST(PrefetchScheduler, EventSkipMatchesLockstepWithEveryScheme) {
   const auto w = workloads::make_neighborhood(workloads::Scale::Test);
   const auto p = compiler::compile(w.program);
   for (const char* s :
-       {"nextline", "stride", "ipstride:deg4", "sms", "runahead"}) {
+       {"ipstride:deg4", "ipstride:deg2:dist4", "sms", "sms:region4"}) {
     for (const auto preset :
          {machine::Preset::Superscalar, machine::Preset::CPAP}) {
       machine::MachineConfig cfg;

@@ -57,8 +57,9 @@ int usage(const char* argv0) {
       "  --override P:F=V  set machine-config field F to V on every cell\n"
       "                    whose preset is P ('*' = all presets); fields:\n"
       "                    dram, l2, fetch_width, watchdog (integer V) and\n"
-      "                    prefetch (a spec such as ipstride:deg4 — see\n"
-      "                    docs/PREFETCH.md).\n"
+      "                    prefetch (a spec KIND[:degN][:distN][:regionN]\n"
+      "                    with KIND none, ipstride or sms, e.g.\n"
+      "                    ipstride:deg4 — see docs/PREFETCH.md).\n"
       "                    Participates in content keys, so overridden runs\n"
       "                    never alias normal cache entries.\n"
       "                    Repeatable\n"
