@@ -68,20 +68,20 @@ Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
   const OoOCore::Queues queues{&ldq_, &sdq_, &scq_};
   switch (preset_) {
     case Preset::Superscalar:
-      main_ = std::make_unique<OoOCore>(cfg_.superscalar, &memsys_, queues, &optable_);
+      main_ = std::make_unique<OoOCore>(cfg_.superscalar, &memsys_, queues, optable_);
       break;
     case Preset::CPAP:
-      cp_ = std::make_unique<OoOCore>(cfg_.cp, &memsys_, queues, &optable_);
-      ap_ = std::make_unique<OoOCore>(cfg_.ap, &memsys_, queues, &optable_);
+      cp_ = std::make_unique<OoOCore>(cfg_.cp, &memsys_, queues, optable_);
+      ap_ = std::make_unique<OoOCore>(cfg_.ap, &memsys_, queues, optable_);
       break;
     case Preset::CPCMP:
-      main_ = std::make_unique<OoOCore>(cfg_.superscalar, &memsys_, queues, &optable_);
-      cmp_ = std::make_unique<OoOCore>(cfg_.cmp, &memsys_, queues, &optable_);
+      main_ = std::make_unique<OoOCore>(cfg_.superscalar, &memsys_, queues, optable_);
+      cmp_ = std::make_unique<OoOCore>(cfg_.cmp, &memsys_, queues, optable_);
       break;
     case Preset::HiDISC:
-      cp_ = std::make_unique<OoOCore>(cfg_.cp, &memsys_, queues, &optable_);
-      ap_ = std::make_unique<OoOCore>(cfg_.ap, &memsys_, queues, &optable_);
-      cmp_ = std::make_unique<OoOCore>(cfg_.cmp, &memsys_, queues, &optable_);
+      cp_ = std::make_unique<OoOCore>(cfg_.cp, &memsys_, queues, optable_);
+      ap_ = std::make_unique<OoOCore>(cfg_.ap, &memsys_, queues, optable_);
+      cmp_ = std::make_unique<OoOCore>(cfg_.cmp, &memsys_, queues, optable_);
       break;
   }
   if (cmp_) {
@@ -585,6 +585,12 @@ Result Machine::run_scheduler() {
       throw_deadlock(now, last_progress_cycle, /*no_pending_event=*/false);
 
     now = next;
+  }
+  for (const auto* core : {main_.get(), cp_.get(), ap_.get(), cmp_.get()}) {
+    if (core == nullptr) continue;
+    sched_.issue_calls += core->issue_census().calls;
+    sched_.issue_visits += core->issue_census().visits;
+    sched_.issue_ops += core->issue_census().issued;
   }
   return collect(now);
 }

@@ -52,6 +52,10 @@ struct SchedulerStats {
   std::uint64_t max_skip = 0;        // longest single jump, in cycles
   std::uint64_t quiescent_core_ticks = 0;  // per-core ticks skipped while
                                            // a core was fully drained
+  // Issue-walk census summed over the cores (uarch::OoOCore::IssueCensus).
+  std::uint64_t issue_calls = 0;
+  std::uint64_t issue_visits = 0;
+  std::uint64_t issue_ops = 0;
 };
 
 class Machine {

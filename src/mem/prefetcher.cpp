@@ -209,9 +209,10 @@ std::string prefetch_spec(const PrefetchConfig& cfg) {
   if (cfg.kind == PrefetchKind::None) return s;
   const PrefetchConfig def;
   if (cfg.degree != def.degree) s += ":deg" + std::to_string(cfg.degree);
-  if (cfg.distance != def.distance)
+  if (cfg.kind == PrefetchKind::IpStride && cfg.distance != def.distance)
     s += ":dist" + std::to_string(cfg.distance);
-  if (cfg.sms_region_blocks != def.sms_region_blocks)
+  if (cfg.kind == PrefetchKind::Sms &&
+      cfg.sms_region_blocks != def.sms_region_blocks)
     s += ":region" + std::to_string(cfg.sms_region_blocks);
   return s;
 }
@@ -238,14 +239,23 @@ PrefetchConfig parse_prefetch_spec(std::string_view spec) {
     }
     if (token.empty())
       throw std::invalid_argument("prefetch spec: empty token");
-    if (token.starts_with("deg")) cfg.degree = spec_number(token, 3);
-    else if (token.starts_with("dist")) cfg.distance = spec_number(token, 4);
-    else if (token.starts_with("region"))
+    // Each kind takes only the knobs it reads, so one simulation has one
+    // spelling.
+    const bool ip = cfg.kind == PrefetchKind::IpStride;
+    const bool sms = cfg.kind == PrefetchKind::Sms;
+    if ((ip || sms) && token.starts_with("deg"))
+      cfg.degree = spec_number(token, 3);
+    else if (ip && token.starts_with("dist"))
+      cfg.distance = spec_number(token, 4);
+    else if (sms && token.starts_with("region"))
       cfg.sms_region_blocks = spec_number(token, 6);
     else
-      throw std::invalid_argument("prefetch spec: unknown token '" +
-                                  std::string(token) +
-                                  "' (tokens: degN, distN, regionN)");
+      throw std::invalid_argument(
+          "prefetch spec: unknown token '" + std::string(token) + "' for " +
+          prefetch_kind_name(cfg.kind) +
+          (ip    ? " (tokens: degN, distN)"
+           : sms ? " (tokens: degN, regionN)"
+                 : " (takes no tokens)"));
   }
   // Validate eagerly so a bad --override fails at parse time, not when the
   // first cell builds its machine.

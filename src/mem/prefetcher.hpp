@@ -52,13 +52,14 @@ struct PrefetchConfig {
 
 // Round-trips a config through the `hilab --override` spec grammar:
 //
-//   KIND[:degN][:distN][:regionN]
+//   none | ipstride[:degN][:distN] | sms[:degN][:regionN]
 //
-// with KIND one of none (alias off), ipstride, sms; e.g. "ipstride:deg4",
-// "ipstride:dist4", "sms:region4", "none".  prefetch_spec prints only the
-// knobs off their defaults, in that order.  parse_prefetch_spec throws
-// std::invalid_argument on an unknown kind or token (the message names the
-// valid ones) or an out-of-range knob.
+// (none has the alias off); e.g. "ipstride:deg4", "ipstride:dist4",
+// "sms:region4".  A kind takes only the knobs it reads.  prefetch_spec
+// prints only those knobs, and only off their defaults, in that order, so
+// configs that run one simulation print one spec.  parse_prefetch_spec
+// throws std::invalid_argument on an unknown kind, a token its kind does
+// not take (the message names the valid ones) or an out-of-range knob.
 [[nodiscard]] std::string prefetch_spec(const PrefetchConfig& cfg);
 [[nodiscard]] PrefetchConfig parse_prefetch_spec(std::string_view spec);
 

@@ -1,6 +1,7 @@
 #include "uarch/core.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -25,7 +26,7 @@ std::size_t pow2_at_least(std::size_t n) {
 }  // namespace
 
 OoOCore::OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys,
-                 Queues queues, const StaticOpTable* table)
+                 Queues queues, const StaticOpTable& table)
     : cfg_(cfg),
       memsys_(memsys),
       queues_(queues),
@@ -125,12 +126,7 @@ void OoOCore::account_idle_cycles(std::uint64_t now, std::uint64_t delta) {
       // Window has room yet dispatch was frozen: the head of the input
       // queue must be a memory op blocked on the LSQ share (the only other
       // dispatch gate) — mirror do_dispatch's per-cycle counter.
-      StaticOp scratch;
-      const DynOp& op = input_front();
-      const StaticOp& so = table_ != nullptr ? (*table_)[op.static_idx]
-                                             : (scratch = decode_static_op(
-                                                    *op.inst),
-                                                scratch);
+      const StaticOp& so = table_[input_front().static_idx];
       if ((so.is_load || so.is_store) && mem_ops_in_window_ >= cfg_.lsq)
         stats_.lsq_full_stalls += delta;
     }
@@ -241,7 +237,7 @@ void OoOCore::do_pushes(std::uint64_t now) {
     // Value travels one cycle through the queue interconnect.
     qe.ready = now + 1;
     qe.producer_pos = e.op.trace_pos;
-    qe.eod = e.push_eod;
+    qe.eod = e.so.push_eod;
     if (!e.push_queue->push(qe)) {
       e.push_queue->note_full_stall();
       queue_blocked = true;
@@ -293,11 +289,17 @@ OoOCore::Disambiguation OoOCore::check_older_stores(std::uint64_t line,
 }
 
 void OoOCore::do_issue(std::uint64_t now) {
-  std::uint64_t pending = by_age(unissued_);
-  if (pending == 0) return;
+  ++census_.calls;
+  const std::uint64_t unissued = by_age(unissued_);
+  if (unissued == 0) return;
   // The oldest unissued entry, fixed for this pass: the one entry whose
   // wait on an empty queue is charged to the stall counters.
-  const auto head = static_cast<std::size_t>(std::countr_zero(pending));
+  const auto head = static_cast<std::size_t>(std::countr_zero(unissued));
+  // An entry waiting on an unissued producer would fail the source gate
+  // before touching any state (the pop-queue gates included), so the walk
+  // leaves it out altogether; it rejoins when its last producer issues.
+  std::uint64_t pending = unissued & ~by_age(blocked_);
+  const int walk = std::popcount(pending);
   // Per-queue pop state for this cycle: pops must drain in program order
   // (an older blocked pop blocks younger ones) and respect the per-cycle
   // queue read bandwidth.
@@ -319,10 +321,7 @@ void OoOCore::do_issue(std::uint64_t now) {
     }
 
     // A pop whose sources are not ready leaves younger pops unblocked.
-    if (e.src_ready > now) {
-      if (e.src_ready == kNoEvent) e.src_ready = source_ready_cycle(e);
-      if (e.src_ready > now) continue;
-    }
+    if (e.src_ready > now) continue;
 
     if (ps != nullptr) {
       if (e.pop_queue->front_ready(now) == nullptr) {
@@ -362,6 +361,8 @@ void OoOCore::do_issue(std::uint64_t now) {
     issue_one(e, now);
     ++issued;
   }
+  census_.visits += static_cast<std::uint64_t>(walk - std::popcount(pending));
+  census_.issued += static_cast<std::uint64_t>(issued);
 }
 
 void OoOCore::issue_one(Entry& e, std::uint64_t now) {
@@ -416,6 +417,16 @@ void OoOCore::issue_one(Entry& e, std::uint64_t now) {
   unissued_ &= ~slot_bit(e);
   progress_ = true;
 
+  // Wake the consumers: each learns this completion, and one whose last
+  // unissued producer this was rejoins the issue walk (from the next pass:
+  // its src_ready is at least now + 1).
+  auto& consumers = consumers_[static_cast<std::size_t>(&e - slots_.data())];
+  for (; consumers != 0; consumers &= consumers - 1) {
+    Entry& c = slots_[static_cast<std::size_t>(std::countr_zero(consumers))];
+    c.src_ready = std::max(c.src_ready, e.complete_cycle);
+    if (--c.waits == 0) blocked_ &= ~slot_bit(c);
+  }
+
   if (e.op.mispredicted)
     resolved_.push_back({e.op.trace_pos, e.complete_cycle});
 }
@@ -428,10 +439,7 @@ void OoOCore::do_dispatch() {
       break;
     }
     const DynOp& op = input_front();
-    StaticOp scratch;
-    const StaticOp& so =
-        table_ != nullptr ? (*table_)[op.static_idx]
-                          : (scratch = decode_static_op(*op.inst), scratch);
+    const StaticOp& so = table_[op.static_idx];
 
     if (so.is_mem && !cfg_.has_lsu)
       throw std::logic_error(cfg_.name +
@@ -449,6 +457,7 @@ void OoOCore::do_dispatch() {
     // reused ring memory, and a full-struct clear followed by the so/op
     // copies would double-write most of it on the per-instruction path.
     const std::size_t slot = (window_head_ + window_count_) & window_mask_;
+    const auto bit = std::uint64_t{1} << slot;
     Entry& e = slots_[slot];
     e.so = so;
     e.op = op;
@@ -456,15 +465,27 @@ void OoOCore::do_dispatch() {
     e.complete_cycle = kNoEvent;
     e.pop_queue = nullptr;
     e.push_queue = nullptr;
-    e.push_eod = false;
     e.forwarded = false;
-    e.src_ready = kNoEvent;
 
-    // Register dependences.
-    e.src_seq[0] = e.src_seq[1] = 0;
-    int nsrc = 0;
-    if (so.src1 >= 0) e.src_seq[nsrc++] = last_writer_[so.src1];
-    if (so.src2 >= 0) e.src_seq[nsrc++] = last_writer_[so.src2];
+    // Register dependences: the entry waits on each distinct in-window
+    // producer that has not issued; one that has folds its completion in
+    // at once.
+    e.src_seq[0] = so.src1 >= 0 ? last_writer_[so.src1] : 0;
+    e.src_seq[1] = so.src2 >= 0 ? last_writer_[so.src2] : 0;
+    e.waits = 0;
+    e.src_ready = 0;
+    for (const auto seq : e.src_seq) {
+      const Entry* p = find_by_seq(seq);
+      if (p == nullptr) continue;  // no producer, or committed
+      auto& consumers = consumers_[static_cast<std::size_t>(p - slots_.data())];
+      if (p->complete_cycle != kNoEvent) {
+        e.src_ready = std::max(e.src_ready, p->complete_cycle);
+      } else if ((consumers & bit) == 0) {  // read twice, waited on once
+        consumers |= bit;
+        ++e.waits;
+      }
+    }
+    if (e.waits != 0) blocked_ |= bit;
 
     // Queue roles.  A prefetch-only core (the CMP) executes copies of
     // Access Stream instructions speculatively; it must never touch the
@@ -478,7 +499,6 @@ void OoOCore::do_dispatch() {
       }
       if (so.push_role != QueueRole::None) {
         e.push_queue = queue_ptr(so.push_role);
-        e.push_eod = so.push_eod;
         // An opcode-driven push with no bound queue degrades to a plain
         // op (bare-core tests); a compiler-annotated push losing its
         // queue would silently drop a communication — fail loudly.
@@ -492,7 +512,6 @@ void OoOCore::do_dispatch() {
     if (so.dst >= 0) last_writer_[so.dst] = e.seq;
 
     if (so.is_load || so.is_store) ++mem_ops_in_window_;
-    const auto bit = std::uint64_t{1} << slot;
     unissued_ |= bit;
     if (so.is_store) stores_ |= bit;
     if (e.push_queue != nullptr) unpushed_ |= bit;
@@ -540,23 +559,40 @@ void OoOCore::debug_check_invariants(std::uint64_t now) const {
   if (want_stores != stores_) fail("store mask mismatch");
   if ((unpushed_ & ~may_push) != 0) fail("unpushed mask names a non-writer");
 
-  // Source-ready cycles: once filled in, every in-window producer has
-  // issued and none completes after src_ready.  A future src_ready is a
-  // producer's complete_cycle, and that producer cannot have committed.
+  // Wake-up state: an unissued entry is blocked exactly while one of its
+  // distinct in-window producers is unissued, `waits` counts those, and
+  // each such producer's consumer mask names it; no other slot names a
+  // consumer.  Once unblocked, src_ready is no earlier than every
+  // in-window producer's completion, and a future src_ready is one of
+  // them (a producer completing after now cannot have committed).
+  std::uint64_t want_blocked = 0;
+  std::array<std::uint64_t, 64> want_consumers{};
   for (std::size_t i = 0; i < window_count_; ++i) {
     const Entry& e = window_at(i);
-    if (e.complete_cycle != kNoEvent || e.src_ready == kNoEvent) continue;
+    if (e.complete_cycle != kNoEvent) continue;
+    const auto bit = std::uint64_t{1} << ((window_head_ + i) & window_mask_);
+    int waits = 0;
     std::uint64_t latest = 0;
     for (std::size_t j = 0; j < i; ++j) {
       const Entry& p = window_at(j);
       if (p.seq != e.src_seq[0] && p.seq != e.src_seq[1]) continue;
-      if (p.complete_cycle == kNoEvent)
-        fail("source-ready cycle set before a producer issued");
-      latest = std::max(latest, p.complete_cycle);
+      if (p.complete_cycle == kNoEvent) {
+        ++waits;
+        want_consumers[(window_head_ + j) & window_mask_] |= bit;
+      } else {
+        latest = std::max(latest, p.complete_cycle);
+      }
     }
-    if (e.src_ready > now ? latest != e.src_ready : latest > e.src_ready)
+    if (waits != e.waits) fail("producer wait count mismatch");
+    if (waits != 0) {
+      want_blocked |= bit;
+    } else if (e.src_ready > now ? latest != e.src_ready
+                                 : latest > e.src_ready) {
       fail("source-ready cycle mismatch");
+    }
   }
+  if (want_blocked != blocked_) fail("blocked mask mismatch");
+  if (want_consumers != consumers_) fail("consumer mask mismatch");
 
   // Memory-op census.
   int want_mem = 0;

@@ -12,20 +12,24 @@
 // Producer-consumer timing between cores flows exclusively through
 // `TimedFifo`s, exactly like the paper's LDQ/SDQ/SCQ.
 //
-// Issue is sim-outorder's: every cycle, walk the unissued entries oldest
-// first and check every gate, until `issue_width` ops issued.  The window's
-// only index is a set of 64-bit ring-slot masks (hence `window` <= 64):
-// unissued entries, stores, and entries whose queue write has not drained.
-// Issue, store disambiguation and queue writes all walk a mask oldest
-// first; each entry also caches its source-ready cycle.  The event-skip
-// frontier is a plain min over the ring's complete_cycle stamps and the
-// pools' busy-until arrays — see docs/MACHINE.md "Hot-path data
+// Issue follows sim-outorder: an entry waits on its producers' tags, and
+// each cycle the walk visits only the unissued entries whose producers have
+// all issued, oldest first, checking every other gate until `issue_width`
+// ops issued.  The window's only index is a set of 64-bit ring-slot masks
+// (hence `window` <= 64): unissued entries, entries still waiting on an
+// unissued producer, stores, entries whose queue write has not drained, and
+// per slot the consumers its entry will wake when it issues.  Issue, store
+// disambiguation and queue writes all walk a mask oldest first; each entry
+// accumulates its source-ready cycle as its producers issue.  The
+// event-skip frontier is a plain min over the ring's complete_cycle stamps
+// and the pools' busy-until arrays — see docs/MACHINE.md "Hot-path data
 // structures".  `debug_check_invariants` recomputes all of this state by
 // brute force and throws on disagreement; the randomized scheduler tests
 // call it each step.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -96,11 +100,10 @@ class OoOCore {
     TimedFifo* scq = nullptr;
   };
 
-  // `table`, when given, must cover every static_idx the core will see and
-  // outlive the core; without it every dispatch decodes its instruction on
-  // the fly (unit-test path — identical semantics, just slower).
+  // `table` must cover every static_idx the core will see and outlive the
+  // core.
   OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys, Queues queues,
-          const StaticOpTable* table = nullptr);
+          const StaticOpTable& table);
 
   // Front-end interface -----------------------------------------------------
   [[nodiscard]] bool input_full() const noexcept {
@@ -159,6 +162,17 @@ class OoOCore {
     return input_count_;
   }
 
+  // Issue-walk telemetry: how much host work the walk did, not anything
+  // the simulated machine did, so it stays out of CoreStats.
+  struct IssueCensus {
+    std::uint64_t calls = 0;   // do_issue passes
+    std::uint64_t visits = 0;  // window entries the passes looked at
+    std::uint64_t issued = 0;  // ops they issued
+  };
+  [[nodiscard]] const IssueCensus& issue_census() const noexcept {
+    return census_;
+  }
+
   // Forensics: why the oldest op in the core cannot move at `now`.
   // Walks the same gates as do_commit / do_issue, without mutating
   // anything.  `valid` is false when the core is drained.
@@ -172,17 +186,17 @@ class OoOCore {
   };
   [[nodiscard]] StallProbe probe_oldest_stall(std::uint64_t now) const;
 
-  // Recomputes every incremental frontier (completion min, unissued mask,
-  // source-ready cycles, store and unpushed masks, mem-op count) by
-  // brute-force window scan and throws std::logic_error on any
-  // disagreement.  Test-only: the randomized invariant tests call it after
-  // every tick.
+  // Recomputes every incremental frontier (completion min, unissued,
+  // blocked and consumer masks, producer wait counts, source-ready cycles,
+  // store and unpushed masks, mem-op count) by brute-force window scan and
+  // throws std::logic_error on any disagreement.  Test-only: the
+  // randomized invariant tests call it after every tick.
   void debug_check_invariants(std::uint64_t now) const;
 
  private:
   // One window (RUU) entry.  Hot issue/complete fields first; the decoded
-  // StaticOp is embedded by value so the issue path never chases
-  // `op.inst->info()`.
+  // StaticOp is copied in by value, since the issue path reads it on every
+  // visit and a pointer into the table measured slower.
   struct Entry {
     StaticOp so;
     std::uint64_t seq = 0;
@@ -193,12 +207,13 @@ class OoOCore {
     std::uint64_t complete_cycle = 0;
     TimedFifo* pop_queue = nullptr;   // null = no queue pop
     TimedFifo* push_queue = nullptr;  // queue written at completion
-    bool push_eod = false;
     bool forwarded = false;  // load satisfied by an older in-window store
-    // Cycle from which every source operand is available: the latest
-    // in-window producer's complete_cycle, filled in by the issue walk
-    // once every producer has issued (kNoEvent until then).
-    std::uint64_t src_ready = kNoEvent;
+    // Distinct in-window producers that have not issued yet (0-2); the
+    // entry's blocked_ bit is set while this is non-zero.
+    std::uint8_t waits = 0;
+    // The latest complete_cycle of the producers that have issued: once
+    // `waits` is 0, the cycle from which every source operand is available.
+    std::uint64_t src_ready = 0;
     DynOp op;
   };
 
@@ -234,8 +249,9 @@ class OoOCore {
     return std::uint64_t{1} << (&e - slots_.data());
   }
   // The latest in-window producer's complete_cycle — kNoEvent while one of
-  // them is unissued: `e`'s sources are ready at `now` iff this is <= now,
-  // and it is what the issue walk fills src_ready in with.
+  // them is unissued: `e`'s sources are ready at `now` iff this is <= now.
+  // Recomputed from the producers themselves, for the paths off the issue
+  // walk (idle-cycle accounting and the stall probe).
   [[nodiscard]] std::uint64_t source_ready_cycle(const Entry& e) const
       noexcept {
     std::uint64_t at = 0;
@@ -289,7 +305,7 @@ class OoOCore {
   CoreConfig cfg_;
   mem::MemorySystem* memsys_;
   Queues queues_;
-  const StaticOpTable* table_;
+  const StaticOpTable& table_;
 
   // Input queue as a fixed ring (size = cfg_.input_queue rounded up to a
   // power of two, allocated once) — enqueue/front/pop are index math, no
@@ -328,12 +344,17 @@ class OoOCore {
   // Ring-slot masks (all invariants in docs/MACHINE.md) ------------------
   //
   // Bit s set = ring slot s holds an in-window entry that is unissued /
-  // a store / waiting to write its queue.
+  // waiting on an unissued producer / a store / waiting to write its queue.
   std::uint64_t unissued_ = 0;
+  std::uint64_t blocked_ = 0;
   std::uint64_t stores_ = 0;
   std::uint64_t unpushed_ = 0;
+  // Per ring slot: the consumers that wait on the slot's entry, woken and
+  // cleared when it issues (zero for free and issued slots).
+  std::array<std::uint64_t, 64> consumers_{};
 
   CoreStats stats_;
+  IssueCensus census_;
   std::vector<ResolvedBranch> resolved_;
   bool progress_ = false;  // state changed during the current tick
 };

@@ -7,12 +7,12 @@
 // `StaticOpTable` evaluates that function once per static instruction when
 // the machine is built, so the per-dynamic-op cost in the core collapses
 // to one table load instead of a switch over opcodes plus `info()`
-// lookups.  Cores without a table (unit tests drive bare `OoOCore`s on
-// synthetic instructions) decode on the fly through the same function, so
-// both paths are definitionally identical.
+// lookups.  Every core reads its ops from a table; unit tests that drive a
+// bare `OoOCore` build one over their synthetic instructions.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "isa/instruction.hpp"
@@ -56,13 +56,15 @@ struct StaticOp {
   bool value_live = false;      // CMAS load whose value the slice reads
 };
 
-// The single decode function both paths share.
+// The decode function the table applies to every instruction.
 [[nodiscard]] StaticOp decode_static_op(const isa::Instruction& inst);
 
 // One decoded StaticOp per static instruction of a program.
 class StaticOpTable {
  public:
   explicit StaticOpTable(const isa::Program& prog);
+  // Already-decoded ops, index = static_idx (tests that hand-edit a decode).
+  explicit StaticOpTable(std::vector<StaticOp> ops) : ops_(std::move(ops)) {}
 
   [[nodiscard]] const StaticOp& operator[](std::int32_t idx) const noexcept {
     return ops_[static_cast<std::size_t>(idx)];

@@ -497,8 +497,19 @@ TEST(LabFingerprint, PrefetcherConfigKeysOnlyWhenEnabled) {
                                      machine::Preset::Superscalar, deg));
   machine::MachineConfig kind = pf;
   kind.mem.prefetch.kind = mem::PrefetchKind::Sms;
-  EXPECT_NE(pf_key, lab::content_key(comp.original,
-                                     machine::Preset::Superscalar, kind));
+  const auto sms_key =
+      lab::content_key(comp.original, machine::Preset::Superscalar, kind);
+  EXPECT_NE(pf_key, sms_key);
+
+  // A knob the enabled kind does not read keys as its default does.
+  machine::MachineConfig sms_dist = kind;
+  sms_dist.mem.prefetch.distance = 3;
+  EXPECT_EQ(sms_key, lab::content_key(comp.original,
+                                      machine::Preset::Superscalar, sms_dist));
+  machine::MachineConfig ip_region = pf;
+  ip_region.mem.prefetch.sms_region_blocks = 4;
+  EXPECT_EQ(pf_key, lab::content_key(comp.original,
+                                     machine::Preset::Superscalar, ip_region));
 
   // A knob of a *disabled* prefetcher cannot change the simulation, so it
   // must not change the key either (and pre-prefetcher cache entries stay

@@ -70,6 +70,24 @@ TEST(PrefetchSpec, RejectsUnknownAndMalformed) {
         << s;
 }
 
+TEST(PrefetchSpec, KindTakesOnlyTheKnobsItReads) {
+  // ipstride reads degree and distance, sms degree and region.  A knob the
+  // kind does not read changes no simulation, so it neither prints nor
+  // parses: one simulation has one spec.
+  PrefetchConfig sms;
+  sms.kind = PrefetchKind::Sms;
+  sms.distance = 3;
+  EXPECT_EQ(mem::prefetch_spec(sms), "sms");
+  PrefetchConfig ip;
+  ip.kind = PrefetchKind::IpStride;
+  ip.sms_region_blocks = 4;
+  EXPECT_EQ(mem::prefetch_spec(ip), "ipstride");
+  for (const char* s : {"sms:dist3", "ipstride:region4", "sms:deg4:dist2",
+                        "none:deg2", "off:region4"})
+    EXPECT_THROW((void)mem::parse_prefetch_spec(s), std::invalid_argument)
+        << s;
+}
+
 TEST(PrefetchSpec, NoneBuildsNoPrefetcher) {
   EXPECT_EQ(mem::make_prefetcher(PrefetchConfig{}, 32), nullptr);
   EXPECT_EQ(mem::parse_prefetch_spec("off").kind, PrefetchKind::None);

@@ -178,8 +178,11 @@ using isa::ir;
 
 class NextEventTest : public ::testing::Test {
  protected:
-  // Fixture owns instructions: DynOp keeps pointers into this storage.
+  // Fixture owns the test's program: DynOps point at its instructions, and
+  // a core reads their decode from a table built over them, so a test
+  // makes every op before the core that runs it.
   uarch::DynOp op_for(const Instruction& inst, std::uint64_t addr = 0) {
+    if (!cores_.empty()) ADD_FAILURE() << "op made after its core's table";
     held_.push_back(std::make_unique<Instruction>(inst));
     uarch::DynOp op;
     op.trace_pos = static_cast<std::int64_t>(held_.size()) - 1;
@@ -189,8 +192,21 @@ class NextEventTest : public ::testing::Test {
     return op;
   }
 
+  // A core over every op made so far.
+  uarch::OoOCore& make_core(const uarch::CoreConfig& cfg,
+                            uarch::OoOCore::Queues queues = {}) {
+    isa::Program prog;
+    for (const auto& inst : held_) prog.code.push_back(*inst);
+    tables_.push_back(std::make_unique<uarch::StaticOpTable>(prog));
+    cores_.push_back(std::make_unique<uarch::OoOCore>(cfg, &memsys_, queues,
+                                                      *tables_.back()));
+    return *cores_.back();
+  }
+
   std::vector<std::unique_ptr<Instruction>> held_;
   mem::MemorySystem memsys_;
+  std::vector<std::unique_ptr<uarch::StaticOpTable>> tables_;  // outlive cores_
+  std::vector<std::unique_ptr<uarch::OoOCore>> cores_;
 };
 
 TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
@@ -205,9 +221,9 @@ TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
   cfg.int_muldiv = 1;
   cfg.mem_ports = 1;
   cfg.has_lsu = true;
-  uarch::OoOCore core(cfg, &memsys_, {});
 
   std::mt19937_64 rng(0xD15Cu);
+  std::vector<uarch::DynOp> ops;
   for (int i = 0; i < 200; ++i) {
     const int kind = static_cast<int>(rng() % 3);
     const int dst = 1 + static_cast<int>(rng() % 8);
@@ -218,20 +234,22 @@ TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
       inst.dst = ir(static_cast<std::uint8_t>(dst));
       inst.src1 = ir(static_cast<std::uint8_t>(src));
       inst.src2 = ir(static_cast<std::uint8_t>(dst));
-      ASSERT_TRUE(core.enqueue(op_for(inst)));
+      ops.push_back(op_for(inst));
     } else if (kind == 1) {  // load with a scattered address (misses mix in)
       inst.op = Opcode::LD;
       inst.dst = ir(static_cast<std::uint8_t>(dst));
       inst.src1 = ir(static_cast<std::uint8_t>(src));
-      ASSERT_TRUE(core.enqueue(op_for(inst, (rng() % 512) * 8192)));
+      ops.push_back(op_for(inst, (rng() % 512) * 8192));
     } else {  // long-latency integer multiply
       inst.op = Opcode::MUL;
       inst.dst = ir(static_cast<std::uint8_t>(dst));
       inst.src1 = ir(static_cast<std::uint8_t>(src));
       inst.src2 = ir(static_cast<std::uint8_t>(dst));
-      ASSERT_TRUE(core.enqueue(op_for(inst)));
+      ops.push_back(op_for(inst));
     }
   }
+  auto& core = make_core(cfg);
+  for (const auto& op : ops) ASSERT_TRUE(core.enqueue(op));
 
   std::uint64_t now = 0;
   std::uint64_t promise = 0;      // earliest promised event, 0 = none
@@ -267,9 +285,10 @@ TEST_F(NextEventTest, PromiseIsSoundAndStableUnderRandomStimulus) {
 // Incremental-frontier invariants under random stimulus (docs/MACHINE.md,
 // "Hot-path data structures").  After every tick, debug_check_invariants
 // recomputes by brute force what the core maintains incrementally — the
-// completion frontier, every filled-in source-ready cycle and the
-// unissued, store and unpushed ring-slot masks — and throws
-// std::logic_error on any disagreement.
+// completion frontier, every unblocked entry's source-ready cycle, the
+// producer wait counts and consumer masks, and the unissued, blocked,
+// store and unpushed ring-slot masks — and throws std::logic_error on any
+// disagreement.
 
 TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   uarch::CoreConfig cfg;
@@ -284,13 +303,41 @@ TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   cfg.int_muldiv = 1;
   cfg.mem_ports = 1;
   cfg.has_lsu = true;
-  uarch::OoOCore core(cfg, &memsys_, {});
 
   // Addresses collide on a handful of 8-byte lines so loads meet older
   // in-window stores: the store mask, disambiguation waits and
   // store-to-load forwarding all get exercised.  DIVs keep the single
   // unpipelined unit saturated, and the dependent DIV/MUL chains leave
-  // consumers with source-ready cycles far in the future.
+  // consumers waiting on unissued producers and with source-ready cycles
+  // far in the future.  A MUL reads one register on both sources, so it
+  // waits on one producer through two operands.
+  //
+  // The program holds every (kind, dst, src) combination; the stimulus
+  // draws which one each dynamic op runs.
+  constexpr int kKinds = 5;
+  constexpr int kRegs = 8;
+  std::vector<uarch::DynOp> combos;
+  for (int kind = 0; kind < kKinds; ++kind)
+    for (int dst = 1; dst <= kRegs; ++dst)
+      for (int src = 1; src <= kRegs; ++src) {
+        Instruction inst;
+        inst.dst = ir(static_cast<std::uint8_t>(dst));
+        inst.src1 = ir(static_cast<std::uint8_t>(src));
+        inst.src2 = ir(static_cast<std::uint8_t>(dst));
+        switch (kind) {
+          case 0: inst.op = Opcode::ADD; break;  // dependent ALU op
+          case 1: inst.op = Opcode::DIV; break;  // hogs the MUL/DIV unit
+          case 2:  // long-latency multiply reading one register twice
+            inst.op = Opcode::MUL;
+            inst.src2 = inst.src1;
+            break;
+          case 3: inst.op = Opcode::LD; break;   // maybe behind a store
+          default: inst.op = Opcode::SD; break;
+        }
+        combos.push_back(op_for(inst));
+      }
+  auto& core = make_core(cfg);
+
   std::mt19937_64 rng(0xC0FFEEu);
   const auto rand_addr = [&] { return (rng() % 8) * 8 + (rng() % 8) * 4096; };
   int fed = 0;
@@ -299,42 +346,20 @@ TEST_F(NextEventTest, InvariantsHoldUnderRandomAluMemStimulus) {
   while (fed < 400 || !core.drained()) {
     for (int burst = static_cast<int>(rng() % 3);
          burst-- > 0 && fed < 400 && !core.input_full(); ++fed) {
-      const int dst = 1 + static_cast<int>(rng() % 8);
-      const int src = 1 + static_cast<int>(rng() % 8);
-      Instruction inst;
-      std::uint64_t addr = 0;
-      switch (rng() % 5) {
-        case 0:  // dependent ALU op
-          inst.op = Opcode::ADD;
-          inst.src2 = ir(static_cast<std::uint8_t>(dst));
-          break;
-        case 1:  // unpipelined divide: hogs the single MUL/DIV unit
-          inst.op = Opcode::DIV;
-          inst.src2 = ir(static_cast<std::uint8_t>(dst));
-          break;
-        case 2:  // long-latency multiply
-          inst.op = Opcode::MUL;
-          inst.src2 = ir(static_cast<std::uint8_t>(dst));
-          break;
-        case 3:  // load, possibly behind an in-window store on its line
-          inst.op = Opcode::LD;
-          addr = rand_addr();
-          break;
-        default:  // store
-          inst.op = Opcode::SD;
-          inst.src2 = ir(static_cast<std::uint8_t>(dst));
-          addr = rand_addr();
-          break;
-      }
-      inst.dst = ir(static_cast<std::uint8_t>(dst));
-      inst.src1 = ir(static_cast<std::uint8_t>(src));
-      ASSERT_TRUE(core.enqueue(op_for(inst, addr)));
+      const int dst = static_cast<int>(rng() % kRegs);
+      const int src = static_cast<int>(rng() % kRegs);
+      const int kind = static_cast<int>(rng() % kKinds);
+      uarch::DynOp op = combos[static_cast<std::size_t>(
+          (kind * kRegs + dst) * kRegs + src)];
+      op.trace_pos = fed;
+      if (kind == 3 || kind == 4) op.addr = rand_addr();
+      ASSERT_TRUE(core.enqueue(op));
     }
     core.tick(now);
     ASSERT_NO_THROW(core.debug_check_invariants(now)) << "cycle " << now;
     ASSERT_LT(++now, limit) << "core did not drain";
   }
-  EXPECT_GT(core.stats().committed, 0u);
+  EXPECT_EQ(core.stats().committed, 400u);
   EXPECT_GT(core.stats().forwarded_loads, 0u);  // stimulus really collided
 }
 
@@ -362,25 +387,34 @@ TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
   ccfg.commit_width = 2;
   uarch::OoOCore::Queues qs;
   qs.ldq = &ldq;
-  uarch::OoOCore prod(pcfg, &memsys_, qs);
-  uarch::OoOCore cons(ccfg, &memsys_, qs);
 
   std::mt19937_64 rng(0xF1F0u);
   constexpr int kTokens = 60;
   // The consumer's whole program is enqueued up front: each POPLDQ is
   // chased by a dependent ADD so issue pressure stays up while it waits.
+  std::vector<uarch::DynOp> cons_ops;
   for (int i = 0; i < kTokens; ++i) {
     Instruction pop;
     pop.op = Opcode::POPLDQ;
     pop.dst = ir(1);
-    ASSERT_TRUE(cons.enqueue(op_for(pop)));
+    cons_ops.push_back(op_for(pop));
     Instruction add;
     add.op = Opcode::ADD;
     add.dst = ir(2);
     add.src1 = ir(1);
     add.src2 = ir(2);
-    ASSERT_TRUE(cons.enqueue(op_for(add)));
+    cons_ops.push_back(op_for(add));
   }
+  std::vector<uarch::DynOp> pushes;
+  for (int i = 0; i < kTokens; ++i) {
+    Instruction push;
+    push.op = Opcode::PUSHLDQ;
+    push.src1 = ir(3);
+    pushes.push_back(op_for(push));
+  }
+  auto& prod = make_core(pcfg, qs);
+  auto& cons = make_core(ccfg, qs);
+  for (const auto& op : cons_ops) ASSERT_TRUE(cons.enqueue(op));
 
   int pushed = 0;
   std::uint64_t now = 0;
@@ -389,12 +423,8 @@ TEST_F(NextEventTest, InvariantsHoldAcrossQueueProducerConsumerPair) {
     // Bursty producer: long silences followed by clumps of pushes.
     if (pushed < kTokens && now % 23 == 0) {
       for (int burst = 1 + static_cast<int>(rng() % 3);
-           burst-- > 0 && pushed < kTokens; ++pushed) {
-        Instruction push;
-        push.op = Opcode::PUSHLDQ;
-        push.src1 = ir(3);
-        ASSERT_TRUE(prod.enqueue(op_for(push)));
-      }
+           burst-- > 0 && pushed < kTokens; ++pushed)
+        ASSERT_TRUE(prod.enqueue(pushes[static_cast<std::size_t>(pushed)]));
     }
     prod.tick(now);
     if ((now / 100) % 3 != 2) cons.tick(now);  // stalled 1/3 of the time
