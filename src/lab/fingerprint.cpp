@@ -1,7 +1,14 @@
 #include "lab/fingerprint.hpp"
 
+#include <elf.h>
+#include <link.h>
+#if !defined(__x86_64__) && !defined(__i386__)
+#include <sys/auxv.h>
+#endif
+
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 
 #include "isa/encoding.hpp"
 #include "mem/memory_system.hpp"
@@ -174,6 +181,97 @@ std::string content_key(const ImageKeyState& image, machine::Preset preset,
   for (Fnv1a* h : {&st.lo, &st.hi}) {
     h->update(machine::preset_name(preset));
     h->update(cfg_desc);
+  }
+  return hex128(st.lo, st.hi);
+}
+
+namespace {
+
+// Hex of the object's NT_GNU_BUILD_ID note; empty when it has none.
+std::string object_build_id(const dl_phdr_info& info) {
+  for (int i = 0; i < info.dlpi_phnum; ++i) {
+    const ElfW(Phdr)& ph = info.dlpi_phdr[i];
+    if (ph.p_type != PT_NOTE) continue;
+    const auto* p = reinterpret_cast<const unsigned char*>(info.dlpi_addr +
+                                                           ph.p_vaddr);
+    const unsigned char* const end = p + ph.p_memsz;
+    const std::size_t align = ph.p_align == 8 ? 8 : 4;
+    const auto padded = [align](std::size_t n) {
+      return (n + align - 1) / align * align;
+    };
+    while (static_cast<std::size_t>(end - p) >= sizeof(ElfW(Nhdr))) {
+      ElfW(Nhdr) note;
+      std::memcpy(&note, p, sizeof note);
+      const unsigned char* name = p + sizeof note;
+      const unsigned char* desc = name + padded(note.n_namesz);
+      const unsigned char* next = desc + padded(note.n_descsz);
+      if (next > end) break;
+      if (note.n_type == NT_GNU_BUILD_ID && note.n_namesz == 4 &&
+          std::memcmp(name, "GNU", 4) == 0 && note.n_descsz > 0) {
+        std::string hex;
+        char byte[3];
+        for (std::size_t b = 0; b < note.n_descsz; ++b) {
+          std::snprintf(byte, sizeof byte, "%02x", desc[b]);
+          hex += byte;
+        }
+        return hex;
+      }
+      p = next;
+    }
+  }
+  return {};
+}
+
+std::string cpu_features() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return std::string("fma=") + (__builtin_cpu_supports("fma") ? "1" : "0") +
+         ";fma4=" + (__builtin_cpu_supports("fma4") ? "1" : "0") +
+         ";avx2=" + (__builtin_cpu_supports("avx2") ? "1" : "0") + ";";
+#else
+  std::string f = "hwcap=" + std::to_string(getauxval(AT_HWCAP)) + ";";
+#ifdef AT_HWCAP2
+  f += "hwcap2=" + std::to_string(getauxval(AT_HWCAP2)) + ";";
+#endif
+  return f;
+#endif
+}
+
+}  // namespace
+
+std::optional<std::string> build_identity(
+    const std::vector<std::string>& build_ids) {
+  std::string id;
+  for (const std::string& b : build_ids) {
+    if (b.empty()) return std::nullopt;
+    id += "build-id=" + b + ";";
+  }
+  return id + cpu_features();
+}
+
+const std::optional<std::string>& process_build_identity() {
+  static const std::optional<std::string> identity = [] {
+    std::vector<std::string> ids;
+    dl_iterate_phdr(
+        [](dl_phdr_info* info, std::size_t, void* out) {
+          static_cast<std::vector<std::string>*>(out)->push_back(
+              object_build_id(*info));
+          return 0;
+        },
+        &ids);
+    return build_identity(ids);
+  }();
+  return identity;
+}
+
+std::string compile_index_key(const std::string& identity,
+                              const std::string& compile_key) {
+  static constexpr char kTag[] = "lab.compile-index|";
+  ImageKeyState st;
+  for (Fnv1a* h : {&st.lo, &st.hi}) {
+    h->update(kTag, sizeof kTag - 1);
+    h->update(identity);
+    h->update(compile_key);
   }
   return hex128(st.lo, st.hi);
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,5 +68,22 @@ struct ImageKeyState {
 [[nodiscard]] std::string content_key(const ImageKeyState& image,
                                       machine::Preset preset,
                                       const machine::MachineConfig& cfg);
+
+// What a compilation's output depends on besides its compile key: the
+// code that builds and compiles workloads and the libraries it calls
+// (libm's cos/sin set FFT's twiddles).  It is the GNU build-id of every
+// loaded object, given in hex, plus the CPU features glibc's libm picks
+// its variants by.  nullopt when some object has no build-id (an empty
+// string): the compile index is then off, never keyed more weakly.
+[[nodiscard]] std::optional<std::string> build_identity(
+    const std::vector<std::string>& build_ids);
+// build_identity of this process's loaded objects, gathered with
+// dl_iterate_phdr on first use.
+[[nodiscard]] const std::optional<std::string>& process_build_identity();
+
+// Name of a compile task's compile-index entry (result_cache.hpp):
+// H("lab.compile-index|", identity, compile key).
+[[nodiscard]] std::string compile_index_key(const std::string& identity,
+                                            const std::string& compile_key);
 
 }  // namespace hidisc::lab

@@ -25,6 +25,22 @@
 // Entries with an older version header are plain misses (stale format,
 // not corruption) and are left in place to be overwritten.
 //
+// The same directory holds the compile index: one entry per compile task,
+// in the same layout and through the same writer and checks, so a warm
+// run learns each binary's image hash without compiling:
+//
+//   <dir>/<32-hex compile_index_key>.compile
+//     hilab-compile v1
+//     orig.lo <16-hex>   the ImageKeyState of the original binary,
+//     orig.hi <16-hex>   then of the separated one
+//     sep.lo <16-hex>
+//     sep.hi <16-hex>
+//     checksum <16-hex FNV-1a-64 of everything above>
+//
+// Its key includes the build identity (fingerprint.hpp), so any rebuild,
+// library update or different CPU feature set misses.  Compile entries
+// take no lease: two writers of one entry write the same bytes.
+//
 // Per-key leases make processes sharing a directory simulate each key
 // once.  A lease is an exclusive flock on `<dir>/<key>.result.lock`:
 // the holder simulates and publishes, a second leaser blocks until it is
@@ -40,6 +56,7 @@
 #include <optional>
 #include <string>
 
+#include "lab/fingerprint.hpp"
 #include "machine/result.hpp"
 
 namespace hidisc::lab {
@@ -51,6 +68,12 @@ struct CacheEntry {
   // Dynamic instruction count of the *original* (unseparated) binary;
   // exports use it to normalize IPC across binaries (Figure 10).
   std::uint64_t orig_dynamic_instructions = 0;
+};
+
+// A compile index entry: the content key's hash state after each binary
+// image of one compile task.
+struct CompileIndexEntry {
+  ImageKeyState orig, sep;
 };
 
 class ResultCache {
@@ -97,10 +120,19 @@ class ResultCache {
   // store(lease(key), entry).
   bool store(const std::string& key, const CacheEntry& entry) const;
 
+  // The compile index, under a compile_index_key.  load_compile is a miss
+  // on a missing, foreign or damaged entry (quarantined as above);
+  // store_compile returns false on I/O failure.
+  [[nodiscard]] std::optional<CompileIndexEntry> load_compile(
+      const std::string& index_key) const;
+  bool store_compile(const std::string& index_key,
+                     const CompileIndexEntry& entry) const;
+
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
  private:
   [[nodiscard]] std::string path_for(const std::string& key) const;
+  [[nodiscard]] std::string compile_path_for(const std::string& key) const;
 
   std::string dir_;
 };

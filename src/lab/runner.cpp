@@ -28,26 +28,44 @@ double ms_since(Clock::time_point start) {
 }
 
 // One compile task: a distinct (workload spec, compile options) pair and
-// the cells that simulate its binaries.  Once it has run it holds the
-// compilation and the sim-key hash state of both binary images, hashed
-// once here because a plan has several cells per image.
+// the cells that simulate its binaries.  Once it has compiled it holds
+// the compilation and the sim-key hash state of both binary images,
+// hashed once here because a plan has several cells per image.
 struct CompileJob {
+  std::string key;                 // pipeline::compile_key
   std::vector<std::size_t> cells;  // plan indices, in plan order
   compiler::Compilation comp;
-  ImageKeyState orig_key, sep_key;
+  CompileIndexEntry images;
 };
+
+// The spec's maker is the registry's for its name.  WorkloadSpec::id()
+// names the maker by that name only, so any other spec always compiles.
+bool is_registry_spec(const WorkloadSpec& spec) {
+  for (const WorkloadSpec& w : workload_registry())
+    if (w.name == spec.name) return w.make == spec.make;
+  return false;
+}
+
+std::string cell_key(const CompileIndexEntry& images, const Cell& cell) {
+  return content_key(machine::uses_separated_binary(cell.preset)
+                         ? images.sep
+                         : images.orig,
+                     cell.preset, cell.config);
+}
 
 // What one run_plan call's tasks share.  Bookkeeping — node stats, the
 // sim-key dedup table, the completion count and on_cell — lives behind
 // `mu`; compilation, simulation and cache I/O run outside it.
 struct Executor {
   Executor(const ExperimentPlan& p, const RunOptions& o,
-           const ResultCache* r, ThreadPool& tp, PlanRun& out)
-      : plan(p), opt(o), results(r), pool(tp), run(out) {}
+           const ResultCache* r, const std::optional<std::string>& id,
+           ThreadPool& tp, PlanRun& out)
+      : plan(p), opt(o), results(r), identity(id), pool(tp), run(out) {}
 
   const ExperimentPlan& plan;
   const RunOptions& opt;
   const ResultCache* results;  // null without a cache directory
+  const std::optional<std::string>& identity;  // null: no compile index
   ThreadPool& pool;
   PlanRun& run;  // cells[] and nodes
 
@@ -88,22 +106,83 @@ struct Executor {
     finish_locked(w, /*from_cache=*/true);
   }
 
-  // Compiles the job's workload, then submits one sim task per cell under
-  // it.  A failed compile poisons exactly those cells.
+  // Caller holds `mu`.  True when cell `i` is the first with its sim key
+  // and so produces the key's outcome; otherwise `i` gets the first one's
+  // outcome, now or when it is ready.
+  bool claim_locked(std::size_t i) {
+    const auto [it, claimed] = by_key.try_emplace(run.cells[i].key);
+    if (claimed) {
+      it->second.first = i;
+      return true;
+    }
+    if (it->second.done)
+      share_locked(it->second.first, i);
+    else
+      it->second.waiting.push_back(i);
+    return false;
+  }
+
+  // Caller holds `mu`.  Cell `i` is served by a result-cache entry.
+  void hit_locked(std::size_t i, const CacheEntry& hit, double ms) {
+    CellResult& r = run.cells[i];
+    r.result = hit.result;
+    r.orig_dynamic_instructions = hit.orig_dynamic_instructions;
+    r.from_cache = true;
+    ++run.nodes.sim.hits;
+    run.nodes.sim.ms_hits += ms;
+    finish_locked(i, /*from_cache=*/true);
+  }
+
+  // Serves every cell of the job from the result cache when the compile
+  // index knows its binaries' image hashes, without building or
+  // compiling.  False when the index or any cell's result misses.
+  bool serve_from_index(const CompileJob& job, const std::string& index_key) {
+    const auto start = Clock::now();
+    const std::optional<CompileIndexEntry> images =
+        results->load_compile(index_key);
+    if (!images) return false;
+    const auto probe_start = Clock::now();
+    std::vector<CacheEntry> hits;
+    for (const std::size_t i : job.cells) {
+      run.cells[i].key = cell_key(*images, plan.cells[i]);
+      std::optional<CacheEntry> hit = results->load(run.cells[i].key);
+      if (!hit) return false;
+      hits.push_back(std::move(*hit));
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    ++run.nodes.compile.hits;
+    run.nodes.compile.ms_hits +=
+        std::chrono::duration<double, std::milli>(probe_start - start).count();
+    run.nodes.sim.ms_hits += ms_since(probe_start);
+    for (std::size_t k = 0; k < job.cells.size(); ++k)
+      if (claim_locked(job.cells[k])) hit_locked(job.cells[k], hits[k], 0.0);
+    return true;
+  }
+
+  // Serves the job from the compile index when it can.  Otherwise compiles
+  // the job's workload, records it in the index and submits one sim task
+  // per cell under it.  A failed compile poisons exactly those cells.
   void compile(CompileJob& job) {
     const Cell& first = plan.cells[job.cells.front()];
     const auto start = Clock::now();
+    std::string index_key;
+    if (results && identity && is_registry_spec(first.workload)) {
+      index_key = compile_index_key(*identity, job.key);
+      if (!opt.refresh && serve_from_index(job, index_key)) return;
+    }
     std::string error;
     try {
       // The built workload is a temporary of this statement, freed before
       // the images are encoded.
       job.comp =
           compiler::compile(first.workload.build().program, first.compile);
-      job.orig_key = image_key_state(isa::save_program(job.comp.original));
-      job.sep_key = image_key_state(isa::save_program(job.comp.separated));
+      job.images = {image_key_state(isa::save_program(job.comp.original)),
+                    image_key_state(isa::save_program(job.comp.separated))};
     } catch (const std::exception& e) {
       error = e.what();
     }
+    if (error.empty() && !index_key.empty())
+      results->store_compile(index_key, job.images);
     {
       std::lock_guard<std::mutex> lock(mu);
       pipeline::PhaseStats& ph = run.nodes.compile;
@@ -131,20 +210,11 @@ struct Executor {
     const Cell& cell = plan.cells[i];
     CellResult& r = run.cells[i];
     const bool sep = machine::uses_separated_binary(cell.preset);
-    r.key = content_key(sep ? job.sep_key : job.orig_key, cell.preset,
-                        cell.config);
+    r.key = cell_key(job.images, cell);
     r.orig_dynamic_instructions = job.comp.profile.dynamic_instructions;
     {
       std::lock_guard<std::mutex> lock(mu);
-      const auto [it, claimed] = by_key.try_emplace(r.key);
-      if (!claimed) {
-        if (it->second.done)
-          share_locked(it->second.first, i);
-        else
-          it->second.waiting.push_back(i);
-        return;
-      }
-      it->second.first = i;
+      if (!claim_locked(i)) return;
     }
     const bool probe = results != nullptr && !opt.refresh;
     const auto start = Clock::now();
@@ -156,13 +226,8 @@ struct Executor {
       if (probe) hit = results->load(r.key);
     }
     if (hit) {
-      r.result = hit->result;
-      r.orig_dynamic_instructions = hit->orig_dynamic_instructions;
-      r.from_cache = true;
       std::lock_guard<std::mutex> lock(mu);
-      ++run.nodes.sim.hits;
-      run.nodes.sim.ms_hits += ms_since(start);
-      finish_locked(i, /*from_cache=*/true);
+      hit_locked(i, *hit, ms_since(start));
       return;
     }
 
@@ -215,6 +280,13 @@ const CellResult& PlanRun::at(const ExperimentPlan& plan,
 }
 
 PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt) {
+  static const std::optional<std::string> none;
+  return run_plan(plan, opt,
+                  opt.cache_dir.empty() ? none : process_build_identity());
+}
+
+PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt,
+                 const std::optional<std::string>& build_identity) {
   const auto start = Clock::now();
 
   std::optional<ResultCache> results;
@@ -230,9 +302,9 @@ PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt) {
     std::unordered_map<std::string, std::size_t> job_of;
     for (std::size_t i = 0; i < plan.cells.size(); ++i) {
       const Cell& cell = plan.cells[i];
-      const auto [it, fresh] = job_of.try_emplace(
-          pipeline::compile_key(cell.workload, cell.compile), jobs.size());
-      if (fresh) jobs.emplace_back();
+      std::string key = pipeline::compile_key(cell.workload, cell.compile);
+      const auto [it, fresh] = job_of.try_emplace(key, jobs.size());
+      if (fresh) jobs.emplace_back().key = std::move(key);
       jobs[it->second].cells.push_back(i);
     }
   }
@@ -241,7 +313,8 @@ PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt) {
   run.cells.resize(plan.cells.size());
   run.nodes.compile.total = jobs.size();
   run.nodes.sim.total = plan.cells.size();
-  Executor ex(plan, opt, results ? &*results : nullptr, pool, run);
+  Executor ex(plan, opt, results ? &*results : nullptr, build_identity, pool,
+              run);
   for (CompileJob& job : jobs) pool.submit([&ex, &job] { ex.compile(job); });
   pool.wait();
 

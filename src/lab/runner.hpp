@@ -4,9 +4,14 @@
 // work-stealing thread pool:
 //
 //   compile  one per distinct (workload spec, compile options) pair
-//            (pipeline::compile_key): builds the workload, compiles it
-//            and hashes both binary images for sim keys, then submits
-//            one sim task per cell under it;
+//            (pipeline::compile_key).  It first looks the pair up in the
+//            cache directory's compile index (result_cache.hpp): on a hit
+//            it knows both binary images' hashes, so it computes its
+//            cells' sim keys and probes the ResultCache, and if every
+//            cell hits it delivers them and is done, with nothing built
+//            or compiled.  Otherwise it builds the workload, compiles it,
+//            hashes both binary images for sim keys, records them in the
+//            index and submits one sim task per cell under it;
 //   sim      one per cell: probes the on-disk ResultCache, and on a miss
 //            takes the key's lease, probes again and runs the machine,
 //            which streams its own functional run (no trace is stored).
@@ -26,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,11 +83,12 @@ struct PlanRun {
   std::size_t simulated = 0;      // cells that ran the timing machine
   std::size_t failed = 0;         // cells with a non-empty error slot
   std::size_t cache_hits = 0;
-  std::size_t preps = 0;  // compile tasks run (= nodes.compile.rebuilt)
+  std::size_t preps = 0;  // compilations run (= nodes.compile.rebuilt)
   // Per-task accounting: how many compile and sim tasks the plan had, how
-  // many were served from the result cache (or a same-key cell), how many
-  // ran.  The cache-invalidation contract is stated in these numbers
-  // (e.g. a warm run shows nodes.sim.rebuilt == 0).
+  // many were served without running (compile tasks by the compile index,
+  // sim tasks by the result cache or a same-key cell), how many ran.  The
+  // cache-invalidation contract is stated in these numbers (e.g. a warm
+  // run shows nodes.compile.rebuilt == 0 and nodes.sim.rebuilt == 0).
   pipeline::NodeStats nodes;
   double wall_ms = 0.0;   // whole-plan wall clock
   // Aggregate simulator throughput: total simulated cycles divided by the
@@ -104,5 +111,11 @@ struct PlanRun {
 // (bad plan, broken cache directory) still throw.
 [[nodiscard]] PlanRun run_plan(const ExperimentPlan& plan,
                                const RunOptions& opt = {});
+// run_plan whose compile index is keyed by `build_identity`
+// (fingerprint.hpp); nullopt turns the index off.  The overload above
+// passes this process's identity when there is a cache directory.
+[[nodiscard]] PlanRun run_plan(
+    const ExperimentPlan& plan, const RunOptions& opt,
+    const std::optional<std::string>& build_identity);
 
 }  // namespace hidisc::lab

@@ -1,13 +1,15 @@
 // Per-phase task accounting for lab::run_plan (docs/PIPELINE.md).
 //
 // Every plan run reports, for each task kind, how many tasks the plan had
-// and what happened to each: served from the result cache (or a cell
-// with the same sim key), executed fresh, or executed and failed.  The
-// remainder (total - hits - rebuilt - failed) are sim tasks poisoned by a
-// failed compile.  These counters are the observable contract of cache
-// invalidation: a warm run shows sim.rebuilt == 0, and a
-// machine-preset-only change re-simulates exactly that preset's keys
-// (CI's pipeline-invalidation job asserts both from the JSON export).
+// and what happened to each: served without executing (a compile task by
+// the compile index, a sim task by the result cache or a cell with the
+// same sim key), executed fresh, or executed and failed.  The remainder
+// (total - hits - rebuilt - failed) are sim tasks poisoned by a failed
+// compile.  These counters are the observable contract of cache
+// invalidation: a warm run shows compile.rebuilt == 0 and
+// sim.rebuilt == 0, and a machine-preset-only change re-simulates exactly
+// that preset's keys (CI's pipeline-invalidation job asserts these from
+// the JSON export).
 #pragma once
 
 #include <cstdint>
@@ -16,7 +18,9 @@ namespace hidisc::pipeline {
 
 struct PhaseStats {
   std::uint64_t total = 0;    // tasks of this kind in the plan
-  std::uint64_t hits = 0;     // satisfied without executing
+  // Satisfied without executing: a compile task served by the compile
+  // index, a sim task by the result cache or a same-key cell.
+  std::uint64_t hits = 0;
   std::uint64_t rebuilt = 0;  // executed this run
   std::uint64_t failed = 0;   // executed and failed
 

@@ -1,6 +1,7 @@
 // hidisc-lab orchestrator tests: parallel/serial equivalence, persistent
-// result caching and its per-key leases, content-key sensitivity,
-// determinism, serialization round-trips, and the export formats.
+// result caching and its per-key leases, the compile index, content-key
+// sensitivity, determinism, serialization round-trips, and the export
+// formats.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +18,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "isa/assembler.hpp"
 #include "lab/export.hpp"
@@ -27,6 +29,7 @@
 #include "lab/serialize.hpp"
 #include "lab/thread_pool.hpp"
 #include "machine/machine.hpp"
+#include "pipeline/keys.hpp"
 
 namespace {
 
@@ -741,6 +744,233 @@ TEST(LabRunner, FailedCellsNeverEnterTheCache) {
   const auto second = lab::run_plan(plan, opt);
   EXPECT_EQ(second.failed, 1u);
   EXPECT_EQ(second.cache_hits, 0u);
+}
+
+// ---- compile index -----------------------------------------------------------
+
+// Two build identities as build_identity() makes them; nothing here
+// depends on this process's own.
+const std::optional<std::string> kOurs = lab::build_identity({"aa01", "bb02"});
+const std::optional<std::string> kTheirs =
+    lab::build_identity({"aa01", "bb03"});
+
+std::vector<fs::path> files_with(const std::string& dir,
+                                 const std::string& needle) {
+  std::vector<fs::path> out;
+  for (const auto& e : fs::directory_iterator(dir))
+    if (e.path().filename().string().find(needle) != std::string::npos)
+      out.push_back(e.path());
+  return out;
+}
+
+std::string index_key(const std::string& identity, const lab::Cell& cell) {
+  return lab::compile_index_key(
+      identity, pipeline::compile_key(cell.workload, cell.compile));
+}
+
+void expect_same_cells(const lab::PlanRun& a, const lab::PlanRun& b) {
+  ASSERT_EQ(a.cells.size(), b.cells.size());
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    EXPECT_EQ(a.cells[i].key, b.cells[i].key) << i;
+    EXPECT_TRUE(lab::results_identical(a.cells[i].result, b.cells[i].result))
+        << i;
+    EXPECT_EQ(a.cells[i].orig_dynamic_instructions,
+              b.cells[i].orig_dynamic_instructions)
+        << i;
+  }
+}
+
+TEST(LabCompileIndex, OtherBuildIdentityMissesThenCompilesToEqualKeys) {
+  TempDir dir("index_identity");
+  const auto plan = tiny_plan();
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path();
+  ASSERT_TRUE(kOurs && kTheirs);
+  ASSERT_NE(*kOurs, *kTheirs);
+  EXPECT_NE(index_key(*kOurs, plan.cells[0]), index_key(*kTheirs, plan.cells[0]));
+
+  const auto cold = lab::run_plan(plan, opt, kTheirs);
+  EXPECT_EQ(cold.nodes.compile.rebuilt, 2u);
+  EXPECT_EQ(files_with(dir.path(), ".compile").size(), 2u);
+
+  // Another build's entries are misses: each task compiles, and every
+  // cell is still a result-cache hit under the same key.
+  const auto miss = lab::run_plan(plan, opt, kOurs);
+  EXPECT_EQ(miss.nodes.compile.hits, 0u);
+  EXPECT_EQ(miss.nodes.compile.rebuilt, 2u);
+  EXPECT_EQ(miss.simulated, 0u);
+  expect_same_cells(cold, miss);
+  EXPECT_EQ(files_with(dir.path(), ".compile").size(), 4u);
+
+  const auto hit = lab::run_plan(plan, opt, kOurs);
+  EXPECT_EQ(hit.nodes.compile.hits, 2u);
+  EXPECT_EQ(hit.nodes.compile.rebuilt, 0u);
+  EXPECT_EQ(hit.preps, 0u);
+  EXPECT_EQ(hit.simulated, 0u);
+  EXPECT_EQ(hit.nodes.sim.hits, plan.cells.size());
+  expect_same_cells(cold, hit);
+}
+
+TEST(LabCompileIndex, DamagedEntryIsQuarantinedAndTheTaskCompiles) {
+  TempDir dir("index_damaged");
+  const auto plan = tiny_plan();
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path();
+  const auto cold = lab::run_plan(plan, opt, kOurs);
+
+  const fs::path entry =
+      fs::path(dir.path()) / (index_key(*kOurs, plan.cells[0]) + ".compile");
+  std::string text;
+  {
+    std::ifstream in(entry);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const auto at = text.find("orig.lo ");
+  ASSERT_NE(at, std::string::npos);
+  text[at + 8] ^= 1;  // one flipped bit in one hex digit
+  std::ofstream(entry, std::ios::trunc) << text;
+
+  const auto warm = lab::run_plan(plan, opt, kOurs);
+  EXPECT_EQ(warm.nodes.compile.hits, 1u);
+  EXPECT_EQ(warm.nodes.compile.rebuilt, 1u);
+  EXPECT_EQ(warm.simulated, 0u);
+  expect_same_cells(cold, warm);
+  const auto corrupt = files_with(dir.path(), ".compile.corrupt.");
+  ASSERT_EQ(corrupt.size(), 1u);
+  EXPECT_EQ(corrupt[0].filename().string().rfind(
+                entry.filename().string() + ".corrupt.", 0),
+            0u);
+  // The compile wrote the entry afresh.
+  EXPECT_EQ(lab::run_plan(plan, opt, kOurs).nodes.compile.hits, 2u);
+}
+
+TEST(LabCompileIndex, MissingResultCompilesOnlyItsJobAndSimulatesOnlyIt) {
+  TempDir dir("index_partial");
+  const auto plan = tiny_plan();
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path();
+  const auto cold = lab::run_plan(plan, opt, kOurs);
+  const auto gone = static_cast<std::size_t>(
+      plan.find("Update", machine::Preset::HiDISC));
+  ASSERT_TRUE(fs::remove(fs::path(dir.path()) /
+                         (cold.cells[gone].key + ".result")));
+
+  const auto warm = lab::run_plan(plan, opt, kOurs);
+  EXPECT_EQ(warm.nodes.compile.hits, 1u);     // Pointer
+  EXPECT_EQ(warm.nodes.compile.rebuilt, 1u);  // Update
+  EXPECT_EQ(warm.simulated, 1u);
+  EXPECT_EQ(warm.nodes.sim.rebuilt, 1u);
+  for (std::size_t i = 0; i < plan.cells.size(); ++i)
+    EXPECT_EQ(warm.cells[i].from_cache, i != gone) << i;
+  expect_same_cells(cold, warm);
+}
+
+TEST(LabCompileIndex, RefreshIgnoresTheIndexAndRewritesIt) {
+  TempDir dir("index_refresh");
+  const auto plan = tiny_plan();
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path();
+  const auto cold = lab::run_plan(plan, opt, kOurs);
+  lab::RunOptions refresh = opt;
+  refresh.refresh = true;
+
+  // Every entry would serve its whole job, but --refresh simulates all.
+  const auto forced = lab::run_plan(plan, refresh, kOurs);
+  EXPECT_EQ(forced.nodes.compile.hits, 0u);
+  EXPECT_EQ(forced.nodes.compile.rebuilt, 2u);
+  EXPECT_EQ(forced.simulated, plan.cells.size());
+  expect_same_cells(cold, forced);
+
+  // Well-formed entries with the wrong image hashes send every cell to a
+  // key that misses; a refresh run replaces them.
+  const lab::ResultCache cache(dir.path());
+  const lab::CompileIndexEntry wrong{lab::image_key_state({1}),
+                                     lab::image_key_state({2})};
+  for (const auto& path : files_with(dir.path(), ".compile")) {
+    ASSERT_TRUE(cache.load_compile(path.stem().string()).has_value());
+    ASSERT_TRUE(cache.store_compile(path.stem().string(), wrong));
+  }
+  EXPECT_EQ(lab::run_plan(plan, refresh, kOurs).simulated, plan.cells.size());
+
+  const auto warm = lab::run_plan(plan, opt, kOurs);
+  EXPECT_EQ(warm.nodes.compile.hits, 2u);
+  EXPECT_EQ(warm.simulated, 0u);
+  expect_same_cells(cold, warm);
+}
+
+TEST(LabCompileIndex, ObjectWithoutBuildIdTurnsTheIndexOff) {
+  EXPECT_FALSE(lab::build_identity({"aa01", ""}).has_value());
+  EXPECT_FALSE(lab::build_identity({"", "bb02"}).has_value());
+
+  TempDir dir("index_off");
+  const auto plan = tiny_plan();
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path();
+  const auto cold = lab::run_plan(plan, opt, lab::build_identity({"aa01", ""}));
+  const auto warm = lab::run_plan(plan, opt, lab::build_identity({"aa01", ""}));
+  EXPECT_EQ(warm.nodes.compile.hits, 0u);
+  EXPECT_EQ(warm.nodes.compile.rebuilt, 2u);
+  EXPECT_EQ(warm.simulated, 0u);
+  expect_same_cells(cold, warm);
+  EXPECT_TRUE(files_with(dir.path(), ".compile").empty());
+}
+
+// run_plan without an explicit identity keys the index by this process's
+// objects.  A test binary may link a library without a build-id (a gtest
+// built without one, say); the index is then off, and this checks that.
+TEST(LabCompileIndex, DefaultRunUsesTheProcessIdentity) {
+  TempDir dir("index_process");
+  const auto plan = tiny_plan();
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path();
+  const auto cold = lab::run_plan(plan, opt);
+  const auto warm = lab::run_plan(plan, opt);
+  const auto& identity = lab::process_build_identity();
+  EXPECT_EQ(identity.has_value(), !files_with(dir.path(), ".compile").empty());
+  EXPECT_EQ(warm.nodes.compile.hits, identity ? 2u : 0u);
+  EXPECT_EQ(warm.simulated, 0u);
+  expect_same_cells(cold, warm);
+  if (identity) {
+    for (const auto& cell : plan.cells)
+      EXPECT_TRUE(fs::exists(fs::path(dir.path()) /
+                             (index_key(*identity, cell) + ".compile")));
+  }
+}
+
+TEST(LabCompileIndex, CustomMakerNamedLikeARegistryWorkloadNeverReadsIt) {
+  TempDir dir("index_custom");
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path();
+  lab::ExperimentPlan plan{"pointer", "registry Pointer", {}};
+  for (const auto preset : lab::all_presets())
+    plan.cells.push_back(lab::Cell{lab::spec("Pointer", workloads::Scale::Test),
+                                   preset, {}, {}, ""});
+  const auto registry = lab::run_plan(plan, opt, kOurs);
+  ASSERT_EQ(files_with(dir.path(), ".compile").size(), 1u);
+
+  // Same name, scale and seed, so the same compile key; another program.
+  auto custom = plan;
+  for (auto& cell : custom.cells)
+    cell.workload.make = [](workloads::Scale scale, std::uint64_t seed) {
+      return workloads::make_update(scale, seed);
+    };
+  ASSERT_EQ(pipeline::compile_key(custom.cells[0].workload, {}),
+            pipeline::compile_key(plan.cells[0].workload, {}));
+  const auto run = lab::run_plan(custom, opt, kOurs);
+  EXPECT_EQ(run.nodes.compile.hits, 0u);
+  EXPECT_EQ(run.nodes.compile.rebuilt, 1u);
+  EXPECT_EQ(run.simulated, plan.cells.size());
+  for (std::size_t i = 0; i < plan.cells.size(); ++i)
+    EXPECT_NE(run.cells[i].key, registry.cells[i].key) << i;
+  EXPECT_EQ(files_with(dir.path(), ".compile").size(), 1u);
 }
 
 }  // namespace

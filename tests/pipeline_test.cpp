@@ -274,7 +274,11 @@ TEST(PipelineRunner, WarmRunRebuildsNoNodes) {
   opt.threads = 2;
   opt.cache_dir = dir.path();
 
-  const auto cold = lab::run_plan(plan, opt);
+  // A fixed build identity: a test binary that links a library without a
+  // build-id has the compile index off (LabCompileIndex.*).
+  const auto identity = lab::build_identity({"5eed"});
+
+  const auto cold = lab::run_plan(plan, opt, identity);
   EXPECT_EQ(cold.nodes.compile.total, 2u);
   EXPECT_EQ(cold.nodes.compile.rebuilt, 2u);
   EXPECT_EQ(cold.nodes.sim.total, plan.cells.size());
@@ -282,13 +286,25 @@ TEST(PipelineRunner, WarmRunRebuildsNoNodes) {
   // PlanRun's legacy counter is a view of the node stats.
   EXPECT_EQ(cold.preps, cold.nodes.compile.rebuilt);
 
-  // Every cell is a result-cache hit: no machine and no functional run.
-  const auto warm = lab::run_plan(plan, opt);
+  // The cache directory holds results and one compile-index entry per
+  // compile task, and nothing else.
+  std::size_t compile_entries = 0;
+  for (const auto& e : fs::directory_iterator(dir.path())) {
+    const auto ext = e.path().extension();
+    EXPECT_TRUE(ext == ".result" || ext == ".compile") << e.path();
+    compile_entries += ext == ".compile";
+  }
+  EXPECT_EQ(compile_entries, cold.nodes.compile.total);
+
+  // Every compile task is served by the compile index and every cell is a
+  // result-cache hit: no build, no compile, no machine.
+  const auto warm = lab::run_plan(plan, opt, identity);
+  EXPECT_EQ(warm.nodes.compile.hits, warm.nodes.compile.total);
+  EXPECT_EQ(warm.nodes.compile.rebuilt, 0u);
   EXPECT_EQ(warm.nodes.sim.hits, plan.cells.size());
   EXPECT_EQ(warm.nodes.sim.rebuilt, 0u);
-  // The cache directory holds results only.
-  for (const auto& e : fs::directory_iterator(dir.path()))
-    EXPECT_EQ(e.path().extension(), ".result") << e.path();
+  for (std::size_t i = 0; i < plan.cells.size(); ++i)
+    EXPECT_EQ(warm.cells[i].key, cold.cells[i].key) << i;
 }
 
 TEST(PipelineRunner, PresetOnlyChangeResimulatesExactlyThatPreset) {

@@ -297,16 +297,18 @@ int main(int argc, char** argv) {
                   plan.description.c_str(), table.to_string().c_str());
       std::printf(
           "%zu cells: %zu simulated, %zu cache hits, %zu failed; "
-          "%zu compilations; %d threads; %.0f ms",
+          "%zu compilations (%zu from the compile index); %d threads; "
+          "%.0f ms",
           plan.cells.size(), run.simulated, run.cache_hits, run.failed,
-          run.preps, threads, run.wall_ms);
+          run.preps, run.nodes.compile.hits,
+          threads, run.wall_ms);
       if (run.sim_cycles_per_sec > 0.0)
         std::printf("; %.2f Mcycles/s", run.sim_cycles_per_sec / 1e6);
       std::printf("\n");
       const pipeline::NodeStats& n = run.nodes;
       std::printf(
-          "pipeline nodes: compile %zu/%zu rebuilt (%zu cached), "
-          "sim %zu/%zu rebuilt (%zu cached)\n",
+          "pipeline nodes: compile %zu/%zu rebuilt (%zu from the compile "
+          "index), sim %zu/%zu rebuilt (%zu cached)\n",
           n.compile.rebuilt, n.compile.total, n.compile.hits,
           n.sim.rebuilt, n.sim.total, n.sim.hits);
       std::printf(
