@@ -264,8 +264,7 @@ std::string fsim_differential(const isa::Program& bin,
     return "final pc " + std::to_string(ft.pc()) + " vs reference " +
            std::to_string(fr.pc());
   if (ft.halted() != fr.halted()) return "halted flag mismatch";
-  if (ft.state_digest() != fr.state_digest())
-    return "architectural state digest mismatch";
+  if (!ft.same_arch_state(fr)) return "architectural state mismatch";
   return {};
 }
 

@@ -186,7 +186,7 @@ void Machine::fetch(std::uint64_t now) {
     op.count_commit = true;
 
     bool taken = false;
-    if (isa::is_control(inst.op) && inst.op != Opcode::HALT) {
+    if (optable_[e.static_idx].is_control) {
       taken = e.next != e.static_idx + 1;
       switch (inst.op) {
         case Opcode::J:
@@ -352,7 +352,7 @@ bool Machine::resolve_branches() {
   bool progress = false;
   for (auto* core : {main_.get(), cp_.get(), ap_.get()}) {
     if (core == nullptr || !core->has_resolved()) continue;
-    for (const auto& rb : core->take_resolved_branches()) {
+    for (const auto& rb : core->resolved_branches()) {
       if (rb.trace_pos == pending_branch_pos_) {
         pending_branch_pos_ = -1;
         fetch_resume_cycle_ =
@@ -360,6 +360,7 @@ bool Machine::resolve_branches() {
         progress = true;
       }
     }
+    core->clear_resolved_branches();
   }
   return progress;
 }

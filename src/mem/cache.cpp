@@ -1,5 +1,7 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
+#include <new>
 #include <stdexcept>
 
 namespace hidisc::mem {
@@ -11,11 +13,19 @@ Cache::Cache(const CacheConfig& cfg) : cfg_(cfg) {
     throw std::invalid_argument("cache: sets must be a power of two");
   if ((cfg.block_bytes & (cfg.block_bytes - 1)) != 0)
     throw std::invalid_argument("cache: block size must be a power of two");
-  lines_.resize(static_cast<std::size_t>(cfg.sets) * cfg.assoc);
+  const auto sets = static_cast<std::size_t>(cfg.sets);
+  const std::size_t lines = sets * static_cast<std::size_t>(cfg.assoc);
+  // Default-initialised bytes: no line is written here.  Line and int are
+  // implicit-lifetime types, so the byte array's storage holds them.
+  storage_.reset(new std::byte[lines * sizeof(Line) + sets * sizeof(int)]);
+  lines_ = std::launder(reinterpret_cast<Line*>(storage_.get()));
+  filled_ = std::launder(
+      reinterpret_cast<int*>(storage_.get() + lines * sizeof(Line)));
+  std::fill_n(filled_, sets, 0);
 }
 
 void Cache::reset() {
-  for (auto& line : lines_) line = Line{};
+  std::fill_n(filled_, cfg_.sets, 0);
   stats_ = CacheStats{};
   pf_groups_.clear();
   stamp_ = 0;
@@ -25,9 +35,9 @@ bool Cache::contains(std::uint64_t addr) const {
   const std::uint64_t block = block_of(addr);
   const auto set = static_cast<std::size_t>(block & (cfg_.sets - 1));
   const std::uint64_t tag = block;  // full block id as tag: simple & safe
-  const Line* base = lines_.data() + set * cfg_.assoc;
-  for (int w = 0; w < cfg_.assoc; ++w)
-    if (base[w].valid && base[w].tag == tag) return true;
+  const Line* base = lines_ + set * cfg_.assoc;
+  for (int w = cfg_.assoc - filled_[set]; w < cfg_.assoc; ++w)
+    if (base[w].tag == tag) return true;
   return false;
 }
 
@@ -37,7 +47,8 @@ LookupResult Cache::access(std::uint64_t addr, AccessType type,
   const std::uint64_t block = block_of(addr);
   const auto set = static_cast<std::size_t>(block & (cfg_.sets - 1));
   const std::uint64_t tag = block;  // store the whole block id; simple & safe
-  Line* base = lines_.data() + set * cfg_.assoc;
+  Line* base = lines_ + set * cfg_.assoc;
+  int& filled = filled_[set];
 
   switch (type) {
     case AccessType::Read: ++stats_.reads; break;
@@ -49,9 +60,9 @@ LookupResult Cache::access(std::uint64_t addr, AccessType type,
   // a delayed hit: the data is coming (MSHR merge) but, like
   // sim-outorder, it counts as a miss in the statistics — only prefetches
   // that complete in time actually remove misses (paper Figure 9).
-  for (int w = 0; w < cfg_.assoc; ++w) {
+  for (int w = cfg_.assoc - filled; w < cfg_.assoc; ++w) {
     Line& line = base[w];
-    if (!line.valid || line.tag != tag) continue;
+    if (line.tag != tag) continue;
     line.lru = ++stamp_;
     if (type == AccessType::Write) line.dirty = true;
     if (type != AccessType::Prefetch) {
@@ -80,20 +91,21 @@ LookupResult Cache::access(std::uint64_t addr, AccessType type,
     return r;
   }
 
-  // Miss path: count, pick LRU victim, allocate.
+  // Miss path: count, pick a victim, allocate.
   switch (type) {
     case AccessType::Read: ++stats_.read_misses; break;
     case AccessType::Write: ++stats_.write_misses; break;
     case AccessType::Prefetch: ++stats_.prefetch_misses; break;
   }
-  Line* victim = base;
-  for (int w = 1; w < cfg_.assoc; ++w)
-    if (!base[w].valid ||
-        (victim->valid && base[w].lru < victim->lru))
-      victim = &base[w];
-
+  // The highest free way if the set has one, else the LRU line.
   LookupResult r;
-  if (victim->valid) {
+  Line* victim = base;
+  if (filled < cfg_.assoc) {
+    victim = &base[cfg_.assoc - 1 - filled];
+    ++filled;
+  } else {
+    for (int w = 1; w < cfg_.assoc; ++w)
+      if (base[w].lru < victim->lru) victim = &base[w];
     ++stats_.evictions;
     if (victim->prefetched && victim->pf_group >= 0)
       ++pf_groups_[victim->pf_group].evicted_unused;
@@ -104,7 +116,6 @@ LookupResult Cache::access(std::uint64_t addr, AccessType type,
           victim->tag * static_cast<std::uint64_t>(cfg_.block_bytes);
     }
   }
-  victim->valid = true;
   victim->tag = tag;
   victim->lru = ++stamp_;
   victim->ready = fill_ready;

@@ -5,11 +5,17 @@
 // a demand access arriving while a fill for the same block is still in
 // flight (an MSHR hit — e.g. a late CMP prefetch) pays only the remaining
 // latency instead of a full miss.
+//
+// Construction and reset() cost the set count, not the capacity: a set
+// records how many of its ways hold a line, and line storage stays
+// unwritten until a fill claims it, so a short run pays only for the sets
+// it touches.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
-#include <vector>
 
 namespace hidisc::mem {
 
@@ -98,14 +104,15 @@ class Cache {
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
  private:
+  // No default member initialisers: a line is written whole by the fill
+  // that makes it valid, and never read before that.
   struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;     // last-access stamp; larger = more recent
-    std::uint64_t ready = 0;   // fill completion cycle
-    std::int16_t pf_group = -1;  // CMAS group that prefetched this line
-    bool valid = false;
-    bool dirty = false;
-    bool prefetched = false;   // installed by a prefetch, not yet demand-hit
+    std::uint64_t tag;
+    std::uint64_t lru;         // last-access stamp; larger = more recent
+    std::uint64_t ready;       // fill completion cycle
+    std::int16_t pf_group;     // CMAS group that prefetched this line
+    bool dirty;
+    bool prefetched;           // installed by a prefetch, not yet demand-hit
   };
 
   [[nodiscard]] std::uint64_t block_of(std::uint64_t addr) const noexcept {
@@ -114,7 +121,16 @@ class Cache {
 
   CacheConfig cfg_;
   CacheStats stats_;
-  std::vector<Line> lines_;  // sets * assoc, set-major
+  // One heap block holds the lines (sets * assoc, set-major) and then one
+  // fill count per set.  A set fills its ways from the top down (the
+  // victim of a set with a free way is its highest free way) and only
+  // reset() frees ways, so set s's valid ways are exactly the top
+  // filled_[s] of them; the lines below are unwritten storage.  One block,
+  // not two: a second small block per cache shifted glibc's heap enough
+  // to make it trim and fault back ~30 k pages per 500-kernel campaign.
+  std::unique_ptr<std::byte[]> storage_;
+  Line* lines_ = nullptr;
+  int* filled_ = nullptr;
   std::unordered_map<std::int16_t, PrefetchGroupStats> pf_groups_;
   std::uint64_t stamp_ = 0;
 };

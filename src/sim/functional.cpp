@@ -120,7 +120,7 @@ void Functional::stream_chunk(Trace& out, std::uint64_t max_steps,
 
 void Functional::ref_run(std::uint64_t max_steps, std::uint64_t stop_at,
                          Trace* out) {
-  TraceEntry e;
+  TraceEntry e{};
   while (!halted_) {
     if (icount_ >= stop_at) {
       if (stop_at < max_steps) return;
@@ -197,8 +197,8 @@ void Functional::shadowed_exec(Functional& ref, std::uint64_t max_steps,
     die("icount " + std::to_string(icount_) + " vs " +
         std::to_string(ref.icount_));
   if (halted_ != ref.halted_) die("halted flag mismatch");
-  // A pause compares only the cheap state above; the full state (a memory
-  // digest) is compared once, when the run ends.
+  // A pause compares only the cheap state above; the full state (every
+  // memory page) is compared once, when the run ends.
   if (got_ok && !halted_) return;
   if (iregs_ != ref.iregs_) die("int register file mismatch");
   for (int i = 0; i < isa::kNumFpRegs; ++i)
@@ -208,7 +208,7 @@ void Functional::shadowed_exec(Functional& ref, std::uint64_t max_steps,
   if (ldq_ != ref.ldq_) die("LDQ contents mismatch");
   if (sdq_ != ref.sdq_) die("SDQ contents mismatch");
   if (scq_tokens_ != ref.scq_tokens_) die("SCQ token count mismatch");
-  if (mem_.digest() != ref.mem_.digest()) die("memory digest mismatch");
+  if (!mem_.same_pages(ref.mem_)) die("memory contents mismatch");
   if (!got_ok) throw ExecError(got_err);
 }
 
@@ -491,6 +491,14 @@ std::uint64_t Functional::state_digest() const {
   for (const auto v : iregs_) mix(static_cast<std::uint64_t>(v));
   for (const auto v : fregs_) mix(std::bit_cast<std::uint64_t>(v));
   return h ^ mem_.digest();
+}
+
+bool Functional::same_arch_state(const Functional& other) const {
+  const auto same_bits = [](const auto& a, const auto& b) {
+    return std::memcmp(a.data(), b.data(), sizeof a) == 0;
+  };
+  return same_bits(iregs_, other.iregs_) && same_bits(fregs_, other.fregs_) &&
+         mem_.same_pages(other.mem_);
 }
 
 }  // namespace hidisc::sim

@@ -30,10 +30,12 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/program.hpp"
@@ -76,15 +78,40 @@ inline double fp_max(double a, double b) {
 }
 
 // One retired dynamic instruction.  24 bytes; a few million entries is the
-// expected scale for the DIS workloads.
+// expected scale for the DIS workloads.  Trivial (no member initialisers),
+// so a Trace grows without writing its new entries: `TraceEntry{}` is
+// zero, a plain `TraceEntry e;` is unwritten.
 struct TraceEntry {
-  std::int32_t static_idx = 0;  // index into Program::code
-  std::int32_t next = 0;        // index of the dynamically next instruction
-  std::uint64_t addr = 0;       // effective address for memory ops
-  std::int64_t value = 0;       // result (bit-cast for FP); stores: data
+  std::int32_t static_idx;  // index into Program::code
+  std::int32_t next;        // index of the dynamically next instruction
+  std::uint64_t addr;       // effective address for memory ops
+  std::int64_t value;       // result (bit-cast for FP); stores: data
 };
 
-using Trace = std::vector<TraceEntry>;
+// std::allocator whose argument-less construct() default-initialises, so
+// resize() on a vector of trivial entries leaves them unwritten for the
+// interpreter to fill: each emitted entry is written once.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+using Trace = std::vector<TraceEntry, DefaultInitAllocator<TraceEntry>>;
 
 class ExecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
@@ -173,6 +200,9 @@ class Functional {
   // Digest of registers + memory; equal digests across machine
   // configurations certify identical architectural outcomes.
   [[nodiscard]] std::uint64_t state_digest() const;
+  // The exact equality state_digest() summarises: registers bitwise and
+  // memory page by page (Memory::same_pages).
+  [[nodiscard]] bool same_arch_state(const Functional& other) const;
 
  private:
   struct QVal {

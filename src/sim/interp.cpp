@@ -81,7 +81,8 @@ void Functional::exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
   // trims its unused tail: push_back would reload the vector's bounds
   // after every store to simulated memory (byte stores may alias them),
   // doubling the cost.  Slabs double from 256 entries up to one
-  // kStreamChunk, never past stop_at, so a short run zero-fills little.
+  // kStreamChunk, never past stop_at; Trace's allocator leaves a slab's
+  // entries unwritten, so each entry is written once, by EMIT.
   TraceEntry* cur = nullptr;
   TraceEntry* lim = nullptr;
   const auto open_slab = [&] {

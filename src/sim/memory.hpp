@@ -140,6 +140,21 @@ class Memory {
     return acc;
   }
 
+  // True when both memories hold the same allocated pages with the same
+  // bytes, compared page by page with memcmp: the equality digest()
+  // summarises, so an allocated all-zero page still tells two memories
+  // apart.
+  [[nodiscard]] bool same_pages(const Memory& other) const {
+    if (pages_.size() != other.pages_.size()) return false;
+    for (const auto& [base, page] : pages_) {
+      const auto it = other.pages_.find(base);
+      if (it == other.pages_.end() ||
+          std::memcmp(page->data(), it->second->data(), kPageSize) != 0)
+        return false;
+    }
+    return true;
+  }
+
   [[nodiscard]] std::size_t allocated_pages() const noexcept {
     return pages_.size();
   }

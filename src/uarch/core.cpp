@@ -32,11 +32,9 @@ OoOCore::OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys,
       queues_(queues),
       table_(table),
       last_writer_(isa::kNumArchRegs, 0),
-      int_alu_(cfg.int_alu),
-      int_muldiv_(cfg.int_muldiv),
-      fp_alu_(cfg.fp_alu),
-      fp_muldiv_(cfg.fp_muldiv),
-      mem_ports_(cfg.mem_ports),
+      pools_{FuPool(), FuPool(cfg.int_alu), FuPool(cfg.int_muldiv),
+             FuPool(cfg.fp_alu), FuPool(cfg.fp_muldiv),
+             FuPool(cfg.mem_ports)},
       prefetch_buf_(cfg.prefetch_buffer) {
   if (cfg.window <= 0 || cfg.issue_width <= 0 || cfg.commit_width <= 0)
     throw std::invalid_argument(cfg.name + ": non-positive core geometry");
@@ -48,24 +46,6 @@ OoOCore::OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys,
   input_slots_.resize(
       pow2_at_least(static_cast<std::size_t>(std::max(1, cfg.input_queue))));
   input_mask_ = input_slots_.size() - 1;
-}
-
-std::vector<ResolvedBranch> OoOCore::take_resolved_branches() {
-  auto out = std::move(resolved_);
-  resolved_.clear();
-  return out;
-}
-
-FuPool* OoOCore::pool_ptr(PoolKind kind) {
-  switch (kind) {
-    case PoolKind::IntAlu: return &int_alu_;
-    case PoolKind::IntMulDiv: return &int_muldiv_;
-    case PoolKind::FpAlu: return &fp_alu_;
-    case PoolKind::FpMulDiv: return &fp_muldiv_;
-    case PoolKind::Mem: return &mem_ports_;
-    case PoolKind::None: return nullptr;
-  }
-  return nullptr;
 }
 
 TimedFifo* OoOCore::queue_ptr(QueueRole role) const noexcept {
@@ -102,10 +82,8 @@ std::uint64_t OoOCore::next_event_cycle(std::uint64_t now) const {
   // cover units freeing, including a full prefetch buffer's earliest fill
   // landing.
   std::uint64_t ev = next_completion(now);
-  for (const FuPool* pool : {&int_alu_, &int_muldiv_, &fp_alu_, &fp_muldiv_,
-                             &mem_ports_, &prefetch_buf_})
-    ev = std::min(ev, pool->next_release(now));
-  return ev;
+  for (const FuPool& pool : pools_) ev = std::min(ev, pool.next_release(now));
+  return std::min(ev, prefetch_buf_.next_release(now));
 }
 
 // Mirrors exactly the per-cycle stall counters tick() accrues in a cycle
@@ -299,7 +277,6 @@ void OoOCore::do_issue(std::uint64_t now) {
   // before touching any state (the pop-queue gates included), so the walk
   // leaves it out altogether; it rejoins when its last producer issues.
   std::uint64_t pending = unissued & ~by_age(blocked_);
-  const int walk = std::popcount(pending);
   // Per-queue pop state for this cycle: pops must drain in program order
   // (an older blocked pop blocks younger ones) and respect the per-cycle
   // queue read bandwidth.
@@ -309,7 +286,9 @@ void OoOCore::do_issue(std::uint64_t now) {
   };
   PopState pop_state[3];
   int issued = 0;
+  int visited = 0;
   for (; pending != 0 && issued < cfg_.issue_width; pending &= pending - 1) {
+    ++visited;
     const auto pos = static_cast<std::size_t>(std::countr_zero(pending));
     Entry& e = window_at(pos);
 
@@ -353,15 +332,16 @@ void OoOCore::do_issue(std::uint64_t now) {
         !prefetch_buf_.available(now))
       continue;
 
-    // Functional unit / memory port availability.
-    FuPool* pool = pool_ptr(e.so.pool);
-    if (e.forwarded) pool = nullptr;  // store-to-load forward: no cache port
-    if (pool != nullptr && !pool->acquire(now, e.so.busy)) continue;
+    // Functional unit / memory port availability; a store-to-load forward
+    // needs no cache port.
+    if (e.so.pool != PoolKind::None && !e.forwarded &&
+        !pools_[static_cast<std::size_t>(e.so.pool)].acquire(now, e.so.busy))
+      continue;
 
     issue_one(e, now);
     ++issued;
   }
-  census_.visits += static_cast<std::uint64_t>(walk - std::popcount(pending));
+  census_.visits += static_cast<std::uint64_t>(visited);
   census_.issued += static_cast<std::uint64_t>(issued);
 }
 

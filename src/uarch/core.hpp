@@ -146,9 +146,13 @@ class OoOCore {
   // scheduler.
   void account_idle_cycles(std::uint64_t now, std::uint64_t delta);
 
-  // Mispredicted branches that reached resolution since the last call.
-  std::vector<ResolvedBranch> take_resolved_branches();
-  // Cheap guard so the machine only pays the take/move when one resolved.
+  // Mispredicted branches that reached resolution since the last clear;
+  // clearing keeps the buffer, so resolutions never allocate once warm.
+  [[nodiscard]] const std::vector<ResolvedBranch>& resolved_branches() const
+      noexcept {
+    return resolved_;
+  }
+  void clear_resolved_branches() noexcept { resolved_.clear(); }
   [[nodiscard]] bool has_resolved() const noexcept {
     return !resolved_.empty();
   }
@@ -276,10 +280,6 @@ class OoOCore {
   void do_issue(std::uint64_t now);
   void do_dispatch();
   void issue_one(Entry& e, std::uint64_t now);
-  [[nodiscard]] FuPool* pool_ptr(PoolKind kind);
-  [[nodiscard]] const FuPool* pool_ptr(PoolKind kind) const noexcept {
-    return const_cast<OoOCore*>(this)->pool_ptr(kind);
-  }
   [[nodiscard]] TimedFifo* queue_ptr(QueueRole role) const noexcept;
   // Index of a queue's per-cycle order state in do_issue and do_pushes.
   [[nodiscard]] int queue_slot(const TimedFifo* q) const noexcept {
@@ -336,7 +336,9 @@ class OoOCore {
   // (0 when the committed register file already holds the value).
   std::vector<std::uint64_t> last_writer_;
 
-  FuPool int_alu_, int_muldiv_, fp_alu_, fp_muldiv_, mem_ports_;
+  // Functional units, indexed by PoolKind; the None slot has no units and
+  // is never asked for one.
+  std::array<FuPool, kNumPoolKinds> pools_;
   // Prefetch-only cores: one unit per in-flight fire-and-forget fill, busy
   // until the fill lands.
   FuPool prefetch_buf_;

@@ -51,6 +51,7 @@ StaticOp decode_static_op(const isa::Instruction& inst) {
   so.is_prefetch = info.cls == OpClass::Prefetch;
   so.is_mem = so.is_load || so.is_store || so.is_prefetch;
   so.is_beod = inst.op == Opcode::BEOD;
+  so.is_control = isa::is_control(inst.op) && inst.op != Opcode::HALT;
   so.fp_routed =
       (info.is_fp_dst || info.is_fp_src) && isa::is_fp_compute(inst.op);
   so.value_live = inst.ann.cmas_value_live;

@@ -11,6 +11,7 @@
 // bare `OoOCore` build one over their synthetic instructions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -29,6 +30,8 @@ enum class PoolKind : std::uint8_t {
   FpMulDiv,
   Mem,        // loads, stores, prefetches: memory ports
 };
+inline constexpr std::size_t kNumPoolKinds =
+    static_cast<std::size_t>(PoolKind::Mem) + 1;
 
 // Architectural-queue role selector, resolved against the core's bound
 // queues at dispatch (a prefetch-only CMP ignores all roles).
@@ -52,6 +55,7 @@ struct StaticOp {
   bool is_prefetch = false;
   bool is_mem = false;          // load | store | prefetch: needs an LSU
   bool is_beod = false;         // BEOD's conditional LDQ consume
+  bool is_control = false;      // branch, jump or BEOD (not HALT): predicted
   bool fp_routed = false;       // FP compute: needs FP units
   bool value_live = false;      // CMAS load whose value the slice reads
 };

@@ -6,13 +6,16 @@
 // paper's 32-entry queues; producers stall at commit when the queue is
 // full, consumers stall at issue when it is empty — those two stalls are
 // what bound the slip distance.
+//
+// The entries live in a ring of exactly `capacity` slots, allocated once,
+// so the per-cycle size and head queries are plain field reads.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "uarch/event.hpp"
 
@@ -37,41 +40,45 @@ class TimedFifo {
   };
 
   TimedFifo(std::string name, std::size_t capacity)
-      : name_(std::move(name)), capacity_(capacity) {}
+      : name_(std::move(name)), ring_(capacity) {}
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
-  [[nodiscard]] bool full() const noexcept { return q_.size() >= capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] bool full() const noexcept { return size_ >= ring_.size(); }
 
   bool push(Entry e) {
     if (full()) return false;
-    q_.push_back(e);
+    std::size_t tail = head_ + size_;
+    if (tail >= ring_.size()) tail -= ring_.size();
+    ring_[tail] = e;
+    ++size_;
     ++stats_.pushes;
-    stats_.max_occupancy = std::max(stats_.max_occupancy, q_.size());
+    stats_.max_occupancy = std::max(stats_.max_occupancy, size_);
     return true;
   }
 
   // The head entry if its data is consumable at `now`.
   [[nodiscard]] const Entry* front_ready(std::uint64_t now) const {
-    if (q_.empty() || q_.front().ready > now) return nullptr;
-    return &q_.front();
+    if (size_ == 0 || ring_[head_].ready > now) return nullptr;
+    return &ring_[head_];
   }
 
   // The head entry regardless of readiness — forensic use (deadlock
   // snapshots need the head's ready time even when it is in the future).
   [[nodiscard]] const Entry* head() const {
-    return q_.empty() ? nullptr : &q_.front();
+    return size_ == 0 ? nullptr : &ring_[head_];
   }
 
   // Popping an empty queue is a core-model bug (consumers must gate on
-  // front_ready); fail loudly instead of reading a dead deque front.
+  // front_ready); fail loudly instead of reading a stale ring slot.
   Entry pop() {
-    if (q_.empty())
+    if (size_ == 0)
       throw std::logic_error(name_ + ": pop on empty queue");
-    Entry e = q_.front();
-    q_.pop_front();
+    const Entry e = ring_[head_];
+    if (++head_ == ring_.size()) head_ = 0;
+    --size_;
     ++stats_.pops;
     return e;
   }
@@ -93,21 +100,23 @@ class TimedFifo {
   // core — can change this queue's observable state).
   [[nodiscard]] std::uint64_t next_ready_event(std::uint64_t now) const
       noexcept {
-    if (q_.empty() || q_.front().ready <= now) return kNoEvent;
-    return q_.front().ready;
+    if (size_ == 0 || ring_[head_].ready <= now) return kNoEvent;
+    return ring_[head_].ready;
   }
 
   [[nodiscard]] const FifoStats& stats() const noexcept { return stats_; }
 
   void reset() {
-    q_.clear();
+    head_ = 0;
+    size_ = 0;
     stats_ = FifoStats{};
   }
 
  private:
   std::string name_;
-  std::size_t capacity_;
-  std::deque<Entry> q_;
+  std::vector<Entry> ring_;  // capacity slots; live entries start at head_
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   FifoStats stats_;
 };
 

@@ -3,6 +3,11 @@
 // Table-1 latency structure.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
 #include "mem/cache.hpp"
 #include "mem/memory_system.hpp"
 
@@ -218,6 +223,168 @@ TEST(Cache, UngroupedPrefetchesAreNotTracked) {
   c.access(0x00, AccessType::Prefetch, 1, 0);
   c.access(0x00, AccessType::Read, 2, 0);
   EXPECT_TRUE(c.prefetch_group_stats().empty());
+}
+
+// The cache as it was first written: every line value-initialised with an
+// explicit valid bit, a miss taking the last invalid way (the first way if
+// only it is invalid) or else the LRU line, reset() rewriting every line.
+// Kept as an independent copy so the lazily filled sets of mem::Cache are
+// checked against the plain semantics.
+class RefCache {
+ public:
+  explicit RefCache(const CacheConfig& cfg)
+      : cfg_(cfg), lines_(static_cast<std::size_t>(cfg.sets) * cfg.assoc) {}
+
+  LookupResult access(std::uint64_t addr, AccessType type, std::uint64_t now,
+                      std::uint64_t fill_ready, std::int16_t pf_group) {
+    const std::uint64_t tag = addr / cfg_.block_bytes;
+    Line* base = &lines_[(tag % cfg_.sets) * cfg_.assoc];
+    std::uint64_t& misses = type == AccessType::Read    ? stats.read_misses
+                            : type == AccessType::Write ? stats.write_misses
+                                                        : stats.prefetch_misses;
+    ++(type == AccessType::Read    ? stats.reads
+       : type == AccessType::Write ? stats.writes
+                                   : stats.prefetches);
+    LookupResult r;
+    for (int w = 0; w < cfg_.assoc; ++w) {
+      Line& l = base[w];
+      if (!l.valid || l.tag != tag) continue;
+      l.lru = ++stamp_;
+      if (type == AccessType::Write) l.dirty = true;
+      if (type != AccessType::Prefetch) {
+        const bool in_flight = l.ready > now;
+        if (l.prefetched) {
+          if (!in_flight) ++stats.useful_prefetches;
+          if (l.pf_group >= 0) {
+            ++groups[l.pf_group].used;
+            if (in_flight) ++groups[l.pf_group].late;
+          }
+          if (in_flight) ++stats.late_prefetch_hits;
+          l.prefetched = false;
+          l.pf_group = -1;
+        }
+        if (in_flight) {
+          ++stats.late_fill_hits;
+          ++misses;
+        }
+      }
+      r.hit = true;
+      r.ready = l.ready;
+      return r;
+    }
+    ++misses;
+    Line* victim = base;
+    for (int w = 1; w < cfg_.assoc; ++w)
+      if (!base[w].valid || (victim->valid && base[w].lru < victim->lru))
+        victim = &base[w];
+    if (victim->valid) {
+      ++stats.evictions;
+      if (victim->prefetched && victim->pf_group >= 0)
+        ++groups[victim->pf_group].evicted_unused;
+      if (victim->dirty) {
+        ++stats.writebacks;
+        r.evicted_dirty = true;
+        r.evicted_addr = victim->tag * cfg_.block_bytes;
+      }
+    }
+    const bool pf = type == AccessType::Prefetch;
+    *victim = Line{tag, ++stamp_, fill_ready, pf ? pf_group : std::int16_t{-1},
+                   true, type == AccessType::Write, pf};
+    if (pf && pf_group >= 0) ++groups[pf_group].installed;
+    r.ready = fill_ready;
+    return r;
+  }
+
+  bool contains(std::uint64_t addr) const {
+    const std::uint64_t tag = addr / cfg_.block_bytes;
+    const Line* base = &lines_[(tag % cfg_.sets) * cfg_.assoc];
+    for (int w = 0; w < cfg_.assoc; ++w)
+      if (base[w].valid && base[w].tag == tag) return true;
+    return false;
+  }
+
+  void reset() {
+    for (auto& l : lines_) l = Line{};
+    stats = CacheStats{};
+    groups.clear();
+    stamp_ = 0;
+  }
+
+  CacheStats stats;
+  std::unordered_map<std::int16_t, Cache::PrefetchGroupStats> groups;
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0, lru = 0, ready = 0;
+    std::int16_t pf_group = -1;
+    bool valid = false, dirty = false, prefetched = false;
+  };
+  CacheConfig cfg_;
+  std::vector<Line> lines_;
+  std::uint64_t stamp_ = 0;
+};
+
+void expect_same_groups(const Cache& c, const RefCache& ref,
+                        const std::string& where) {
+  ASSERT_EQ(c.prefetch_group_stats().size(), ref.groups.size()) << where;
+  for (const auto& [g, want] : ref.groups) {
+    const auto it = c.prefetch_group_stats().find(g);
+    ASSERT_NE(it, c.prefetch_group_stats().end()) << where << " group " << g;
+    const auto& got = it->second;
+    EXPECT_EQ(got.installed, want.installed) << where << " group " << g;
+    EXPECT_EQ(got.used, want.used) << where << " group " << g;
+    EXPECT_EQ(got.late, want.late) << where << " group " << g;
+    EXPECT_EQ(got.evicted_unused, want.evicted_unused)
+        << where << " group " << g;
+  }
+}
+
+// Random read/write/prefetch streams over a footprint of three cache
+// capacities (so sets fill, evict and write back), with fills landing in
+// the future (late hits), CMAS-grouped and ungrouped prefetches, and a
+// reset() every 700 accesses: every LookupResult, contains() probe,
+// CacheStats and group counter must match the value-initialised model.
+TEST(Cache, LazySetsMatchValueInitialisedModel) {
+  const CacheConfig geometries[] = {
+      {1, 16, 1, 1}, {2, 16, 2, 1},  {4, 32, 3, 1},
+      {8, 64, 4, 12}, {16, 32, 8, 1}, {256, 32, 4, 1},
+  };
+  for (const auto& cfg : geometries) {
+    Cache c(cfg);
+    RefCache ref(cfg);
+    std::mt19937_64 rng(0xCA5Eu + static_cast<std::uint64_t>(cfg.sets) * 31 +
+                        static_cast<std::uint64_t>(cfg.assoc));
+    const std::uint64_t footprint =
+        3ull * static_cast<std::uint64_t>(cfg.size_bytes());
+    std::uint64_t now = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::string where = "sets=" + std::to_string(cfg.sets) +
+                                " assoc=" + std::to_string(cfg.assoc) +
+                                " step " + std::to_string(step);
+      if (step % 700 == 699) {
+        c.reset();
+        ref.reset();
+      }
+      now += rng() % 4;
+      const std::uint64_t addr = rng() % footprint;
+      const auto type = static_cast<AccessType>(rng() % 3);
+      const std::uint64_t fill_ready = now + rng() % 40;
+      const auto group = static_cast<std::int16_t>(
+          static_cast<int>(rng() % 5) - 1);  // -1 (none) or groups 0..3
+      const auto got = c.access(addr, type, now, fill_ready, group);
+      const auto want = ref.access(addr, type, now, fill_ready, group);
+      ASSERT_EQ(got.hit, want.hit) << where;
+      ASSERT_EQ(got.ready, want.ready) << where;
+      ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << where;
+      if (want.evicted_dirty) {
+        ASSERT_EQ(got.evicted_addr, want.evicted_addr) << where;
+      }
+      const std::uint64_t probe = rng() % footprint;
+      ASSERT_EQ(c.contains(probe), ref.contains(probe)) << where;
+      ASSERT_EQ(c.stats(), ref.stats) << where;
+      expect_same_groups(c, ref, where);
+    }
+  }
 }
 
 TEST(CacheStats, MissRate) {

@@ -353,9 +353,11 @@ TEST_F(CoreTest, MispredictedBranchReportsResolution) {
   op.mispredicted = true;
   auto& core = make_core(small_config(), {}, {op});
   drain(core);
-  const auto resolved = core.take_resolved_branches();
+  const auto& resolved = core.resolved_branches();
   ASSERT_EQ(resolved.size(), 1u);
   EXPECT_EQ(resolved[0].trace_pos, op.trace_pos);
+  core.clear_resolved_branches();
+  EXPECT_FALSE(core.has_resolved());
 }
 
 TEST_F(CoreTest, LsqCapBoundsMemOpsInWindow) {

@@ -295,6 +295,27 @@ TEST(Functional, StateDigestDetectsDifferences) {
   EXPECT_NE(f1.state_digest(), f2.state_digest());
 }
 
+TEST(Functional, SameArchStateIsExact) {
+  // Equal outcomes compare equal; one register, one FP sign bit (-0 and +0
+  // are == as doubles) or one memory word apart does not.
+  const auto one = assemble("li r1, 1\ncvtif f1, r0\nhalt\n");
+  const auto two = assemble("li r1, 2\ncvtif f1, r0\nhalt\n");
+  const auto neg = assemble("li r1, 1\ncvtif f1, r0\nfneg f1, f1\nhalt\n");
+  const auto st3 = assemble(
+      ".data\nb: .space 8\n.text\nli r2, 3\nsd r2, b\nli r2, 0\nhalt\n");
+  const auto st4 = assemble(
+      ".data\nb: .space 8\n.text\nli r2, 4\nsd r2, b\nli r2, 0\nhalt\n");
+  Functional a(one), a2(one), b(two), n(neg), s3(st3), s3b(st3), s4(st4);
+  for (auto* f : {&a, &a2, &b, &n, &s3, &s3b, &s4}) f->run();
+  EXPECT_TRUE(a.same_arch_state(a2));
+  EXPECT_FALSE(a.same_arch_state(b));
+  ASSERT_EQ(n.freg(1), a.freg(1));
+  EXPECT_FALSE(a.same_arch_state(n));
+  EXPECT_TRUE(s3.same_arch_state(s3b));
+  EXPECT_FALSE(s3.same_arch_state(s4));
+  EXPECT_NE(s3.state_digest(), s4.state_digest());
+}
+
 TEST(Functional, MemoryDigestMatchesForEqualEffects) {
   auto p1 = assemble(".data\nb: .space 8\n.text\nli r1, 3\nsd r1, b\nhalt\n");
   auto p2 = assemble(

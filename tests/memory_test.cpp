@@ -71,5 +71,44 @@ TEST(Memory, DigestDependsOnAddressNotJustContent) {
   EXPECT_NE(a.digest(), b.digest());
 }
 
+TEST(Memory, SamePagesFailsOnOneDifferingByte) {
+  Memory a, b;
+  for (std::uint64_t i = 0; i < 3 * Memory::kPageSize; i += 8) {
+    a.write<std::uint64_t>(0x10000 + i, i * 7);
+    b.write<std::uint64_t>(0x10000 + i, i * 7);
+  }
+  EXPECT_TRUE(a.same_pages(b));
+  b.write_u8(0x10000 + 2 * Memory::kPageSize + 5, 0xee);
+  EXPECT_FALSE(a.same_pages(b));
+  EXPECT_FALSE(b.same_pages(a));
+}
+
+TEST(Memory, SamePagesFailsOnAnExtraZeroPage) {
+  // A page allocated and left all-zero reads like an untouched one, but
+  // the digest counts it, and so does the exact compare.
+  Memory a, b;
+  a.write<std::uint64_t>(0x1000, 42);
+  b.write<std::uint64_t>(0x1000, 42);
+  b.write<std::uint64_t>(0x8000, 0);
+  EXPECT_EQ(b.read<std::uint64_t>(0x8000), 0u);
+  EXPECT_NE(a.digest(), b.digest());
+  EXPECT_FALSE(a.same_pages(b));
+  EXPECT_FALSE(b.same_pages(a));
+}
+
+TEST(Memory, SamePagesIgnoresWriteOrder) {
+  Memory a, b;
+  const std::uint64_t addrs[] = {0x1000, 0x5ff8, 0x2004, 0x9000, 0x1ffc};
+  for (std::size_t i = 0; i < std::size(addrs); ++i)
+    a.write<std::uint32_t>(addrs[i], static_cast<std::uint32_t>(i + 1));
+  for (std::size_t i = std::size(addrs); i-- > 0;)
+    b.write<std::uint32_t>(addrs[i], static_cast<std::uint32_t>(i + 1));
+  b.write<std::uint32_t>(0x2004, 99);  // overwritten below: order-only noise
+  b.write<std::uint32_t>(0x2004, 3);
+  EXPECT_TRUE(a.same_pages(b));
+  EXPECT_TRUE(b.same_pages(a));
+  EXPECT_EQ(a.digest(), b.digest());
+}
+
 }  // namespace
 }  // namespace hidisc::sim

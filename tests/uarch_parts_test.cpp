@@ -79,6 +79,44 @@ TEST(TimedFifo, PopOnEmptyThrows) {
   EXPECT_THROW(q.pop(), std::logic_error);
 }
 
+TEST(TimedFifo, RingWrapsPastCapacity) {
+  // A capacity that is not a power of two, pushed and popped far past it
+  // at varying occupancy: order, readiness, the EOD flag, fullness and the
+  // stats hold at every wrap of the ring.  Entry i is ready at cycle i.
+  TimedFifo q("q", 3);
+  std::int64_t pushed = 0, popped = 0;
+  std::mt19937_64 rng(3);
+  for (int step = 0; step < 1000; ++step) {
+    if (rng() % 2 == 0) {
+      const bool room = !q.full();
+      ASSERT_EQ(q.push({static_cast<std::uint64_t>(pushed), pushed,
+                        pushed % 5 == 0}),
+                room);
+      if (room) ++pushed;
+    } else if (!q.empty()) {
+      const auto ready = static_cast<std::uint64_t>(popped);
+      if (ready > 0) {
+        ASSERT_EQ(q.front_ready(ready - 1), nullptr);
+      }
+      ASSERT_NE(q.front_ready(ready), nullptr);
+      ASSERT_EQ(q.head()->producer_pos, popped);
+      const auto e = q.pop();
+      ASSERT_EQ(e.producer_pos, popped);
+      ASSERT_EQ(e.eod, popped % 5 == 0);
+      ++popped;
+    } else {
+      ASSERT_THROW(q.pop(), std::logic_error);
+    }
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(pushed - popped));
+    ASSERT_EQ(q.full(), q.size() == 3);
+    ASSERT_EQ(q.empty(), q.size() == 0);
+  }
+  EXPECT_GT(popped, 100);
+  EXPECT_EQ(q.stats().pushes, static_cast<std::uint64_t>(pushed));
+  EXPECT_EQ(q.stats().pops, static_cast<std::uint64_t>(popped));
+  EXPECT_EQ(q.stats().max_occupancy, 3u);
+}
+
 TEST(FuPool, AcquireUntilExhausted) {
   FuPool pool(2);
   EXPECT_TRUE(pool.available(0));
