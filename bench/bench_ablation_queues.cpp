@@ -26,7 +26,7 @@ int main() {
                         "LDQ empty-stall cycles"});
     for (const auto i : bench::rows(plan, Preset::CPAP, "ldq=")) {
       const auto& r = run.cells[i].result;
-      table.add_row({std::to_string(plan.cells[i].config.ldq_capacity),
+      table.add_row({std::to_string(plan.cells[i].config.queue_capacity),
                      std::to_string(r.cycles), bench::speedup(base, r),
                      std::to_string(r.ldq.empty_stall_cycles)});
     }
@@ -40,7 +40,7 @@ int main() {
                         "Speed-up", "L1 miss rate"});
     for (const auto i : bench::rows(plan, Preset::HiDISC, "pfbuf=")) {
       const auto& r = run.cells[i].result;
-      table.add_row({std::to_string(plan.cells[i].config.cmp.prefetch_buffer),
+      table.add_row({std::to_string(plan.cells[i].config.cmp_prefetch_buffer),
                      std::to_string(r.cycles), bench::speedup(base, r),
                      stats::Table::num(r.l1_demand_miss_rate())});
     }
@@ -109,7 +109,7 @@ loop:
                         "Forks suppressed"});
     for (const bool adaptive : {false, true}) {
       machine::MachineConfig cfg;
-      cfg.cmp.prefetch_buffer = 32;
+      cfg.cmp_prefetch_buffer = 32;
       cfg.cmp_adaptive_range = adaptive;
       const auto r =
           machine::run_machine(comp.separated, machine::Preset::HiDISC, cfg);

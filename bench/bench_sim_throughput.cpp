@@ -142,7 +142,7 @@ void BM_FullMachine(benchmark::State& state) {
   sim::Functional f(comp.separated);
   const auto trace = f.run_trace();
   machine::MachineConfig cfg;
-  cfg.mem = mem::MemConfig::with_latencies(16, 160);
+  cfg.mem = {.l2_latency = 16, .dram_latency = 160};
   cfg.scheduler = static_cast<machine::SchedulerKind>(state.range(0));
   std::uint64_t cycles = 0;
   for (auto _ : state) {

@@ -64,7 +64,7 @@ int main() {
   std::uint64_t first[4] = {0, 0, 0, 0}, last[4] = {0, 0, 0, 0};
   for (int s = 0; s < 4; ++s) {
     machine::MachineConfig cfg;
-    cfg.mem = mem::MemConfig::with_latencies(sweep[s][0], sweep[s][1]);
+    cfg.mem = {.l2_latency = sweep[s][0], .dram_latency = sweep[s][1]};
     std::vector<std::string> row{std::to_string(sweep[s][0]) + "/" +
                                  std::to_string(sweep[s][1])};
     int c = 0;

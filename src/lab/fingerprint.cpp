@@ -52,12 +52,12 @@ class Describer {
   // so keys written while the model existed stay valid.
   void frozen(const std::string& fields) { out_ += fields; }
 
-  void cache(const char* prefix, const mem::CacheConfig& c) {
+  void cache(const char* prefix, const mem::CacheConfig& c, int latency) {
     const std::string p = prefix;
     field((p + ".sets").c_str(), c.sets);
     field((p + ".block").c_str(), c.block_bytes);
     field((p + ".assoc").c_str(), c.assoc);
-    field((p + ".lat").c_str(), c.hit_latency);
+    field((p + ".lat").c_str(), latency);
   }
 
   void core(const char* prefix, const uarch::CoreConfig& c) {
@@ -76,18 +76,14 @@ class Describer {
     field((p + ".lsu").c_str(), c.has_lsu ? 1 : 0);
     field((p + ".pfonly").c_str(), c.prefetch_only ? 1 : 0);
     field((p + ".qpops").c_str(), uarch::kQueuePopsPerCycle);
-    // Appended only off the Table-1 default, like the prefetcher below, so
-    // keys written before it was keyed stay valid.
-    if (c.prefetch_buffer != uarch::CoreConfig{}.prefetch_buffer)
-      field((p + ".pfbuf").c_str(), c.prefetch_buffer);
   }
 
   void mem(const char* prefix, const mem::MemConfig& m) {
     const std::string p = prefix;
-    cache((p + ".l1").c_str(), m.l1);
+    cache((p + ".l1").c_str(), mem::kL1Cache, mem::kL1Latency);
     frozen(p + ".l1i.sets=512;" + p + ".l1i.block=32;" + p +
            ".l1i.assoc=1;" + p + ".l1i.lat=1;");  // the I-cache model
-    cache((p + ".l2").c_str(), m.l2);
+    cache((p + ".l2").c_str(), mem::kL2Cache, m.l2_latency);
     field((p + ".dram").c_str(), m.dram_latency);
     field((p + ".bus").c_str(), m.l2_bus_cycles);
     // Appended only when a prefetcher is enabled: pre-prefetcher keys stay
@@ -115,13 +111,18 @@ std::string describe(const machine::MachineConfig& cfg) {
   d.field("btb", machine::kBtbSize);
   d.field("predictor_kind", static_cast<std::int64_t>(cfg.predictor_kind));
   d.frozen("icache=0;");  // the I-cache model
-  d.field("ldq", static_cast<std::int64_t>(cfg.ldq_capacity));
-  d.field("sdq", static_cast<std::int64_t>(cfg.sdq_capacity));
+  // One capacity, two key fields, as when LDQ and SDQ were sized apart.
+  d.field("ldq", static_cast<std::int64_t>(cfg.queue_capacity));
+  d.field("sdq", static_cast<std::int64_t>(cfg.queue_capacity));
   d.field("scq", static_cast<std::int64_t>(machine::kScqCapacity));
-  d.core("ss", cfg.superscalar);
-  d.core("cp", cfg.cp);
-  d.core("ap", cfg.ap);
-  d.core("cmp", cfg.cmp);
+  d.core("ss", machine::kSuperscalarCore);
+  d.core("cp", machine::kCpCore);
+  d.core("ap", machine::kApCore);
+  d.core("cmp", machine::kCmpCore);
+  // Appended only off its Table-1 default, like the prefetcher, so keys
+  // written before it was keyed stay valid.
+  if (cfg.cmp_prefetch_buffer != machine::MachineConfig{}.cmp_prefetch_buffer)
+    d.field("cmp.pfbuf", cfg.cmp_prefetch_buffer);
   d.field("cmp_contexts", machine::kCmpContexts);
   d.field("cmp_targets", cfg.cmp_targets_per_fork);
   d.field("cmp_lookahead", cfg.cmp_fork_lookahead);
@@ -136,7 +137,7 @@ std::string describe(const machine::MachineConfig& cfg) {
   d.field("cmp_la_max", machine::kCmpLookaheadMax);
   d.field("cmp_adapt_ivl",
           static_cast<std::int64_t>(machine::kCmpAdaptInterval));
-  d.field("cmp_runahead", cfg.cmp_max_runahead);
+  d.field("cmp_runahead", machine::kCmpMaxRunahead);
   d.field("watchdog", static_cast<std::int64_t>(cfg.watchdog_cycles));
   return d.take();
 }

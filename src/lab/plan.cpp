@@ -139,7 +139,7 @@ ExperimentPlan plan_prefetch(workloads::Scale scale) {
     for (const auto& [l2, dram] : std::vector<std::pair<int, int>>{
              {4, 40}, {8, 80}, {12, 120}, {16, 160}}) {
       machine::MachineConfig cfg;
-      cfg.mem = mem::MemConfig::with_latencies(l2, dram);
+      cfg.mem = {.l2_latency = l2, .dram_latency = dram};
       const std::string tag =
           std::to_string(l2) + "/" + std::to_string(dram);
       for (const auto preset : all_presets())
@@ -192,14 +192,13 @@ ExperimentPlan plan_ablation_queues(workloads::Scale scale) {
   for (const std::size_t cap : {2u, 4u, 8u, 16u, 32u, 64u}) {
     Cell c{field, machine::Preset::CPAP, {}, {},
            "ldq=" + std::to_string(cap)};
-    c.config.ldq_capacity = cap;
-    c.config.sdq_capacity = cap;
+    c.config.queue_capacity = cap;
     plan.cells.push_back(std::move(c));
   }
   for (const int buf : {1, 2, 4, 8, 16, 32}) {
     Cell c{update, machine::Preset::HiDISC, {}, {},
            "pfbuf=" + std::to_string(buf)};
-    c.config.cmp.prefetch_buffer = buf;
+    c.config.cmp_prefetch_buffer = buf;
     plan.cells.push_back(std::move(c));
   }
   for (const int bus : {0, 4, 8, 16})
@@ -254,7 +253,7 @@ ExperimentPlan latency_sweep(
   for (const auto& w : specs)
     for (const auto& [l2, dram] : latencies) {
       machine::MachineConfig cfg;
-      cfg.mem = mem::MemConfig::with_latencies(l2, dram);
+      cfg.mem = {.l2_latency = l2, .dram_latency = dram};
       const std::string tag =
           std::to_string(l2) + "/" + std::to_string(dram);
       for (const auto preset : presets)

@@ -3,17 +3,18 @@
 // decoupling), CP+CMP (speculative-precomputation-style prefetching), and
 // the complete HiDISC.
 //
-// Core defaults reproduce Table 1: bimodal 2048-entry predictor, 8-wide
-// issue/commit, scheduling windows of 64 (superscalar / AP) and 16 (CP),
-// 4 integer ALUs + 1 MUL/DIV everywhere, 4 FP adders + 1 FP MUL/DIV on the
-// superscalar and CP, 2 memory ports per memory-capable processor,
-// 32-entry load/store queues, L1D 256x32Bx4 (1 cycle), unified L2
-// 1024x64Bx4 (12 cycles), 120-cycle DRAM.
+// The paper evaluates one machine, so Table 1 is constants below (caches
+// in mem/memory_system.hpp; bench_table1_params static_asserts them all):
+// bimodal 2048-entry predictor, 8-wide issue/commit, scheduling windows of
+// 64 (superscalar / AP) and 16 (CP), 4 integer ALUs + 1 MUL/DIV
+// everywhere, 4 FP adders + 1 FP MUL/DIV on the superscalar and CP, 2
+// memory ports per memory-capable processor, 32-entry load/store queues,
+// L1D 256x32Bx4 (1 cycle), unified L2 1024x64Bx4 (12 cycles), 120-cycle
+// DRAM.  MachineConfig holds only what a plan, a tool or the oracle sets.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "mem/memory_system.hpp"
 #include "uarch/branch_predictor.hpp"
@@ -61,7 +62,7 @@ enum class SchedulerKind : std::uint8_t { EventSkip, Lockstep };
 inline constexpr int kRedirectPenalty = 3;
 inline constexpr int kPredictorTable = uarch::kPredictorTable;
 inline constexpr int kBtbSize = uarch::kBtbSize;
-// Slice-control queue entries (LDQ and SDQ sizes are MachineConfig fields).
+// Slice-control queue entries (MachineConfig::queue_capacity sizes LDQ/SDQ).
 inline constexpr std::size_t kScqCapacity = 16;
 // CMP fork engine: concurrent slice contexts.
 inline constexpr int kCmpContexts = 4;
@@ -76,10 +77,40 @@ inline constexpr int kCmpRangeReprobe = 16;
 inline constexpr std::int64_t kCmpLookaheadMin = 64;
 inline constexpr std::int64_t kCmpLookaheadMax = 4096;
 inline constexpr std::uint64_t kCmpAdaptInterval = 4096;
+// Slip-control bound (the paper's SCQ): how far, in trace entries, a CMP
+// context may scan ahead of fetch.  Too small and prefetches are late; too
+// large and the CMP's own prefetches evict each other from L1 before the
+// AP arrives.  Below kCmpLookaheadMax, so a machine's trace window spans
+// max(cmp_fork_lookahead, kCmpLookaheadMax) entries past fetch.
+inline constexpr std::int64_t kCmpMaxRunahead = 1024;
 // How many recent scheduler transitions the always-on flight recorder
 // retains for the DeadlockReport.  Recording is one struct store per event
 // step; the perf-smoke gate verifies the overhead stays inside its band.
 inline constexpr std::size_t kFlightRecorderDepth = 64;
+
+// Table 1 gives "issue/commit width 8" for the machine; each HiDISC
+// processor keeps the full width (they are separate pipelines with their
+// own Table-1 functional units).  The CMP's prefetch buffer is a field.
+inline constexpr uarch::CoreConfig kSuperscalarCore{
+    .name = "SS", .window = 64, .issue_width = 8, .commit_width = 8,
+    .dispatch_width = 8, .input_queue = 32, .lsq = 32,
+    .int_alu = 4, .int_muldiv = 1, .fp_alu = 4, .fp_muldiv = 1,
+    .mem_ports = 2, .has_lsu = true, .prefetch_only = false};
+inline constexpr uarch::CoreConfig kCpCore{
+    .name = "CP", .window = 16, .issue_width = 8, .commit_width = 8,
+    .dispatch_width = 8, .input_queue = 64, .lsq = 0,
+    .int_alu = 4, .int_muldiv = 1, .fp_alu = 4, .fp_muldiv = 1,
+    .mem_ports = 0, .has_lsu = false, .prefetch_only = false};
+inline constexpr uarch::CoreConfig kApCore{
+    .name = "AP", .window = 64, .issue_width = 8, .commit_width = 8,
+    .dispatch_width = 8, .input_queue = 64, .lsq = 32,
+    .int_alu = 4, .int_muldiv = 1, .fp_alu = 0, .fp_muldiv = 0,
+    .mem_ports = 2, .has_lsu = true, .prefetch_only = false};
+inline constexpr uarch::CoreConfig kCmpCore{
+    .name = "CMP", .window = 32, .issue_width = 4, .commit_width = 4,
+    .dispatch_width = 4, .input_queue = 64, .lsq = 16,
+    .int_alu = 4, .int_muldiv = 1, .fp_alu = 0, .fp_muldiv = 0,
+    .mem_ports = 2, .has_lsu = true, .prefetch_only = true};
 
 struct MachineConfig {
   mem::MemConfig mem{};
@@ -90,36 +121,12 @@ struct MachineConfig {
   // ablation (bench_ablation_predictor).
   uarch::PredictorKind predictor_kind = uarch::PredictorKind::Bimodal;
 
-  // Architectural queues (paper: "32 entries load store queues").
-  std::size_t ldq_capacity = 32;
-  std::size_t sdq_capacity = 32;
+  // LDQ and SDQ entries (paper: "32 entries load store queues").
+  std::size_t queue_capacity = 32;
 
-  // Cores.
-  uarch::CoreConfig superscalar{
-      .name = "SS", .window = 64, .issue_width = 8, .commit_width = 8,
-      .dispatch_width = 8, .input_queue = 32, .lsq = 32,
-      .int_alu = 4, .int_muldiv = 1, .fp_alu = 4, .fp_muldiv = 1,
-      .mem_ports = 2, .has_lsu = true, .prefetch_only = false};
-  // Table 1 gives "issue/commit width 8" for the machine; each HiDISC
-  // processor keeps the full width (they are separate pipelines with their
-  // own Table-1 functional units).
-  uarch::CoreConfig cp{
-      .name = "CP", .window = 16, .issue_width = 8, .commit_width = 8,
-      .dispatch_width = 8, .input_queue = 64, .lsq = 0,
-      .int_alu = 4, .int_muldiv = 1, .fp_alu = 4, .fp_muldiv = 1,
-      .mem_ports = 0, .has_lsu = false, .prefetch_only = false};
-  uarch::CoreConfig ap{
-      .name = "AP", .window = 64, .issue_width = 8, .commit_width = 8,
-      .dispatch_width = 8, .input_queue = 64, .lsq = 32,
-      .int_alu = 4, .int_muldiv = 1, .fp_alu = 0, .fp_muldiv = 0,
-      .mem_ports = 2, .has_lsu = true, .prefetch_only = false};
-  uarch::CoreConfig cmp{
-      .name = "CMP", .window = 32, .issue_width = 4, .commit_width = 4,
-      .dispatch_width = 4, .input_queue = 64, .lsq = 16,
-      .int_alu = 4, .int_muldiv = 1, .fp_alu = 0, .fp_muldiv = 0,
-      .mem_ports = 2, .has_lsu = true, .prefetch_only = true};
-
-  // CMP fork engine.
+  // CMP fork engine.  The prefetch buffer caps its concurrent fire-and-
+  // forget fills (cf. DGP), bounding the miss bandwidth it can sustain.
+  int cmp_prefetch_buffer = 8;
   int cmp_targets_per_fork = 4;  // slice instance length, in load micro-ops
   // Where a fork starts hunting for its slice instance: the paper forks
   // the slice for the miss ~512 dynamic instructions ahead of the trigger,
@@ -142,11 +149,6 @@ struct MachineConfig {
   // forks for groups whose prefetched lines mostly go unused, re-probing
   // occasionally.
   bool cmp_adaptive_range = false;
-  // Slip-control bound (the paper's SCQ): how far, in dynamic trace
-  // entries, the CMP may run ahead of the front end.  Too small and
-  // prefetches are late; too large and the CMP's own prefetches evict each
-  // other from L1 before the AP arrives.
-  std::int64_t cmp_max_runahead = 1024;
 
   // Abort threshold for a machine making no forward progress (model bug).
   // Counted over stalled *event steps*, not raw cycle deltas, so a legal

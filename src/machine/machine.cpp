@@ -61,30 +61,25 @@ Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
       memsys_(cfg.mem),
       predictor_(kPredictorTable, kBtbSize, uarch::kRasDepth,
                  cfg.predictor_kind),
-      ldq_("LDQ", cfg.ldq_capacity),
-      sdq_("SDQ", cfg.sdq_capacity),
+      ldq_("LDQ", cfg.queue_capacity),
+      sdq_("SDQ", cfg.queue_capacity),
       scq_("SCQ", kScqCapacity),
       recorder_(kFlightRecorderDepth) {
   const OoOCore::Queues queues{&ldq_, &sdq_, &scq_};
-  switch (preset_) {
-    case Preset::Superscalar:
-      main_ = std::make_unique<OoOCore>(cfg_.superscalar, &memsys_, queues, optable_);
-      break;
-    case Preset::CPAP:
-      cp_ = std::make_unique<OoOCore>(cfg_.cp, &memsys_, queues, optable_);
-      ap_ = std::make_unique<OoOCore>(cfg_.ap, &memsys_, queues, optable_);
-      break;
-    case Preset::CPCMP:
-      main_ = std::make_unique<OoOCore>(cfg_.superscalar, &memsys_, queues, optable_);
-      cmp_ = std::make_unique<OoOCore>(cfg_.cmp, &memsys_, queues, optable_);
-      break;
-    case Preset::HiDISC:
-      cp_ = std::make_unique<OoOCore>(cfg_.cp, &memsys_, queues, optable_);
-      ap_ = std::make_unique<OoOCore>(cfg_.ap, &memsys_, queues, optable_);
-      cmp_ = std::make_unique<OoOCore>(cfg_.cmp, &memsys_, queues, optable_);
-      break;
+  const auto core = [&](const uarch::CoreConfig& c) {
+    return std::make_unique<OoOCore>(c, &memsys_, queues, optable_);
+  };
+  // The separated binary runs on a CP and an AP; the original on one core.
+  if (uses_separated_binary(preset_)) {
+    cp_ = core(kCpCore);
+    ap_ = core(kApCore);
+  } else {
+    main_ = core(kSuperscalarCore);
   }
-  if (cmp_) {
+  if (uses_cmp(preset_)) {
+    uarch::CoreConfig cmp = kCmpCore;
+    cmp.prefetch_buffer = cfg.cmp_prefetch_buffer;
+    cmp_ = core(cmp);
     contexts_.resize(static_cast<std::size_t>(kCmpContexts));
     const auto ngroups = static_cast<std::size_t>(num_cmas_groups(prog_));
     group_next_scan_.assign(ngroups, 0);
@@ -293,8 +288,8 @@ bool Machine::pump_cmp() {
       }
       // Slip control: the CMP may not run further ahead of the front end
       // than the SCQ-style bound allows.
-      if (ctx.scan_pos >= fetch_pos_ + static_cast<std::size_t>(
-                                           cfg_.cmp_max_runahead))
+      if (ctx.scan_pos >=
+          fetch_pos_ + static_cast<std::size_t>(kCmpMaxRunahead))
         break;
       const sim::TraceEntry& e = window_.at(ctx.scan_pos);
       const isa::Instruction& inst = prog_.code[e.static_idx];

@@ -1,9 +1,10 @@
 // Forward-only view of a machine's dynamic trace (docs/MACHINE.md).
 //
 // A Machine reads its trace only forward: fetch advances fetch_pos_, and a
-// CMP context scans at most max(kCmpLookaheadMax, cmp_max_runahead)
-// entries past it.  Entries below the low-water mark (fetch_pos_ and the
-// scan position of every active CMP context) are never read again.
+// CMP context reads at most max(cmp_fork_lookahead, kCmpLookaheadMax)
+// entries past it (its fork anchor; a scan stops at kCmpMaxRunahead).
+// Entries below the low-water mark (fetch_pos_ and the scan position of
+// every active CMP context) are never read again.
 //
 // The window serves those reads either from a whole trace the caller
 // holds, or from the machine's own functional run, pulled one

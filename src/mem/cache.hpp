@@ -21,13 +21,14 @@ namespace hidisc::mem {
 
 enum class AccessType : std::uint8_t { Read, Write, Prefetch };
 
+// Geometry only: the hit latency belongs to the level's owner
+// (MemorySystem), which is what charges it.
 struct CacheConfig {
   int sets = 256;
   int block_bytes = 32;
   int assoc = 4;
-  int hit_latency = 1;
 
-  [[nodiscard]] int size_bytes() const noexcept {
+  [[nodiscard]] constexpr int size_bytes() const noexcept {
     return sets * block_bytes * assoc;
   }
 };
@@ -100,7 +101,6 @@ class Cache {
 
   void reset();
 
-  [[nodiscard]] const CacheConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
  private:

@@ -6,9 +6,9 @@ namespace hidisc::mem {
 
 MemorySystem::MemorySystem(const MemConfig& cfg)
     : cfg_(cfg),
-      l1_(cfg.l1),
-      l2_(cfg.l2),
-      prefetcher_(make_prefetcher(cfg.prefetch, cfg.l1.block_bytes)) {}
+      l1_(kL1Cache),
+      l2_(kL2Cache),
+      prefetcher_(make_prefetcher(cfg.prefetch, kL1Cache.block_bytes)) {}
 
 HwPrefetchStats MemorySystem::hw_prefetch_stats() const {
   HwPrefetchStats s = pf_;
@@ -35,7 +35,7 @@ void MemorySystem::train_prefetcher(std::uint64_t addr, std::uint64_t now,
   ++pf_.trains;
   pf_buf_.clear();
   prefetcher_->observe(
-      {addr / static_cast<std::uint64_t>(cfg_.l1.block_bytes), static_idx},
+      {addr / static_cast<std::uint64_t>(kL1Cache.block_bytes), static_idx},
       pf_buf_);
   for (const auto cand : pf_buf_) {
     if (l1_.contains(cand)) {
@@ -64,7 +64,7 @@ AccessResult MemorySystem::access(std::uint64_t addr, AccessType type,
     // Wait for an in-flight fill if the line isn't ready yet.
     const auto wait =
         r1.ready > now ? static_cast<int>(r1.ready - now) : 0;
-    out.latency = cfg_.l1.hit_latency + wait;
+    out.latency = kL1Latency + wait;
     if (demand && prefetcher_)
       train_prefetcher(addr, now, static_idx);
     return out;
@@ -81,13 +81,11 @@ AccessResult MemorySystem::access(std::uint64_t addr, AccessType type,
   if (l2_.contains(addr)) {
     const auto r2 = l2_.access(addr, type, start, /*fill_ready=*/0);
     out.l2_hit = true;
-    const std::uint64_t base_ready = start + cfg_.l1.hit_latency +
-                                     cfg_.l2.hit_latency;
-    data_ready = std::max(base_ready, r2.ready + cfg_.l2.hit_latency);
+    const std::uint64_t base_ready = start + kL1Latency + cfg_.l2_latency;
+    data_ready = std::max(base_ready, r2.ready + cfg_.l2_latency);
   } else {
     const std::uint64_t fill_l2 =
-        start + cfg_.l1.hit_latency + cfg_.l2.hit_latency +
-        cfg_.dram_latency;
+        start + kL1Latency + cfg_.l2_latency + cfg_.dram_latency;
     const auto r2 = l2_.access(addr, type, start, fill_l2);
     // A dirty L2 victim goes to memory; modelled as a stat only.
     (void)r2;
@@ -105,7 +103,7 @@ AccessResult MemorySystem::access(std::uint64_t addr, AccessType type,
   }
 
   const auto wait = data_ready > now ? static_cast<int>(data_ready - now) : 0;
-  out.latency = std::max(cfg_.l1.hit_latency, wait);
+  out.latency = std::max(kL1Latency, wait);
   // Train after the demand allocation so the miss's own block is resident
   // (candidates aliasing it get filtered, not re-issued).
   if (demand && prefetcher_)

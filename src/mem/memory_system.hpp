@@ -26,9 +26,16 @@
 
 namespace hidisc::mem {
 
+// Table 1's caches, which no configuration varies; lab::describe() keys
+// them.
+inline constexpr CacheConfig kL1Cache{256, 32, 4};
+inline constexpr int kL1Latency = 1;
+inline constexpr CacheConfig kL2Cache{1024, 64, 4};
+
 struct MemConfig {
-  CacheConfig l1{256, 32, 4, 1};
-  CacheConfig l2{1024, 64, 4, 12};
+  // The latency sweep of Figure 10 varies (L2, DRAM) through
+  // {4/40, 8/80, 12/120, 16/160}.
+  int l2_latency = 12;
   int dram_latency = 120;
   // Occupancy of the L1<->L2 bus per miss transaction, in cycles.  0
   // disables contention modelling (infinite bandwidth, the default — the
@@ -39,15 +46,6 @@ struct MemConfig {
   // Prefetch fills claim the L1<->L2 bus like any miss, so under
   // contention modelling they compete with demand traffic too.
   PrefetchConfig prefetch{};
-
-  // The latency sweep of Figure 10 varies (L2, DRAM) through
-  // {4/40, 8/80, 12/120, 16/160}.
-  [[nodiscard]] static MemConfig with_latencies(int l2_lat, int dram_lat) {
-    MemConfig cfg;
-    cfg.l2.hit_latency = l2_lat;
-    cfg.dram_latency = dram_lat;
-    return cfg;
-  }
 };
 
 struct AccessResult {
@@ -68,7 +66,6 @@ class MemorySystem {
 
   [[nodiscard]] const Cache& l1() const noexcept { return l1_; }
   [[nodiscard]] const Cache& l2() const noexcept { return l2_; }
-  [[nodiscard]] const MemConfig& config() const noexcept { return cfg_; }
 
   // Accurate/late/useless accounting for the hardware prefetcher: issue-
   // side counters merged with the L1's outcome tracking for the reserved

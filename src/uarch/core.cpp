@@ -37,10 +37,12 @@ OoOCore::OoOCore(const CoreConfig& cfg, mem::MemorySystem* memsys,
              FuPool(cfg.mem_ports)},
       prefetch_buf_(cfg.prefetch_buffer) {
   if (cfg.window <= 0 || cfg.issue_width <= 0 || cfg.commit_width <= 0)
-    throw std::invalid_argument(cfg.name + ": non-positive core geometry");
+    throw std::invalid_argument(std::string(cfg.name) +
+                                ": non-positive core geometry");
   // The issue walk keeps one bit per ring slot in a 64-bit mask.
   if (cfg.window > 64)
-    throw std::invalid_argument(cfg.name + ": window larger than 64 entries");
+    throw std::invalid_argument(std::string(cfg.name) +
+                                ": window larger than 64 entries");
   slots_.resize(pow2_at_least(static_cast<std::size_t>(cfg.window)));
   window_mask_ = slots_.size() - 1;
   input_slots_.resize(
@@ -422,12 +424,14 @@ void OoOCore::do_dispatch() {
     const StaticOp& so = table_[op.static_idx];
 
     if (so.is_mem && !cfg_.has_lsu)
-      throw std::logic_error(cfg_.name +
+      throw std::logic_error(std::string(cfg_.name) +
                              ": memory op routed to core without LSU");
     if (so.is_store && cfg_.prefetch_only)
-      throw std::logic_error(cfg_.name + ": store in a CMAS slice");
+      throw std::logic_error(std::string(cfg_.name) +
+                             ": store in a CMAS slice");
     if (so.fp_routed && cfg_.fp_alu == 0)
-      throw std::logic_error(cfg_.name + ": FP op routed to non-FP core");
+      throw std::logic_error(std::string(cfg_.name) +
+                             ": FP op routed to non-FP core");
     if ((so.is_load || so.is_store) && mem_ops_in_window_ >= cfg_.lsq) {
       ++stats_.lsq_full_stalls;
       break;
@@ -474,7 +478,7 @@ void OoOCore::do_dispatch() {
       if (so.pop_role != QueueRole::None) {
         e.pop_queue = queue_ptr(so.pop_role);
         if (e.pop_queue == nullptr)
-          throw std::logic_error(cfg_.name +
+          throw std::logic_error(std::string(cfg_.name) +
                                  ": queue pop with no queue bound");
       }
       if (so.push_role != QueueRole::None) {
@@ -483,7 +487,7 @@ void OoOCore::do_dispatch() {
         // op (bare-core tests); a compiler-annotated push losing its
         // queue would silently drop a communication — fail loudly.
         if (e.push_queue == nullptr && so.push_from_ann)
-          throw std::logic_error(cfg_.name +
+          throw std::logic_error(std::string(cfg_.name) +
                                  ": queue push with no queue bound");
       }
     }
@@ -507,7 +511,8 @@ void OoOCore::do_dispatch() {
 // seed's full-window scans so the two derivations stay independent.
 void OoOCore::debug_check_invariants(std::uint64_t now) const {
   const auto fail = [this](const std::string& what) {
-    throw std::logic_error(cfg_.name + ": invariant violated: " + what);
+    throw std::logic_error(std::string(cfg_.name) +
+                           ": invariant violated: " + what);
   };
 
   // Completion frontier: the min over in-window entries must equal the

@@ -50,7 +50,7 @@ namespace hidisc::uarch {
 inline constexpr int kQueuePopsPerCycle = 4;
 
 struct CoreConfig {
-  std::string name = "core";
+  const char* name = "core";
   int window = 64;         // scheduling window (RUU) entries
   int issue_width = 8;
   int commit_width = 8;

@@ -15,19 +15,18 @@ namespace hidisc::mem {
 namespace {
 
 CacheConfig tiny_cache() {
-  return CacheConfig{/*sets=*/2, /*block_bytes=*/16, /*assoc=*/2,
-                     /*hit_latency=*/1};
+  return CacheConfig{/*sets=*/2, /*block_bytes=*/16, /*assoc=*/2};
 }
 
 TEST(Cache, RejectsBadGeometry) {
-  EXPECT_THROW(Cache(CacheConfig{0, 16, 2, 1}), std::invalid_argument);
-  EXPECT_THROW(Cache(CacheConfig{3, 16, 2, 1}), std::invalid_argument);
-  EXPECT_THROW(Cache(CacheConfig{2, 24, 2, 1}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{0, 16, 2}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{3, 16, 2}), std::invalid_argument);
+  EXPECT_THROW(Cache(CacheConfig{2, 24, 2}), std::invalid_argument);
 }
 
 TEST(Cache, SizeBytes) {
-  EXPECT_EQ(CacheConfig(256, 32, 4, 1).size_bytes(), 32 * 1024);
-  EXPECT_EQ(CacheConfig(1024, 64, 4, 12).size_bytes(), 256 * 1024);
+  EXPECT_EQ(CacheConfig(256, 32, 4).size_bytes(), 32 * 1024);
+  EXPECT_EQ(CacheConfig(1024, 64, 4).size_bytes(), 256 * 1024);
 }
 
 TEST(Cache, MissThenHit) {
@@ -148,7 +147,7 @@ TEST(MemorySystem, AccessDuringFillPaysRemainingLatency) {
 }
 
 TEST(MemorySystem, LatencySweepConfigs) {
-  const auto cfg = MemConfig::with_latencies(16, 160);
+  const MemConfig cfg{.l2_latency = 16, .dram_latency = 160};
   MemorySystem ms(cfg);
   const auto r = ms.access(0x0, AccessType::Read, 0);
   EXPECT_EQ(r.latency, 1 + 16 + 160);
@@ -346,8 +345,8 @@ void expect_same_groups(const Cache& c, const RefCache& ref,
 // CacheStats and group counter must match the value-initialised model.
 TEST(Cache, LazySetsMatchValueInitialisedModel) {
   const CacheConfig geometries[] = {
-      {1, 16, 1, 1}, {2, 16, 2, 1},  {4, 32, 3, 1},
-      {8, 64, 4, 12}, {16, 32, 8, 1}, {256, 32, 4, 1},
+      {1, 16, 1},  {2, 16, 2},  {4, 32, 3},
+      {8, 64, 4},  {16, 32, 8}, {256, 32, 4},
   };
   for (const auto& cfg : geometries) {
     Cache c(cfg);

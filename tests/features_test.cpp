@@ -193,7 +193,7 @@ TEST(ForkModes, ChainingIsGapFreePaperModeLeavesHoles) {
   const auto p = compiler::compile(isa::assemble(kStrided));
   machine::MachineConfig paper_mode;
   paper_mode.cmp_chaining = false;
-  paper_mode.cmp.prefetch_buffer = 32;  // ample: isolate the fork mode
+  paper_mode.cmp_prefetch_buffer = 32;  // ample: isolate the fork mode
   machine::MachineConfig chaining = paper_mode;
   chaining.cmp_chaining = true;
   chaining.cmp_targets_per_fork = 256;  // long-lived slice instances
@@ -217,9 +217,9 @@ TEST(ForkModes, ChainingIsGapFreePaperModeLeavesHoles) {
 TEST(PrefetchBuffer, SmallerBufferCoversFewerMisses) {
   const auto p = compiler::compile(isa::assemble(kStrided));
   machine::MachineConfig small_buf;
-  small_buf.cmp.prefetch_buffer = 1;
+  small_buf.cmp_prefetch_buffer = 1;
   machine::MachineConfig big_buf;
-  big_buf.cmp.prefetch_buffer = 32;
+  big_buf.cmp_prefetch_buffer = 32;
   const auto r_small = machine::run_machine(p.separated,
                                             machine::Preset::HiDISC, small_buf);
   const auto r_big = machine::run_machine(p.separated, machine::Preset::HiDISC,
@@ -229,20 +229,23 @@ TEST(PrefetchBuffer, SmallerBufferCoversFewerMisses) {
 }
 
 TEST(Runahead, TinyBoundStarvesTheCmp) {
+  // The slip-control bound is the constant kCmpMaxRunahead, tiny next to
+  // a fork lookahead four times its size.  A fork anchored within the
+  // bound scans at once; one anchored beyond it may not scan until fetch
+  // comes within the bound, so the SCQ keeps the CMP pinned to the front
+  // end and it covers fewer misses.
   const auto p = compiler::compile(isa::assemble(kStrided));
-  machine::MachineConfig tiny;
-  tiny.cmp.prefetch_buffer = 32;
-  // A slip bound below the fork lookahead forbids any scanning at all:
-  // the SCQ keeps the CMP pinned to the front end.
-  tiny.cmp_max_runahead = 16;
-  machine::MachineConfig wide = tiny;
-  wide.cmp_max_runahead = 1024;
-  const auto r_tiny = machine::run_machine(p.separated, machine::Preset::HiDISC,
-                                           tiny);
-  const auto r_wide = machine::run_machine(p.separated, machine::Preset::HiDISC,
-                                           wide);
-  EXPECT_LT(r_tiny.l1.prefetches, r_wide.l1.prefetches);
-  EXPECT_GT(r_tiny.cycles, r_wide.cycles);
+  machine::MachineConfig within;
+  within.cmp_prefetch_buffer = 32;
+  within.cmp_fork_lookahead = machine::kCmpMaxRunahead / 2;
+  machine::MachineConfig beyond = within;
+  beyond.cmp_fork_lookahead = machine::kCmpMaxRunahead * 4;
+  const auto r_within = machine::run_machine(
+      p.separated, machine::Preset::HiDISC, within);
+  const auto r_beyond = machine::run_machine(
+      p.separated, machine::Preset::HiDISC, beyond);
+  EXPECT_LT(r_beyond.l1.prefetches, r_within.l1.prefetches);
+  EXPECT_GT(r_beyond.cycles, r_within.cycles);
 }
 
 TEST(SerialGroups, ChaseForksAlwaysChainEvenInPaperMode) {
@@ -307,7 +310,7 @@ TEST(AdaptiveRange, SuppressesSelfEvictingPrefetchGroups) {
   // performance must not get worse.
   const auto p = compiler::compile(isa::assemble(kSetConflict));
   machine::MachineConfig wasteful;  // paper-mode forks, ample buffer
-  wasteful.cmp.prefetch_buffer = 32;
+  wasteful.cmp_prefetch_buffer = 32;
   machine::MachineConfig adaptive = wasteful;
   adaptive.cmp_adaptive_range = true;
   const auto r_w = machine::run_machine(p.separated, machine::Preset::HiDISC,

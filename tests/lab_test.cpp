@@ -46,7 +46,7 @@ lab::ExperimentPlan tiny_plan() {
           lab::Cell{lab::spec(name, workloads::Scale::Test), preset, {}, {},
                     ""});
   machine::MachineConfig slow;
-  slow.mem = mem::MemConfig::with_latencies(16, 160);
+  slow.mem = {.l2_latency = 16, .dram_latency = 160};
   plan.cells.push_back(lab::Cell{lab::spec("Pointer", workloads::Scale::Test),
                                  machine::Preset::HiDISC, slow, {},
                                  "16/160"});
@@ -441,10 +441,10 @@ TEST(LabFingerprint, KeyChangesWithConfigPresetAndProgram) {
                                   machine::Preset::Superscalar, cmp_tweak));
   // The CMP prefetch buffer keys off its Table-1 default of 8 only.
   machine::MachineConfig pfbuf = base_cfg;
-  pfbuf.cmp.prefetch_buffer = 1;
+  pfbuf.cmp_prefetch_buffer = 1;
   EXPECT_NE(key, lab::content_key(comp.original,
                                   machine::Preset::Superscalar, pfbuf));
-  pfbuf.cmp.prefetch_buffer = 8;
+  pfbuf.cmp_prefetch_buffer = 8;
   EXPECT_EQ(key, lab::content_key(comp.original,
                                   machine::Preset::Superscalar, pfbuf));
   // Preset and binary changes -> new key.
@@ -479,6 +479,34 @@ TEST(LabFingerprint, DefaultKeysArePinned) {
   for (const auto& [preset, key] : want)
     EXPECT_EQ(lab::content_key(prog, preset, {}), key)
         << machine::preset_name(preset);
+}
+
+// Every named plan's keys, pinned: one hash per plan over each cell's
+// describe(config) and describe(compile), in order, so a config refactor
+// that moved any swept knob's key (or dropped one from it) shows up here.
+TEST(LabFingerprint, EveryNamedPlanIsPinned) {
+  const std::pair<const char*, std::uint64_t> want[] = {
+      {"fig8", 0x25ef1293662c6f3dull},
+      {"fig9", 0x25ef1293662c6f3dull},
+      {"fig10", 0xc6bec120e475cdc5ull},
+      {"table2", 0x25ef1293662c6f3dull},
+      {"extra", 0x195d42366cdcddc5ull},
+      {"paper", 0xedf4a7fdd3898f7dull},
+      {"prefetch", 0xc9632cd36f7a9dfdull},
+      {"ablation-trigger", 0x5f7fae8943ca2210ull},
+      {"ablation-queues", 0x4b9409c8c648708dull},
+      {"ablation-predictor", 0x5ebc34091490b979ull},
+  };
+  ASSERT_EQ(std::size(want), lab::plan_names().size());
+  for (const auto& [name, digest] : want) {
+    lab::Fnv1a h;
+    for (const auto& c : lab::make_plan(name, workloads::Scale::Test).cells) {
+      h.update(lab::describe(c.config));
+      h.update(lab::describe(c.compile));
+    }
+    EXPECT_EQ(h.digest(), digest)
+        << name << " 0x" << std::hex << h.digest();
+  }
 }
 
 TEST(LabFingerprint, PrefetcherConfigKeysOnlyWhenEnabled) {

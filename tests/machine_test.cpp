@@ -124,9 +124,9 @@ TEST(Machine, CmpPrefetchingReducesApMissesAndCycles) {
 TEST(Machine, LongerMemoryLatencyCostsBaselineMore) {
   const auto p = prepare(kStrided);
   MachineConfig short_lat;
-  short_lat.mem = mem::MemConfig::with_latencies(4, 40);
+  short_lat.mem = {.l2_latency = 4, .dram_latency = 40};
   MachineConfig long_lat;
-  long_lat.mem = mem::MemConfig::with_latencies(16, 160);
+  long_lat.mem = {.l2_latency = 16, .dram_latency = 160};
 
   const auto base_s = run_preset(p, Preset::Superscalar, short_lat);
   const auto base_l = run_preset(p, Preset::Superscalar, long_lat);

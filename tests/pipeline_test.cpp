@@ -457,11 +457,13 @@ TEST(PipelineRunner, EveryCellKeyIsItsContentKey) {
 }
 
 TEST(PipelineRunner, RepeatedSimKeySharesAFailure) {
-  // A window the core rejects makes the simulation throw; the repeat of
-  // that cell waits on the first and gets the same error.
+  // An absurd watchdog under Lockstep wedges the simulation
+  // deterministically; the repeat of that cell waits on the first and
+  // gets the same error.
   lab::ExperimentPlan plan{"dup", "repeated failing cell", {}};
   machine::MachineConfig bad;
-  bad.superscalar.window = 128;
+  bad.watchdog_cycles = 1;
+  bad.scheduler = machine::SchedulerKind::Lockstep;
   for (int i = 0; i < 2; ++i)
     plan.cells.push_back(lab::Cell{lab::spec("Pointer", workloads::Scale::Test),
                                    machine::Preset::Superscalar, bad, {}, ""});
@@ -472,11 +474,12 @@ TEST(PipelineRunner, RepeatedSimKeySharesAFailure) {
   EXPECT_EQ(run.nodes.sim.failed, 1u);
   EXPECT_EQ(run.nodes.sim.hits, 1u);
   for (const auto& cell : run.cells) {
-    EXPECT_EQ(cell.error_class, "sim");
+    EXPECT_EQ(cell.error_class.rfind("deadlock:", 0), 0u) << cell.error_class;
+    EXPECT_EQ(cell.error_class, run.cells[0].error_class);
     EXPECT_EQ(cell.error, run.cells[0].error);
+    EXPECT_EQ(cell.diagnostic_json, run.cells[0].diagnostic_json);
   }
-  EXPECT_NE(run.cells[0].error.find("window"), std::string::npos)
-      << run.cells[0].error;
+  EXPECT_FALSE(run.cells[0].diagnostic_json.empty());
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ class CacheGeometry
 
 TEST_P(CacheGeometry, FillsToCapacityThenEvicts) {
   const auto [sets, block, assoc] = GetParam();
-  mem::Cache c(mem::CacheConfig{sets, block, assoc, 1});
+  mem::Cache c(mem::CacheConfig{sets, block, assoc});
   const std::uint64_t lines = static_cast<std::uint64_t>(sets) * assoc;
   // Touch exactly `lines` distinct blocks: all must be resident.
   for (std::uint64_t i = 0; i < lines; ++i)
@@ -69,7 +69,7 @@ TEST_P(CacheGeometry, FillsToCapacityThenEvicts) {
 
 TEST_P(CacheGeometry, RepeatAccessAlwaysHits) {
   const auto [sets, block, assoc] = GetParam();
-  mem::Cache c(mem::CacheConfig{sets, block, assoc, 1});
+  mem::Cache c(mem::CacheConfig{sets, block, assoc});
   c.access(0x1234, mem::AccessType::Read, 0, 0);
   for (int i = 1; i < 10; ++i)
     EXPECT_TRUE(c.access(0x1234, mem::AccessType::Read,
@@ -81,7 +81,7 @@ TEST_P(CacheGeometry, RepeatAccessAlwaysHits) {
 TEST_P(CacheGeometry, LruVictimIsLeastRecentlyUsed) {
   const auto [sets, block, assoc] = GetParam();
   if (assoc < 2) GTEST_SKIP() << "needs associativity";
-  mem::Cache c(mem::CacheConfig{sets, block, assoc, 1});
+  mem::Cache c(mem::CacheConfig{sets, block, assoc});
   // Fill one set, touch all but the first again, then overflow the set:
   // the untouched way must be the victim.
   const auto way_stride = static_cast<std::uint64_t>(sets) * block;

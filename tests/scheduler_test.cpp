@@ -71,7 +71,7 @@ TEST(SchedulerEquivalence, PaperWorkloadsAllPresetsTable1Latencies) {
 
 TEST(SchedulerEquivalence, HighLatencySweepPointActuallySkips) {
   MachineConfig cfg;
-  cfg.mem = mem::MemConfig::with_latencies(16, 160);  // Fig. 10 far point
+  cfg.mem = {.l2_latency = 16, .dram_latency = 160};  // Fig. 10 far point
   const auto p =
       compiler::compile(workloads::make_update(workloads::Scale::Test).program);
   for (const Preset preset : kAllPresets) {
@@ -97,10 +97,10 @@ TEST(SchedulerEquivalence, HighLatencySweepPointActuallySkips) {
 // adaptive range keep re-timing the CMP's slices.
 TEST(SchedulerEquivalence, BusContentionPrefetcherAndOneSlotPrefetchBuffer) {
   MachineConfig cfg;
-  cfg.mem = mem::MemConfig::with_latencies(16, 160);
+  cfg.mem = {.l2_latency = 16, .dram_latency = 160};
   cfg.mem.l2_bus_cycles = 10;
   cfg.mem.prefetch = mem::parse_prefetch_spec("ipstride:deg4");
-  cfg.cmp.prefetch_buffer = 1;
+  cfg.cmp_prefetch_buffer = 1;
   cfg.cmp_dynamic_distance = true;
   cfg.cmp_adaptive_range = true;
   for (const auto& w : paper_workloads()) {
@@ -122,7 +122,7 @@ TEST(SchedulerEquivalence, BusContentionPrefetcherAndOneSlotPrefetchBuffer) {
 
 TEST(Scheduler, QuiescentCoresAreNotTickedOnMemoryBoundStressmark) {
   MachineConfig cfg;
-  cfg.mem = mem::MemConfig::with_latencies(16, 160);
+  cfg.mem = {.l2_latency = 16, .dram_latency = 160};
   const auto p =
       compiler::compile(workloads::make_matrix(workloads::Scale::Test).program);
   machine::SchedulerStats stats;
@@ -141,7 +141,7 @@ TEST(Scheduler, WatchdogCountsEventStepsNotSkippedCycles) {
   // would abort here; the event-step watchdog must ride through, because
   // each multi-thousand-cycle skip is a single stalled step.
   MachineConfig cfg;
-  cfg.mem = mem::MemConfig::with_latencies(16, 5000);
+  cfg.mem = {.l2_latency = 16, .dram_latency = 5000};
   cfg.watchdog_cycles = 2000;
   const auto p =
       compiler::compile(workloads::make_update(workloads::Scale::Test).program);

@@ -52,13 +52,14 @@ TEST(TraceWindow, StreamingMatchesWholeTraceOnEveryWorkload) {
 }
 
 TEST(TraceWindow, FarEdgeAndLaggingContexts) {
-  // A fork kCmpLookaheadMax past fetch reads the window's far edge; a
-  // one-entry CMP input queue stalls slice scans, so contexts fall behind
-  // fetch and their scan positions set the low-water mark.
+  // A fork kCmpLookaheadMax past fetch reads the window's far edge.  A
+  // chained fork anchors its context at fetch, and a 32-wide fetch group
+  // runs on past it in the same cycle, so contexts fall behind fetch and
+  // their scan positions set the low-water mark at a refill.
   MachineConfig far;
   far.cmp_fork_lookahead = machine::kCmpLookaheadMax;
   MachineConfig lag;
-  lag.cmp.input_queue = 1;
+  lag.fetch_width = 32;
   lag.cmp_chaining = true;
   for (const char* name : {"Update", "Field", "Pointer", "Neighborhood"}) {
     const auto comp = compile_test_scale(name);

@@ -146,7 +146,7 @@ void apply_override(lab::ExperimentPlan& plan, const std::string& spec) {
       continue;
     matched = true;
     if (field == "dram") cell.config.mem.dram_latency = latency;
-    else if (field == "l2") cell.config.mem.l2.hit_latency = latency;
+    else if (field == "l2") cell.config.mem.l2_latency = latency;
     else if (field == "fetch_width") cell.config.fetch_width = fetch_width;
     else if (field == "watchdog") cell.config.watchdog_cycles = watchdog;
     else if (field == "prefetch") cell.config.mem.prefetch = pf;

@@ -13,15 +13,21 @@
 // Inputs ending in .s/.asm are assembled on the fly; anything else is
 // loaded as a saved binary image (see isa/encoding.hpp).
 //
+// Numbers are parsed strictly (cli::parse_int): a malformed or out-of-range
+// --trace, --reg, --l2, --mem or --watchdog is an input error.
+//
 // Exit codes: 0 = success, 1 = input/assembly/simulation error,
 // 2 = usage, 3 = machine deadlock (classified report on stderr; full
 // JSON to --deadlock-json when given).
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compiler/compile.hpp"
@@ -31,6 +37,7 @@
 #include "isa/encoding.hpp"
 #include "machine/machine.hpp"
 #include "machine/report.hpp"
+#include "parse_int.hpp"
 #include "sim/functional.hpp"
 #include "stats/table.hpp"
 
@@ -103,12 +110,19 @@ int cmd_run(const std::vector<std::string>& args) {
   std::size_t trace_n = 0;
   std::vector<int> regs;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--trace" && i + 1 < args.size())
-      trace_n = std::stoul(args[++i]);
-    else if (args[i] == "--reg" && i + 1 < args.size())
-      regs.push_back(std::atoi(args[++i].c_str() + 1));
-    else
+    if (args[i] == "--trace" && i + 1 < args.size()) {
+      trace_n = cli::parse_int<std::size_t>("--trace", args[++i]);
+    } else if (args[i] == "--reg" && i + 1 < args.size()) {
+      const std::string& r = args[++i];
+      if (!r.starts_with('r'))
+        throw std::runtime_error("--reg needs a register rN, got '" + r +
+                                 "'");
+      regs.push_back(cli::parse_int<int>("--reg " + r + " register number",
+                                         std::string_view(r).substr(1), 0,
+                                         isa::kNumIntRegs - 1));
+    } else {
       usage();
+    }
   }
   sim::Functional f(prog);
   if (trace_n > 0) {
@@ -178,11 +192,12 @@ int cmd_sim(const std::vector<std::string>& args) {
     if (args[i] == "--machine" && i + 1 < args.size())
       which = args[++i];
     else if (args[i] == "--l2" && i + 1 < args.size())
-      cfg.mem.l2.hit_latency = std::atoi(args[++i].c_str());
+      cfg.mem.l2_latency = cli::parse_int<int>("--l2", args[++i], 0);
     else if (args[i] == "--mem" && i + 1 < args.size())
-      cfg.mem.dram_latency = std::atoi(args[++i].c_str());
+      cfg.mem.dram_latency = cli::parse_int<int>("--mem", args[++i], 0);
     else if (args[i] == "--watchdog" && i + 1 < args.size())
-      cfg.watchdog_cycles = std::stoull(args[++i]);
+      cfg.watchdog_cycles =
+          cli::parse_int<std::uint64_t>("--watchdog", args[++i], 1);
     else if (args[i] == "--lockstep")
       cfg.scheduler = machine::SchedulerKind::Lockstep;
     else if (args[i] == "--deadlock-json" && i + 1 < args.size())

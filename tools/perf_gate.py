@@ -30,6 +30,9 @@ repo accumulates an items/sec history across commits:
         --append-trajectory BENCH_throughput.json --commit "$GITHUB_SHA"
 
 Each entry is {"commit", "benchmarks": {name: {"items_per_second"}}},
+plus the run context's "library_build_type", "num_cpus" and
+"mhz_per_cpu" when google-benchmark reported them (so a rate measured
+with a debug benchmark library or on a smaller host can be told apart),
 plus "label" when --label names the leg (one commit can contribute
 several legs: the machine microbenchmarks, the pipeline cold/warm
 timings).  An item is whatever the benchmark counts — simulated cycles
@@ -52,6 +55,18 @@ import argparse
 import json
 import os
 import sys
+
+
+# Host and build facts copied from a run's google-benchmark "context" into
+# its trajectory entry.
+CONTEXT_KEYS = ("library_build_type", "num_cpus", "mhz_per_cpu")
+
+
+def load_context(path):
+    """The CONTEXT_KEYS present in a google-benchmark JSON's context."""
+    with open(path) as f:
+        context = json.load(f).get("context", {})
+    return {k: context[k] for k in CONTEXT_KEYS if k in context}
 
 
 def load_items_per_second(path):
@@ -80,8 +95,9 @@ def is_real_commit_id(commit):
             and all(c in "0123456789abcdef" for c in commit.lower()))
 
 
-def append_trajectory(path, commit, current, label=None):
-    """Append one {commit, benchmarks} entry to the trajectory JSON list."""
+def append_trajectory(path, commit, current, label=None, context=None):
+    """Append one {commit, benchmarks, context...} entry to the trajectory
+    JSON list."""
     try:
         with open(path) as f:
             history = json.load(f)
@@ -98,6 +114,7 @@ def append_trajectory(path, commit, current, label=None):
             for name, ips in sorted(current.items())
         },
     }
+    entry.update(context or {})
     if label:
         entry["label"] = label
     history.append(entry)
@@ -146,7 +163,7 @@ def main():
                   "this entry cannot be correlated with history",
                   file=sys.stderr)
         rc = append_trajectory(args.append_trajectory, commit, current,
-                               args.label)
+                               args.label, load_context(args.current))
         if rc != 0:
             return rc
 
