@@ -5,12 +5,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
+#include <string_view>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -35,48 +37,94 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-std::string checksum_line(const std::string& body) {
+std::string checksum_line(std::string_view body) {
   return kChecksumTag + hex64(fnv1a64(body));
 }
 
 using Fields = std::vector<std::pair<std::string, std::string>>;
 
-// Reads the `name value` lines of an entry file of either kind.  A missing
-// file or another header is a plain miss.  A torn line or a checksum
-// mismatch quarantines the file and is a miss too.
-std::optional<std::map<std::string, std::string>> read_entry(
-    const std::string& path, const char* header) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::string line;
+// Reads the whole file at `path`: one read() of its fstat size, repeated
+// only if the kernel returns less.  False when it cannot be opened or read.
+bool read_file(const std::string& path, std::vector<char>& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) {
+    out.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < out.size()) {
+      const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        ok = n == 0;
+        break;
+      }
+      got += static_cast<std::size_t>(n);
+    }
+    out.resize(got);
+  }
+  ::close(fd);
+  return ok;
+}
+
+// An entry file's bytes and its `name value` lines, viewed in them and
+// sorted for find_field.  Moving a vector keeps its buffer, so the views
+// survive a move of the whole.
+struct EntryText {
+  std::vector<char> bytes;
+  std::vector<FieldView> fields;
+};
+
+// Reads an entry file of either kind in one pass.  A missing file or
+// another header is a plain miss.  A torn line or a checksum mismatch
+// quarantines the file and is a miss too.
+std::optional<EntryText> read_entry(const std::string& path,
+                                    std::string_view header) {
+  EntryText entry;
+  if (!read_file(path, entry.bytes)) return std::nullopt;
+  const std::string_view text(entry.bytes.data(), entry.bytes.size());
   // A wrong header is a stale or foreign format, not corruption: report a
   // miss and leave the file to be overwritten by the next store.
-  if (!std::getline(in, line) || line != header) return std::nullopt;
+  const std::size_t header_end = std::min(text.find('\n'), text.size());
+  if (text.substr(0, header_end) != header) return std::nullopt;
 
-  // Everything from the header to the checksum line is covered by the
-  // footer; a file that lacks the footer entirely is torn.
-  std::string body = line + "\n";
-  std::map<std::string, std::string> fields;
+  // Every byte before the checksum line is covered by the footer; a file
+  // that lacks the footer entirely is torn.  Bytes after it are ignored.
+  entry.fields.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')));
   bool checksum_ok = false;
-  while (std::getline(in, line)) {
-    if (line.rfind(kChecksumTag, 0) == 0) {
-      checksum_ok = line == checksum_line(body);
+  for (std::size_t pos = header_end + 1; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, end - pos);
+    if (line.starts_with(kChecksumTag)) {
+      checksum_ok = line == checksum_line(text.substr(0, pos));
       break;
     }
-    body += line;
-    body += '\n';
     const auto space = line.find(' ');
-    if (space == std::string::npos) {  // torn line
+    if (space == std::string_view::npos) {  // torn line
       diag::quarantine_file(path);
       return std::nullopt;
     }
-    fields[line.substr(0, space)] = line.substr(space + 1);
+    entry.fields.emplace_back(line.substr(0, space), line.substr(space + 1));
+    pos = end + 1;
   }
   if (!checksum_ok) {
     diag::quarantine_file(path);
     return std::nullopt;
   }
-  return fields;
+  // Equal names keep their file order, so the later one wins.
+  std::stable_sort(entry.fields.begin(), entry.fields.end(),
+                   [](const FieldView& a, const FieldView& b) {
+                     return a.first < b.first;
+                   });
+  return entry;
+}
+
+// The value of `name` in `entry`, empty when absent.
+std::string_view field(const EntryText& entry, std::string_view name) {
+  const auto* value = find_field(entry.fields, name);
+  return value ? *value : std::string_view();
 }
 
 // Publishes an entry file: the header, one line per field, the checksum
@@ -110,11 +158,13 @@ bool write_entry(const std::string& path, const char* header,
 }
 
 // Parses exactly 16 hex digits.
-std::optional<std::uint64_t> parse_hex64(const std::string& s) {
+std::optional<std::uint64_t> parse_hex64(std::string_view s) {
   if (s.size() != 16 ||
-      s.find_first_not_of("0123456789abcdef") != std::string::npos)
+      s.find_first_not_of("0123456789abcdef") != std::string_view::npos)
     return std::nullopt;
-  return std::strtoull(s.c_str(), nullptr, 16);
+  std::uint64_t v = 0;
+  std::from_chars(s.data(), s.data() + s.size(), v, 16);
+  return v;
 }
 
 }  // namespace
@@ -132,15 +182,15 @@ std::string ResultCache::path_for(const std::string& key) const {
 
 std::optional<CacheEntry> ResultCache::load(const std::string& key) const {
   const std::string path = path_for(key);
-  auto fields = read_entry(path, kHeader);
-  if (!fields) return std::nullopt;
+  const auto text = read_entry(path, kHeader);
+  if (!text) return std::nullopt;
   CacheEntry entry;
-  entry.workload = (*fields)["meta.workload"];
-  entry.preset = (*fields)["meta.preset"];
-  entry.orig_dynamic_instructions =
-      std::strtoull((*fields)["meta.orig_dyn_insts"].c_str(), nullptr, 10);
+  entry.workload = field(*text, "meta.workload");
+  entry.preset = field(*text, "meta.preset");
+  entry.orig_dynamic_instructions = std::strtoull(
+      std::string(field(*text, "meta.orig_dyn_insts")).c_str(), nullptr, 10);
   std::string missing;
-  entry.result = result_from_fields(*fields, &missing);
+  entry.result = result_from_fields(text->fields, &missing);
   if (!missing.empty()) {  // line-aligned truncation or field drift
     diag::quarantine_file(path);
     return std::nullopt;
@@ -155,12 +205,12 @@ std::string ResultCache::compile_path_for(const std::string& index_key) const {
 std::optional<CompileIndexEntry> ResultCache::load_compile(
     const std::string& index_key) const {
   const std::string path = compile_path_for(index_key);
-  auto fields = read_entry(path, kCompileHeader);
-  if (!fields) return std::nullopt;
+  const auto text = read_entry(path, kCompileHeader);
+  if (!text) return std::nullopt;
   std::uint64_t state[4];
   const char* const names[4] = {"orig.lo", "orig.hi", "sep.lo", "sep.hi"};
   for (int i = 0; i < 4; ++i) {
-    const auto v = parse_hex64((*fields)[names[i]]);
+    const auto v = parse_hex64(field(*text, names[i]));
     if (!v) {  // field drift
       diag::quarantine_file(path);
       return std::nullopt;

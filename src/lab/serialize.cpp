@@ -1,7 +1,9 @@
 #include "lab/serialize.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 namespace hidisc::lab {
 
@@ -12,15 +14,16 @@ std::string format_value(std::int64_t v) { return std::to_string(v); }
 std::string format_value(bool v) { return v ? "1" : "0"; }
 std::string format_value(double v) { return format_double(v); }
 
-void parse_value(const std::string& s, std::uint64_t& out) {
-  out = std::strtoull(s.c_str(), nullptr, 10);
+// The strto* functions need a terminated string: parse a copy.
+void parse_value(std::string_view s, std::uint64_t& out) {
+  out = std::strtoull(std::string(s).c_str(), nullptr, 10);
 }
-void parse_value(const std::string& s, std::int64_t& out) {
-  out = std::strtoll(s.c_str(), nullptr, 10);
+void parse_value(std::string_view s, std::int64_t& out) {
+  out = std::strtoll(std::string(s).c_str(), nullptr, 10);
 }
-void parse_value(const std::string& s, bool& out) { out = s == "1"; }
-void parse_value(const std::string& s, double& out) {
-  out = std::strtod(s.c_str(), nullptr);
+void parse_value(std::string_view s, bool& out) { out = s == "1"; }
+void parse_value(std::string_view s, double& out) {
+  out = std::strtod(std::string(s).c_str(), nullptr);
 }
 
 }  // namespace
@@ -40,15 +43,24 @@ std::map<std::string, std::string> result_to_fields(
   return fields;
 }
 
-machine::Result result_from_fields(
-    const std::map<std::string, std::string>& fields, std::string* missing) {
+const std::string_view* find_field(std::span<const FieldView> fields,
+                                   std::string_view name) {
+  const auto after = std::upper_bound(
+      fields.begin(), fields.end(), name,
+      [](std::string_view n, const FieldView& f) { return n < f.first; });
+  if (after == fields.begin() || std::prev(after)->first != name)
+    return nullptr;
+  return &std::prev(after)->second;
+}
+
+machine::Result result_from_fields(std::span<const FieldView> fields,
+                                   std::string* missing) {
   machine::Result r;
   if (missing != nullptr) missing->clear();
-  visit_result_fields(r, [&fields, missing](const std::string& name,
-                                            auto& value) {
-    const auto it = fields.find(name);
-    if (it != fields.end()) {
-      parse_value(it->second, value);
+  visit_result_fields(r, [fields, missing](const std::string& name,
+                                           auto& value) {
+    if (const auto* text = find_field(fields, name)) {
+      parse_value(*text, value);
     } else if (missing != nullptr && missing->empty()) {
       *missing = name;
     }

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -117,14 +118,24 @@ void visit_result_fields(R& r, V&& v) {
 // round-trip is bit-exact (the cache-hit tests rely on it).
 [[nodiscard]] std::map<std::string, std::string> result_to_fields(
     const machine::Result& r);
-// Inverse; unknown names are ignored.  Every visited field is *required*:
-// when `missing` is non-null it receives the first absent field name (or
-// is cleared when the map is complete) — a torn-but-line-aligned cache
+
+// A `name value` pair viewed where it lies (a cache entry's bytes, or a
+// result_to_fields map).
+using FieldView = std::pair<std::string_view, std::string_view>;
+
+// The value of `name` in `fields`, sorted by name with equal names in
+// their original order; the last of equal names wins.  Null when absent.
+[[nodiscard]] const std::string_view* find_field(
+    std::span<const FieldView> fields, std::string_view name);
+
+// Inverse of result_to_fields over `fields`, sorted as for find_field;
+// unknown names are ignored.  Every visited field is *required*: when
+// `missing` is non-null it receives the first absent field name (or is
+// cleared when the list is complete) — a torn-but-line-aligned cache
 // entry must decode as corrupt, not as a silently-zeroed Result.  Callers
 // passing nullptr accept defaults for absent names (legacy leniency).
 [[nodiscard]] machine::Result result_from_fields(
-    const std::map<std::string, std::string>& fields,
-    std::string* missing = nullptr);
+    std::span<const FieldView> fields, std::string* missing = nullptr);
 
 // True when every visited field compares equal (doubles bit-for-bit).
 [[nodiscard]] bool results_identical(const machine::Result& a,

@@ -1,6 +1,8 @@
 #include "machine/trace_window.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace hidisc::machine {
 
@@ -17,6 +19,12 @@ bool TraceWindow::extend(std::size_t pos, std::size_t low) {
     end_ = base_ + s.buf.size();
   }
   return pos < end_;
+}
+
+void TraceWindow::below_base(std::size_t pos) const {
+  throw std::logic_error("TraceWindow: entry " + std::to_string(pos) +
+                         " read below the window's base " +
+                         std::to_string(base_));
 }
 
 std::size_t TraceWindow::drain() {

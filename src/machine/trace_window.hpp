@@ -49,7 +49,11 @@ class TraceWindow {
   }
 
   // Entry `pos`, once ended(pos) is false; valid until the next ended().
+  // Throws std::logic_error for an entry a refill dropped (below the
+  // low-water mark it was given).
   [[nodiscard]] const sim::TraceEntry& at(std::size_t pos) const {
+    if (pos < base_) [[unlikely]]
+      below_base(pos);
     return data_[pos - base_];
   }
 
@@ -77,6 +81,7 @@ class TraceWindow {
   };
 
   bool extend(std::size_t pos, std::size_t low);
+  [[noreturn]] void below_base(std::size_t pos) const;
 
   const sim::TraceEntry* data_ = nullptr;  // entry `base_`
   std::size_t base_ = 0;

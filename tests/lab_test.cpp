@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -167,10 +168,17 @@ TEST(LabThreadPool, DefaultThreadsParsesAllOfHilabThreads) {
     ::unsetenv("HILAB_THREADS");
 }
 
+// A result_to_fields map as the view list result_from_fields reads: a
+// std::map lists its names in sorted order.
+std::vector<lab::FieldView> views(
+    const std::map<std::string, std::string>& fields) {
+  return {fields.begin(), fields.end()};
+}
+
 TEST(LabSerialize, ResultRoundTripsExactly) {
   const machine::Result r = nonzero_result();
   const auto fields = lab::result_to_fields(r);
-  const machine::Result back = lab::result_from_fields(fields);
+  const machine::Result back = lab::result_from_fields(views(fields));
   EXPECT_TRUE(lab::results_identical(r, back));
   EXPECT_EQ(back.cycles, r.cycles);
   EXPECT_EQ(back.ipc, r.ipc);  // bit-exact through %.17g
@@ -295,18 +303,27 @@ TEST(LabResultCache, WaiterOnUnlinkedLockRetriesAndSeesResult) {
 
 // ---- cache hardening: checksum footer, strict fields, quarantine -----------
 
-// Reads the whole cache file for `key`; empty when absent.
-std::string read_entry(const std::string& dir, const std::string& key) {
-  std::ifstream in(fs::path(dir) / (key + ".result"));
+// Reads the whole file at `path`; empty when absent.
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   return text;
 }
 
+void write_file(const fs::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+// Reads the whole cache file for `key`; empty when absent.
+std::string read_entry(const std::string& dir, const std::string& key) {
+  return read_file(fs::path(dir) / (key + ".result"));
+}
+
 void write_entry(const std::string& dir, const std::string& key,
                  const std::string& text) {
-  std::ofstream out(fs::path(dir) / (key + ".result"), std::ios::trunc);
-  out << text;
+  write_file(fs::path(dir) / (key + ".result"), text);
 }
 
 // Quarantine destinations carry a unique `.corrupt.<pid>.<n>` suffix so
@@ -317,6 +334,18 @@ bool quarantined(const std::string& dir, const std::string& key) {
   for (const auto& e : fs::directory_iterator(dir))
     if (e.path().filename().string().rfind(prefix, 0) == 0) return true;
   return false;
+}
+
+// Removes the quarantined copies of the entry file `name`; true when there
+// was one.
+bool take_quarantined(const std::string& dir, const std::string& name) {
+  const std::string prefix = name + ".corrupt.";
+  std::vector<fs::path> found;
+  for (const auto& e : fs::directory_iterator(dir))
+    if (e.path().filename().string().rfind(prefix, 0) == 0)
+      found.push_back(e.path());
+  for (const auto& p : found) fs::remove(p);
+  return !found.empty();
 }
 
 TEST(LabResultCache, LineAlignedTruncationIsMissAndQuarantined) {
@@ -404,13 +433,198 @@ TEST(LabResultCache, OldVersionHeaderIsPlainMissNotCorruption) {
   EXPECT_TRUE(cache.load(key).has_value());
 }
 
+// ---- the entry reader's edges, pinned byte for byte -----------------------
+
+constexpr std::size_t kResultHeaderSize = sizeof("hilab-result v2") - 1;
+constexpr std::size_t kCompileHeaderSize = sizeof("hilab-compile v1") - 1;
+
+const lab::CacheEntry kPinnedEntry{nonzero_result(), "Pointer", "HiDISC",
+                                   123456};
+
+lab::CompileIndexEntry fixed_compile_entry() {
+  return {{lab::Fnv1a(0x0123456789abcdefull), lab::Fnv1a(0xfedcba9876543210ull)},
+          {lab::Fnv1a(0x0f1e2d3c4b5a6978ull), lab::Fnv1a(0x8877665544332211ull)}};
+}
+
+void expect_same_entry(const lab::CacheEntry& a, const lab::CacheEntry& b) {
+  EXPECT_TRUE(lab::results_identical(a.result, b.result));
+  EXPECT_EQ(a.workload, b.workload);
+  EXPECT_EQ(a.preset, b.preset);
+  EXPECT_EQ(a.orig_dynamic_instructions, b.orig_dynamic_instructions);
+}
+
+void expect_same_entry(const lab::CompileIndexEntry& a,
+                       const lab::CompileIndexEntry& b) {
+  EXPECT_EQ(a.orig.lo.digest(), b.orig.lo.digest());
+  EXPECT_EQ(a.orig.hi.digest(), b.orig.hi.digest());
+  EXPECT_EQ(a.sep.lo.digest(), b.sep.lo.digest());
+  EXPECT_EQ(a.sep.hi.digest(), b.sep.hi.digest());
+}
+
+TEST(LabResultCache, FooterWithoutFinalNewlineLoads) {
+  TempDir dir("cache_no_final_newline");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, '1');
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  std::string text = read_entry(dir.path(), key);
+  ASSERT_EQ(text.back(), '\n');
+  text.pop_back();
+  write_entry(dir.path(), key, text);
+  const auto back = cache.load(key);
+  ASSERT_TRUE(back.has_value());
+  expect_same_entry(*back, kPinnedEntry);
+}
+
+TEST(LabResultCache, BytesAfterTheFooterAreIgnored) {
+  TempDir dir("cache_trailing_bytes");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, '2');
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  write_entry(dir.path(), key,
+              read_entry(dir.path(), key) + "cycles 1\nno-space\n\n\r\nx");
+  const auto back = cache.load(key);
+  ASSERT_TRUE(back.has_value());
+  expect_same_entry(*back, kPinnedEntry);
+  EXPECT_FALSE(quarantined(dir.path(), key));
+}
+
+TEST(LabResultCache, EmptyFileIsPlainMissAndHeaderOnlyIsQuarantined) {
+  TempDir dir("cache_empty");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, '3');
+  write_entry(dir.path(), key, "");
+  EXPECT_FALSE(cache.load(key).has_value());
+  EXPECT_FALSE(quarantined(dir.path(), key));
+  EXPECT_TRUE(fs::exists(fs::path(dir.path()) / (key + ".result")));
+
+  // A header without a footer is a torn entry.
+  for (const char* text : {"hilab-result v2\n", "hilab-result v2"}) {
+    write_entry(dir.path(), key, text);
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_TRUE(take_quarantined(dir.path(), key + ".result")) << text;
+  }
+}
+
+TEST(LabResultCache, CrLfEntryIsPlainMiss) {
+  // Its header line reads "hilab-result v2\r": another format, not damage.
+  TempDir dir("cache_crlf");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, '4');
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  std::string crlf;
+  for (const char c : read_entry(dir.path(), key)) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  write_entry(dir.path(), key, crlf);
+  EXPECT_FALSE(cache.load(key).has_value());
+  EXPECT_FALSE(quarantined(dir.path(), key));
+}
+
+TEST(LabResultCache, LaterDuplicateFieldWins) {
+  TempDir dir("cache_duplicates");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, '8');
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  const std::string text = read_entry(dir.path(), key);
+  std::string body = text.substr(0, text.rfind("checksum "));
+  body.insert(kResultHeaderSize + 1, "cycles 5\nmeta.preset P\n");
+  body += "meta.preset Q\nl1.reads  77\nhas_cp 1 \n";
+  char footer[32];
+  std::snprintf(footer, sizeof footer, "checksum %016llx",
+                static_cast<unsigned long long>(lab::fnv1a64(body)));
+  write_entry(dir.path(), key, body + footer + "\n");
+
+  const auto back = cache.load(key);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->result.cycles, kPinnedEntry.result.cycles);
+  EXPECT_EQ(back->preset, "Q");
+  EXPECT_EQ(back->result.l1.reads, 77u);  // strtoull skips the extra space
+  EXPECT_FALSE(back->result.has_cp);      // a bool is exactly "1"
+}
+
+TEST(LabResultCache, EveryTruncationMissesOrLoadsTheSameEntry) {
+  TempDir dir("cache_prefixes");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, '5');
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  const std::string text = read_entry(dir.path(), key);
+  int loaded = 0;
+  for (std::size_t n = 0; n <= text.size(); ++n) {
+    write_entry(dir.path(), key, text.substr(0, n));
+    std::optional<lab::CacheEntry> back;
+    ASSERT_NO_THROW(back = cache.load(key)) << n;
+    if (back) {
+      ++loaded;
+      expect_same_entry(*back, kPinnedEntry);
+    }
+    // A prefix shorter than the header line is another format; any longer
+    // one that does not load is damaged.
+    EXPECT_EQ(take_quarantined(dir.path(), key + ".result"),
+              n >= kResultHeaderSize && !back)
+        << n;
+  }
+  // Only the whole file, with or without its final newline, has the footer.
+  EXPECT_EQ(loaded, 2);
+}
+
+TEST(LabCompileIndex, EveryTruncationMissesOrLoadsTheSameEntry) {
+  TempDir dir("index_prefixes");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, '6');
+  ASSERT_TRUE(cache.store_compile(key, fixed_compile_entry()));
+  const fs::path path = fs::path(dir.path()) / (key + ".compile");
+  const std::string text = read_file(path);
+  int loaded = 0;
+  for (std::size_t n = 0; n <= text.size(); ++n) {
+    write_file(path, text.substr(0, n));
+    std::optional<lab::CompileIndexEntry> back;
+    ASSERT_NO_THROW(back = cache.load_compile(key)) << n;
+    if (back) {
+      ++loaded;
+      expect_same_entry(*back, fixed_compile_entry());
+    }
+    EXPECT_EQ(take_quarantined(dir.path(), key + ".compile"),
+              n >= kCompileHeaderSize && !back)
+        << n;
+  }
+  EXPECT_EQ(loaded, 2);
+}
+
+TEST(LabResultCache, ReadsEntriesWrittenByThePreviousReader) {
+  // tests/testdata/cache-entry.{result,compile} hold kPinnedEntry and
+  // fixed_compile_entry() as stored when entries were still read line by
+  // line through std::ifstream into a std::map.  The writer has not
+  // changed since, so they are also the bytes it writes today.
+  TempDir dir("cache_fixture");
+  lab::ResultCache cache(dir.path());
+  const fs::path data(HIDISC_TESTDATA_DIR);
+  const std::string key(32, '7');
+  const fs::path result = fs::path(dir.path()) / (key + ".result");
+  const fs::path compile = fs::path(dir.path()) / (key + ".compile");
+  fs::copy_file(data / "cache-entry.result", result);
+  fs::copy_file(data / "cache-entry.compile", compile);
+
+  const auto back = cache.load(key);
+  ASSERT_TRUE(back.has_value());
+  expect_same_entry(*back, kPinnedEntry);
+  const auto index = cache.load_compile(key);
+  ASSERT_TRUE(index.has_value());
+  expect_same_entry(*index, fixed_compile_entry());
+
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  ASSERT_TRUE(cache.store_compile(key, fixed_compile_entry()));
+  EXPECT_EQ(read_file(result), read_file(data / "cache-entry.result"));
+  EXPECT_EQ(read_file(compile), read_file(data / "cache-entry.compile"));
+}
+
 TEST(LabSerialize, FromFieldsReportsFirstMissingField) {
   auto fields = lab::result_to_fields(nonzero_result());
   std::string missing = "sentinel";
-  (void)lab::result_from_fields(fields, &missing);
+  (void)lab::result_from_fields(views(fields), &missing);
   EXPECT_TRUE(missing.empty());  // complete map clears it
   fields.erase("cycles");
-  (void)lab::result_from_fields(fields, &missing);
+  (void)lab::result_from_fields(views(fields), &missing);
   EXPECT_EQ(missing, "cycles");
 }
 

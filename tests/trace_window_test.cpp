@@ -5,6 +5,7 @@
 // Scheduler.LockstepVerifyEnvRunsBothAndAgrees.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "compiler/compile.hpp"
@@ -78,6 +79,22 @@ std::string exec_error(const Run& run) {
     return e.what();
   }
   return "no ExecError";
+}
+
+TEST(TraceWindow, ReadBelowBaseThrows) {
+  // A refill drops the entries below the low-water mark; reading one of
+  // them afterwards is a caller's bug and must fail, not return garbage.
+  const auto comp = compile_test_scale("Pointer");
+  machine::TraceWindow window(comp.original,
+                              sim::Functional::kDefaultMaxSteps);
+  const std::size_t chunk = sim::Functional::kStreamChunk;
+  const std::size_t low = 100;
+  ASSERT_FALSE(window.ended(0, [] { return std::size_t{0}; }));
+  ASSERT_FALSE(window.ended(chunk, [&] { return low; }));  // refills
+  EXPECT_THROW((void)window.at(0), std::logic_error);
+  EXPECT_THROW((void)window.at(low - 1), std::logic_error);
+  EXPECT_NO_THROW((void)window.at(low));
+  EXPECT_NO_THROW((void)window.at(chunk));
 }
 
 TEST(TraceWindow, StepBudgetErrorMatchesRunTrace) {
