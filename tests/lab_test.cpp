@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -543,6 +545,109 @@ TEST(LabResultCache, LaterDuplicateFieldWins) {
   EXPECT_FALSE(back->result.has_cp);      // a bool is exactly "1"
 }
 
+// `body` (an entry without its footer) with a fresh checksum footer.
+std::string with_checksum(const std::string& body) {
+  char footer[32];
+  std::snprintf(footer, sizeof footer, "checksum %016llx",
+                static_cast<unsigned long long>(lab::fnv1a64(body)));
+  return body + footer + "\n";
+}
+
+// The field lines of the stored kPinnedEntry, between header and footer.
+std::vector<std::string> pinned_field_lines(const std::string& dir,
+                                            const std::string& key) {
+  const std::string text = read_entry(dir, key);
+  const std::string fields = text.substr(
+      kResultHeaderSize + 1, text.rfind("checksum ") - kResultHeaderSize - 1);
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0; pos < fields.size();) {
+    const std::size_t end = fields.find('\n', pos);
+    lines.push_back(fields.substr(pos, end - pos + 1));
+    pos = end + 1;
+  }
+  return lines;
+}
+
+std::string result_body(const std::vector<std::string>& lines) {
+  std::string body = "hilab-result v2\n";
+  for (const auto& line : lines) body += line;
+  return body;
+}
+
+TEST(LabResultCache, FieldOrderDoesNotMatter) {
+  TempDir dir("cache_shuffled");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, '9');
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  auto lines = pinned_field_lines(dir.path(), key);
+  ASSERT_GT(lines.size(), 100u);
+  std::mt19937 rng(7);
+  for (int round = 0; round < 3; ++round) {
+    std::shuffle(lines.begin(), lines.end(), rng);
+    write_entry(dir.path(), key, with_checksum(result_body(lines)));
+    const auto back = cache.load(key);
+    ASSERT_TRUE(back.has_value()) << round;
+    expect_same_entry(*back, kPinnedEntry);
+  }
+  // Reversed is the worst order for a reader that expects sorted names.
+  std::reverse(lines.begin(), lines.end());
+  write_entry(dir.path(), key, with_checksum(result_body(lines)));
+  const auto back = cache.load(key);
+  ASSERT_TRUE(back.has_value());
+  expect_same_entry(*back, kPinnedEntry);
+  EXPECT_FALSE(quarantined(dir.path(), key));
+}
+
+TEST(LabResultCache, UnknownFieldsAreIgnored) {
+  TempDir dir("cache_unknown");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, 'a');
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  auto lines = pinned_field_lines(dir.path(), key);
+  // Before the first name, between names, after the last, and names that
+  // extend or prefix known ones.
+  lines.insert(lines.begin(), "aaa 1\n");
+  lines.insert(lines.begin() + 5, "cycles.extra 2\n");
+  lines.insert(lines.begin() + 20, "l1 3\n");
+  lines.insert(lines.begin() + 40, "meta.other x y z\n");
+  lines.push_back("zzz 4\n");
+  write_entry(dir.path(), key, with_checksum(result_body(lines)));
+  const auto back = cache.load(key);
+  ASSERT_TRUE(back.has_value());
+  expect_same_entry(*back, kPinnedEntry);
+  EXPECT_FALSE(quarantined(dir.path(), key));
+}
+
+TEST(LabResultCache, LongValueParsesAsBefore) {
+  TempDir dir("cache_long_value");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, 'b');
+  ASSERT_TRUE(cache.store(key, kPinnedEntry));
+  const std::string blanks(80, ' ');
+  const std::string zeros(80, '0');
+  auto lines = pinned_field_lines(dir.path(), key);
+  for (auto& line : lines) {
+    if (line.starts_with("cycles "))
+      line = "cycles " + blanks + "123456789\n";
+    else if (line.starts_with("ipc "))
+      line = "ipc " + blanks + "0.62000000000000011\n";
+    else if (line.starts_with("l1.reads "))
+      line = "l1.reads " + zeros + "42\n";
+    else if (line.starts_with("final_fork_lookahead "))
+      line = "final_fork_lookahead " + blanks + "-384\n";
+    else if (line.starts_with("l2.writebacks "))
+      line = "l2.writebacks 9" + blanks + "junk\n";
+  }
+  write_entry(dir.path(), key, with_checksum(result_body(lines)));
+  const auto back = cache.load(key);
+  ASSERT_TRUE(back.has_value());
+  expect_same_entry(*back, kPinnedEntry);
+  EXPECT_EQ(back->result.cycles,
+            std::strtoull((blanks + "123456789").c_str(), nullptr, 10));
+  EXPECT_EQ(back->result.ipc,
+            std::strtod((blanks + "0.62000000000000011").c_str(), nullptr));
+}
+
 TEST(LabResultCache, EveryTruncationMissesOrLoadsTheSameEntry) {
   TempDir dir("cache_prefixes");
   lab::ResultCache cache(dir.path());
@@ -693,6 +798,23 @@ TEST(LabFingerprint, DefaultKeysArePinned) {
   for (const auto& [preset, key] : want)
     EXPECT_EQ(lab::content_key(prog, preset, {}), key)
         << machine::preset_name(preset);
+}
+
+// The compile keys and a compile-index key, pinned: a change to them
+// orphans every compile index entry, so it must be a deliberate edit.
+TEST(LabFingerprint, CompileKeysArePinned) {
+  compiler::CompileOptions ablated;
+  ablated.flow_sensitive_comm = false;
+  ablated.cmas.trigger_distance = 256;
+  const std::string pointer = pipeline::compile_key(
+      lab::spec("Pointer", workloads::Scale::Test), {});
+  const std::string fft =
+      pipeline::compile_key(lab::spec("FFT", workloads::Scale::Paper), ablated);
+  EXPECT_EQ(pointer, "8e96d57a8014fea4a84d88491ad5db74");
+  EXPECT_EQ(fft, "1004063f1e35f2ad42886d6d0a37029d");
+  EXPECT_EQ(lab::compile_index_key(
+                "build-id=0123456789abcdef;fma=1;fma4=0;avx2=1;", pointer),
+            "6b2356c29d3955f5e94a9d712e5f3a45");
 }
 
 // Every named plan's keys, pinned: one hash per plan over each cell's
