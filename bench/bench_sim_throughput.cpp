@@ -4,8 +4,18 @@
 // simulations, so component speed matters).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <type_traits>
+#include <vector>
+
 #include "compiler/compile.hpp"
 #include "isa/assembler.hpp"
+#include "lab/fingerprint.hpp"
+#include "lab/result_cache.hpp"
+#include "lab/serialize.hpp"
 #include "machine/machine.hpp"
 #include "mem/memory_system.hpp"
 #include "sim/functional.hpp"
@@ -168,6 +178,47 @@ void BM_CompilerPipeline(benchmark::State& state) {
                           static_cast<std::int64_t>(w.program.code.size()));
 }
 BENCHMARK(BM_CompilerPipeline);
+
+// What a warm plan pays per cell besides the file system: the content key
+// of a cell from its image's hash state, and the load of one stored entry.
+// Every field of the entry is set, with values as long as a paper-scale
+// run's, so the file is shaped like a paper plan's.  Not gated in CI.
+void BM_ContentKey(benchmark::State& state) {
+  const lab::ImageKeyState image =
+      lab::image_key_state(std::vector<std::uint8_t>(4096, 0x5a));
+  const machine::MachineConfig cfg;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        lab::content_key(image, machine::Preset::HiDISC, cfg));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ContentKey);
+
+void BM_ResultCacheLoad(benchmark::State& state) {
+  lab::CacheEntry entry{{}, "Pointer", "HiDISC", 52'428'800};
+  std::uint64_t n = 0;
+  lab::visit_result_fields(entry.result, [&n](const auto&, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    ++n;
+    if constexpr (std::is_same_v<T, bool>)
+      field = true;
+    else if constexpr (std::is_floating_point_v<T>)
+      field = 0.62000000000000011 * static_cast<double>(n);
+    else
+      field = static_cast<T>(12'345'678 * n);
+  });
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("hidisc_bench_cache_" + std::to_string(::getpid()));
+  const std::string key(32, 'a');
+  {
+    lab::ResultCache cache(dir.string());
+    if (!cache.store(key, entry)) state.SkipWithError("store failed");
+    for (auto _ : state) benchmark::DoNotOptimize(cache.load(key));
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ResultCacheLoad);
 
 }  // namespace
 

@@ -24,6 +24,18 @@ void Fnv1a::update(const void* data, std::size_t n) noexcept {
   }
 }
 
+void ImageKeyState::update(const void* data, std::size_t n) noexcept {
+  // Two independent multiply chains, so the CPU overlaps them.
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint64_t a = lo.digest(), b = hi.digest();
+  for (std::size_t i = 0; i < n; ++i) {
+    a = (a ^ p[i]) * 0x100000001b3ull;
+    b = (b ^ p[i]) * 0x100000001b3ull;
+  }
+  lo = Fnv1a(a);
+  hi = Fnv1a(b);
+}
+
 namespace {
 
 class Describer {
@@ -48,9 +60,10 @@ class Describer {
     out_ += v;
     out_ += ';';
   }
-  // Fields of retired models, frozen at the values they were keyed with,
-  // so keys written while the model existed stay valid.
-  void frozen(const std::string& fields) { out_ += fields; }
+  // Fields rendered ahead of time: those of retired models, frozen at the
+  // values they were keyed with so keys written while the model existed
+  // stay valid, and the constant Table-1 cores.
+  void rendered(const std::string& fields) { out_ += fields; }
 
   void cache(const char* prefix, const mem::CacheConfig& c, int latency) {
     const std::string p = prefix;
@@ -81,8 +94,8 @@ class Describer {
   void mem(const char* prefix, const mem::MemConfig& m) {
     const std::string p = prefix;
     cache((p + ".l1").c_str(), mem::kL1Cache, mem::kL1Latency);
-    frozen(p + ".l1i.sets=512;" + p + ".l1i.block=32;" + p +
-           ".l1i.assoc=1;" + p + ".l1i.lat=1;");  // the I-cache model
+    rendered(p + ".l1i.sets=512;" + p + ".l1i.block=32;" + p +
+             ".l1i.assoc=1;" + p + ".l1i.lat=1;");  // the I-cache model
     cache((p + ".l2").c_str(), mem::kL2Cache, m.l2_latency);
     field((p + ".dram").c_str(), m.dram_latency);
     field((p + ".bus").c_str(), m.l2_bus_cycles);
@@ -100,6 +113,20 @@ class Describer {
   std::string out_;
 };
 
+// The four Table-1 cores' fields, which no configuration varies: rendered
+// once per process.
+const std::string& table1_cores() {
+  static const std::string cores = [] {
+    Describer d;
+    d.core("ss", machine::kSuperscalarCore);
+    d.core("cp", machine::kCpCore);
+    d.core("ap", machine::kApCore);
+    d.core("cmp", machine::kCmpCore);
+    return d.take();
+  }();
+  return cores;
+}
+
 }  // namespace
 
 std::string describe(const machine::MachineConfig& cfg) {
@@ -110,15 +137,12 @@ std::string describe(const machine::MachineConfig& cfg) {
   d.field("predictor", machine::kPredictorTable);
   d.field("btb", machine::kBtbSize);
   d.field("predictor_kind", static_cast<std::int64_t>(cfg.predictor_kind));
-  d.frozen("icache=0;");  // the I-cache model
+  d.rendered("icache=0;");  // the I-cache model
   // One capacity, two key fields, as when LDQ and SDQ were sized apart.
   d.field("ldq", static_cast<std::int64_t>(cfg.queue_capacity));
   d.field("sdq", static_cast<std::int64_t>(cfg.queue_capacity));
   d.field("scq", static_cast<std::int64_t>(machine::kScqCapacity));
-  d.core("ss", machine::kSuperscalarCore);
-  d.core("cp", machine::kCpCore);
-  d.core("ap", machine::kApCore);
-  d.core("cmp", machine::kCmpCore);
+  d.rendered(table1_cores());
   // Appended only off its Table-1 default, like the prefetcher, so keys
   // written before it was keyed stay valid.
   if (cfg.cmp_prefetch_buffer != machine::MachineConfig{}.cmp_prefetch_buffer)
@@ -170,19 +194,15 @@ ImageKeyState image_key_state(const std::vector<std::uint8_t>& image) {
   // Two independently seeded streams -> 128 bits; collisions across a
   // cache directory of any realistic size are then out of the question.
   ImageKeyState st;
-  st.lo.update(image.data(), image.size());
-  st.hi.update(image.data(), image.size());
+  st.update(image.data(), image.size());
   return st;
 }
 
 std::string content_key(const ImageKeyState& image, machine::Preset preset,
                         const machine::MachineConfig& cfg) {
-  const std::string cfg_desc = describe(cfg);
   ImageKeyState st = image;
-  for (Fnv1a* h : {&st.lo, &st.hi}) {
-    h->update(machine::preset_name(preset));
-    h->update(cfg_desc);
-  }
+  st.update(machine::preset_name(preset));
+  st.update(describe(cfg));
   return hex128(st.lo, st.hi);
 }
 
@@ -269,11 +289,9 @@ std::string compile_index_key(const std::string& identity,
                               const std::string& compile_key) {
   static constexpr char kTag[] = "lab.compile-index|";
   ImageKeyState st;
-  for (Fnv1a* h : {&st.lo, &st.hi}) {
-    h->update(kTag, sizeof kTag - 1);
-    h->update(identity);
-    h->update(compile_key);
-  }
+  st.update(kTag, sizeof kTag - 1);
+  st.update(identity);
+  st.update(compile_key);
   return hex128(st.lo, st.hi);
 }
 

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "compiler/compile.hpp"
@@ -58,6 +59,11 @@ class Fnv1a {
 // every cell that simulates it.
 struct ImageKeyState {
   Fnv1a lo, hi{0x9e3779b97f4a7c15ull};
+
+  // Feeds `n` bytes to both streams in one loop: the states that
+  // lo.update(data, n) and hi.update(data, n) reach.
+  void update(const void* data, std::size_t n) noexcept;
+  void update(std::string_view s) noexcept { update(s.data(), s.size()); }
 };
 [[nodiscard]] ImageKeyState image_key_state(
     const std::vector<std::uint8_t>& image);

@@ -68,9 +68,9 @@ bool read_file(const std::string& path, std::vector<char>& out) {
   return ok;
 }
 
-// An entry file's bytes and its `name value` lines, viewed in them and
-// sorted for find_field.  Moving a vector keeps its buffer, so the views
-// survive a move of the whole.
+// An entry file's bytes and its `name value` lines, viewed in them in file
+// order.  Moving a vector keeps its buffer, so the views survive a move of
+// the whole.
 struct EntryText {
   std::vector<char> bytes;
   std::vector<FieldView> fields;
@@ -113,18 +113,15 @@ std::optional<EntryText> read_entry(const std::string& path,
     diag::quarantine_file(path);
     return std::nullopt;
   }
-  // Equal names keep their file order, so the later one wins.
-  std::stable_sort(entry.fields.begin(), entry.fields.end(),
-                   [](const FieldView& a, const FieldView& b) {
-                     return a.first < b.first;
-                   });
   return entry;
 }
 
-// The value of `name` in `entry`, empty when absent.
+// The value of the last `name` line in `entry`, empty when absent.
 std::string_view field(const EntryText& entry, std::string_view name) {
-  const auto* value = find_field(entry.fields, name);
-  return value ? *value : std::string_view();
+  const auto it = std::find_if(
+      entry.fields.rbegin(), entry.fields.rend(),
+      [name](const FieldView& f) { return f.first == name; });
+  return it == entry.fields.rend() ? std::string_view() : it->second;
 }
 
 // Publishes an entry file: the header, one line per field, the checksum

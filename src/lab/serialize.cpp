@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
+#include <cstring>
+#include <vector>
 
 namespace hidisc::lab {
 
@@ -14,16 +15,46 @@ std::string format_value(std::int64_t v) { return std::to_string(v); }
 std::string format_value(bool v) { return v ? "1" : "0"; }
 std::string format_value(double v) { return format_double(v); }
 
-// The strto* functions need a terminated string: parse a copy.
+// The strto* functions need a terminated string: parse a copy, on the
+// stack unless `s` is longer than any value the writer emits.
+template <class Parse>
+auto parse_terminated(std::string_view s, Parse parse) {
+  char buf[64];
+  if (s.size() >= sizeof buf) return parse(std::string(s).c_str());
+  std::memcpy(buf, s.data(), s.size());
+  buf[s.size()] = '\0';
+  return parse(buf);
+}
+
 void parse_value(std::string_view s, std::uint64_t& out) {
-  out = std::strtoull(std::string(s).c_str(), nullptr, 10);
+  out = parse_terminated(
+      s, [](const char* c) { return std::strtoull(c, nullptr, 10); });
 }
 void parse_value(std::string_view s, std::int64_t& out) {
-  out = std::strtoll(std::string(s).c_str(), nullptr, 10);
+  out = parse_terminated(
+      s, [](const char* c) { return std::strtoll(c, nullptr, 10); });
 }
 void parse_value(std::string_view s, bool& out) { out = s == "1"; }
 void parse_value(std::string_view s, double& out) {
-  out = std::strtod(std::string(s).c_str(), nullptr);
+  out = parse_terminated(s,
+                         [](const char* c) { return std::strtod(c, nullptr); });
+}
+
+// Every field's dotted name with its visit index, sorted by name.  Built
+// once, on first use.
+using NameTable = std::vector<std::pair<std::string, std::size_t>>;
+
+const NameTable& sorted_field_names() {
+  static const NameTable table = [] {
+    NameTable t;
+    const machine::Result r{};
+    visit_result_fields(r, [&t](FieldName name, const auto&) {
+      t.emplace_back(name.str(), t.size());
+    });
+    std::sort(t.begin(), t.end());
+    return t;
+  }();
+  return table;
 }
 
 }  // namespace
@@ -37,32 +68,42 @@ std::string format_double(double v) {
 std::map<std::string, std::string> result_to_fields(
     const machine::Result& r) {
   std::map<std::string, std::string> fields;
-  visit_result_fields(r, [&fields](const std::string& name, auto& value) {
-    fields[name] = format_value(value);
+  visit_result_fields(r, [&fields](FieldName name, auto& value) {
+    fields[name.str()] = format_value(value);
   });
   return fields;
 }
 
-const std::string_view* find_field(std::span<const FieldView> fields,
-                                   std::string_view name) {
-  const auto after = std::upper_bound(
-      fields.begin(), fields.end(), name,
-      [](std::string_view n, const FieldView& f) { return n < f.first; });
-  if (after == fields.begin() || std::prev(after)->first != name)
-    return nullptr;
-  return &std::prev(after)->second;
-}
-
 machine::Result result_from_fields(std::span<const FieldView> fields,
                                    std::string* missing) {
+  // One walk in the given order.  Writers list names sorted, so a name is
+  // usually the one after the previous match; otherwise it is looked up.
+  const NameTable& names = sorted_field_names();
+  std::vector<const std::string_view*> values(names.size(), nullptr);
+  std::size_t next = 0;
+  for (const auto& [name, value] : fields) {
+    std::size_t at = next;
+    if (at == names.size() || names[at].first != name) {
+      at = static_cast<std::size_t>(
+          std::lower_bound(names.begin(), names.end(), name,
+                           [](const auto& entry, std::string_view n) {
+                             return entry.first < n;
+                           }) -
+          names.begin());
+      if (at == names.size() || names[at].first != name) continue;
+    }
+    values[names[at].second] = &value;
+    next = at + 1;
+  }
+
   machine::Result r;
   if (missing != nullptr) missing->clear();
-  visit_result_fields(r, [fields, missing](const std::string& name,
-                                           auto& value) {
-    if (const auto* text = find_field(fields, name)) {
-      parse_value(*text, value);
+  std::size_t i = 0;
+  visit_result_fields(r, [&](FieldName name, auto& field) {
+    if (const std::string_view* text = values[i++]) {
+      parse_value(*text, field);
     } else if (missing != nullptr && missing->empty()) {
-      *missing = name;
+      *missing = name.str();
     }
   });
   return r;

@@ -28,75 +28,89 @@
 
 namespace hidisc::lab {
 
+// A field's dotted name in two parts, "l1" and "read_misses" for
+// "l1.read_misses"; `prefix` is empty for an undotted name.  The parts
+// are string literals, so visiting builds no strings.
+struct FieldName {
+  std::string_view prefix, leaf;
+
+  [[nodiscard]] std::string str() const {
+    std::string s(prefix);
+    if (!s.empty()) s += '.';
+    s += leaf;
+    return s;
+  }
+};
+
 namespace detail {
 
 template <class R, class V>
-void visit_cache_stats(const std::string& p, R& s, V&& v) {
-  v(p + ".reads", s.reads);
-  v(p + ".read_misses", s.read_misses);
-  v(p + ".writes", s.writes);
-  v(p + ".write_misses", s.write_misses);
-  v(p + ".prefetches", s.prefetches);
-  v(p + ".prefetch_misses", s.prefetch_misses);
-  v(p + ".evictions", s.evictions);
-  v(p + ".writebacks", s.writebacks);
-  v(p + ".useful_prefetches", s.useful_prefetches);
-  v(p + ".late_fill_hits", s.late_fill_hits);
-  v(p + ".late_prefetch_hits", s.late_prefetch_hits);
+void visit_cache_stats(std::string_view p, R& s, V&& v) {
+  v(FieldName{p, "reads"}, s.reads);
+  v(FieldName{p, "read_misses"}, s.read_misses);
+  v(FieldName{p, "writes"}, s.writes);
+  v(FieldName{p, "write_misses"}, s.write_misses);
+  v(FieldName{p, "prefetches"}, s.prefetches);
+  v(FieldName{p, "prefetch_misses"}, s.prefetch_misses);
+  v(FieldName{p, "evictions"}, s.evictions);
+  v(FieldName{p, "writebacks"}, s.writebacks);
+  v(FieldName{p, "useful_prefetches"}, s.useful_prefetches);
+  v(FieldName{p, "late_fill_hits"}, s.late_fill_hits);
+  v(FieldName{p, "late_prefetch_hits"}, s.late_prefetch_hits);
 }
 
 template <class R, class V>
-void visit_core_stats(const std::string& p, R& s, V&& v) {
-  v(p + ".committed", s.committed);
-  v(p + ".committed_all", s.committed_all);
-  v(p + ".loads", s.loads);
-  v(p + ".stores", s.stores);
-  v(p + ".forwarded_loads", s.forwarded_loads);
-  v(p + ".window_full_stalls", s.window_full_stalls);
-  v(p + ".lsq_full_stalls", s.lsq_full_stalls);
-  v(p + ".queue_full_commit_stalls", s.queue_full_commit_stalls);
-  v(p + ".head_pop_empty_stalls", s.head_pop_empty_stalls);
-  v(p + ".lod_stalls", s.lod_stalls);
-  v(p + ".busy_cycles", s.busy_cycles);
+void visit_core_stats(std::string_view p, R& s, V&& v) {
+  v(FieldName{p, "committed"}, s.committed);
+  v(FieldName{p, "committed_all"}, s.committed_all);
+  v(FieldName{p, "loads"}, s.loads);
+  v(FieldName{p, "stores"}, s.stores);
+  v(FieldName{p, "forwarded_loads"}, s.forwarded_loads);
+  v(FieldName{p, "window_full_stalls"}, s.window_full_stalls);
+  v(FieldName{p, "lsq_full_stalls"}, s.lsq_full_stalls);
+  v(FieldName{p, "queue_full_commit_stalls"}, s.queue_full_commit_stalls);
+  v(FieldName{p, "head_pop_empty_stalls"}, s.head_pop_empty_stalls);
+  v(FieldName{p, "lod_stalls"}, s.lod_stalls);
+  v(FieldName{p, "busy_cycles"}, s.busy_cycles);
 }
 
 template <class R, class V>
-void visit_fifo_stats(const std::string& p, R& s, V&& v) {
-  v(p + ".pushes", s.pushes);
-  v(p + ".pops", s.pops);
-  v(p + ".full_stall_cycles", s.full_stall_cycles);
-  v(p + ".empty_stall_cycles", s.empty_stall_cycles);
-  v(p + ".max_occupancy", s.max_occupancy);
+void visit_fifo_stats(std::string_view p, R& s, V&& v) {
+  v(FieldName{p, "pushes"}, s.pushes);
+  v(FieldName{p, "pops"}, s.pops);
+  v(FieldName{p, "full_stall_cycles"}, s.full_stall_cycles);
+  v(FieldName{p, "empty_stall_cycles"}, s.empty_stall_cycles);
+  v(FieldName{p, "max_occupancy"}, s.max_occupancy);
 }
 
 }  // namespace detail
 
 // `R` is machine::Result or const machine::Result; `v(name, fieldref)` is
-// invoked once per scalar field with a reference of the field's own type
-// (uint64_t, size_t, double, bool, int64_t).
+// invoked once per scalar field, with its FieldName and a reference of the
+// field's own type (uint64_t, size_t, double, bool, int64_t).
 template <class R, class V>
 void visit_result_fields(R& r, V&& v) {
-  v(std::string("cycles"), r.cycles);
-  v(std::string("instructions"), r.instructions);
-  v(std::string("ipc"), r.ipc);
+  v(FieldName{"", "cycles"}, r.cycles);
+  v(FieldName{"", "instructions"}, r.instructions);
+  v(FieldName{"", "ipc"}, r.ipc);
   detail::visit_cache_stats("l1", r.l1, v);
   detail::visit_cache_stats("l2", r.l2, v);
-  v(std::string("pf.trains"), r.pf.trains);
-  v(std::string("pf.issued"), r.pf.issued);
-  v(std::string("pf.filtered"), r.pf.filtered);
-  v(std::string("pf.installed"), r.pf.installed);
-  v(std::string("pf.used"), r.pf.used);
-  v(std::string("pf.late"), r.pf.late);
-  v(std::string("pf.evicted_unused"), r.pf.evicted_unused);
-  v(std::string("pf.accuracy"), r.pf_accuracy);
-  v(std::string("pf.coverage"), r.pf_coverage);
-  v(std::string("pf.lateness"), r.pf_lateness);
-  v(std::string("branch.lookups"), r.branch.lookups);
-  v(std::string("branch.mispredicts"), r.branch.mispredicts);
-  v(std::string("has_main"), r.has_main);
-  v(std::string("has_cp"), r.has_cp);
-  v(std::string("has_ap"), r.has_ap);
-  v(std::string("has_cmp"), r.has_cmp);
+  v(FieldName{"pf", "trains"}, r.pf.trains);
+  v(FieldName{"pf", "issued"}, r.pf.issued);
+  v(FieldName{"pf", "filtered"}, r.pf.filtered);
+  v(FieldName{"pf", "installed"}, r.pf.installed);
+  v(FieldName{"pf", "used"}, r.pf.used);
+  v(FieldName{"pf", "late"}, r.pf.late);
+  v(FieldName{"pf", "evicted_unused"}, r.pf.evicted_unused);
+  v(FieldName{"pf", "accuracy"}, r.pf_accuracy);
+  v(FieldName{"pf", "coverage"}, r.pf_coverage);
+  v(FieldName{"pf", "lateness"}, r.pf_lateness);
+  v(FieldName{"branch", "lookups"}, r.branch.lookups);
+  v(FieldName{"branch", "mispredicts"}, r.branch.mispredicts);
+  v(FieldName{"", "has_main"}, r.has_main);
+  v(FieldName{"", "has_cp"}, r.has_cp);
+  v(FieldName{"", "has_ap"}, r.has_ap);
+  v(FieldName{"", "has_cmp"}, r.has_cmp);
   detail::visit_core_stats("main", r.main, v);
   detail::visit_core_stats("cp", r.cp, v);
   detail::visit_core_stats("ap", r.ap, v);
@@ -104,14 +118,15 @@ void visit_result_fields(R& r, V&& v) {
   detail::visit_fifo_stats("ldq", r.ldq, v);
   detail::visit_fifo_stats("sdq", r.sdq, v);
   detail::visit_fifo_stats("scq", r.scq, v);
-  v(std::string("fetch_stall_branch_cycles"), r.fetch_stall_branch_cycles);
-  v(std::string("fetch_stall_queue_full"), r.fetch_stall_queue_full);
-  v(std::string("cmas_forks"), r.cmas_forks);
-  v(std::string("cmas_forks_dropped"), r.cmas_forks_dropped);
-  v(std::string("cmas_forks_suppressed"), r.cmas_forks_suppressed);
-  v(std::string("cmas_uops"), r.cmas_uops);
-  v(std::string("distance_adaptations"), r.distance_adaptations);
-  v(std::string("final_fork_lookahead"), r.final_fork_lookahead);
+  v(FieldName{"", "fetch_stall_branch_cycles"},
+    r.fetch_stall_branch_cycles);
+  v(FieldName{"", "fetch_stall_queue_full"}, r.fetch_stall_queue_full);
+  v(FieldName{"", "cmas_forks"}, r.cmas_forks);
+  v(FieldName{"", "cmas_forks_dropped"}, r.cmas_forks_dropped);
+  v(FieldName{"", "cmas_forks_suppressed"}, r.cmas_forks_suppressed);
+  v(FieldName{"", "cmas_uops"}, r.cmas_uops);
+  v(FieldName{"", "distance_adaptations"}, r.distance_adaptations);
+  v(FieldName{"", "final_fork_lookahead"}, r.final_fork_lookahead);
 }
 
 // Flat name -> textual value map.  Doubles are rendered with %.17g so the
@@ -123,17 +138,13 @@ void visit_result_fields(R& r, V&& v) {
 // result_to_fields map).
 using FieldView = std::pair<std::string_view, std::string_view>;
 
-// The value of `name` in `fields`, sorted by name with equal names in
-// their original order; the last of equal names wins.  Null when absent.
-[[nodiscard]] const std::string_view* find_field(
-    std::span<const FieldView> fields, std::string_view name);
-
-// Inverse of result_to_fields over `fields`, sorted as for find_field;
-// unknown names are ignored.  Every visited field is *required*: when
-// `missing` is non-null it receives the first absent field name (or is
-// cleared when the list is complete) — a torn-but-line-aligned cache
-// entry must decode as corrupt, not as a silently-zeroed Result.  Callers
-// passing nullptr accept defaults for absent names (legacy leniency).
+// Inverse of result_to_fields over `fields`, in any order; the last of
+// equal names wins and unknown names are ignored.  Every visited field is
+// *required*: when `missing` is non-null it receives the first absent
+// field name (or is cleared when the list is complete) — a
+// torn-but-line-aligned cache entry must decode as corrupt, not as a
+// silently-zeroed Result.  Callers passing nullptr accept defaults for
+// absent names (legacy leniency).
 [[nodiscard]] machine::Result result_from_fields(
     std::span<const FieldView> fields, std::string* missing = nullptr);
 

@@ -14,28 +14,22 @@ constexpr const char* kTraceTag = "pipeline.trace|";
 std::string two_stream_key(const char* tag,
                            const std::vector<std::uint8_t>& bytes,
                            const std::string& extra) {
-  lab::Fnv1a lo, hi(0x9e3779b97f4a7c15ull);
-  for (lab::Fnv1a* h : {&lo, &hi}) {
-    h->update(tag, std::char_traits<char>::length(tag));
-    h->update(bytes.data(), bytes.size());
-    h->update(extra);
-  }
-  return lab::hex128(lo, hi);
+  lab::ImageKeyState st;
+  st.update(tag);
+  st.update(bytes.data(), bytes.size());
+  st.update(extra);
+  return lab::hex128(st.lo, st.hi);
 }
 
 }  // namespace
 
 std::string compile_key(const lab::WorkloadSpec& spec,
                         const compiler::CompileOptions& opt) {
-  lab::Fnv1a lo, hi(0x9e3779b97f4a7c15ull);
-  const std::string id = spec.id();
-  const std::string opt_desc = lab::describe(opt);
-  for (lab::Fnv1a* h : {&lo, &hi}) {
-    h->update(kCompileTag, std::char_traits<char>::length(kCompileTag));
-    h->update(id);
-    h->update(opt_desc);
-  }
-  return lab::hex128(lo, hi);
+  lab::ImageKeyState st;
+  st.update(kCompileTag);
+  st.update(spec.id());
+  st.update(lab::describe(opt));
+  return lab::hex128(st.lo, st.hi);
 }
 
 std::string trace_key(const std::vector<std::uint8_t>& binary_image,

@@ -6,8 +6,11 @@
 
 #include <filesystem>
 
+#include "compiler/compile.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/oracle.hpp"
+#include "isa/assembler.hpp"
+#include "machine/machine.hpp"
 
 #ifndef HIDISC_CORPUS_DIR
 #error "HIDISC_CORPUS_DIR must point at tests/corpus"
@@ -35,6 +38,29 @@ TEST(Corpus, DecoupledEntriesCarryStreamsTags) {
   for (const auto& r : load_corpus(HIDISC_CORPUS_DIR))
     decoupled |= !r.streams.empty();
   EXPECT_TRUE(decoupled);
+}
+
+// Generated kernels stay below the CMAS thresholds, so the oracle's CMP
+// legs would otherwise only ever check an idle CMP.
+TEST(Corpus, CmasForkEntryForksUnderBothSchedulers) {
+  const auto r = load_repro(std::filesystem::path(HIDISC_CORPUS_DIR) /
+                            "cmas-fork.s");
+  const auto comp = compiler::compile(isa::assemble(r.source));
+  ASSERT_FALSE(comp.groups.empty());
+  for (const auto scheduler : {machine::SchedulerKind::EventSkip,
+                               machine::SchedulerKind::Lockstep}) {
+    machine::MachineConfig cfg;
+    cfg.scheduler = scheduler;
+    for (const auto preset :
+         {machine::Preset::CPCMP, machine::Preset::HiDISC}) {
+      const auto& binary = machine::uses_separated_binary(preset)
+                               ? comp.separated
+                               : comp.original;
+      EXPECT_GT(machine::Machine(binary, preset, cfg).run().cmas_forks, 0u)
+          << machine::preset_name(preset) << " scheduler "
+          << static_cast<int>(scheduler);
+    }
+  }
 }
 
 TEST(Corpus, WriteLoadRoundTrip) {

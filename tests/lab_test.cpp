@@ -553,8 +553,8 @@ std::string with_checksum(const std::string& body) {
   return body + footer + "\n";
 }
 
-// The field lines of the stored kPinnedEntry, between header and footer.
-std::vector<std::string> pinned_field_lines(const std::string& dir,
+// The field lines of the stored entry `key`, between header and footer.
+std::vector<std::string> stored_field_lines(const std::string& dir,
                                             const std::string& key) {
   const std::string text = read_entry(dir, key);
   const std::string fields = text.substr(
@@ -579,7 +579,7 @@ TEST(LabResultCache, FieldOrderDoesNotMatter) {
   lab::ResultCache cache(dir.path());
   const std::string key(32, '9');
   ASSERT_TRUE(cache.store(key, kPinnedEntry));
-  auto lines = pinned_field_lines(dir.path(), key);
+  auto lines = stored_field_lines(dir.path(), key);
   ASSERT_GT(lines.size(), 100u);
   std::mt19937 rng(7);
   for (int round = 0; round < 3; ++round) {
@@ -589,8 +589,8 @@ TEST(LabResultCache, FieldOrderDoesNotMatter) {
     ASSERT_TRUE(back.has_value()) << round;
     expect_same_entry(*back, kPinnedEntry);
   }
-  // Reversed is the worst order for a reader that expects sorted names.
-  std::reverse(lines.begin(), lines.end());
+  // Descending names: no line is the one after its predecessor's name.
+  std::sort(lines.rbegin(), lines.rend());
   write_entry(dir.path(), key, with_checksum(result_body(lines)));
   const auto back = cache.load(key);
   ASSERT_TRUE(back.has_value());
@@ -603,7 +603,7 @@ TEST(LabResultCache, UnknownFieldsAreIgnored) {
   lab::ResultCache cache(dir.path());
   const std::string key(32, 'a');
   ASSERT_TRUE(cache.store(key, kPinnedEntry));
-  auto lines = pinned_field_lines(dir.path(), key);
+  auto lines = stored_field_lines(dir.path(), key);
   // Before the first name, between names, after the last, and names that
   // extend or prefix known ones.
   lines.insert(lines.begin(), "aaa 1\n");
@@ -625,7 +625,7 @@ TEST(LabResultCache, LongValueParsesAsBefore) {
   ASSERT_TRUE(cache.store(key, kPinnedEntry));
   const std::string blanks(80, ' ');
   const std::string zeros(80, '0');
-  auto lines = pinned_field_lines(dir.path(), key);
+  auto lines = stored_field_lines(dir.path(), key);
   for (auto& line : lines) {
     if (line.starts_with("cycles "))
       line = "cycles " + blanks + "123456789\n";
