@@ -1,13 +1,12 @@
-// Always-on bounded flight recorder for the timing machines.
+// Bounded flight recorder for the timing machines.
 //
 // A fixed-size ring buffer of the most recent scheduler / queue / fetch
-// transitions, written on every event step of `Machine::run` and read
-// only after a failure: the DeadlockReport attaches the tail so a
-// watchdog abort carries the machine's last moves, not just its final
-// frozen state.  Recording is a single struct store into a preallocated
-// power-of-two ring — cheap enough to stay enabled in every run (the
-// perf-smoke CI gate holds the event-skip throughput within its band
-// with the recorder on).
+// transitions, read only after a failure: the DeadlockReport attaches the
+// tail so a watchdog abort carries the machine's last moves, not just its
+// final frozen state.  A healthy run records nothing.  A simulation is
+// deterministic, so when one deadlocks, `Machine` replays the same inputs
+// once with a recorder attached, one or two records per event step, and
+// that replay's report is the one thrown (docs/MACHINE.md).
 #pragma once
 
 #include <cstddef>

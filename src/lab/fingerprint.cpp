@@ -127,6 +127,17 @@ const std::string& table1_cores() {
   return cores;
 }
 
+// compile() profiles on the default memory system, so the compile key's
+// `pmem` segment is a constant too: rendered once per process.
+const std::string& profiling_mem() {
+  static const std::string pmem = [] {
+    Describer d;
+    d.mem("pmem", mem::MemConfig{});
+    return d.take();
+  }();
+  return pmem;
+}
+
 }  // namespace
 
 std::string describe(const machine::MachineConfig& cfg) {
@@ -168,7 +179,7 @@ std::string describe(const machine::MachineConfig& cfg) {
 
 std::string describe(const compiler::CompileOptions& opt) {
   Describer d;
-  d.mem("pmem", mem::MemConfig{});  // compile() profiles on the default
+  d.rendered(profiling_mem());
   d.field("max_steps", static_cast<std::int64_t>(opt.max_steps));
   d.field("cmas", opt.enable_cmas ? 1 : 0);
   d.field("cmas.miss_rate", opt.cmas.miss_rate_threshold);

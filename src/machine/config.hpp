@@ -83,10 +83,6 @@ inline constexpr std::uint64_t kCmpAdaptInterval = 4096;
 // AP arrives.  Below kCmpLookaheadMax, so a machine's trace window spans
 // max(cmp_fork_lookahead, kCmpLookaheadMax) entries past fetch.
 inline constexpr std::int64_t kCmpMaxRunahead = 1024;
-// How many recent scheduler transitions the always-on flight recorder
-// retains for the DeadlockReport.  Recording is one struct store per event
-// step; the perf-smoke gate verifies the overhead stays inside its band.
-inline constexpr std::size_t kFlightRecorderDepth = 64;
 
 // Table 1 gives "issue/commit width 8" for the machine; each HiDISC
 // processor keeps the full width (they are separate pipelines with their

@@ -26,6 +26,10 @@ constexpr std::size_t kCmpScanBudget = 64;
 // single skip over N idle cycles is one step, not N.
 constexpr std::uint64_t kWatchdogMinSteps = 64;
 
+// Scheduler transitions the replay of a deadlocked run keeps for the
+// DeadlockReport's `recent` tail.
+constexpr std::size_t kFlightRecorderDepth = 64;
+
 // HIDISC_LOCKSTEP=1 shadows every event-skip run with a lock-stepped run
 // of the same inputs and asserts bit-identical Results.
 bool lockstep_verify_requested() {
@@ -63,8 +67,7 @@ Machine::Machine(const isa::Program& prog, TraceWindow window, Preset preset,
                  cfg.predictor_kind),
       ldq_("LDQ", cfg.queue_capacity),
       sdq_("SDQ", cfg.queue_capacity),
-      scq_("SCQ", kScqCapacity),
-      recorder_(kFlightRecorderDepth) {
+      scq_("SCQ", kScqCapacity) {
   const OoOCore::Queues queues{&ldq_, &sdq_, &scq_};
   const auto core = [&](const uarch::CoreConfig& c) {
     return std::make_unique<OoOCore>(c, &memsys_, queues, optable_);
@@ -438,7 +441,7 @@ void Machine::account_skip(std::uint64_t now, std::uint64_t delta) {
 }
 
 // Samples the machine's observable occupancies into one flight-recorder
-// frame.  Must stay cheap: this runs on every event step.
+// frame (a replay records one or two per event step).
 diag::StepRecord Machine::make_record(std::uint64_t now, diag::StepKind kind,
                                       std::uint64_t arg) const {
   diag::StepRecord r;
@@ -460,7 +463,8 @@ diag::StepRecord Machine::make_record(std::uint64_t now, diag::StepKind kind,
 
 diag::DeadlockReport Machine::build_deadlock_report(
     std::uint64_t now, std::uint64_t last_progress_cycle,
-    bool no_pending_event, std::size_t trace_size) const {
+    bool no_pending_event, std::size_t trace_size,
+    const diag::FlightRecorder* rec) const {
   diag::DeadlockReport rep;
   rep.preset = preset_name(preset_);
   rep.scheduler = cfg_.scheduler == SchedulerKind::Lockstep ? "Lockstep"
@@ -513,21 +517,38 @@ diag::DeadlockReport Machine::build_deadlock_report(
     rep.cores.push_back(std::move(cs));
   }
 
-  rep.recent = recorder_.snapshot();
+  if (rec != nullptr) rep.recent = rec->snapshot();
   diag::classify(rep);
   return rep;
 }
 
-void Machine::throw_deadlock(std::uint64_t now,
+void Machine::throw_deadlock(diag::FlightRecorder* rec, std::uint64_t now,
                              std::uint64_t last_progress_cycle,
                              bool no_pending_event) {
-  recorder_.record(make_record(now, diag::StepKind::Deadlock, 0));
+  if (rec != nullptr)
+    rec->record(make_record(now, diag::StepKind::Deadlock, 0));
   const std::size_t trace_size = window_.drain();
   throw diag::DeadlockError(build_deadlock_report(
-      now, last_progress_cycle, no_pending_event, trace_size));
+      now, last_progress_cycle, no_pending_event, trace_size, rec));
 }
 
+// A run records nothing while it goes.  The simulation is deterministic,
+// so when it deadlocks, a fresh machine replays the same inputs under the
+// same configuration with a flight recorder attached, and the replay's
+// report, tail included, is the one that escapes.
 Result Machine::run_scheduler() {
+  try {
+    return run_steps(nullptr);
+  } catch (const diag::DeadlockError&) {
+  }
+  Machine replay(prog_, window_.restart(), preset_, cfg_);
+  diag::FlightRecorder rec(kFlightRecorderDepth);
+  (void)replay.run_steps(&rec);
+  throw std::logic_error(std::string("deadlock replay on preset ") +
+                         preset_name(preset_) + " ran to completion");
+}
+
+Result Machine::run_steps(diag::FlightRecorder* rec) {
   const bool lockstep = cfg_.scheduler == SchedulerKind::Lockstep;
   std::uint64_t now = 0;
   std::uint64_t last_progress_cycle = 0;
@@ -537,13 +558,16 @@ Result Machine::run_scheduler() {
     const bool was_blocked = fetch_blocked_;
     const bool progress = step(now);
     ++sched_.event_steps;
-    recorder_.record(make_record(
-        now, progress ? diag::StepKind::Progress : diag::StepKind::Stall, 0));
-    if (fetch_blocked_ != was_blocked)
-      recorder_.record(make_record(now,
-                                   fetch_blocked_ ? diag::StepKind::FetchBlock
-                                                  : diag::StepKind::FetchResume,
-                                   fetch_pos_));
+    if (rec != nullptr) {
+      rec->record(make_record(
+          now, progress ? diag::StepKind::Progress : diag::StepKind::Stall,
+          0));
+      if (fetch_blocked_ != was_blocked)
+        rec->record(make_record(now,
+                                fetch_blocked_ ? diag::StepKind::FetchBlock
+                                               : diag::StepKind::FetchResume,
+                                fetch_pos_));
+    }
 
     if (progress) {
       last_progress_cycle = now;
@@ -561,14 +585,16 @@ Result Machine::run_scheduler() {
       // never change again.  Lockstep would spin the watchdog out; report
       // the same deadlock immediately.
       if (ev == uarch::kNoEvent)
-        throw_deadlock(now, last_progress_cycle, /*no_pending_event=*/true);
+        throw_deadlock(rec, now, last_progress_cycle,
+                       /*no_pending_event=*/true);
       if (ev > now + 1) {
         const std::uint64_t delta = ev - now - 1;
         account_skip(now, delta);
         sched_.skipped_cycles += delta;
         sched_.max_skip = std::max(sched_.max_skip, delta);
         ++sched_.skips;
-        recorder_.record(make_record(now, diag::StepKind::Skip, delta));
+        if (rec != nullptr)
+          rec->record(make_record(now, diag::StepKind::Skip, delta));
         next = ev;
       }
     }
@@ -578,7 +604,8 @@ Result Machine::run_scheduler() {
     // trip it, while a genuine livelock accumulates stalled steps fast.
     if (no_progress_steps > kWatchdogMinSteps &&
         now - last_progress_cycle > cfg_.watchdog_cycles)
-      throw_deadlock(now, last_progress_cycle, /*no_pending_event=*/false);
+      throw_deadlock(rec, now, last_progress_cycle,
+                     /*no_pending_event=*/false);
 
     now = next;
   }

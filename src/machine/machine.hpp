@@ -77,9 +77,10 @@ class Machine {
   // Runs to completion and returns the collected statistics.
   // Throws diag::DeadlockError (a std::runtime_error) if the machine stops
   // making progress; the attached DeadlockReport carries queue/core
-  // snapshots, a classified root cause, and the flight-recorder tail (its
-  // trace_size is the full length: a streamed machine first runs the rest
-  // of its functional run, and an ExecError there wins).
+  // snapshots, a classified root cause, and the flight-recorder tail,
+  // rebuilt by one replay of the same inputs with a recorder attached
+  // (its trace_size is the full length: a streamed machine first runs the
+  // rest of its functional run, and an ExecError there wins).
   // With HIDISC_LOCKSTEP=1 in the environment, an event-skip run is
   // shadowed by a fresh lock-stepped run of the same inputs and a
   // divergence in any Result field throws std::logic_error.
@@ -88,11 +89,6 @@ class Machine {
   // Valid after run(): how the scheduler advanced time.
   [[nodiscard]] const SchedulerStats& sched_stats() const noexcept {
     return sched_;
-  }
-
-  // The always-on flight recorder (forensics; see diag/flight_recorder.hpp).
-  [[nodiscard]] const diag::FlightRecorder& flight_recorder() const noexcept {
-    return recorder_;
   }
 
  private:
@@ -120,8 +116,11 @@ class Machine {
   [[nodiscard]] bool done();
   [[nodiscard]] Result collect(std::uint64_t cycles) const;
 
-  // Event-skip scheduler internals (see docs/MACHINE.md).
+  // Event-skip scheduler internals (see docs/MACHINE.md).  run_scheduler()
+  // runs run_steps() unrecorded and, on a deadlock, replays it with a
+  // flight recorder `rec`, which only a replay passes.
   [[nodiscard]] Result run_scheduler();
+  [[nodiscard]] Result run_steps(diag::FlightRecorder* rec);
   bool step(std::uint64_t now);
   [[nodiscard]] std::uint64_t next_event_after(std::uint64_t now) const;
   void account_skip(std::uint64_t now, std::uint64_t delta);
@@ -130,8 +129,10 @@ class Machine {
                                              std::uint64_t arg) const;
   [[nodiscard]] diag::DeadlockReport build_deadlock_report(
       std::uint64_t now, std::uint64_t last_progress_cycle,
-      bool no_pending_event, std::size_t trace_size) const;
-  [[noreturn]] void throw_deadlock(std::uint64_t now,
+      bool no_pending_event, std::size_t trace_size,
+      const diag::FlightRecorder* rec) const;
+  [[noreturn]] void throw_deadlock(diag::FlightRecorder* rec,
+                                   std::uint64_t now,
                                    std::uint64_t last_progress_cycle,
                                    bool no_pending_event);
 
@@ -178,9 +179,6 @@ class Machine {
   std::uint64_t adapt_last_useful_ = 0;
   std::uint64_t adapt_last_late_ = 0;
   std::uint64_t adapt_last_issued_ = 0;
-
-  // Forensics.
-  diag::FlightRecorder recorder_;
 
   // Stats.
   SchedulerStats sched_;

@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "isa/program.hpp"
@@ -61,22 +60,18 @@ class TraceWindow {
   [[nodiscard]] std::size_t drain();
 
  private:
-  // A streamed window's source: the functional run, its HIDISC_FSIM_REF
-  // shadow, and the buffer holding entries [base_, end_).
+  // A streamed window's source: the functional run and the buffer holding
+  // entries [base_, end_).
   struct Stream {
     Stream(const isa::Program& p, std::uint64_t steps)
-        : prog(p), max_steps(steps), func(p) {
-      if (sim::Functional::ref_shadow_enabled()) ref.emplace(func);
-    }
+        : prog(p), max_steps(steps), func(p) {}
     void next_chunk() {
-      func.stream_chunk(buf, max_steps, sim::Functional::kStreamChunk,
-                        ref ? &*ref : nullptr);
+      func.stream_chunk(buf, max_steps, sim::Functional::kStreamChunk);
     }
 
     const isa::Program& prog;
     std::uint64_t max_steps;
     sim::Functional func;
-    std::optional<sim::Functional> ref;
     sim::Trace buf;
   };
 

@@ -3,17 +3,15 @@
 // run()/run_trace()/run_streamed() execute through the threaded-code
 // interpreter (decoded.hpp + interp.cpp); step() below IS the original
 // giant-switch implementation, retained verbatim as the semantic reference
-// oracle.  The two must stay byte-identical: HIDISC_FSIM_REF=1
-// shadow-replays every run on a deep-copied snapshot through the reference
-// path and compares traces (per chunk for streamed runs), register files,
-// queues, and the memory digest (docs/FUNCTIONAL.md).
+// oracle.  The two must stay byte-identical in traces, errors and final
+// state: the fuzz oracle's dual-interpreter leg and the dual-interpreter
+// tests compare them (docs/FUNCTIONAL.md).
 
 #include "sim/functional.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -30,15 +28,6 @@ Functional::Functional(const isa::Program& prog) : prog_(prog) {
   iregs_[isa::kSp.idx] = static_cast<std::int64_t>(isa::kStackTop);
   iregs_[isa::kGp.idx] = static_cast<std::int64_t>(prog.data_base);
   pc_ = prog.entry;
-}
-
-bool Functional::ref_shadow_enabled() noexcept {
-  // Mirrors lockstep_verify_requested() in machine.cpp.
-  static const bool enabled = [] {
-    const char* v = std::getenv("HIDISC_FSIM_REF");
-    return v != nullptr && v[0] == '1' && v[1] == '\0';
-  }();
-  return enabled;
 }
 
 void Functional::ensure_decoded() {
@@ -70,24 +59,14 @@ void finish_trace(Trace& trace, std::size_t reserved) {
 }  // namespace
 
 void Functional::run(std::uint64_t max_steps) {
-  if (!ref_shadow_enabled()) {
-    exec_threaded<false>(max_steps, max_steps, nullptr);
-    return;
-  }
-  Functional ref(*this);
-  shadowed_exec(ref, max_steps, max_steps, nullptr);
+  exec_threaded<false>(max_steps, max_steps, nullptr);
 }
 
 Trace Functional::run_trace(std::uint64_t max_steps) {
   Trace trace;
   const std::size_t reserved = trace_reserve_hint(max_steps, icount_);
   trace.reserve(reserved);
-  if (!ref_shadow_enabled()) {
-    exec_threaded<true>(max_steps, max_steps, &trace);
-  } else {
-    Functional ref(*this);
-    shadowed_exec(ref, max_steps, max_steps, &trace);
-  }
+  exec_threaded<true>(max_steps, max_steps, &trace);
   finish_trace(trace, reserved);
   return trace;
 }
@@ -96,120 +75,37 @@ void Functional::run_streamed(const ChunkSink& sink, std::uint64_t max_steps,
                               std::size_t chunk) {
   if (chunk == 0)
     throw std::invalid_argument("run_streamed: chunk must be positive");
-  std::optional<Functional> ref;
-  if (ref_shadow_enabled()) ref.emplace(*this);
   Trace buf;
   while (!halted_) {
     buf.clear();
-    stream_chunk(buf, max_steps, chunk, ref ? &*ref : nullptr);
+    stream_chunk(buf, max_steps, chunk);
     sink(buf);
   }
 }
 
 void Functional::stream_chunk(Trace& out, std::uint64_t max_steps,
-                              std::size_t chunk, Functional* ref) {
+                              std::size_t chunk) {
   // The last chunk stops at max_steps itself, where exec_threaded throws
   // the budget error; every earlier stop is a pause.
   const std::uint64_t left = max_steps > icount_ ? max_steps - icount_ : 0;
-  const std::uint64_t stop = icount_ + std::min<std::uint64_t>(left, chunk);
-  if (ref)
-    shadowed_exec(*ref, max_steps, stop, &out);
-  else
-    exec_threaded<true>(max_steps, stop, &out);
-}
-
-void Functional::ref_run(std::uint64_t max_steps, std::uint64_t stop_at,
-                         Trace* out) {
-  TraceEntry e{};
-  while (!halted_) {
-    if (icount_ >= stop_at) {
-      if (stop_at < max_steps) return;
-      throw ExecError("step budget exceeded (" + std::to_string(max_steps) +
-                      ")");
-    }
-    if (step(out ? &e : nullptr) && out) out->push_back(e);
-  }
+  exec_threaded<true>(max_steps, icount_ + std::min<std::uint64_t>(left, chunk),
+                      &out);
 }
 
 Trace Functional::run_trace_ref(std::uint64_t max_steps) {
   Trace trace;
   const std::size_t reserved = trace_reserve_hint(max_steps, icount_);
   trace.reserve(reserved);
-  ref_run(max_steps, max_steps, &trace);
+  TraceEntry e{};
+  while (!halted_) {
+    if (icount_ >= max_steps)
+      throw ExecError("step budget exceeded (" + std::to_string(max_steps) +
+                      ")");
+    step(&e);
+    trace.push_back(e);
+  }
   finish_trace(trace, reserved);
   return trace;
-}
-
-void Functional::shadowed_exec(Functional& ref, std::uint64_t max_steps,
-                               std::uint64_t stop_at, Trace* out) {
-  // `out` may already hold entries; only this call's are compared.
-  const std::size_t from = out ? out->size() : 0;
-  bool got_ok = true;
-  std::string got_err;
-  try {
-    if (out)
-      exec_threaded<true>(max_steps, stop_at, out);
-    else
-      exec_threaded<false>(max_steps, stop_at, nullptr);
-  } catch (const ExecError& e) {
-    got_ok = false;
-    got_err = e.what();
-  }
-  bool want_ok = true;
-  std::string want_err;
-  Trace want;
-  try {
-    ref.ref_run(max_steps, stop_at, out ? &want : nullptr);
-  } catch (const ExecError& e) {
-    want_ok = false;
-    want_err = e.what();
-  }
-  const auto die = [](const std::string& what) {
-    throw ExecError("HIDISC_FSIM_REF divergence: " + what);
-  };
-  if (got_ok != want_ok)
-    die(std::string("threaded ") + (got_ok ? "succeeded" : "failed") +
-        " but reference " + (want_ok ? "succeeded" : "failed") +
-        (got_ok ? " (\"" + want_err + "\")" : " (\"" + got_err + "\")"));
-  if (!got_ok && got_err != want_err)
-    die("error mismatch: threaded \"" + got_err + "\" vs reference \"" +
-        want_err + "\"");
-  if (out) {
-    if (out->size() - from != want.size())
-      die("trace length " + std::to_string(out->size() - from) +
-          " vs reference " + std::to_string(want.size()));
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      const TraceEntry& g = (*out)[from + i];
-      const TraceEntry& w = want[i];
-      if (g.static_idx != w.static_idx || g.next != w.next ||
-          g.addr != w.addr || g.value != w.value)
-        die("trace entry " + std::to_string(i) + " mismatch: got {" +
-            std::to_string(g.static_idx) + "," + std::to_string(g.next) +
-            "," + std::to_string(g.addr) + "," + std::to_string(g.value) +
-            "} want {" + std::to_string(w.static_idx) + "," +
-            std::to_string(w.next) + "," + std::to_string(w.addr) + "," +
-            std::to_string(w.value) + "}");
-    }
-  }
-  if (pc_ != ref.pc_)
-    die("pc " + std::to_string(pc_) + " vs " + std::to_string(ref.pc_));
-  if (icount_ != ref.icount_)
-    die("icount " + std::to_string(icount_) + " vs " +
-        std::to_string(ref.icount_));
-  if (halted_ != ref.halted_) die("halted flag mismatch");
-  // A pause compares only the cheap state above; the full state (every
-  // memory page) is compared once, when the run ends.
-  if (got_ok && !halted_) return;
-  if (iregs_ != ref.iregs_) die("int register file mismatch");
-  for (int i = 0; i < isa::kNumFpRegs; ++i)
-    if (std::bit_cast<std::uint64_t>(fregs_[i]) !=
-        std::bit_cast<std::uint64_t>(ref.fregs_[i]))
-      die("fp register f" + std::to_string(i) + " mismatch");
-  if (ldq_ != ref.ldq_) die("LDQ contents mismatch");
-  if (sdq_ != ref.sdq_) die("SDQ contents mismatch");
-  if (scq_tokens_ != ref.scq_tokens_) die("SCQ token count mismatch");
-  if (!mem_.same_pages(ref.mem_)) die("memory contents mismatch");
-  if (!got_ok) throw ExecError(got_err);
 }
 
 Functional::QVal Functional::pop_queue(std::deque<QVal>& q,
@@ -498,7 +394,8 @@ bool Functional::same_arch_state(const Functional& other) const {
     return std::memcmp(a.data(), b.data(), sizeof a) == 0;
   };
   return same_bits(iregs_, other.iregs_) && same_bits(fregs_, other.fregs_) &&
-         mem_.same_pages(other.mem_);
+         ldq_ == other.ldq_ && sdq_ == other.sdq_ &&
+         scq_tokens_ == other.scq_tokens_ && mem_.same_pages(other.mem_);
 }
 
 }  // namespace hidisc::sim

@@ -16,11 +16,8 @@
 //    trace emission into a pre-sized buffer (run_trace) or one reused
 //    chunk buffer (run_streamed);
 //  * the reference switch interpreter (step(), run_trace_ref()) — the
-//    original giant-switch implementation, kept as the semantic
-//    oracle.  Setting HIDISC_FSIM_REF=1 (mirroring HIDISC_LOCKSTEP) makes
-//    every run()/run_trace()/run_streamed() shadow-execute the reference
-//    interpreter on a snapshot and byte-compare traces (chunk by chunk for
-//    streamed runs) and final state.
+//    original giant-switch implementation, kept as the semantic oracle
+//    that tests and the fuzz oracle compare the threaded path against.
 #pragma once
 
 #include <array>
@@ -31,7 +28,6 @@
 #include <limits>
 #include <memory>
 #include <new>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -139,10 +135,6 @@ class Functional {
 
   explicit Functional(const isa::Program& prog);
 
-  // Deep copy (memory pages cloned; the decoded table is shared).  Used by
-  // the HIDISC_FSIM_REF shadow oracle to snapshot state mid-flight.
-  Functional(const Functional&) = default;
-
   // Runs until HALT.  Throws ExecError on bad programs (queue underflow,
   // division by zero, step budget exceeded, pc out of range).
   void run(std::uint64_t max_steps = kDefaultMaxSteps);
@@ -161,17 +153,14 @@ class Functional {
 
   // One chunk of a streamed run, in pull form (run_streamed's loop body):
   // appends at most `chunk` entries to `out`, then pauses or ends at HALT;
-  // reaching `max_steps` throws the budget ExecError.  `ref` is null or the
-  // HIDISC_FSIM_REF snapshot taken before the first chunk, replayed and
-  // compared chunk by chunk.
-  void stream_chunk(Trace& out, std::uint64_t max_steps, std::size_t chunk,
-                    Functional* ref);
+  // reaching `max_steps` throws the budget ExecError.
+  void stream_chunk(Trace& out, std::uint64_t max_steps, std::size_t chunk);
 
   // Reference-interpreter equivalent of run_trace(): drives the original
   // switch interpreter step by step.  Byte-identical behaviour to the
   // threaded path is the hard invariant; the fuzz oracle's
-  // dual-interpreter leg compares against it, and the HIDISC_FSIM_REF
-  // shadow against the same stepping (ref_run).
+  // dual-interpreter leg and the tests (docs/FUNCTIONAL.md) compare
+  // against it.
   [[nodiscard]] Trace run_trace_ref(
       std::uint64_t max_steps = kDefaultMaxSteps);
 
@@ -179,10 +168,6 @@ class Functional {
   // halted.  Interleaves freely with run()/run_trace(), which resume from
   // whatever state it leaves.
   bool step(TraceEntry* out = nullptr);
-
-  // True when HIDISC_FSIM_REF is set: run()/run_trace() shadow-execute the
-  // reference interpreter and compare.
-  [[nodiscard]] static bool ref_shadow_enabled() noexcept;
 
   // Architectural state access ----------------------------------------------
   [[nodiscard]] std::int64_t reg(int idx) const { return iregs_[idx]; }
@@ -200,8 +185,10 @@ class Functional {
   // Digest of registers + memory; equal digests across machine
   // configurations certify identical architectural outcomes.
   [[nodiscard]] std::uint64_t state_digest() const;
-  // The exact equality state_digest() summarises: registers bitwise and
-  // memory page by page (Memory::same_pages).
+  // Exact architectural equality: registers bitwise, the LDQ/SDQ contents
+  // (tag and bits), the SCQ token count and memory page by page
+  // (Memory::same_pages).  state_digest() summarises its registers and
+  // memory.
   [[nodiscard]] bool same_arch_state(const Functional& other) const;
 
  private:
@@ -224,17 +211,6 @@ class Functional {
   template <bool kEmit>
   void exec_threaded(std::uint64_t max_steps, std::uint64_t stop_at,
                      Trace* out);
-
-  // Reference-interpreter counterpart of exec_threaded's stop semantics.
-  void ref_run(std::uint64_t max_steps, std::uint64_t stop_at, Trace* out);
-
-  // Runs the threaded interpreter to `stop_at` and shadow-compares it with
-  // `ref` (a snapshot at the same point) replayed to the same stop; throws
-  // ExecError on any divergence, else rethrows the run's own ExecError.
-  // A pause compares the trace, pc and icount; the full architectural
-  // state is compared once the run ends (halt or error).
-  void shadowed_exec(Functional& ref, std::uint64_t max_steps,
-                     std::uint64_t stop_at, Trace* out);
 
   const isa::Program& prog_;
   Memory mem_;

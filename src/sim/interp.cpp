@@ -11,8 +11,8 @@
 // behave exactly like the reference switch interpreter in functional.cpp.
 //
 // Semantics here must stay byte-identical to Functional::step(); the
-// HIDISC_FSIM_REF shadow oracle and the fuzz campaign's dual-interpreter
-// leg enforce that (docs/FUNCTIONAL.md).
+// dual-interpreter tests and the fuzz campaign's dual-interpreter leg
+// enforce that (docs/FUNCTIONAL.md).
 
 #include <algorithm>
 #include <bit>

@@ -27,18 +27,7 @@ class Memory {
 
   Memory() = default;
 
-  // Deep copy (pages are cloned).  Used by the HIDISC_FSIM_REF shadow oracle
-  // to snapshot architectural state before replaying with the reference
-  // interpreter.
-  Memory(const Memory& other) { copy_pages(other); }
-  Memory& operator=(const Memory& other) {
-    if (this != &other) {
-      pages_.clear();
-      invalidate_cache();
-      copy_pages(other);
-    }
-    return *this;
-  }
+  // Move-only; a moved-from memory is empty with its page cache cleared.
   Memory(Memory&& other) noexcept
       : pages_(std::move(other.pages_)),
         cached_base_(other.cached_base_),
@@ -188,12 +177,6 @@ class Memory {
   void invalidate_cache() const noexcept {
     cached_base_ = kNoPage;
     cached_page_ = nullptr;
-  }
-
-  void copy_pages(const Memory& other) {
-    pages_.reserve(other.pages_.size());
-    for (const auto& [base, page] : other.pages_)
-      pages_.emplace(base, std::make_unique<Page>(*page));
   }
 
   static constexpr std::uint64_t kNoPage = ~0ull;

@@ -1,5 +1,6 @@
 // Failure forensics: the flight recorder, the DeadlockReport classifier,
-// the typed DeadlockError thrown by the timing machines, and the shared
+// the typed DeadlockError thrown by the timing machines (its JSON pinned
+// byte for byte against tests/testdata/deadlock/), and the shared
 // quarantine routine the on-disk stores move damaged files aside with.
 //
 // The classifier is exercised two ways: pure-unit (hand-built
@@ -10,15 +11,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "compiler/compile.hpp"
 #include "diag/deadlock.hpp"
 #include "diag/flight_recorder.hpp"
 #include "diag/quarantine.hpp"
+#include "fuzz/corpus.hpp"
 #include "isa/assembler.hpp"
 #include "machine/machine.hpp"
 #include "sim/functional.hpp"
@@ -179,20 +184,79 @@ DeadlockReport expect_deadlock(Fn&& run) {
   return {};
 }
 
-TEST(DeadlockE2E, UnmatchedPopClassifiesAsCrossStreamImbalance) {
-  // The machine_test watchdog kernel: a POPLDQ with no matching push.
-  auto prog = isa::assemble("popldq r1\nhalt\n");
-  prog.code[0].ann.stream = Stream::Compute;
-  prog.code[1].ann.stream = Stream::Access;
+// A hand-broken kernel with its whole trace, run on CP+AP.
+struct Kernel {
+  isa::Program prog;
   sim::Trace trace;
-  trace.push_back({0, 1, 0, 0});
-  trace.push_back({1, 1, 0, 0});
   machine::MachineConfig cfg;
-  cfg.watchdog_cycles = 2000;
-  const auto rep = expect_deadlock([&] {
-    machine::Machine m(prog, trace, machine::Preset::CPAP, cfg);
-    (void)m.run();
-  });
+
+  [[nodiscard]] DeadlockReport deadlock() const {
+    return expect_deadlock([&] {
+      machine::Machine m(prog, trace, machine::Preset::CPAP, cfg);
+      (void)m.run();
+    });
+  }
+};
+
+// The machine_test watchdog kernel: a POPLDQ with no matching push.
+Kernel unmatched_pop_kernel() {
+  Kernel k;
+  k.prog = isa::assemble("popldq r1\nhalt\n");
+  k.prog.code[0].ann.stream = Stream::Compute;
+  k.prog.code[1].ann.stream = Stream::Access;
+  k.trace.push_back({0, 1, 0, 0});
+  k.trace.push_back({1, 1, 0, 0});
+  k.cfg.watchdog_cycles = 2000;
+  return k;
+}
+
+// A BEOD guard polling a queue whose producer never signals end-of-data.
+Kernel beod_kernel() {
+  Kernel k;
+  k.prog = isa::assemble("top:\nbeod top\nhalt\n");
+  k.prog.code[0].ann.stream = Stream::Compute;
+  k.prog.code[1].ann.stream = Stream::Access;
+  k.trace.push_back({0, 1, 0, 0});
+  k.trace.push_back({1, 1, 0, 0});
+  k.cfg.watchdog_cycles = 2000;
+  return k;
+}
+
+// The sequential batch-overflow layout: 100 pushes race ahead of the first
+// pop and wedge the 32-entry LDQ (the kernel behind
+// HandDecoupled.SequentialBatchBeyondQueueCapacityDeadlocks).
+Kernel batch_overflow_kernel() {
+  const char* src = R"(
+.text
+_start:
+  li   r5, 100
+produce:
+  pushldq r5
+  addi r5, r5, -1
+  bne  r5, r0, produce
+consume:
+  li   r6, 100
+drain:
+  popldq r7
+  addi r6, r6, -1
+  bne  r6, r0, drain
+  halt
+)";
+  Kernel k;
+  k.prog = isa::assemble(src);
+  const auto consume = k.prog.code_index("consume");
+  for (std::size_t i = 0; i < k.prog.code.size(); ++i)
+    k.prog.code[i].ann.stream = Stream::Access;
+  for (std::size_t i = consume; i + 1 < k.prog.code.size(); ++i)
+    k.prog.code[i].ann.stream = Stream::Compute;
+  sim::Functional f(k.prog);
+  k.trace = f.run_trace();
+  k.cfg.watchdog_cycles = 20'000;
+  return k;
+}
+
+TEST(DeadlockE2E, UnmatchedPopClassifiesAsCrossStreamImbalance) {
+  const auto rep = unmatched_pop_kernel().deadlock();
   EXPECT_EQ(rep.cause, DeadlockCause::CrossStreamImbalance);
   EXPECT_EQ(rep.preset, "CP+AP");
   ASSERT_EQ(rep.queues.size(), 3u);
@@ -214,58 +278,13 @@ TEST(DeadlockE2E, UnmatchedPopClassifiesAsCrossStreamImbalance) {
 }
 
 TEST(DeadlockE2E, BeodWithoutProducerClassifiesAsEodMismatch) {
-  // A BEOD guard polling a queue whose producer never signals
-  // end-of-data.
-  auto prog = isa::assemble("top:\nbeod top\nhalt\n");
-  prog.code[0].ann.stream = Stream::Compute;
-  prog.code[1].ann.stream = Stream::Access;
-  sim::Trace trace;
-  trace.push_back({0, 1, 0, 0});
-  trace.push_back({1, 1, 0, 0});
-  machine::MachineConfig cfg;
-  cfg.watchdog_cycles = 2000;
-  const auto rep = expect_deadlock([&] {
-    machine::Machine m(prog, trace, machine::Preset::CPAP, cfg);
-    (void)m.run();
-  });
+  const auto rep = beod_kernel().deadlock();
   EXPECT_EQ(rep.cause, DeadlockCause::EodMismatch);
   EXPECT_NE(rep.cause_detail.find("beod"), std::string::npos);
 }
 
 TEST(DeadlockE2E, BatchBeyondQueueCapacityClassifiesAsQueueFullCycle) {
-  // The sequential batch-overflow layout: 100 pushes race ahead of the
-  // first pop and wedge the 32-entry LDQ (the kernel behind
-  // HandDecoupled.SequentialBatchBeyondQueueCapacityDeadlocks).
-  const char* src = R"(
-.text
-_start:
-  li   r5, 100
-produce:
-  pushldq r5
-  addi r5, r5, -1
-  bne  r5, r0, produce
-consume:
-  li   r6, 100
-drain:
-  popldq r7
-  addi r6, r6, -1
-  bne  r6, r0, drain
-  halt
-)";
-  auto prog = isa::assemble(src);
-  const auto consume = prog.code_index("consume");
-  for (std::size_t i = 0; i < prog.code.size(); ++i)
-    prog.code[i].ann.stream = Stream::Access;
-  for (std::size_t i = consume; i + 1 < prog.code.size(); ++i)
-    prog.code[i].ann.stream = Stream::Compute;
-  sim::Functional f(prog);
-  const auto trace = f.run_trace();
-  machine::MachineConfig cfg;
-  cfg.watchdog_cycles = 20'000;
-  const auto rep = expect_deadlock([&] {
-    machine::Machine m(prog, trace, machine::Preset::CPAP, cfg);
-    (void)m.run();
-  });
+  const auto rep = batch_overflow_kernel().deadlock();
   EXPECT_EQ(rep.cause, DeadlockCause::QueueFullCycle);
   // Evidence: the LDQ really is at capacity, and the producer's push is
   // named as the wedged op.
@@ -278,22 +297,11 @@ drain:
 TEST(DeadlockE2E, BothSchedulersClassifyIdentically) {
   // EventSkip detects the wedge via the empty event set, Lockstep via the
   // watchdog; the classified cause must not depend on the detection path.
-  auto prog = isa::assemble("popldq r1\nhalt\n");
-  prog.code[0].ann.stream = Stream::Compute;
-  prog.code[1].ann.stream = Stream::Access;
-  sim::Trace trace;
-  trace.push_back({0, 1, 0, 0});
-  trace.push_back({1, 1, 0, 0});
-  machine::MachineConfig cfg;
-  cfg.watchdog_cycles = 2000;
+  auto k = unmatched_pop_kernel();
   for (const auto kind : {machine::SchedulerKind::EventSkip,
                           machine::SchedulerKind::Lockstep}) {
-    cfg.scheduler = kind;
-    const auto rep = expect_deadlock([&] {
-      machine::Machine m(prog, trace, machine::Preset::CPAP, cfg);
-      (void)m.run();
-    });
-    EXPECT_EQ(rep.cause, DeadlockCause::CrossStreamImbalance)
+    k.cfg.scheduler = kind;
+    EXPECT_EQ(k.deadlock().cause, DeadlockCause::CrossStreamImbalance)
         << "scheduler " << static_cast<int>(kind);
   }
 }
@@ -301,18 +309,7 @@ TEST(DeadlockE2E, BothSchedulersClassifyIdentically) {
 // ---- serialization ---------------------------------------------------------
 
 TEST(DeadlockReport, JsonCarriesCauseQueuesCoresAndRecent) {
-  auto prog = isa::assemble("popldq r1\nhalt\n");
-  prog.code[0].ann.stream = Stream::Compute;
-  prog.code[1].ann.stream = Stream::Access;
-  sim::Trace trace;
-  trace.push_back({0, 1, 0, 0});
-  trace.push_back({1, 1, 0, 0});
-  machine::MachineConfig cfg;
-  cfg.watchdog_cycles = 2000;
-  const auto rep = expect_deadlock([&] {
-    machine::Machine m(prog, trace, machine::Preset::CPAP, cfg);
-    (void)m.run();
-  });
+  const auto rep = unmatched_pop_kernel().deadlock();
 
   const std::string json = rep.to_json();
   for (const char* needle :
@@ -335,6 +332,102 @@ TEST(DeadlockReport, JsonCarriesCauseQueuesCoresAndRecent) {
   EXPECT_NE(text.find("queues:"), std::string::npos);
   EXPECT_NE(text.find("cores:"), std::string::npos);
   EXPECT_NE(text.find("recorded transitions"), std::string::npos);
+}
+
+// ---- pinned reports ----------------------------------------------------------
+//
+// Each report's to_json() (plus the newline `hisa --deadlock-json` ends the
+// file with) must equal a fixture under tests/testdata/deadlock/ byte for
+// byte: the flight-recorder tail, the snapshots and the cause all included.
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void expect_pinned(const DeadlockReport& rep, const std::string& fixture) {
+  const std::string path =
+      std::string(HIDISC_TESTDATA_DIR) + "/deadlock/" + fixture;
+  const std::string want = read_file(path);
+  ASSERT_FALSE(want.empty()) << "missing fixture " << path;
+  EXPECT_EQ(rep.to_json() + "\n", want) << path;
+}
+
+TEST(DeadlockPinned, BatchKernelOnSuperscalarUnderLockstep) {
+  // `hisa sim deadlock-batch.s --machine ss --lockstep --watchdog 1`, the
+  // CI deadlock-forensics command: a streamed machine over the original
+  // binary.
+  const auto prog = isa::assemble(
+      read_file(std::string(HIDISC_TESTDATA_DIR) + "/deadlock-batch.s"));
+  const auto comp = compiler::compile(prog);
+  machine::MachineConfig cfg;
+  cfg.watchdog_cycles = 1;
+  cfg.scheduler = machine::SchedulerKind::Lockstep;
+  expect_pinned(expect_deadlock([&] {
+                  (void)machine::run_machine(
+                      comp.original, machine::Preset::Superscalar, cfg);
+                }),
+                "batch-ss-lockstep.json");
+  // Under EventSkip the same watchdog never fires: a miss is one skipped
+  // step, so the stalled-step floor is never reached.
+  cfg.scheduler = machine::SchedulerKind::EventSkip;
+  EXPECT_GT(machine::run_machine(comp.original, machine::Preset::Superscalar,
+                                 cfg)
+                .cycles,
+            0u);
+}
+
+TEST(DeadlockPinned, ScqOverflowCorpusKernelOnCpApUnderBothSchedulers) {
+  // The corpus entry with its stream tags, on its whole trace, under the
+  // fuzz oracle's watchdog.
+  const auto repro = fuzz::load_repro(std::string(HIDISC_CORPUS_DIR) +
+                                      "/deadlock-scq-overflow.s");
+  auto prog = isa::assemble(repro.source);
+  std::size_t i = 0;
+  for (const char ch : repro.streams)
+    if (ch == 'A' || ch == 'C')
+      prog.code.at(i++).ann.stream =
+          ch == 'A' ? Stream::Access : Stream::Compute;
+  ASSERT_EQ(i, prog.code.size());
+  sim::Functional f(prog);
+  const auto trace = f.run_trace();
+  machine::MachineConfig cfg;
+  cfg.watchdog_cycles = fuzz::OracleOptions{}.watchdog;
+  for (const auto& [kind, fixture] :
+       {std::pair{machine::SchedulerKind::EventSkip,
+                  "scq-overflow-cpap-eventskip.json"},
+        std::pair{machine::SchedulerKind::Lockstep,
+                  "scq-overflow-cpap-lockstep.json"}}) {
+    cfg.scheduler = kind;
+    expect_pinned(expect_deadlock([&] {
+                    machine::Machine m(prog, trace, machine::Preset::CPAP,
+                                       cfg);
+                    (void)m.run();
+                  }),
+                  fixture);
+  }
+}
+
+TEST(DeadlockPinned, HandBrokenKernels) {
+  expect_pinned(unmatched_pop_kernel().deadlock(), "e2e-unmatched-pop.json");
+  expect_pinned(beod_kernel().deadlock(), "e2e-beod-no-producer.json");
+  expect_pinned(batch_overflow_kernel().deadlock(),
+                "e2e-batch-overflow.json");
+}
+
+TEST(DeadlockPinned, LockstepShadowReportsItsReferenceMachine) {
+  // Under HIDISC_LOCKSTEP=1 an event-skip run first runs its lock-stepped
+  // reference; that machine wedges first, so its report is the one that
+  // escapes: the same JSON as a plain Lockstep run.
+  auto k = unmatched_pop_kernel();
+  k.cfg.scheduler = machine::SchedulerKind::Lockstep;
+  const std::string want = k.deadlock().to_json();
+  k.cfg.scheduler = machine::SchedulerKind::EventSkip;
+  ASSERT_EQ(::setenv("HIDISC_LOCKSTEP", "1", 1), 0);
+  const std::string got = k.deadlock().to_json();
+  ::unsetenv("HIDISC_LOCKSTEP");
+  EXPECT_NE(got.find("\"scheduler\": \"Lockstep\""), std::string::npos);
+  EXPECT_EQ(got, want);
 }
 
 // ---- quarantine --------------------------------------------------------------

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <deque>
+#include <memory>
+#include <string>
 
 #include "isa/assembler.hpp"
 #include "sim/functional.hpp"
@@ -314,6 +317,29 @@ TEST(Functional, SameArchStateIsExact) {
   EXPECT_TRUE(s3.same_arch_state(s3b));
   EXPECT_FALSE(s3.same_arch_state(s4));
   EXPECT_NE(s3.state_digest(), s4.state_digest());
+}
+
+TEST(Functional, SameArchStateComparesQueues) {
+  // Runs that differ only by an unconsumed LDQ/SDQ entry (its presence,
+  // value or tag) or an SCQ token end in different states.
+  std::deque<isa::Program> progs;  // each run's program outlives it
+  const auto ends = [&](const std::string& body) {
+    progs.push_back(assemble("li r1, 1\n" + body + "li r1, 0\nhalt\n"));
+    auto f = std::make_unique<Functional>(progs.back());
+    f->run();
+    return f;
+  };
+  const auto ldq1 = ends("pushldq r1\n");
+  EXPECT_TRUE(ldq1->same_arch_state(*ends("pushldq r1\n")));
+  for (const char* other : {"nop\n", "pushldq r0\n", "pushldqf f0\n",
+                            "puteod\n", "pushsdq r1\n", "putscq\n"})
+    EXPECT_FALSE(ldq1->same_arch_state(*ends(other))) << other;
+  EXPECT_FALSE(ends("pushldq r0\n")->same_arch_state(*ends("pushldqf f0\n")));
+  EXPECT_FALSE(ends("pushldq r0\n")->same_arch_state(*ends("puteod\n")));
+  const auto none = ends("nop\n");
+  EXPECT_FALSE(none->same_arch_state(*ends("pushsdq r1\n")));
+  EXPECT_FALSE(none->same_arch_state(*ends("putscq\n")));
+  EXPECT_TRUE(none->same_arch_state(*ends("putscq\ngetscq\n")));
 }
 
 TEST(Functional, MemoryDigestMatchesForEqualEffects) {
