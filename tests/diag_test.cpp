@@ -355,8 +355,8 @@ void expect_pinned(const DeadlockReport& rep, const std::string& fixture) {
 
 TEST(DeadlockPinned, BatchKernelOnSuperscalarUnderLockstep) {
   // `hisa sim deadlock-batch.s --machine ss --lockstep --watchdog 1`, the
-  // CI deadlock-forensics command: a streamed machine over the original
-  // binary.
+  // command ctest's cli_sim_deadlock_exit3 compares against the same
+  // fixture: a streamed machine over the original binary.
   const auto prog = isa::assemble(
       read_file(std::string(HIDISC_TESTDATA_DIR) + "/deadlock-batch.s"));
   const auto comp = compiler::compile(prog);

@@ -95,9 +95,9 @@ int unknown_plan(const std::string& name) {
 }
 
 // Applies one `PRESET:FIELD=VALUE` machine-config override to every cell
-// whose preset name matches (or every cell, for '*').  Drives the CI
-// cache-invalidation check: a preset-scoped config change must rerun
-// exactly that preset's cells and nothing else.
+// whose preset name matches (or every cell, for '*').  Drives the
+// cache-invalidation check (ctest hilab_invalidation): a preset-scoped
+// config change must rerun exactly that preset's cells and nothing else.
 void apply_override(lab::ExperimentPlan& plan, const std::string& spec) {
   const auto colon = spec.find(':');
   const auto eq = spec.find('=', colon == std::string::npos ? 0 : colon);

@@ -29,6 +29,9 @@ repo accumulates an items/sec history across commits:
     python3 tools/perf_gate.py bench/baseline.json perf.json \
         --append-trajectory BENCH_throughput.json --commit "$GITHUB_SHA"
 
+Several current files make one run and one entry: CI passes a plan's
+cold, override and warm legs (`hilab --bench-json`) together.
+
 Each entry is {"commit", "benchmarks": {name: {"items_per_second"}}},
 plus the run context's "library_build_type", "num_cpus" and
 "mhz_per_cpu" when google-benchmark reported them (so a rate measured
@@ -129,7 +132,10 @@ def append_trajectory(path, commit, current, label=None, context=None):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", help="checked-in baseline JSON")
-    ap.add_argument("current", help="fresh --benchmark_format=json output")
+    ap.add_argument("current", nargs="+",
+                    help="fresh --benchmark_format=json output; several "
+                         "files are one run (e.g. a plan's cold and warm "
+                         "legs)")
     ap.add_argument("--max-regression", type=float, default=0.25,
                     help="allowed fractional items/sec drop (default 0.25)")
     ap.add_argument("--update", action="store_true",
@@ -144,8 +150,13 @@ def main():
                     help="name this trajectory leg (e.g. pipeline, "
                          "fsim) so one commit can carry several entries")
     args = ap.parse_args()
+    if args.update and len(args.current) != 1:
+        ap.error("--update takes one current file")
 
-    current = load_items_per_second(args.current)
+    current, context = {}, {}
+    for path in args.current:
+        current.update(load_items_per_second(path))
+        context.update(load_context(path))
     if not current:
         print(f"perf_gate: no items_per_second entries in {args.current}",
               file=sys.stderr)
@@ -163,12 +174,12 @@ def main():
                   "this entry cannot be correlated with history",
                   file=sys.stderr)
         rc = append_trajectory(args.append_trajectory, commit, current,
-                               args.label, load_context(args.current))
+                               args.label, context)
         if rc != 0:
             return rc
 
     if args.update:
-        with open(args.current) as f:
+        with open(args.current[0]) as f:
             data = json.load(f)
         # Strip the run context: host-specific fields (date, load, CPU
         # clock) would churn on every refresh without informing the gate.
