@@ -291,9 +291,8 @@ PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt,
 
   std::optional<ResultCache> results;
   if (!opt.cache_dir.empty()) results.emplace(opt.cache_dir);
-  // Started before the jobs exist, so idle workers take the first compiles
-  // as they are submitted (in plan order) rather than popping a full queue
-  // newest-first; that order keeps a warm paper plan's peak RSS down.
+  // The pool runs tasks first in, first out, so compiles start in plan
+  // order; that order keeps a warm paper plan's peak RSS down.
   ThreadPool pool(opt.threads);
 
   // One compile job per distinct compile key, in first-cell order.

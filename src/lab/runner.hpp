@@ -1,7 +1,7 @@
 // The hidisc-lab experiment runner (docs/LAB.md, docs/PIPELINE.md).
 //
-// run_plan runs a plan's cells as two kinds of task over the
-// work-stealing thread pool:
+// run_plan runs a plan's cells as two kinds of task over the lab thread
+// pool, whose FIFO queue the calling thread also serves:
 //
 //   compile  one per distinct (workload spec, compile options) pair
 //            (pipeline::compile_key).  It first looks the pair up in the
@@ -42,7 +42,7 @@
 namespace hidisc::lab {
 
 struct RunOptions {
-  int threads = 1;
+  int threads = 1;  // threads that run tasks, the caller included
   // On-disk result cache directory; empty disables persistent caching
   // (cells with equal sim keys still simulate once within the run).
   std::string cache_dir;

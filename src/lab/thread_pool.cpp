@@ -1,6 +1,5 @@
 #include "lab/thread_pool.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -10,11 +9,8 @@
 namespace hidisc::lab {
 
 ThreadPool::ThreadPool(int threads) {
-  const auto n = static_cast<std::size_t>(std::max(threads, 1));
-  queues_.resize(n);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  for (int i = 1; i < threads; ++i)
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -23,56 +19,43 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queues_[next_queue_].push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % queues_.size();
+    queue_.push_back(std::move(task));
     ++unfinished_;
   }
-  work_cv_.notify_one();
+  cv_.notify_one();
 }
 
 void ThreadPool::wait() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return unfinished_ == 0; });
-}
-
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
-  if (!queues_[self].empty()) {  // own work: newest first (cache-warm)
-    out = std::move(queues_[self].back());
-    queues_[self].pop_back();
-    return true;
+  for (;;) {
+    cv_.wait(lock, [this] { return unfinished_ == 0 || !queue_.empty(); });
+    if (queue_.empty()) return;  // every task has finished
+    run_front(lock);
   }
-  std::size_t victim = self, best = 0;
-  for (std::size_t q = 0; q < queues_.size(); ++q)
-    if (q != self && queues_[q].size() > best) {
-      best = queues_[q].size();
-      victim = q;
-    }
-  if (victim == self) return false;
-  out = std::move(queues_[victim].front());  // steal oldest
-  queues_[victim].pop_front();
-  return true;
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::run_front(std::unique_lock<std::mutex>& lock) noexcept {
+  std::function<void()> task = std::move(queue_.front());
+  queue_.pop_front();
+  lock.unlock();
+  task();
+  lock.lock();
+  if (--unfinished_ == 0) cv_.notify_all();
+}
+
+void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    if (try_pop(self, task)) {
-      lock.unlock();
-      task();
-      lock.lock();
-      if (--unfinished_ == 0) idle_cv_.notify_all();
-      continue;
-    }
-    if (stop_) return;
-    work_cv_.wait(lock);
+    cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stopped
+    run_front(lock);
   }
 }
 

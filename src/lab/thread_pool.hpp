@@ -1,13 +1,14 @@
-// Minimal work-stealing thread pool for the experiment runner.
+// Minimal thread pool for the experiment runner.
 //
-// Tasks land on per-worker deques (round-robin); a worker services its own
-// deque LIFO and steals FIFO from the most loaded peer when it runs dry —
-// the classic Chase–Lev discipline, except the deques share one mutex: lab
-// tasks are whole compilations or cycle-level simulations (milliseconds to
-// minutes), so dispatch cost is irrelevant and the simple locking is worth
-// its obviousness.  Determinism note: the pool schedules, it never
-// aggregates — callers index results by task id, so the output is
-// independent of which worker ran what when.
+// One FIFO queue under one mutex: tasks start in submission order, and
+// the thread that calls wait() runs them too, so ThreadPool(n) has n
+// executors but starts only n - 1 threads.  A cold plan's tasks are whole
+// compilations or simulations, where dispatch cost vanishes; a warm
+// plan's are cache reads of about a tenth of a millisecond, where an
+// idle caller would cost about a fifth of the plan's wall time.
+// Determinism note: the pool schedules, it never aggregates — callers
+// index results by task id, so the output is independent of which thread
+// ran what when.
 #pragma once
 
 #include <condition_variable>
@@ -22,7 +23,8 @@ namespace hidisc::lab {
 
 class ThreadPool {
  public:
-  // Spawns `threads` workers (clamped to >= 1).
+  // `threads` executors (clamped to >= 1): the caller of wait() and
+  // `threads - 1` workers.
   explicit ThreadPool(int threads);
   ~ThreadPool();  // waits for queued work, then joins
 
@@ -30,26 +32,21 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   void submit(std::function<void()> task);
-  // Blocks until every submitted task has finished.  Tasks may submit
-  // further tasks; wait() covers those too.
+  // Runs queued tasks on the calling thread until every submitted task
+  // has finished.  Tasks may submit further tasks; wait() covers those
+  // too.  A task that throws ends the process, here as on a worker.
   void wait();
 
-  [[nodiscard]] int threads() const noexcept {
-    return static_cast<int>(workers_.size());
-  }
-
  private:
-  void worker_loop(std::size_t self);
-  // Pops the next task for worker `self` (own deque first, then the
-  // fullest peer).  Caller holds `mu_`.
-  [[nodiscard]] bool try_pop(std::size_t self, std::function<void()>& out);
+  void worker_loop();
+  // Runs the oldest queued task.  Caller holds `lock`; the queue is not
+  // empty.
+  void run_front(std::unique_lock<std::mutex>& lock) noexcept;
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  // workers sleep here
-  std::condition_variable idle_cv_;  // wait() sleeps here
-  std::vector<std::deque<std::function<void()>>> queues_;
+  std::condition_variable cv_;  // workers and wait() sleep here
+  std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  std::size_t next_queue_ = 0;  // round-robin submission cursor
   std::size_t unfinished_ = 0;  // queued + running
   bool stop_ = false;
 };

@@ -8,8 +8,8 @@
 // compile.  These counters are the observable contract of cache
 // invalidation: a warm run shows compile.rebuilt == 0 and
 // sim.rebuilt == 0, and a machine-preset-only change re-simulates exactly
-// that preset's keys (CI's pipeline-invalidation job asserts these from
-// the JSON export).
+// that preset's keys (the hilab_invalidation ctest entry asserts these
+// from the JSON export).
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@ struct PhaseStats {
   // Wall time spent in this phase, split by what the time bought: ms_hits
   // covers result-cache probes that were satisfied without executing,
   // ms_rebuilt covers fresh executions (failed ones included — the time
-  // was spent either way).  Summed across worker threads, so on a pooled
+  // was spent either way).  Summed across pool threads, so on a pooled
   // run the figures can exceed the run's wall clock; they answer "where
   // did the compute go", not "how long did I wait".
   double ms_hits = 0.0;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -144,6 +145,42 @@ TEST(LabThreadPool, RunsEverySubmittedTask) {
   });
   pool.wait();
   EXPECT_EQ(count.load(), 110);
+}
+
+TEST(LabThreadPool, OneThreadRunsEveryTaskOnTheCallerInOrder) {
+  lab::ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  bool on_caller = true;
+  for (int i = 0; i < 4; ++i)
+    pool.submit([&, i] {
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+      order.push_back(i);
+      if (i != 1) return;
+      for (int child = 10; child < 13; ++child)
+        pool.submit([&, child] {
+          on_caller = on_caller && std::this_thread::get_id() == caller;
+          order.push_back(child);
+        });
+    });
+  pool.wait();
+  EXPECT_TRUE(on_caller);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 10, 11, 12}));
+}
+
+// wait() must not unwind while other threads may still run tasks that
+// use the caller's state, so a throwing task ends the process there too.
+TEST(LabThreadPoolDeathTest, ThrowingTaskOnTheCallerTerminates) {
+  EXPECT_EXIT(
+      {
+        // Never destroyed: were wait() to unwind, ~ThreadPool would wait
+        // forever for the task that threw, and the test would hang instead
+        // of failing.
+        auto& pool = *new lab::ThreadPool(1);
+        pool.submit([] { throw std::runtime_error("task failed"); });
+        pool.wait();
+      },
+      ::testing::KilledBySignal(SIGABRT), "");
 }
 
 TEST(LabThreadPool, DefaultThreadsParsesAllOfHilabThreads) {

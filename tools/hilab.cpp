@@ -46,8 +46,9 @@ int usage(const char* argv0) {
       "       %s --list\n"
       "options:\n"
       "  --plan NAME       experiment plan to run (see --list)\n"
-      "  --threads N       worker threads (default: HILAB_THREADS or all "
-      "cores)\n"
+      "  --threads N       threads that run tasks, this one included "
+      "(default:\n"
+      "                    HILAB_THREADS or all cores)\n"
       "  --scale SCALE     workload scale: paper (default) or test\n"
       "  --cache-dir DIR   result cache location (default: .hilab-cache)\n"
       "  --no-cache        disable the persistent result cache\n"
