@@ -5,7 +5,9 @@
 // can check them line by line.
 #include <cstdio>
 
-#include "harness.hpp"
+#include "machine/config.hpp"
+#include "mem/memory_system.hpp"
+#include "stats/table.hpp"
 
 namespace {
 

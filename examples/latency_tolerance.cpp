@@ -93,6 +93,6 @@ int main() {
       "plenty of memory-level parallelism, so every machine's total run\n"
       "time still scales with latency; the paper's Figure 10 shape — flat\n"
       "IPC for the CMP machines while the baseline collapses — appears on\n"
-      "the window-limited Stressmarks (run bench_fig10_latency).\n");
+      "the window-limited Stressmarks (run hilab --plan fig10).\n");
   return 0;
 }

@@ -116,7 +116,7 @@ int main() {
   printf("note: a bare serial chase is latency-bound for every machine —\n"
          "      the CMP walks the same dependence chain, so cycles barely\n"
          "      move; the DIS stressmarks add per-hop work, which is where\n"
-         "      the lean CMAS slice wins (see bench_fig8_speedup).\n");
+         "      the lean CMAS slice wins (see hilab --plan fig8).\n");
 
   std::uint64_t base = 0;
   for (const auto preset :

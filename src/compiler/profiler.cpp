@@ -89,9 +89,13 @@ ProfileObserver profile_run(const isa::Program& prog,
                             const mem::MemConfig& mem_cfg,
                             int trigger_distance, std::uint64_t max_steps) {
   ProfileObserver obs(prog, mem_cfg, trigger_distance);
-  sim::Functional(prog).run_streamed(
-      [&obs](std::span<const sim::TraceEntry> chunk) { obs.observe(chunk); },
-      max_steps);
+  sim::Functional func(prog);
+  sim::Trace chunk;
+  while (!func.halted()) {
+    chunk.clear();
+    func.stream_chunk(chunk, max_steps, sim::Functional::kStreamChunk);
+    obs.observe(chunk);
+  }
   return obs;
 }
 

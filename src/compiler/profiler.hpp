@@ -1,9 +1,9 @@
 // Cache-access profiling (paper §4.2: "We use a cache access profile to
 // detect probable cache miss instructions").
 //
-// One streamed functional run (sim::Functional::run_streamed) feeds a
-// ProfileObserver chunk by chunk; no trace is ever materialised.  The
-// observer
+// One streamed functional run (sim::Functional::stream_chunk into one
+// reused buffer) feeds a ProfileObserver chunk by chunk; no trace is ever
+// materialised.  The observer
 //   * counts executions per static instruction and replays every load and
 //     store through a fresh memory hierarchy, recording per static
 //     instruction how many L1-D demand misses it caused (the CacheProfile);

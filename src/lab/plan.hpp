@@ -62,8 +62,9 @@ struct ExperimentPlan {
   std::vector<Cell> cells;
 
   // Index of the first cell matching (workload display name, preset,
-  // tag); -1 when absent.  Cell lookups in the bench binaries go through
-  // this so the table code is independent of cell ordering.
+  // tag); -1 when absent.  Cell lookups in the figure renderers
+  // (figures.hpp) go through this so the table code is independent of
+  // cell ordering.
   [[nodiscard]] std::int64_t find(const std::string& workload,
                                   machine::Preset preset,
                                   const std::string& tag = "") const;
@@ -99,8 +100,8 @@ struct ExperimentPlan {
 [[nodiscard]] ExperimentPlan plan_prefetch(
     workloads::Scale scale = workloads::Scale::Paper);
 
-// Ablations of the paper's §6 future-work mechanisms, rendered by the
-// bench_ablation_* binaries.  Each sweep point is a cell tagged with its
+// Ablations of the paper's §6 future-work mechanisms, rendered by
+// figures.hpp.  Each sweep point is a cell tagged with its
 // axis value ("dist=256", "static@384", "ldq=4", "pfbuf=2", "bus=8",
 // "paper"/"chaining", "bimodal"/"gshare"); the Superscalar base cells keep
 // the Table 1 config and tag "".

@@ -114,7 +114,7 @@ struct MachineConfig {
   // Front end.
   int fetch_width = 8;
   // Predictor flavour: the paper's Table 1 uses bimodal; gshare is an
-  // ablation (bench_ablation_predictor).
+  // ablation (`hilab --plan ablation-predictor`).
   uarch::PredictorKind predictor_kind = uarch::PredictorKind::Bimodal;
 
   // LDQ and SDQ entries (paper: "32 entries load store queues").
@@ -132,12 +132,13 @@ struct MachineConfig {
   std::int64_t cmp_fork_lookahead = 384;
   // Future-work mode (paper §6, "chaining trigger" of Collins et al.):
   // each fork resumes exactly where the previous instance ended, giving
-  // gap-free coverage.  Quantified in bench_ablation_trigger.
+  // gap-free coverage.  Quantified by `hilab --plan ablation-queues`,
+  // Ablation D.
   bool cmp_chaining = false;
   // Future-work mode (paper §6: "the prefetching distance should be
   // selected dynamically"): hill-climb cmp_fork_lookahead at runtime from
-  // the timely-vs-late prefetch balance.  Quantified in
-  // bench_ablation_trigger.
+  // the timely-vs-late prefetch balance.  Quantified by
+  // `hilab --plan ablation-trigger`.
   bool cmp_dynamic_distance = false;
   // Future-work mode (paper §6: "not every probable cache miss instruction
   // would be triggered as CMAS ... depending on the previous prefetching

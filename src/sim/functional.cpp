@@ -1,6 +1,6 @@
 // Functional simulator driver and reference switch interpreter.
 //
-// run()/run_trace()/run_streamed() execute through the threaded-code
+// run()/run_trace()/stream_chunk() execute through the threaded-code
 // interpreter (decoded.hpp + interp.cpp); step() below IS the original
 // giant-switch implementation, retained verbatim as the semantic reference
 // oracle.  The two must stay byte-identical in traces, errors and final
@@ -69,18 +69,6 @@ Trace Functional::run_trace(std::uint64_t max_steps) {
   exec_threaded<true>(max_steps, max_steps, &trace);
   finish_trace(trace, reserved);
   return trace;
-}
-
-void Functional::run_streamed(const ChunkSink& sink, std::uint64_t max_steps,
-                              std::size_t chunk) {
-  if (chunk == 0)
-    throw std::invalid_argument("run_streamed: chunk must be positive");
-  Trace buf;
-  while (!halted_) {
-    buf.clear();
-    stream_chunk(buf, max_steps, chunk);
-    sink(buf);
-  }
 }
 
 void Functional::stream_chunk(Trace& out, std::uint64_t max_steps,

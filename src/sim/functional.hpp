@@ -11,10 +11,10 @@
 // Two interpreters share this architectural state (docs/FUNCTIONAL.md):
 //
 //  * the threaded-code interpreter (decoded.hpp + interp.cpp) — the fast
-//    path behind run()/run_trace()/run_streamed(): pre-decoded DecodedOp
+//    path behind run()/run_trace()/stream_chunk(): pre-decoded DecodedOp
 //    table, computed-goto dispatch to one handler per opcode, batched
-//    trace emission into a pre-sized buffer (run_trace) or one reused
-//    chunk buffer (run_streamed);
+//    trace emission into a pre-sized buffer (run_trace) or the caller's
+//    reused chunk buffer (stream_chunk);
 //  * the reference switch interpreter (step(), run_trace_ref()) — the
 //    original giant-switch implementation, kept as the semantic oracle
 //    that tests and the fuzz oracle compare the threaded path against.
@@ -24,11 +24,9 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -125,13 +123,9 @@ class Functional {
   // faulting in a fresh region each time); longer traces grow by doubling.
   static constexpr std::uint64_t kTraceReserveCap = 1ull << 16;
 
-  // Entries per run_streamed() chunk: one reused 96 KiB buffer, small
-  // enough to stay cache-resident between the interpreter and the sink.
+  // Entries per stream_chunk() call: one reused 96 KiB buffer, small
+  // enough to stay cache-resident between the interpreter and its reader.
   static constexpr std::size_t kStreamChunk = 4096;
-
-  // Receives consecutive pieces of a streamed run's trace.  The span is
-  // valid only for the call; the buffer behind it is reused.
-  using ChunkSink = std::function<void(std::span<const TraceEntry>)>;
 
   explicit Functional(const isa::Program& prog);
 
@@ -142,18 +136,13 @@ class Functional {
   // Runs until HALT while recording the dynamic trace.
   [[nodiscard]] Trace run_trace(std::uint64_t max_steps = kDefaultMaxSteps);
 
-  // Runs until HALT, handing the dynamic trace to `sink` in order, at most
-  // `chunk` entries per call, without ever holding more than one chunk:
-  // the concatenated chunks are byte-identical to run_trace().  Errors
-  // (budget included) throw the same ExecError at the same instructions()
-  // as run_trace(); the failing chunk's entries are not delivered.
-  void run_streamed(const ChunkSink& sink,
-                    std::uint64_t max_steps = kDefaultMaxSteps,
-                    std::size_t chunk = kStreamChunk);
-
-  // One chunk of a streamed run, in pull form (run_streamed's loop body):
-  // appends at most `chunk` entries to `out`, then pauses or ends at HALT;
-  // reaching `max_steps` throws the budget ExecError.
+  // One chunk of a streamed run: appends at most `chunk` (> 0) entries to
+  // `out`, then pauses or ends at HALT; reaching `max_steps` throws the
+  // budget ExecError.  Calling it until halted(), clearing one reused
+  // buffer before each call, streams the run without ever holding more
+  // than one chunk: the concatenated chunks are byte-identical to
+  // run_trace(), and errors (budget included) throw the same ExecError at
+  // the same instructions().
   void stream_chunk(Trace& out, std::uint64_t max_steps, std::size_t chunk);
 
   // Reference-interpreter equivalent of run_trace(): drives the original

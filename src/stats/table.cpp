@@ -57,16 +57,4 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c)
-      out << (c ? "," : "") << cells[c];
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 }  // namespace hidisc::stats

@@ -1,7 +1,6 @@
-// Plain-text table and CSV rendering for the benchmark harnesses.
-//
-// Every bench binary prints paper-style rows through this helper so the
-// Table/Figure reproductions share one consistent format.
+// Plain-text table rendering: the paper's tables and figures
+// (lab/figures.hpp), hilab's cell table and bench_table1_params print
+// their rows through this helper, so they share one format.
 #pragma once
 
 #include <string>
@@ -21,7 +20,6 @@ class Table {
   [[nodiscard]] static std::string pct(double fraction, int precision = 1);
 
   [[nodiscard]] std::string to_string() const;  // aligned ASCII table
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   std::vector<std::string> headers_;

@@ -305,6 +305,7 @@ loop:
 )";
 
 TEST(AdaptiveRange, SuppressesSelfEvictingPrefetchGroups) {
+  // Ablation E (runtime prefetch-range control, paper §6 future work).
   // The CMP's prefetches for the set-conflicting stride die unused; the
   // range controller must notice the waste and suppress forks, and
   // performance must not get worse.
@@ -320,6 +321,14 @@ TEST(AdaptiveRange, SuppressesSelfEvictingPrefetchGroups) {
   EXPECT_GT(r_a.cmas_forks_suppressed, 0u);
   EXPECT_LT(r_a.l1.prefetches, r_w.l1.prefetches);
   EXPECT_LE(r_a.cycles, r_w.cycles * 102 / 100);
+  // EXPERIMENTS.md's Ablation E: the controller cuts prefetches
+  // 447 -> 196 at identical cycles.
+  EXPECT_EQ(r_w.cycles, 4346u);
+  EXPECT_EQ(r_a.cycles, 4346u);
+  EXPECT_EQ(r_w.l1.prefetches, 447u);
+  EXPECT_EQ(r_a.l1.prefetches, 196u);
+  EXPECT_EQ(r_w.cmas_forks_suppressed, 0u);
+  EXPECT_EQ(r_a.cmas_forks_suppressed, 435u);
 }
 
 TEST(AdaptiveRange, LeavesUsefulGroupsAlone) {

@@ -2,8 +2,8 @@
 // registry workload (paper_suite and extra_suite at Scale::Paper), in its
 // original and its separated binary, runs under the reference switch
 // interpreter (run_trace_ref), the threaded interpreter's whole trace
-// (run_trace) and its streamed chunks (run_streamed, compared as they
-// arrive).  All three must agree byte for byte on the trace and exactly on
+// (run_trace) and its streamed chunks (a stream_chunk loop, compared as
+// they arrive).  All three must agree byte for byte on the trace and exactly on
 // the error, pc, instructions(), halted() and the final architectural
 // state (same_arch_state).
 //
@@ -70,15 +70,19 @@ void expect_matches_reference(const isa::Program& prog) {
     EXPECT_EQ(first_difference(got, want, 0), kSame);
   }
   {
-    SCOPED_TRACE("run_streamed");
+    SCOPED_TRACE("stream_chunk");
     Functional streamed(prog);
     std::size_t delivered = 0;
     std::size_t diff = kSame;
     expect_same_end(streamed, error_of([&] {
-      streamed.run_streamed([&](std::span<const TraceEntry> chunk) {
+      Trace chunk;
+      while (!streamed.halted()) {
+        chunk.clear();
+        streamed.stream_chunk(chunk, Functional::kDefaultMaxSteps,
+                              Functional::kStreamChunk);
         if (diff == kSame) diff = first_difference(chunk, want, delivered);
         delivered += chunk.size();
-      });
+      }
     }));
     EXPECT_EQ(delivered, want.size());
     EXPECT_EQ(diff, kSame);

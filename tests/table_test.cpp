@@ -1,4 +1,5 @@
-// Reporting-table tests (every bench binary renders through this).
+// Plain-text table tests (the paper's figures and hilab's cell table
+// render through stats::Table).
 #include <gtest/gtest.h>
 
 #include "stats/table.hpp"
@@ -18,12 +19,6 @@ TEST(Table, AlignsColumns) {
     EXPECT_EQ(end - pos, len) << "ragged line at offset " << pos;
     pos = end + 1;
   }
-}
-
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"}).add_row({"3", "4"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n3,4\n");
 }
 
 TEST(Table, RowWidthMismatchThrows) {

@@ -3,7 +3,9 @@
 // Runs a named experiment plan (each reproducing one paper figure/table,
 // or arbitrary sweeps) across a thread pool, memoizing workload
 // compilation, consulting the persistent result cache, and exporting
-// machine-readable JSON/CSV.
+// machine-readable JSON/CSV.  After its cell table it prints the paper
+// table or figure the plan reproduces (lab/figures.hpp) when every cell is
+// healthy and stdout is not an export target.
 //
 //   hilab --list
 //   hilab --plan fig8 [--threads N] [--scale paper|test]
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "lab/export.hpp"
+#include "lab/figures.hpp"
 #include "lab/plan.hpp"
 #include "lab/runner.hpp"
 #include "lab/thread_pool.hpp"
@@ -317,6 +320,10 @@ int main(int argc, char** argv) {
           "sim %.0f ms (+%.0f ms cached)\n",
           n.compile.ms_rebuilt, n.compile.ms_hits, n.sim.ms_rebuilt,
           n.sim.ms_hits);
+      // The paper's tables and figures this plan reproduces, drawn from
+      // healthy cells only.
+      const std::string text = run.ok() ? lab::figures(plan, run) : "";
+      if (!text.empty()) std::printf("\n%s", text.c_str());
     }
 
     const lab::ExportMeta meta{threads};
