@@ -30,6 +30,8 @@ struct CmasOptions {
   // Counted by the profiling run (ProfileObserver), which compile() sets
   // up with this distance.
   int trigger_distance = 512;
+
+  bool operator==(const CmasOptions&) const = default;
 };
 
 // Backward slice of `target` over register dependences: includes loads and

@@ -35,6 +35,8 @@ struct CompileOptions {
   // Flow-sensitive pruning of producer-site queue transfers (§6.3); off
   // reproduces the purely flow-insensitive separator for ablation.
   bool flow_sensitive_comm = true;
+
+  bool operator==(const CompileOptions&) const = default;
 };
 
 struct Compilation {

@@ -1,6 +1,7 @@
 #include "lab/runner.hpp"
 
 #include <chrono>
+#include <deque>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -28,14 +29,18 @@ double ms_since(Clock::time_point start) {
 }
 
 // One compile task: a distinct (workload spec, compile options) pair and
-// the cells that simulate its binaries.  Once it has compiled it holds
-// the compilation and the sim-key hash state of both binary images,
-// hashed once here because a plan has several cells per image.
+// the cells that simulate its binaries.  It holds the sim-key hash state
+// of both binary images, taken once here because a plan has several cells
+// per image, and once compiled, the compilation.
 struct CompileJob {
   std::string key;                 // pipeline::compile_key
   std::vector<std::size_t> cells;  // plan indices, in plan order
-  compiler::Compilation comp;
+  std::string index_key;  // compile_index_key; empty with the index off
   CompileIndexEntry images;
+  bool from_index = false;  // `images` came from the compile index
+  std::once_flag once;      // guards the compile
+  compiler::Compilation comp;
+  std::string error;  // the failed compile's message, else empty
 };
 
 // The spec's maker is the registry's for its name.  WorkloadSpec::id()
@@ -44,6 +49,15 @@ bool is_registry_spec(const WorkloadSpec& spec) {
   for (const WorkloadSpec& w : workload_registry())
     if (w.name == spec.name) return w.make == spec.make;
   return false;
+}
+
+// True when the two cells have one compile key: pipeline::compile_key
+// reads WorkloadSpec::id() and the options.  (A -0.0 and a 0.0 miss-rate
+// threshold compare equal but are keyed apart; they compile alike.)
+bool same_compile(const Cell& a, const Cell& b) {
+  return a.workload.name == b.workload.name &&
+         a.workload.scale == b.workload.scale &&
+         a.workload.seed == b.workload.seed && a.compile == b.compile;
 }
 
 std::string cell_key(const CompileIndexEntry& images, const Cell& cell) {
@@ -133,97 +147,104 @@ struct Executor {
     finish_locked(i, /*from_cache=*/true);
   }
 
-  // Serves every cell of the job from the result cache when the compile
-  // index knows its binaries' image hashes, without building or
-  // compiling.  False when the index or any cell's result misses.
-  bool serve_from_index(const CompileJob& job, const std::string& index_key) {
-    const auto start = Clock::now();
-    const std::optional<CompileIndexEntry> images =
-        results->load_compile(index_key);
-    if (!images) return false;
-    const auto probe_start = Clock::now();
-    std::vector<CacheEntry> hits;
-    for (const std::size_t i : job.cells) {
-      run.cells[i].key = cell_key(*images, plan.cells[i]);
-      std::optional<CacheEntry> hit = results->load(run.cells[i].key);
-      if (!hit) return false;
-      hits.push_back(std::move(*hit));
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    ++run.nodes.compile.hits;
-    run.nodes.compile.ms_hits +=
-        std::chrono::duration<double, std::milli>(probe_start - start).count();
-    run.nodes.sim.ms_hits += ms_since(probe_start);
-    for (std::size_t k = 0; k < job.cells.size(); ++k)
-      if (claim_locked(job.cells[k])) hit_locked(job.cells[k], hits[k], 0.0);
-    return true;
-  }
-
-  // Serves the job from the compile index when it can.  Otherwise compiles
-  // the job's workload, records it in the index and submits one sim task
-  // per cell under it.  A failed compile poisons exactly those cells.
+  // Looks the job up in the compile index, and on a miss compiles it.
+  // Either way it then has both image keys and submits one sim task per
+  // cell.  A failed compile poisons exactly those cells.
   void compile(CompileJob& job) {
     const Cell& first = plan.cells[job.cells.front()];
-    const auto start = Clock::now();
-    std::string index_key;
     if (results && identity && is_registry_spec(first.workload)) {
-      index_key = compile_index_key(*identity, job.key);
-      if (!opt.refresh && serve_from_index(job, index_key)) return;
-    }
-    std::string error;
-    try {
-      // The built workload is a temporary of this statement, freed before
-      // the images are encoded.
-      job.comp =
-          compiler::compile(first.workload.build().program, first.compile);
-      job.images = {image_key_state(isa::save_program(job.comp.original)),
-                    image_key_state(isa::save_program(job.comp.separated))};
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-    if (error.empty() && !index_key.empty())
-      results->store_compile(index_key, job.images);
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      pipeline::PhaseStats& ph = run.nodes.compile;
-      ++(error.empty() ? ph.rebuilt : ph.failed);
-      ph.ms_rebuilt += ms_since(start);
-      if (!error.empty()) {
-        for (const std::size_t i : job.cells) {
-          run.cells[i].error =
-              "prep " + first.workload.name + " failed: " + error;
-          run.cells[i].error_class = "prep";
-          finish_locked(i, /*from_cache=*/false);
-        }
-        return;
+      job.index_key = compile_index_key(*identity, job.key);
+      const auto start = Clock::now();
+      const auto images = opt.refresh ? std::nullopt
+                                      : results->load_compile(job.index_key);
+      if (images) {
+        job.images = *images;
+        job.from_index = true;
+        std::lock_guard<std::mutex> lock(mu);
+        ++run.nodes.compile.hits;
+        run.nodes.compile.ms_hits += ms_since(start);
       }
+    }
+    if (!job.from_index && !compiled(job)) {
+      std::lock_guard<std::mutex> lock(mu);
+      for (const std::size_t i : job.cells) fail_prep_locked(job, i);
+      return;
     }
     for (const std::size_t i : job.cells)
       pool.submit([this, &job, i] { simulate(job, i); });
   }
 
-  // Probes the result cache, and on a miss takes the key's lease, probes
-  // again and simulates.  A lease holder waits on nothing, so processes
-  // leasing keys in any order cannot deadlock, and a key another process
-  // simulated while this one waited for its lease turns into a hit.
-  void simulate(const CompileJob& job, std::size_t i) {
+  // Compiles the job once: in its compile task on an index miss, else for
+  // the first of its cells that misses the result cache, while later ones
+  // wait here.  An index-served job keeps the image keys of its entry,
+  // which the compile rewrites.  True when the compile succeeded.
+  bool compiled(CompileJob& job) {
+    std::call_once(job.once, [this, &job] {
+      const Cell& first = plan.cells[job.cells.front()];
+      const auto start = Clock::now();
+      CompileIndexEntry images;
+      try {
+        // The built workload is a temporary of this statement, freed
+        // before the images are encoded.
+        job.comp =
+            compiler::compile(first.workload.build().program, first.compile);
+        images = {image_key_state(isa::save_program(job.comp.original)),
+                  image_key_state(isa::save_program(job.comp.separated))};
+      } catch (const std::exception& e) {
+        job.error = e.what();
+      }
+      if (job.error.empty() && !job.index_key.empty())
+        results->store_compile(job.index_key, images);
+      if (!job.from_index) job.images = images;
+      std::lock_guard<std::mutex> lock(mu);
+      pipeline::PhaseStats& ph = run.nodes.compile;
+      if (job.from_index) --ph.hits;  // it compiled after all
+      ++(job.error.empty() ? ph.rebuilt : ph.failed);
+      ph.ms_rebuilt += ms_since(start);
+    });
+    return job.error.empty();
+  }
+
+  // Caller holds `mu`.  Cell `i` fails with its job's compile.
+  void fail_prep_locked(const CompileJob& job, std::size_t i) {
+    CellResult& r = run.cells[i];
+    r.error = "prep " + plan.cells[i].workload.name + " failed: " + job.error;
+    r.error_class = "prep";
+    finish_locked(i, /*from_cache=*/false);
+  }
+
+  // Probes the result cache, and on a miss makes sure its job has
+  // compiled, takes the key's lease, probes again and simulates.  A lease
+  // holder waits on nothing, so processes leasing keys in any order cannot
+  // deadlock, and a key another process simulated while this one waited
+  // for its lease turns into a hit.
+  void simulate(CompileJob& job, std::size_t i) {
     const Cell& cell = plan.cells[i];
     CellResult& r = run.cells[i];
     const bool sep = machine::uses_separated_binary(cell.preset);
     r.key = cell_key(job.images, cell);
-    r.orig_dynamic_instructions = job.comp.profile.dynamic_instructions;
     {
       std::lock_guard<std::mutex> lock(mu);
       if (!claim_locked(i)) return;
     }
     const bool probe = results != nullptr && !opt.refresh;
-    const auto start = Clock::now();
+    auto start = Clock::now();
     std::optional<CacheEntry> hit;
     if (probe) hit = results->load(r.key);
     ResultCache::Lease lease;
-    if (results && !hit) {
-      lease = results->lease(r.key);
-      if (probe) hit = results->load(r.key);
+    if (!hit) {
+      const auto compile_start = Clock::now();
+      if (!compiled(job)) {
+        std::lock_guard<std::mutex> lock(mu);
+        fail_prep_locked(job, i);
+        return;
+      }
+      start += Clock::now() - compile_start;  // counted as the compile's
+      r.orig_dynamic_instructions = job.comp.profile.dynamic_instructions;
+      if (results) {
+        lease = results->lease(r.key);
+        if (probe) hit = results->load(r.key);
+      }
     }
     if (hit) {
       std::lock_guard<std::mutex> lock(mu);
@@ -291,20 +312,27 @@ PlanRun run_plan(const ExperimentPlan& plan, const RunOptions& opt,
 
   std::optional<ResultCache> results;
   if (!opt.cache_dir.empty()) results.emplace(opt.cache_dir);
-  // The pool runs tasks first in, first out, so compiles start in plan
-  // order; that order keeps a warm paper plan's peak RSS down.
+  // The pool runs tasks first in, first out, so compile tasks start in
+  // plan order, each ahead of the sim tasks it queues.  Results are indexed
+  // by cell: the order changes timing, never a result.
   ThreadPool pool(opt.threads);
 
-  // One compile job per distinct compile key, in first-cell order.
-  std::vector<CompileJob> jobs;
+  // One compile job per distinct compile key, in first-cell order.  Cells
+  // of one job are usually neighbours, so a cell whose workload and
+  // options equal its predecessor's joins that job without a key.
+  std::deque<CompileJob> jobs;
   {
     std::unordered_map<std::string, std::size_t> job_of;
+    std::size_t job = 0;
     for (std::size_t i = 0; i < plan.cells.size(); ++i) {
       const Cell& cell = plan.cells[i];
-      std::string key = pipeline::compile_key(cell.workload, cell.compile);
-      const auto [it, fresh] = job_of.try_emplace(key, jobs.size());
-      if (fresh) jobs.emplace_back().key = std::move(key);
-      jobs[it->second].cells.push_back(i);
+      if (i == 0 || !same_compile(plan.cells[i - 1], cell)) {
+        std::string key = pipeline::compile_key(cell.workload, cell.compile);
+        const auto [it, fresh] = job_of.try_emplace(key, jobs.size());
+        if (fresh) jobs.emplace_back().key = std::move(key);
+        job = it->second;
+      }
+      jobs[job].cells.push_back(i);
     }
   }
 

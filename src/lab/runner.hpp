@@ -4,17 +4,18 @@
 // pool, whose FIFO queue the calling thread also serves:
 //
 //   compile  one per distinct (workload spec, compile options) pair
-//            (pipeline::compile_key).  It first looks the pair up in the
-//            cache directory's compile index (result_cache.hpp): on a hit
-//            it knows both binary images' hashes, so it computes its
-//            cells' sim keys and probes the ResultCache, and if every
-//            cell hits it delivers them and is done, with nothing built
-//            or compiled.  Otherwise it builds the workload, compiles it,
-//            hashes both binary images for sim keys, records them in the
-//            index and submits one sim task per cell under it;
-//   sim      one per cell: probes the on-disk ResultCache, and on a miss
-//            takes the key's lease, probes again and runs the machine,
-//            which streams its own functional run (no trace is stored).
+//            (pipeline::compile_key).  It looks the pair up in the cache
+//            directory's compile index (result_cache.hpp): a hit gives
+//            both binary images' hashes without building or compiling.
+//            On a miss it builds the workload, compiles it, hashes both
+//            images and records them in the index.  Either way it then
+//            submits one sim task per cell under it;
+//   sim      one per cell, warm or cold: computes its sim key and probes
+//            the on-disk ResultCache.  On a miss it first compiles its
+//            job if the index served it (once per job; later misses wait
+//            for that compile), then takes the key's lease, probes again
+//            and runs the machine, which streams its own functional run
+//            (no trace is stored).
 //
 // A cell simulates the moment its own compilation is ready, regardless of
 // what other workloads are still compiling.  Cells with equal sim keys

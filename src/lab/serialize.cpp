@@ -1,6 +1,8 @@
 #include "lab/serialize.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -15,10 +17,19 @@ std::string format_value(std::int64_t v) { return std::to_string(v); }
 std::string format_value(bool v) { return v ? "1" : "0"; }
 std::string format_value(double v) { return format_double(v); }
 
-// The strto* functions need a terminated string: parse a copy, on the
-// stack unless `s` is longer than any value the writer emits.
+// A number as the writer prints it reads with from_chars, when that takes
+// all of `s` and gives no NaN; strto* reads such text to the same value.
+// Anything else (blanks, a '+', trailing junk, an out-of-range value, a
+// NaN's "nan(n)" payload) goes to `parse`, a strto* function, so every
+// field decodes as strto* alone decodes it.  strto* needs a terminated
+// string: a copy, on the stack unless `s` is longer than any value the
+// writer emits.
 template <class Parse>
-auto parse_terminated(std::string_view s, Parse parse) {
+auto parse_number(std::string_view s, Parse parse) {
+  decltype(parse("")) v{};
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec == std::errc() && ptr == end && !std::isnan(v)) return v;
   char buf[64];
   if (s.size() >= sizeof buf) return parse(std::string(s).c_str());
   std::memcpy(buf, s.data(), s.size());
@@ -27,17 +38,16 @@ auto parse_terminated(std::string_view s, Parse parse) {
 }
 
 void parse_value(std::string_view s, std::uint64_t& out) {
-  out = parse_terminated(
+  out = parse_number(
       s, [](const char* c) { return std::strtoull(c, nullptr, 10); });
 }
 void parse_value(std::string_view s, std::int64_t& out) {
-  out = parse_terminated(
+  out = parse_number(
       s, [](const char* c) { return std::strtoll(c, nullptr, 10); });
 }
 void parse_value(std::string_view s, bool& out) { out = s == "1"; }
 void parse_value(std::string_view s, double& out) {
-  out = parse_terminated(s,
-                         [](const char* c) { return std::strtod(c, nullptr); });
+  out = parse_number(s, [](const char* c) { return std::strtod(c, nullptr); });
 }
 
 // Every field's dotted name with its visit index, sorted by name.  Built

@@ -8,13 +8,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <random>
@@ -244,6 +248,36 @@ TEST(LabResultCache, StoreThenLoadIdentical) {
   EXPECT_EQ(back->preset, "HiDISC");
   EXPECT_EQ(back->orig_dynamic_instructions, 123456u);
   EXPECT_FALSE(fs::exists(fs::path(dir.path()) / (key + ".result.lock")));
+}
+
+// Every double as bits: -0.0 == 0.0, so == alone would miss a lost sign.
+void expect_same_bits(double a, double b) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << a << " came back as " << b;
+}
+
+TEST(LabResultCache, ExtremeValuesRoundTripBitForBit) {
+  TempDir dir("cache_extremes");
+  lab::ResultCache cache(dir.path());
+  const std::string key(32, 'e');
+  // 1.0000000000000002 needs all 17 significant digits.
+  for (const double d : {-0.0, std::numeric_limits<double>::denorm_min(),
+                         DBL_MAX, 0.1, std::nextafter(1.0, 2.0)}) {
+    machine::Result r = nonzero_result();
+    r.cycles = UINT64_MAX;
+    r.final_fork_lookahead = INT64_MIN;
+    r.ipc = r.pf_accuracy = r.pf_coverage = r.pf_lateness = d;
+    ASSERT_TRUE(cache.store(key, {r, "Pointer", "HiDISC", UINT64_MAX}));
+    const auto back = cache.load(key);
+    ASSERT_TRUE(back.has_value()) << d;
+    EXPECT_EQ(back->result, r);
+    EXPECT_EQ(back->result.cycles, UINT64_MAX);
+    EXPECT_EQ(back->result.final_fork_lookahead, INT64_MIN);
+    EXPECT_EQ(back->orig_dynamic_instructions, UINT64_MAX);
+    for (const double got : {back->result.ipc, back->result.pf_accuracy,
+                             back->result.pf_coverage,
+                             back->result.pf_lateness})
+      expect_same_bits(d, got);
+  }
 }
 
 // ---- per-key leases ---------------------------------------------------------
@@ -1268,6 +1302,68 @@ TEST(LabCompileIndex, MissingResultCompilesOnlyItsJobAndSimulatesOnlyIt) {
   for (std::size_t i = 0; i < plan.cells.size(); ++i)
     EXPECT_EQ(warm.cells[i].from_cache, i != gone) << i;
   expect_same_cells(cold, warm);
+}
+
+// Two missing results of one job at four threads: the job compiles once,
+// on demand, however many of its cells miss at the same time.
+TEST(LabCompileIndex, TwoMissingResultsOfOneJobCompileItOnce) {
+  TempDir dir("index_two_missing");
+  const auto plan = tiny_plan();
+  lab::RunOptions opt;
+  opt.threads = 4;
+  opt.cache_dir = dir.path();
+  const auto cold = lab::run_plan(plan, opt, kOurs);
+  std::vector<std::size_t> gone;
+  for (const auto preset : {machine::Preset::CPAP, machine::Preset::HiDISC}) {
+    gone.push_back(static_cast<std::size_t>(plan.find("Update", preset)));
+    ASSERT_TRUE(fs::remove(fs::path(dir.path()) /
+                           (cold.cells[gone.back()].key + ".result")));
+  }
+
+  const auto warm = lab::run_plan(plan, opt, kOurs);
+  EXPECT_EQ(warm.nodes.compile.hits, 1u);     // Pointer
+  EXPECT_EQ(warm.nodes.compile.rebuilt, 1u);  // Update, once
+  EXPECT_EQ(warm.nodes.compile.failed, 0u);
+  EXPECT_EQ(warm.preps, 1u);
+  EXPECT_EQ(warm.simulated, 2u);
+  EXPECT_EQ(warm.nodes.sim.rebuilt, 2u);
+  EXPECT_EQ(warm.nodes.sim.hits, plan.cells.size() - 2);
+  for (std::size_t i = 0; i < plan.cells.size(); ++i)
+    EXPECT_EQ(warm.cells[i].from_cache,
+              std::find(gone.begin(), gone.end(), i) == gone.end())
+        << i;
+  expect_same_cells(cold, warm);
+}
+
+// An index entry serves a job whose compile fails: the cells that miss
+// the result cache compile on demand and fail with the prep error.
+TEST(LabCompileIndex, FailedCompileOnDemandFailsTheCellsThatNeededIt) {
+  TempDir dir("index_failed_compile");
+  lab::RunOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = dir.path();
+  lab::ExperimentPlan plan{"short", "compile stops after 10 steps", {}};
+  for (const auto preset : lab::all_presets()) {
+    plan.cells.push_back(lab::Cell{lab::spec("Pointer", workloads::Scale::Test),
+                                   preset, {}, {}, ""});
+    plan.cells.back().compile.max_steps = 10;
+  }
+  const lab::ResultCache cache(dir.path());
+  ASSERT_TRUE(cache.store_compile(index_key(*kOurs, plan.cells[0]),
+                                  {lab::image_key_state({1}),
+                                   lab::image_key_state({2})}));
+
+  const auto run = lab::run_plan(plan, opt, kOurs);
+  EXPECT_EQ(run.nodes.compile.hits, 0u);
+  EXPECT_EQ(run.nodes.compile.rebuilt, 0u);
+  EXPECT_EQ(run.nodes.compile.failed, 1u);
+  EXPECT_EQ(run.failed, plan.cells.size());
+  EXPECT_EQ(run.simulated, 0u);
+  for (const auto& cell : run.cells) {
+    EXPECT_EQ(cell.error_class, "prep");
+    EXPECT_EQ(cell.error.rfind("prep Pointer failed: ", 0), 0u) << cell.error;
+  }
+  EXPECT_TRUE(files_with(dir.path(), ".result").empty());
 }
 
 TEST(LabCompileIndex, RefreshIgnoresTheIndexAndRewritesIt) {

@@ -152,6 +152,33 @@ def invalidation(c):
     expect_warm(c.run_plan("warm", *plan), cold)
 
 
+def partial_warm(c):
+    """A warm test-scale paper plan at four threads after one result is
+    deleted: only that cell simulates, its compile task compiles once, on
+    demand, and every other compile task is served by the compile index."""
+    cache = c.work / "cache"
+    plan = ("--plan", "paper", "--scale", "test", "--threads", "4",
+            "--cache-dir", str(cache))
+    cold = c.run_plan("cold", *plan)
+    ks = keys(cold)
+    gone = next(i for i, x in enumerate(cold["cells"])
+                if x["preset"] == "HiDISC" and ks.count(x["key"]) == 1)
+    (cache / f"{ks[gone]}.result").unlink()
+
+    warm = c.run_plan("warm", *plan)
+    resim = [i for i, x in enumerate(warm["cells"]) if not x["cached"]]
+    expect(resim == [gone], f"re-simulated cells {resim}, want [{gone}]")
+    nodes = warm["nodes"]
+    expect(warm["simulated"] == 1 and nodes["sim"]["rebuilt"] == 1,
+           f"warm sims: {nodes['sim']}")
+    cc = nodes["compile"]
+    expect(cc["rebuilt"] == 1 and cc["failed"] == 0
+           and cc["hits"] == cc["total"] - 1, f"warm compile tasks: {cc}")
+    expect(results(warm) == results(cold), "cold/warm results diverged")
+    expect(keys(warm) == ks, "cold/warm keys diverged")
+    expect_clean(cache)
+
+
 def ablation_keys(c):
     """Every swept config field reaches the content key: the six
     prefetch-buffer sizes of ablation-queues are six keys."""
@@ -280,8 +307,8 @@ def bounded_memory(c, cache):
 
 
 CHECKS = {f.__name__.replace("_", "-"): f for f in (
-    lockstep, invalidation, ablation_keys, prefetch, hifuzz_pinned,
-    concurrent, kill_resume, paper_digest, bounded_memory)}
+    lockstep, invalidation, partial_warm, ablation_keys, prefetch,
+    hifuzz_pinned, concurrent, kill_resume, paper_digest, bounded_memory)}
 
 
 def main():
