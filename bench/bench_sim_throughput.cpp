@@ -144,7 +144,7 @@ BENCHMARK(BM_HidiscCycleSim);
 // memory-bound Matrix stressmark at the Fig. 10 high-latency memory point
 // (L2 16 / DRAM 160), where most cycles find every core stalled behind a
 // miss.  This is the end-to-end number the CI perf job gates on
-// (tools/perf_gate.py against bench/baseline.json).  Arg 0 selects the
+// (tools/perf_gate.py, A/B against the change's base).  Arg 0 selects the
 // scheduler, so /0 vs /1 shows the event-skip speedup directly.
 void BM_FullMachine(benchmark::State& state) {
   const auto w = workloads::make_matrix(workloads::Scale::Test);

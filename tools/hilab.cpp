@@ -69,10 +69,6 @@ int usage(const char* argv0) {
       "                    Repeatable\n"
       "  --json FILE       export full results as JSON ('-' = stdout)\n"
       "  --csv FILE        export summary rows as CSV ('-' = stdout)\n"
-      "  --bench-json FILE write a google-benchmark-style JSON with this\n"
-      "                    run's cells/sec (for tools/perf_gate.py)\n"
-      "  --bench-name NAME benchmark name for --bench-json (default\n"
-      "                    SVC_<plan>)\n"
       "  --quiet           suppress the per-cell progress line\n",
       argv0, argv0);
   return 2;
@@ -161,31 +157,10 @@ void apply_override(lab::ExperimentPlan& plan, const std::string& spec) {
                              "HiDISC, or '*')");
 }
 
-// Google-benchmark-shaped JSON so tools/perf_gate.py --append-trajectory
-// can record plan throughput next to BM_FullMachine.
-void write_bench_json(const std::string& path, const std::string& name,
-                      std::size_t cells, double wall_ms) {
-  const double cells_per_sec =
-      wall_ms > 0.0 ? static_cast<double>(cells) * 1000.0 / wall_ms : 0.0;
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n  \"benchmarks\": [\n    {\n"
-                "      \"name\": \"%s\",\n"
-                "      \"run_type\": \"iteration\",\n"
-                "      \"iterations\": 1,\n"
-                "      \"real_time\": %.6g,\n"
-                "      \"time_unit\": \"ms\",\n"
-                "      \"items_per_second\": %.17g\n"
-                "    }\n  ]\n}\n",
-                name.c_str(), wall_ms, cells_per_sec);
-  lab::write_text_file(path, buf);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string plan_name, json_path, csv_path;
-  std::string bench_json, bench_name;
   std::vector<std::string> overrides;
   std::string cache_dir = ".hilab-cache";
   workloads::Scale scale = workloads::Scale::Paper;
@@ -219,8 +194,6 @@ int main(int argc, char** argv) {
       else if (arg == "--override") overrides.push_back(value());
       else if (arg == "--json") json_path = value();
       else if (arg == "--csv") csv_path = value();
-      else if (arg == "--bench-json") bench_json = value();
-      else if (arg == "--bench-name") bench_name = value();
       else if (arg == "--quiet") quiet = true;
       else if (arg == "--help" || arg == "-h") return usage(argv[0]);
       else throw std::runtime_error("unknown option: " + arg);
@@ -331,10 +304,6 @@ int main(int argc, char** argv) {
       lab::write_text_file(json_path, lab::to_json(plan, run, meta));
     if (!csv_path.empty())
       lab::write_text_file(csv_path, lab::to_csv(plan, run));
-    if (!bench_json.empty())
-      write_bench_json(bench_json,
-                       bench_name.empty() ? "SVC_" + plan_name : bench_name,
-                       plan.cells.size(), run.wall_ms);
 
     if (!run.ok()) {
       // Partial failure: healthy cells are exported above; the failed

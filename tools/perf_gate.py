@@ -1,223 +1,161 @@
 #!/usr/bin/env python3
-"""Gate benchmark throughput against a checked-in baseline.
+"""A/B throughput gate: a change's bench_sim_throughput against its base's.
 
-Compares items_per_second of matching benchmarks between a baseline JSON
-(bench/baseline.json, committed) and a fresh google-benchmark JSON run:
+    python3 tools/perf_gate.py BASE_BIN HEAD_BIN
 
-    bench_sim_throughput --benchmark_filter='^BM_FullMachine' \
-        --benchmark_format=json > perf.json
-    python3 tools/perf_gate.py bench/baseline.json perf.json \
-        --max-regression 0.25
+Runs the two binaries PAIRS times each, interleaved, with the first side
+alternating from pair to pair; each run is one repetition of every
+benchmark FILTER selects.  One binary on one host drifts by more than the
+effects being gated (BM_FullMachine/1 has read 4.3 to 7.8 M cycles/s in
+one session), so the gate compares medians of interleaved runs, never a
+number recorded on another host or day.
 
-Exits non-zero when any benchmark present in both files regresses by more
-than --max-regression (fraction of baseline items/sec).  Benchmarks only in
-one file are reported but never fail the gate, so adding or renaming a
-benchmark does not break CI before the baseline is refreshed.  A missing
-baseline file warns and passes for the same reason.
+For each leg it prints the base and head medians of items_per_second, the
+base IQR (interquartile range) and the pairs the head won.  It exits 1
+when any leg's head median is below BOUND x its base median.  A leg that
+only one binary has is reported and never fails the gate, so adding or
+renaming a benchmark does not break CI.
 
-Refresh the baseline with --update after an intentional perf change:
-
-    python3 tools/perf_gate.py bench/baseline.json perf.json --update
-
-When the run used --benchmark_repetitions, aggregate entries are preferred
-and the median is used (more robust than the mean on noisy CI runners).
-
---append-trajectory PATH appends this run's numbers to a trajectory file
-(BENCH_throughput.json at the repo root, in CI) before gating, so the
-repo accumulates an items/sec history across commits:
-
-    python3 tools/perf_gate.py bench/baseline.json perf.json \
-        --append-trajectory BENCH_throughput.json --commit "$GITHUB_SHA"
-
-Several current files make one run and one entry: CI passes a plan's
-cold, override and warm legs (`hilab --bench-json`) together.
-
-Each entry is {"commit", "benchmarks": {name: {"items_per_second"}}},
-plus the run context's "library_build_type", "num_cpus" and
-"mhz_per_cpu" when google-benchmark reported them (so a rate measured
-with a debug benchmark library or on a smaller host can be told apart),
-plus "label" when --label names the leg (one commit can contribute
-several legs: the machine microbenchmarks, the pipeline cold/warm
-timings).  An item is whatever the benchmark counts — simulated cycles
-for the BM_* microbenchmarks, plan cells for the PIPE_* and FSIM_* legs
-(and the SVC_* legs of older entries) — so only rates of one
-benchmark name are comparable.  Entries written before this rule also
-carry a "sim_cycles_per_sec" copy of the same number; it is not a cycle
-rate for the cell-counting legs and nothing reads it.  The append
-happens even when the gate then fails — a regression is exactly the
-data point the trajectory exists to show.
-
-Trajectory hygiene: the commit id must be a real git hex id.  In CI
-(when $CI is set) a missing or placeholder commit id is a hard error —
-an entry recorded as "local" can never be correlated with a commit
-again.  Outside CI the placeholder is allowed (with a warning) so local
-experiments still work.
+Last it prints the result as one BENCH_throughput.json entry,
+{commit, base, host, legs: {name: {value, unit, reps, median, iqr}}}:
+value is the head median, median and iqr are the base's, reps is the
+number of pairs, and commit and base are the git commits of the
+checkouts that hold HEAD_BIN and BASE_BIN.  A perf change pastes it
+under "entries".
 """
 
 import argparse
 import json
 import os
+import statistics
+import subprocess
 import sys
 
-
-# Host and build facts copied from a run's google-benchmark "context" into
-# its trajectory entry.
-CONTEXT_KEYS = ("library_build_type", "num_cpus", "mhz_per_cpu")
-
-
-def load_context(path):
-    """The CONTEXT_KEYS present in a google-benchmark JSON's context."""
-    with open(path) as f:
-        context = json.load(f).get("context", {})
-    return {k: context[k] for k in CONTEXT_KEYS if k in context}
+PAIRS = 10
+FILTER = "^(BM_FullMachine|BM_Functional)/"
+BOUND = 0.75
 
 
-def load_items_per_second(path):
-    """Map benchmark name -> items_per_second from google-benchmark JSON."""
-    with open(path) as f:
-        data = json.load(f)
-    plain = {}
-    medians = {}
-    for b in data.get("benchmarks", []):
-        name = b.get("name", "")
-        ips = b.get("items_per_second")
-        if ips is None:
+def run_once(binary):
+    """{leg: items_per_second} of one run of a bench_sim_throughput."""
+    out = subprocess.run(
+        [binary, f"--benchmark_filter={FILTER}", "--benchmark_format=json",
+         "--benchmark_repetitions=1"],
+        check=True, stdout=subprocess.PIPE, text=True).stdout
+    return {b["name"]: b["items_per_second"]
+            for b in json.loads(out)["benchmarks"] if "items_per_second" in b}
+
+
+def quartiles(xs):
+    """(q1, q3) of a sample, by linear interpolation between its points."""
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q3
+
+
+def compare(base_runs, head_runs):
+    """The verdict over two lists of per-run {leg: items_per_second}
+    dicts, run i of each side forming pair i.  Returns ({leg: summary},
+    failed legs).  A summary is {"only": "base"|"head"} for a leg one side
+    lacks, else its medians, base quartiles, wins and pairs."""
+    legs, failed = {}, []
+    for leg in sorted(set().union(*base_runs, *head_runs)):
+        base = [r[leg] for r in base_runs if leg in r]
+        head = [r[leg] for r in head_runs if leg in r]
+        if not base or not head:
+            legs[leg] = {"only": "head" if head else "base"}
             continue
-        if b.get("run_type") == "aggregate":
-            if b.get("aggregate_name") == "median":
-                medians[b.get("run_name", name)] = ips
-        else:
-            plain[name] = ips
-    # Aggregates win: their run_name is the plain benchmark name.
-    return {**plain, **medians}
+        pairs = [(b[leg], h[leg]) for b, h in zip(base_runs, head_runs)
+                 if leg in b and leg in h]
+        s = legs[leg] = {
+            "base": statistics.median(base),
+            "head": statistics.median(head),
+            "iqr": quartiles(base),
+            "wins": sum(h > b for b, h in pairs),
+            "pairs": len(pairs),
+        }
+        if s["head"] < BOUND * s["base"]:
+            failed.append(leg)
+    return legs, failed
 
 
-def is_real_commit_id(commit):
-    """A plausible (abbreviated or full) git hex object id."""
-    return (isinstance(commit, str) and 7 <= len(commit) <= 40
-            and all(c in "0123456789abcdef" for c in commit.lower()))
+def report(legs, failed):
+    """One line per leg."""
+    lines = []
+    for leg, s in legs.items():
+        if "only" in s:
+            lines.append(f"  {leg}: only in {s['only']}, not gated")
+            continue
+        q1, q3 = s["iqr"]
+        lines.append(
+            f"  {leg}: base {s['base']:.4g} (IQR {q1:.4g}-{q3:.4g}), "
+            f"head {s['head']:.4g} items/s, head/base "
+            f"{s['head'] / s['base']:.3f}, head won {s['wins']}/{s['pairs']}"
+            f": {'FAIL' if leg in failed else 'ok'}")
+    return "\n".join(lines)
 
 
-def append_trajectory(path, commit, current, label=None, context=None):
-    """Append one {commit, benchmarks, context...} entry to the trajectory
-    JSON list."""
+def commit_of(binary):
+    """The HEAD commit of the git checkout holding a binary, or None."""
+    r = subprocess.run(
+        ["git", "-C", os.path.dirname(os.path.abspath(binary)),
+         "rev-parse", "HEAD"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    return r.stdout.strip() if r.returncode == 0 else None
+
+
+def cpu_model():
+    """The host's CPU model name, or None."""
     try:
-        with open(path) as f:
-            history = json.load(f)
-        if not isinstance(history, list):
-            print(f"perf_gate: {path} is not a JSON list; refusing to "
-                  "overwrite", file=sys.stderr)
-            return 1
-    except FileNotFoundError:
-        history = []
-    entry = {
-        "commit": commit,
-        "benchmarks": {
-            name: {"items_per_second": ips}
-            for name, ips in sorted(current.items())
+        with open("/proc/cpuinfo") as f:
+            return next((line.split(":", 1)[1].strip() for line in f
+                         if line.startswith("model name")), None)
+    except OSError:
+        return None
+
+
+def entry(legs, base_bin, head_bin):
+    """The run as one BENCH_throughput.json entry, rates to 4 digits."""
+    def r(x):
+        return float(f"{x:.4g}")
+    return {
+        "commit": commit_of(head_bin),
+        "base": commit_of(base_bin),
+        "host": {"cpu_model": cpu_model(), "nproc": os.cpu_count()},
+        "legs": {
+            leg: {"value": r(s["head"]), "unit": "items/s",
+                  "reps": s["pairs"], "median": r(s["base"]),
+                  "iqr": r(s["iqr"][1] - s["iqr"][0])}
+            for leg, s in legs.items() if "only" not in s
         },
     }
-    entry.update(context or {})
-    if label:
-        entry["label"] = label
-    history.append(entry)
-    with open(path, "w") as f:
-        json.dump(history, f, indent=2)
-        f.write("\n")
-    print(f"perf_gate: appended {commit[:12]} to {path} "
-          f"({len(history)} entries)")
-    return 0
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("baseline", help="checked-in baseline JSON")
-    ap.add_argument("current", nargs="+",
-                    help="fresh --benchmark_format=json output; several "
-                         "files are one run (e.g. a plan's cold and warm "
-                         "legs)")
-    ap.add_argument("--max-regression", type=float, default=0.25,
-                    help="allowed fractional items/sec drop (default 0.25)")
-    ap.add_argument("--update", action="store_true",
-                    help="rewrite the baseline from the current run and exit")
-    ap.add_argument("--append-trajectory", metavar="PATH",
-                    help="append this run's rates to a trajectory JSON list")
-    ap.add_argument("--commit", default=None,
-                    help="commit id for the trajectory entry "
-                         "(default: $GITHUB_SHA; 'local' placeholder is "
-                         "rejected when $CI is set)")
-    ap.add_argument("--label", default=None,
-                    help="name this trajectory leg (e.g. pipeline, "
-                         "fsim) so one commit can carry several entries")
+    ap.add_argument("base_bin", help="the base commit's bench_sim_throughput")
+    ap.add_argument("head_bin", help="the change's bench_sim_throughput")
     args = ap.parse_args()
-    if args.update and len(args.current) != 1:
-        ap.error("--update takes one current file")
 
-    current, context = {}, {}
-    for path in args.current:
-        current.update(load_items_per_second(path))
-        context.update(load_context(path))
-    if not current:
-        print(f"perf_gate: no items_per_second entries in {args.current}",
-              file=sys.stderr)
+    base_runs, head_runs = [], []
+    for i in range(PAIRS):
+        sides = [(args.base_bin, base_runs), (args.head_bin, head_runs)]
+        for binary, runs in sides if i % 2 == 0 else sides[::-1]:
+            runs.append(run_once(binary))
+    if not any(head_runs):
+        print(f"perf_gate: {args.head_bin} ran no benchmark matching "
+              f"{FILTER}", file=sys.stderr)
         return 1
 
-    if args.append_trajectory:
-        commit = args.commit or os.environ.get("GITHUB_SHA") or "local"
-        if not is_real_commit_id(commit):
-            if os.environ.get("CI"):
-                print(f"perf_gate: refusing to append trajectory entry with "
-                      f"commit id '{commit}' in CI — pass --commit or set "
-                      "GITHUB_SHA to the real commit", file=sys.stderr)
-                return 2
-            print(f"perf_gate: warning: '{commit}' is not a git commit id; "
-                  "this entry cannot be correlated with history",
-                  file=sys.stderr)
-        rc = append_trajectory(args.append_trajectory, commit, current,
-                               args.label, context)
-        if rc != 0:
-            return rc
-
-    if args.update:
-        with open(args.current[0]) as f:
-            data = json.load(f)
-        # Strip the run context: host-specific fields (date, load, CPU
-        # clock) would churn on every refresh without informing the gate.
-        data.pop("context", None)
-        with open(args.baseline, "w") as f:
-            json.dump(data, f, indent=2)
-            f.write("\n")
-        print(f"perf_gate: baseline {args.baseline} updated "
-              f"({len(current)} benchmarks)")
-        return 0
-
-    try:
-        baseline = load_items_per_second(args.baseline)
-    except FileNotFoundError:
-        print(f"perf_gate: baseline {args.baseline} missing; passing "
-              "(check one in via --update)", file=sys.stderr)
-        return 0
-
-    failed = []
-    for name in sorted(set(baseline) | set(current)):
-        base = baseline.get(name)
-        cur = current.get(name)
-        if base is None or cur is None:
-            where = "current run" if base is None else "baseline"
-            print(f"  {name}: only in {where}, skipped")
-            continue
-        change = (cur - base) / base
-        status = "ok"
-        if change < -args.max_regression:
-            status = "FAIL"
-            failed.append(name)
-        print(f"  {name}: {base:.3e} -> {cur:.3e} items/s "
-              f"({change:+.1%}) {status}")
-
+    legs, failed = compare(base_runs, head_runs)
+    print(f"perf_gate: {PAIRS} interleaved pairs, base {args.base_bin}, "
+          f"head {args.head_bin}")
+    print(report(legs, failed))
+    print(json.dumps(entry(legs, args.base_bin, args.head_bin), indent=2))
     if failed:
-        print(f"perf_gate: {len(failed)} benchmark(s) regressed more than "
-              f"{args.max_regression:.0%}: {', '.join(failed)}",
-              file=sys.stderr)
+        print(f"perf_gate: {len(failed)} leg(s) below {BOUND} x base "
+              f"median: {', '.join(failed)}", file=sys.stderr)
         return 1
     print("perf_gate: pass")
     return 0
